@@ -99,13 +99,6 @@ class FactorModel:
         return FactorModel(self.user_embeddings.copy(),
                            self.item_embeddings.copy(), self.reg)
 
-    def user_grad_slice(self, user: int) -> slice:
-        return slice(user * self.dim, (user + 1) * self.dim)
-
-    def item_grad_slice(self, item: int) -> slice:
-        base = self.num_users * self.dim
-        return slice(base + item * self.dim, base + (item + 1) * self.dim)
-
 
 def init_model(num_users: int, num_items: int, dim: int, reg: float,
                rng: SeededRng | np.random.Generator,

@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Input clamp for the exponential inside the sigmoid; exp(500) is finite in
-# float64, exp(710) is not.
-SIGMOID_CLAMP = 500.0
-
 # Uniform draws feeding the Gumbel transform stay inside the open interval.
 UNIFORM_EPS = 1e-12
 
@@ -44,13 +40,17 @@ def dot(a, b) -> float:
 def sigmoid(x):
     """Numerically stable logistic function, elementwise.
 
-    Inputs are clamped to [-500, 500]; the half-tanh form 0.5*(1+tanh(x/2))
-    equals 1/(1+exp(-x)), never overflows, and keeps the symmetry
-    sigmoid(x) + sigmoid(-x) == 1 to float64 roundoff.
+    The half-tanh form 0.5*(1+tanh(x/2)) equals 1/(1+exp(-x)), never
+    overflows (tanh saturates to +-1 on its own, infinities included), and
+    keeps the symmetry sigmoid(x) + sigmoid(-x) == 1 to float64 roundoff. It
+    is computed in one output buffer, without temporaries.
     """
-    z = np.clip(np.asarray(x, dtype=np.float64), -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    out = 0.5 * (1.0 + np.tanh(0.5 * z))
-    if np.isscalar(x) or np.ndim(x) == 0:
+    z = np.asarray(x, dtype=np.float64)
+    out = np.multiply(z, 0.5, out=np.empty_like(z))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    if out.ndim == 0:
         return float(out)
     return out
 

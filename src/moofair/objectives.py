@@ -11,7 +11,9 @@ genre groupings).
 
 Every objective exposes both the scalar loss and its analytic gradient over
 the flattened model parameters; the gradients backpropagate through the whole
-smooth-ranking chain with the Gumbel noise held fixed.
+smooth-ranking chain with the Gumbel noise held fixed. Within a family the
+smooth-ranking forward does not depend on the group masks, so it runs once
+per batch and each objective adds only its mask-dependent part.
 """
 
 from __future__ import annotations
@@ -32,15 +34,11 @@ OBJECTIVE_IDS = ("bpr", "gender", "age", "popularity", "genre")
 CONSUMER_OBJECTIVES = ("gender", "age")
 PRODUCER_OBJECTIVES = ("popularity", "genre")
 
-# Mask attribute each fairness objective needs on the GroupMaskSet.
-OBJECTIVE_MASKS = {
-    "gender": "gender",
-    "age": "age",
-    "popularity": "popularity",
-    "genre": "genre",
-}
-
 LN2 = float(np.log(2.0))
+
+# Users per block of the consumer forward and backward; bounds the arrays
+# that exist next to the shared forward: (positives x k), (users x items).
+USER_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,22 @@ class ProducerContext:
     noise: list = field(repr=False, default_factory=list)
 
 
-def _sample_candidate_negatives(pool: np.ndarray, gen: np.random.Generator,
-                                count: int) -> np.ndarray:
-    if count >= pool.shape[0]:
-        return pool
-    return np.sort(gen.choice(pool, size=count, replace=False))
+def _candidate_lists(dataset: InteractionDataset, users: np.ndarray,
+                     gen: np.random.Generator, negatives: int, cap: int = 0):
+    """Per user: the train positives (the first ``cap`` of them when cap is
+    set) followed by ``negatives`` sorted non-positives drawn without
+    replacement (all of them when fewer exist); plus the positive counts."""
+    lists = dataset.train_positive_lists()
+    pools = dataset.train_complement_lists()
+    candidates, counts = [], []
+    for u in users:
+        positives = lists[u][: max(0, cap)] if cap else lists[u]
+        pool = pools[u]
+        if negatives < pool.shape[0]:
+            pool = np.sort(gen.choice(pool, size=negatives, replace=False))
+        candidates.append(np.concatenate([positives, pool]))
+        counts.append(positives.shape[0])
+    return candidates, np.asarray(counts, dtype=np.int64)
 
 
 def build_consumer_context(dataset: InteractionDataset, users,
@@ -121,16 +130,8 @@ def build_consumer_context(dataset: InteractionDataset, users,
                            rng: SeededRng | np.random.Generator) -> ConsumerContext:
     gen = rng.generator if isinstance(rng, SeededRng) else rng
     users = np.asarray(users, dtype=np.int64)
-    lists = dataset.train_positive_lists()
-    pools = dataset.train_complement_lists()
-    candidates, pos_counts = [], []
-    for u in users:
-        positives = lists[u]
-        negatives = _sample_candidate_negatives(pools[u], gen,
-                                                spec.candidate_negatives)
-        candidates.append(np.concatenate([positives, negatives]))
-        pos_counts.append(positives.shape[0])
-    return ConsumerContext(users, candidates, np.asarray(pos_counts, dtype=np.int64))
+    candidates, counts = _candidate_lists(dataset, users, gen, spec.candidate_negatives)
+    return ConsumerContext(users, candidates, counts)
 
 
 def build_producer_context(dataset: InteractionDataset, users,
@@ -138,23 +139,14 @@ def build_producer_context(dataset: InteractionDataset, users,
                            rng: SeededRng | np.random.Generator) -> ProducerContext:
     gen = rng.generator if isinstance(rng, SeededRng) else rng
     users = np.asarray(users, dtype=np.int64)
-    lists = dataset.train_positive_lists()
-    pools = dataset.train_complement_lists()
-    candidates, rel_counts = [], []
-    for u in users:
-        positives = lists[u]
-        relevant = positives[: max(0, n_r_cap)] if n_r_cap else positives
-        negatives = _sample_candidate_negatives(pools[u], gen,
-                                                candidate_negatives)
-        candidates.append(np.concatenate([relevant, negatives]))
-        rel_counts.append(relevant.shape[0])
+    candidates, counts = _candidate_lists(dataset, users, gen, candidate_negatives,
+                                          n_r_cap)
     sizes = [c.shape[0] for c in candidates]
     flat_noise = (sample_gumbel(gen, sum(sizes)) if sum(sizes)
                   else np.empty(0, dtype=np.float64))
     bounds = np.cumsum([0] + sizes)
     noise = [flat_noise[bounds[k]:bounds[k + 1]] for k in range(len(sizes))]
-    return ProducerContext(users, candidates,
-                           np.asarray(rel_counts, dtype=np.int64), noise)
+    return ProducerContext(users, candidates, counts, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +167,49 @@ def consumer_group_fairness(group_vectors) -> float:
     return total / (n * (n - 1) / 2)
 
 
-def _ideal_dcg(k_max: int, num_relevant: int) -> np.ndarray:
-    """idcg[k-1] for k = 1..k_max with binary relevance."""
-    gains = 1.0 / np.log2(np.arange(1, k_max + 1) + 1.0)
-    if num_relevant < k_max:
-        gains[num_relevant:] = 0.0
-    return np.cumsum(gains)
-
-
 def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
-                      steepness: float, mode: str):
-    """Per-user NDCG rows plus the intermediates the backward pass reuses."""
-    b = ctx.users.shape[0]
-    g_matrix = np.zeros((b, k_max))
-    cache = []
+                      steepness: float, mode: str = "smooth"):
+    """NDCG rows of the context users plus, per block of users, the
+    intermediates the backward of every consumer objective reuses.
+
+    Independent of the user group masks. A block holds its users with train
+    positives, their positive counts, per-user pairwise sigmoid matrices
+    (smooth mode), and the smooth ranks, discounts, cutoffs (positives x k)
+    and ideal DCG rows, stacked over the block.
+    """
+    g_matrix = np.zeros((ctx.users.shape[0], k_max))
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    for row, user in enumerate(ctx.users):
-        cand = ctx.candidates[row]
-        n_pos = int(ctx.positive_counts[row])
-        if n_pos == 0:
-            cache.append(None)
+    # ideal DCG@k with n relevant items is ideal_cum[min(k, n) - 1]
+    ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
+    all_scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
+    # freed before the intermediates pile up
+    row_scores = [all_scores[row, cand] for row, cand in enumerate(ctx.candidates)]
+    del all_scores
+    blocks = []
+    for start in range(0, ctx.users.shape[0], USER_BLOCK):
+        rows = np.arange(start, min(start + USER_BLOCK, ctx.users.shape[0]))
+        rows = rows[ctx.positive_counts[rows] > 0]
+        if rows.shape[0] == 0:
             continue
-        scores = model.item_embeddings[cand] @ model.user_embeddings[user]
-        idcg = _ideal_dcg(k_max, n_pos)
+        counts = ctx.positive_counts[rows]
         if mode == "exact":
-            ranks = hard_ranks(scores)[:n_pos].astype(np.float64)
-            disc = 1.0 / np.log2(ranks + 1.0)
-            hit = ranks[None, :] <= ks[:, None]
-            g_matrix[row] = (hit * disc[None, :]).sum(axis=1) / idcg
-            cache.append(None)
-            continue
-        pair = sigmoid(steepness * (scores[None, :] - scores[:n_pos, None]))
-        ranks = 0.5 + pair.sum(axis=1)
+            pairs = None
+            ranks = np.concatenate([hard_ranks(row_scores[r])[:n]
+                                    for r, n in zip(rows, counts)]).astype(np.float64)
+            trunc = (ranks[:, None] <= ks[None, :]).astype(np.float64)
+        else:
+            pairs = []
+            for r, n in zip(rows, counts):
+                scaled = steepness * row_scores[r]
+                pairs.append(sigmoid(scaled[None, :] - scaled[:n, None]))
+            ranks = 0.5 + np.concatenate([pair.sum(axis=1) for pair in pairs])
+            trunc = sigmoid(steepness * (ks[None, :] + 0.5 - ranks[:, None]))
         disc = 1.0 / np.log2(ranks + 1.0)
-        trunc = sigmoid(steepness * (ks[:, None] + 0.5 - ranks[None, :]))
-        g_matrix[row] = (trunc * disc[None, :]).sum(axis=1) / idcg
-        cache.append((scores, pair, ranks, disc, trunc, idcg))
-    return g_matrix, cache
+        idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
+        g_matrix[rows] = np.add.reduceat(trunc * disc[:, None],
+                                         np.cumsum(counts) - counts, axis=0) / idcg
+        blocks.append((rows, counts, pairs, ranks, disc, trunc, idcg))
+    return g_matrix, blocks
 
 
 def build_ndcg_matrix(model: FactorModel, ctx: ConsumerContext,
@@ -225,54 +223,41 @@ def build_ndcg_matrix(model: FactorModel, ctx: ConsumerContext,
     """
     if mode not in ("smooth", "exact"):
         raise ValueError(f"mode must be 'smooth' or 'exact', got {mode!r}")
-    g_matrix, _ = _consumer_forward(model, ctx, spec.k_max, steepness, mode)
-    return g_matrix
+    return _consumer_forward(model, ctx, spec.k_max, steepness, mode)[0]
 
 
-def _group_means(g_matrix: np.ndarray, group_masks: np.ndarray,
-                 valid: np.ndarray):
-    """Mean NDCG row per group with at least one valid member."""
-    masks = (np.asarray(group_masks, dtype=np.float64) * valid[None, :].astype(np.float64))
-    counts = masks.sum(axis=1)
-    present = np.flatnonzero(counts >= 1)
-    means = [masks[g] @ g_matrix / counts[g] for g in present]
-    return present, means, masks, counts
+def consumer_fairness_loss(g_matrix: np.ndarray, group_masks: np.ndarray,
+                           valid: np.ndarray | None = None) -> float | None:
+    """Pairwise mean squared distance between the mean NDCG rows of the user
+    groups present in the batch (gender, age, ...).
 
-
-def gender_fairness_loss(g_matrix: np.ndarray, group_masks: np.ndarray,
-                         valid: np.ndarray | None = None) -> float | None:
-    """Squared distance between the two gender-group mean NDCG vectors.
-
-    ``group_masks`` holds one row per gender over the batch users. Returns
-    None (with a warning) when a gender is absent from the batch.
+    ``group_masks`` holds one row per group over the batch users; rows that
+    are not ``valid`` count in no group. Returns None (with a warning) when
+    fewer than two groups are present.
     """
     if valid is None:
         valid = np.ones(g_matrix.shape[0], dtype=bool)
-    present, means, _, _ = _group_means(g_matrix, group_masks, valid)
-    if present.shape[0] < 2:
-        logger.warning("a gender group is absent from the batch; objective skipped")
-        return None
-    return consumer_group_fairness(means)
+    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid)
+    return None if result is None else result[0]
 
 
-def age_fairness_loss(g_matrix: np.ndarray, group_masks: np.ndarray,
-                      valid: np.ndarray | None = None) -> float | None:
-    """Pairwise mean squared distance between the present age-group means."""
-    if valid is None:
-        valid = np.ones(g_matrix.shape[0], dtype=bool)
-    present, means, _, _ = _group_means(g_matrix, group_masks, valid)
-    if present.shape[0] < 2:
-        logger.warning("fewer than two age groups in the batch; objective skipped")
-        return None
-    return consumer_group_fairness(means)
+# The gender and age objectives differ only in their group masks.
+gender_fairness_loss = age_fairness_loss = consumer_fairness_loss
 
 
-def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid):
-    """Loss plus dL/dG, or None when fewer than two groups are present."""
-    present, means, masks, counts = _group_means(g_matrix, group_masks, valid)
+def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid,
+                                 objective_id: str = "consumer"):
+    """Loss plus dL/dG, or None (with a warning) when fewer than two groups
+    are present."""
+    masks = (np.asarray(group_masks, dtype=np.float64) * valid[None, :].astype(np.float64))
+    counts = masks.sum(axis=1)
+    present = np.flatnonzero(counts >= 1)
     n = present.shape[0]
     if n < 2:
+        logger.warning("%s objective skipped: fewer than two user groups in batch",
+                       objective_id)
         return None
+    means = [masks[g] @ g_matrix / counts[g] for g in present]
     loss = consumer_group_fairness(means)
     stacked = np.stack(means)
     pair_norm = n * (n - 1) / 2
@@ -287,93 +272,128 @@ def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid):
 
 def consumer_fairness_grad(model: FactorModel, ctx: ConsumerContext,
                            group_masks: np.ndarray, spec: NdcgVectorSpec,
-                           steepness: float,
-                           objective_id: str) -> ObjectiveGradient | None:
+                           steepness: float, objective_id: str,
+                           forward=None) -> ObjectiveGradient | None:
     """Analytic gradient of a consumer-side objective over the flattened model.
 
     Backpropagates the group-mean disparity through the smooth NDCG rows, the
     soft top-k cutoffs, the smooth pairwise ranks, and the candidate scores.
+    ``forward`` is the batch's shared ``_consumer_forward`` result; it is
+    computed here when not given.
     """
-    g_matrix, cache = _consumer_forward(model, ctx, spec.k_max, steepness, "smooth")
-    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.valid)
+    if forward is None:
+        forward = _consumer_forward(model, ctx, spec.k_max, steepness)
+    g_matrix, blocks = forward
+    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.valid,
+                                          objective_id)
     if result is None:
-        logger.warning("%s objective skipped: not enough groups in batch", objective_id)
         return None
     loss, d_g = result
 
-    user_grad = np.zeros_like(model.user_embeddings)
-    item_grad = np.zeros_like(model.item_embeddings)
-    ks = np.arange(1, spec.k_max + 1, dtype=np.float64)
-    for row, user in enumerate(ctx.users):
-        if cache[row] is None or not np.any(d_g[row]):
+    grad = np.zeros(model.num_parameters)
+    for rows, counts, pairs, ranks, disc, trunc, idcg in blocks:
+        if not np.any(d_g[rows]):
             continue
-        scores, pair, ranks, disc, trunc, idcg = cache[row]
-        cand = ctx.candidates[row]
-        n_pos = int(ctx.positive_counts[row])
-        coeff = d_g[row] / idcg  # (K,)
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # discount slope
-        trunc_slope = -steepness * trunc * (1.0 - trunc)  # (K, P)
+        coeff = np.repeat(d_g[rows] / idcg, counts, axis=0)  # (P, K)
+        trunc_slope = 1.0 - trunc
+        trunc_slope *= trunc  # times -steepness, applied after the sum over k
         disc_slope = -1.0 / ((ranks + 1.0) * LN2 * np.log2(ranks + 1.0) ** 2)
-        d_rank = coeff @ (trunc_slope * disc[None, :]) \
-            + (coeff @ trunc) * disc_slope  # (P,)
-        # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)), the
-        # j == p term is constant
-        slope = steepness * pair * (1.0 - pair)  # (P, C)
-        slope[np.arange(n_pos), np.arange(n_pos)] = 0.0
-        d_scores = slope.T @ d_rank
-        d_scores[:n_pos] -= d_rank * slope.sum(axis=1)
-        user_grad[user] += model.item_embeddings[cand].T @ d_scores
-        item_grad[cand] += np.outer(d_scores, model.user_embeddings[user])
-    grad = np.concatenate([user_grad.ravel(), item_grad.ravel()])
+        d_ranks = (-steepness * np.einsum("pk,pk->p", coeff, trunc_slope) * disc
+                   + np.einsum("pk,pk->p", coeff, trunc) * disc_slope)
+        d_scores = np.zeros((rows.shape[0], model.num_items))
+        for j, (row, pair, d_rank) in enumerate(zip(
+                rows, pairs, np.split(d_ranks, np.cumsum(counts)[:-1]))):
+            if not np.any(d_rank):
+                continue
+            # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)),
+            # the j == p term is constant
+            n_pos = pair.shape[0]
+            slope = steepness * pair * (1.0 - pair)  # (P, C)
+            slope[np.arange(n_pos), np.arange(n_pos)] = 0.0
+            d_row = slope.T @ d_rank
+            d_row[:n_pos] -= d_rank * slope.sum(axis=1)
+            d_scores[j, ctx.candidates[row]] = d_row  # candidates are unique
+        _add_embedding_grad(grad, model, ctx.users[rows], d_scores)
     return ObjectiveGradient(objective_id, loss, grad)
+
+
+def _add_embedding_grad(grad: np.ndarray, model: FactorModel, users: np.ndarray,
+                        d_scores: np.ndarray) -> None:
+    """Add to the flattened gradient the chain through score = user . item,
+    given d loss / d score(users[row], item) as a dense (len(users),
+    num_items) matrix: one GEMM per embedding matrix instead of a scatter of
+    per-candidate rows. Repeated users are summed."""
+    cut = model.num_users * model.dim
+    np.add.at(grad[:cut].reshape(model.num_users, model.dim), users,
+              d_scores @ model.item_embeddings)
+    item_grad = grad[cut:].reshape(model.num_items, model.dim)
+    item_grad += d_scores.T @ model.user_embeddings[users]
 
 
 # ---------------------------------------------------------------------------
 # producer side: group exposure disparity
 # ---------------------------------------------------------------------------
 
-def _producer_shape_groups(ctx: ProducerContext):
-    """Context rows bucketed by (relevant count, candidate count).
-
-    Candidate counts are nearly uniform (cap + fixed negative draw), so the
-    buckets let the whole chain run as stacked array ops instead of a
-    per-user loop.
-    """
-    groups: dict = {}
-    for row in range(ctx.users.shape[0]):
-        n_rel = int(ctx.relevant_counts[row])
-        if n_rel == 0:
-            continue
-        groups.setdefault((n_rel, ctx.candidates[row].shape[0]), []).append(row)
-    return groups
-
-
 def _producer_forward(model: FactorModel, ctx: ProducerContext,
-                      item_group_mask: np.ndarray, config: SmoothRankConfig):
-    """Batch exposure per item group plus per-shape-bucket intermediates."""
-    z = item_group_mask.shape[0]
-    raw = np.zeros(z)
-    cache = []
+                      config: SmoothRankConfig):
+    """Per shape bucket, the part of the producer chain every producer
+    objective shares: sampling probabilities, relevant-item exposure, and the
+    rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
+    row sums). Independent of the item group masks.
+
+    Rows are bucketed by (relevant count, candidate count), nearly uniform
+    (cap + fixed negative draw), so each bucket runs as stacked array ops.
+    """
+    shapes: dict = {}
+    for row, (n_rel, cand) in enumerate(zip(ctx.relevant_counts, ctx.candidates)):
+        if n_rel:
+            shapes.setdefault((int(n_rel), cand.shape[0]), []).append(row)
+    all_scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
+    buckets = []
     inv_tau = 1.0 / config.temperature
-    for (n_rel, _), rows in _producer_shape_groups(ctx).items():
+    for (n_rel, _), rows in shapes.items():
         rows = np.asarray(rows, dtype=np.int64)
-        users = ctx.users[rows]
         cands = np.stack([ctx.candidates[r] for r in rows])  # (B, C)
-        noise = np.stack([ctx.noise[r] for r in rows])
-        logits = np.einsum("bcd,bd->bc", model.item_embeddings[cands],
-                           model.user_embeddings[users])
-        shifted = logits + noise
+        shifted = all_scores[rows[:, None], cands]
+        shifted += np.stack([ctx.noise[r] for r in rows])
         shifted -= shifted.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
         ranks = pair.sum(axis=2) - 0.5  # remove the j == i term
         expo = np.power(config.patience, ranks + config.rank_offset)  # (B, R)
+        slope = pair
+        slope *= 1.0 - pair
+        diag = np.arange(n_rel)
+        slope[:, diag, diag] = 0.0
+        buckets.append((rows, n_rel, cands, probs, expo, slope, slope.sum(axis=2)))
+    return buckets
+
+
+def _exposure_disparity(forward, item_group_mask: np.ndarray,
+                        target: ExposureTarget | None, objective_id: str):
+    """The mask-dependent producer part: exposure routed to the item groups,
+    then (loss, d loss / d raw group exposure, per-bucket routing) of its
+    normalization against the target (flat by default). None (with a
+    warning) when the batch routes no exposure at all."""
+    raw = np.zeros(item_group_mask.shape[0])
+    routings = []
+    for _, n_rel, cands, _, expo, _, _ in forward:
         routing = item_group_mask[:, cands[:, :n_rel]].astype(np.float64)  # (z, B, R)
         raw += np.einsum("zbr,br->z", routing, expo)
-        cache.append((rows, n_rel, users, cands, probs, pair, expo, routing))
-    return raw, cache
+        routings.append(routing)
+    total = float(raw.sum())
+    if total <= 0.0:
+        logger.warning("%s objective skipped: no routed exposure", objective_id)
+        return None
+    if target is None:
+        target = ExposureTarget.flat(raw.shape[0])
+    eps = raw / total
+    diff = eps - target.distribution
+    # d loss / d raw_g through the normalization eps = raw / sum(raw)
+    return float(diff @ diff), (2.0 / total) * (diff - float(diff @ eps)), routings
 
 
 def producer_fairness_loss(model: FactorModel, ctx: ProducerContext,
@@ -386,79 +406,60 @@ def producer_fairness_loss(model: FactorModel, ctx: ProducerContext,
     every group each item belongs to before normalizing. Returns None when the
     batch produces no exposure at all.
     """
-    raw, _ = _producer_forward(model, ctx, item_group_mask, config)
-    total = float(raw.sum())
-    if total <= 0.0:
-        logger.warning("batch produced no routed exposure; objective skipped")
-        return None
-    if target is None:
-        target = ExposureTarget.flat(item_group_mask.shape[0])
-    eps = raw / total
-    diff = eps - target.distribution
-    return float(diff @ diff)
+    result = _exposure_disparity(_producer_forward(model, ctx, config),
+                                 item_group_mask, target, "producer")
+    return None if result is None else result[0]
 
 
 def producer_fairness_grad(model: FactorModel, ctx: ProducerContext,
                            item_group_mask: np.ndarray,
                            config: SmoothRankConfig,
                            target: ExposureTarget | None = None,
-                           objective_id: str = "popularity") -> ObjectiveGradient | None:
+                           objective_id: str = "popularity",
+                           forward=None) -> ObjectiveGradient | None:
     """Analytic gradient of a producer-side objective over the flattened model.
 
     Backpropagates the exposure disparity through the normalization, the
     position-bias decay, the temperature smooth ranks, and the perturbed
-    sampling probabilities (noise frozen).
+    sampling probabilities (noise frozen). ``forward`` is the batch's shared
+    ``_producer_forward`` result; it is computed here when not given.
     """
-    raw, cache = _producer_forward(model, ctx, item_group_mask, config)
-    total = float(raw.sum())
-    if total <= 0.0:
-        logger.warning("%s objective skipped: no routed exposure", objective_id)
+    if forward is None:
+        forward = _producer_forward(model, ctx, config)
+    result = _exposure_disparity(forward, item_group_mask, target, objective_id)
+    if result is None:
         return None
-    if target is None:
-        target = ExposureTarget.flat(item_group_mask.shape[0])
-    eps = raw / total
-    diff = eps - target.distribution
-    loss = float(diff @ diff)
-    # d loss / d raw_g through the normalization eps = raw / sum(raw)
-    d_raw = (2.0 / total) * (diff - float(diff @ eps))
+    loss, d_raw, routings = result
 
-    user_grad = np.zeros_like(model.user_embeddings)
-    item_grad = np.zeros_like(model.item_embeddings)
+    d_all_scores = np.zeros((ctx.users.shape[0], model.num_items))
     log_patience = float(np.log(config.patience))
     inv_tau = 1.0 / config.temperature
-    for rows, n_rel, users, cands, probs, pair, expo, routing in cache:
+    for (rows, n_rel, cands, probs, expo, slope, slope_sums), routing in zip(
+            forward, routings):
         d_expo = np.einsum("zbr,z->br", routing, d_raw)
         d_rank = d_expo * expo * log_patience  # (B, R)
         # rank -> probs: r_i = sum_{j != i} sigmoid(-(p_i - p_j)/tau)
-        d_pair = d_rank[:, :, None] * (-pair * (1.0 - pair))  # (B, R, C)
-        diag = np.arange(n_rel)
-        d_pair[:, diag, diag] = 0.0
-        d_probs = -d_pair.sum(axis=1) * inv_tau  # (B, C)
-        d_probs[:, :n_rel] += d_pair.sum(axis=2) * inv_tau
+        d_probs = np.matmul(d_rank[:, None, :], slope)[:, 0, :] * inv_tau  # (B, C)
+        d_probs[:, :n_rel] -= d_rank * slope_sums * inv_tau
         # softmax backward (perturbation is additive and frozen)
         inner = np.einsum("bc,bc->b", d_probs, probs)
-        d_logits = probs * (d_probs - inner[:, None])
-        user_grad[users] += np.einsum("bcd,bc->bd", model.item_embeddings[cands],
-                                      d_logits)
-        values = (d_logits[:, :, None]
-                  * model.user_embeddings[users][:, None, :]).reshape(-1, model.dim)
-        _scatter_add_rows(item_grad, cands.ravel(), values)
-    grad = np.concatenate([user_grad.ravel(), item_grad.ravel()])
+        # candidates are unique within a row
+        d_all_scores[rows[:, None], cands] = probs * (d_probs - inner[:, None])
+    grad = np.zeros(model.num_parameters)
+    _add_embedding_grad(grad, model, ctx.users, d_all_scores)
     return ObjectiveGradient(objective_id, loss, grad)
-
-
-def _scatter_add_rows(target: np.ndarray, indices: np.ndarray,
-                      values: np.ndarray) -> None:
-    """target[indices] += values with repeated indices, via per-column bincount
-    (much faster than np.add.at for wide value matrices)."""
-    n = target.shape[0]
-    for col in range(target.shape[1]):
-        target[:, col] += np.bincount(indices, weights=values[:, col], minlength=n)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+def _objective_mask(masks: GroupMaskSet, objective_id: str) -> np.ndarray:
+    mask = masks.mask_for(objective_id)
+    if mask is None:
+        raise ValueError(f"{objective_id} objective requires the {objective_id} mask")
+    return mask
+
 
 def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
                   *, triplet_batch: TripletBatch | None = None,
@@ -466,34 +467,39 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
                   producer_ctx: ProducerContext | None = None,
                   spec: NdcgVectorSpec | None = None,
                   config: SmoothRankConfig | None = None,
-                  target: ExposureTarget | None = None) -> ObjectiveGradient | None:
+                  target: ExposureTarget | None = None,
+                  forwards: dict | None = None) -> ObjectiveGradient | None:
     """Loss and gradient of any configured objective on the current batch.
 
     Returns None when the objective is skipped for the batch (degenerate
-    group composition).
+    group composition). ``forwards`` holds the smooth-ranking forward each
+    objective family shares within a batch: the family's first objective
+    fills it and the others reuse it, so one dict must only be passed to
+    calls on the same model state, contexts and config.
     """
     if objective_id == "bpr":
         if triplet_batch is None:
             raise ValueError("bpr objective requires a triplet batch")
         return bpr_grad(model, triplet_batch)
+    if forwards is None:
+        forwards = {}
     if objective_id in CONSUMER_OBJECTIVES:
         if consumer_ctx is None or spec is None:
             raise ValueError(f"{objective_id} objective requires a consumer context")
-        mask = masks.mask_for(OBJECTIVE_MASKS[objective_id])
-        if mask is None:
-            raise ValueError(f"{objective_id} objective requires the "
-                             f"{OBJECTIVE_MASKS[objective_id]} mask")
+        mask = _objective_mask(masks, objective_id)
         steepness = config.steepness if config is not None else 1.0
+        if "consumer" not in forwards:
+            forwards["consumer"] = _consumer_forward(model, consumer_ctx, spec.k_max,
+                                                     steepness)
         return consumer_fairness_grad(model, consumer_ctx,
                                       mask[:, consumer_ctx.users], spec,
-                                      steepness, objective_id)
+                                      steepness, objective_id, forwards["consumer"])
     if objective_id in PRODUCER_OBJECTIVES:
         if producer_ctx is None or config is None:
             raise ValueError(f"{objective_id} objective requires a producer context")
-        mask = masks.mask_for(OBJECTIVE_MASKS[objective_id])
-        if mask is None:
-            raise ValueError(f"{objective_id} objective requires the "
-                             f"{OBJECTIVE_MASKS[objective_id]} mask")
+        mask = _objective_mask(masks, objective_id)
+        if "producer" not in forwards:
+            forwards["producer"] = _producer_forward(model, producer_ctx, config)
         return producer_fairness_grad(model, producer_ctx, mask, config,
-                                      target, objective_id)
+                                      target, objective_id, forwards["producer"])
     raise ValueError(f"unknown objective {objective_id!r}")

@@ -24,7 +24,6 @@ from .model import FactorModel, attach_negatives, init_model
 from .objectives import (
     CONSUMER_OBJECTIVES,
     OBJECTIVE_IDS,
-    OBJECTIVE_MASKS,
     PRODUCER_OBJECTIVES,
     ExposureTarget,
     NdcgVectorSpec,
@@ -129,7 +128,7 @@ class TrainConfig:
 
     def validate_masks(self, masks: GroupMaskSet) -> None:
         missing = [o for o in self.objectives
-                   if o != "bpr" and masks.mask_for(OBJECTIVE_MASKS[o]) is None]
+                   if o != "bpr" and masks.mask_for(o) is None]
         if missing:
             raise ValueError(
                 f"objectives {missing} need masks the dataset does not provide"
@@ -209,33 +208,33 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
     """Loss and gradient per configured objective for one batch.
 
     Contexts (candidate negatives, Gumbel noise) are drawn once per batch and
-    shared within each objective family.
+    shared within each objective family, and so is the family's
+    smooth-ranking forward: its first objective computes it, the others reuse
+    it, and it is dropped before the next family runs.
     """
     batch_users = np.unique(batch.users)
+    spec = config.ndcg_spec()
+    smooth = config.smooth_config()
     consumer_ctx = None
     producer_ctx = None
     if any(o in CONSUMER_OBJECTIVES for o in config.objectives):
-        consumer_ctx = build_consumer_context(dataset, batch_users,
-                                              config.ndcg_spec(), ctx_gen)
+        consumer_ctx = build_consumer_context(dataset, batch_users, spec, ctx_gen)
     if any(o in PRODUCER_OBJECTIVES for o in config.objectives):
         producer_ctx = build_producer_context(dataset, batch_users,
                                               config.n_r_cap,
                                               config.candidate_negatives, ctx_gen)
-    results = []
-    for objective in config.objectives:
-        target = None
-        if objective in PRODUCER_OBJECTIVES:
-            mask = masks.mask_for(OBJECTIVE_MASKS[objective])
-            target = ExposureTarget.flat(mask.shape[0])
-        results.append(fairness_grad(
-            objective, model, masks,
-            triplet_batch=batch,
-            consumer_ctx=consumer_ctx,
-            producer_ctx=producer_ctx,
-            spec=config.ndcg_spec(),
-            config=config.smooth_config(),
-            target=target,
-        ))
+    targets = {o: ExposureTarget.flat(masks.mask_for(o).shape[0])
+               for o in config.objectives if o in PRODUCER_OBJECTIVES}
+    results = [None] * config.num_objectives
+    for family in (("bpr",), CONSUMER_OBJECTIVES, PRODUCER_OBJECTIVES):
+        forwards = {}
+        for k, objective in enumerate(config.objectives):
+            if objective in family:
+                results[k] = fairness_grad(
+                    objective, model, masks, triplet_batch=batch,
+                    consumer_ctx=consumer_ctx, producer_ctx=producer_ctx,
+                    spec=spec, config=smooth, target=targets.get(objective),
+                    forwards=forwards)
     return results
 
 

@@ -62,6 +62,14 @@ class TestSigmoid:
         x = rng.uniform(-200, 200, size=10000)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
+    def test_bitwise_equal_to_clamped_half_tanh(self):
+        x = np.concatenate([np.linspace(-1e3, 1e3, 200001),
+                            [np.inf, -np.inf, 600.0, -600.0]])
+        reference = 0.5 * (1.0 + np.tanh(0.5 * np.clip(x, -500.0, 500.0)))
+        assert np.array_equal(sigmoid(x), reference)
+        for scalar in (0.25, np.float64(-3.0), np.array(7.0)):
+            assert type(sigmoid(scalar)) is float
+
     def test_extreme_inputs_saturate_cleanly(self):
         assert sigmoid(1e308) == 1.0
         assert sigmoid(-1e308) == 0.0

@@ -368,7 +368,9 @@ class TestProducerGradient:
 def _achieved_distribution(model, ctx, item_mask, config):
     from moofair.objectives import _producer_forward
 
-    raw, _ = _producer_forward(model, ctx, item_mask, config)
+    forward = _producer_forward(model, ctx, config)
+    raw = sum(np.einsum("zbr,br->z", item_mask[:, cands[:, :n_rel]], expo)
+              for _, n_rel, cands, _, expo, _, _ in forward)
     return raw / raw.sum()
 
 

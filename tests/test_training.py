@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moofair.data import GroupMaskSet
+from moofair.data import TRAIN, GroupMaskSet
 from moofair.solver import dominates
 from moofair.training import (
     DEFAULT_GRID,
@@ -132,6 +132,78 @@ class TestMultiObjective:
         result = train_round(synthetic_dataset, synthetic_masks, config)
         assert result.record.objective_values.shape == (5,)
         assert np.all(np.isfinite(result.record.objective_values))
+
+
+class TestSharedForwards:
+    OBJECTIVES = ("bpr", "gender", "age", "popularity", "genre")
+
+    def batch_world(self, dataset):
+        from moofair.model import attach_negatives, init_model
+
+        config = TrainConfig(objectives=self.OBJECTIVES, **TINY)
+        gen = np.random.default_rng(0)
+        # a unit-scale init keeps the consumer soft cutoffs (and so the
+        # gender and age gradients) away from exactly 0
+        model = init_model(dataset.num_users, dataset.num_items, config.dim,
+                           config.reg, gen, init_std=1.0)
+        users, items = dataset.split_pairs(TRAIN)
+        idx = gen.permutation(users.shape[0])[:config.batch_size]
+        batch = attach_negatives(dataset, gen, users[idx], items[idx])
+        return config, model, batch
+
+    def test_matches_single_objective_calls(self, synthetic_dataset,
+                                            synthetic_masks):
+        from moofair.objectives import (
+            PRODUCER_OBJECTIVES,
+            ExposureTarget,
+            build_consumer_context,
+            build_producer_context,
+            fairness_grad,
+        )
+        from moofair.training import ZERO_GRAD_TOL, _objective_results
+
+        config, model, batch = self.batch_world(synthetic_dataset)
+        shared = _objective_results(model, synthetic_dataset, synthetic_masks,
+                                    config, batch, np.random.default_rng(5))
+        gen = np.random.default_rng(5)
+        users = np.unique(batch.users)
+        spec = config.ndcg_spec()
+        consumer = build_consumer_context(synthetic_dataset, users, spec, gen)
+        producer = build_producer_context(synthetic_dataset, users, config.n_r_cap,
+                                          config.candidate_negatives, gen)
+        for objective, result in zip(config.objectives, shared):
+            target = None
+            if objective in PRODUCER_OBJECTIVES:
+                target = ExposureTarget.flat(
+                    synthetic_masks.mask_for(objective).shape[0])
+            fresh = fairness_grad(objective, model, synthetic_masks,
+                                  triplet_batch=batch, consumer_ctx=consumer,
+                                  producer_ctx=producer, spec=spec,
+                                  config=config.smooth_config(), target=target)
+            assert result.objective_id == objective
+            assert np.linalg.norm(fresh.grad) > ZERO_GRAD_TOL
+            assert result.loss == pytest.approx(fresh.loss, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(result.grad, fresh.grad, rtol=1e-10,
+                                       atol=1e-10)
+
+    def test_each_family_forward_runs_once_per_batch(self, synthetic_dataset,
+                                                     synthetic_masks,
+                                                     monkeypatch):
+        from moofair import objectives
+        from moofair.training import _objective_results
+
+        calls = {"_consumer_forward": 0, "_producer_forward": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(objectives, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(objectives, name, counting)
+        config, model, batch = self.batch_world(synthetic_dataset)
+        results = _objective_results(model, synthetic_dataset, synthetic_masks,
+                                     config, batch, np.random.default_rng(5))
+        assert all(r is not None for r in results)
+        assert calls == {"_consumer_forward": 1, "_producer_forward": 1}
 
 
 class TestDeterminism:
