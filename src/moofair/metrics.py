@@ -1,28 +1,29 @@
 """Evaluation harness: accuracy, fairness, and diversity of top-k lists.
 
-All metrics run on hard ranked lists built from a trained model, with train
-and validation positives excluded from the candidates and test positives as
-the relevance sets. Smooth approximations are a training-time device only.
+All metrics run on exact top-k lists from ``top_k_items`` (users scored in
+blocks), with train and validation positives excluded from the candidates and
+test positives as the relevance sets. Smooth approximations are training-only.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import TEST, TRAIN, VAL, GroupMaskSet, InteractionDataset
+from .data import TEST, GroupMaskSet, InteractionDataset
 from .model import FactorModel
 from .objectives import consumer_group_fairness
 
 METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
                   "gini", "popularity_rate", "diversity")
+USER_BLOCK = 512  # users scored at once when ranking the catalog
 
 
 @dataclass
 class RecommendationRun:
-    """Top-k lists for every evaluated user plus their test relevance sets."""
+    """Top-k lists for every evaluated user plus their relevance sets."""
 
     k: int
     user_ids: np.ndarray
@@ -30,8 +31,48 @@ class RecommendationRun:
     relevance: list
 
     def __post_init__(self):
-        if self.lists.shape != (self.user_ids.shape[0], self.k):
-            raise ValueError("lists must be (num_users, k)")
+        if self.k < 1 or self.lists.shape != (self.user_ids.shape[0], self.k):
+            raise ValueError("lists must be (num_users, k) with k >= 1")
+
+
+def top_k_items(model: FactorModel, users: np.ndarray, k: int,
+                excluded_users: np.ndarray, excluded_items: np.ndarray):
+    """Exact top-k items of each of the distinct ``users``, and their scores.
+
+    Excluded (user, item) pairs score -inf; users are scored ``USER_BLOCK`` at
+    a time. The lists equal ``np.argsort(-scores, kind="stable")[:, :k]``.
+    """
+    row_of = np.full(model.num_users, -1)
+    row_of[users] = np.arange(users.shape[0])
+    grouped = np.argsort(row_of[excluded_users], kind="stable")
+    rows, excluded_items = row_of[excluded_users[grouped]], excluded_items[grouped]
+    kth = max(model.num_items - k, 0)
+    lists = np.empty((users.shape[0], model.num_items - kth), dtype=np.int64)
+    top = np.empty(lists.shape)
+    for start in range(0, users.shape[0], USER_BLOCK):
+        stop = min(start + USER_BLOCK, users.shape[0])
+        scores = model.user_embeddings[users[start:stop]] @ model.item_embeddings.T
+        lo, hi = np.searchsorted(rows, (start, stop))
+        scores[rows[lo:hi] - start, excluded_items[lo:hi]] = -np.inf
+        part = np.argpartition(scores, kth, axis=1)[:, kth:]
+        chosen = np.take_along_axis(scores, part, axis=1)
+        lists[start:stop] = np.take_along_axis(part, np.lexsort((part, -chosen)), axis=1)
+        # part[:, 0] holds the k-th best score; more items reaching it is a tie
+        tied = np.count_nonzero(scores >= chosen[:, :1], axis=1) > k
+        lists[start:stop][tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+        top[start:stop] = np.take_along_axis(scores, lists[start:stop], axis=1)
+    return lists, top
+
+
+def rank_split(model: FactorModel, dataset: InteractionDataset, k: int, split: int):
+    """Run against the ``split`` positives, earlier splits' positives excluded; its scores."""
+    users, items = dataset.split_pairs(split)
+    order = np.lexsort((items, users))
+    user_ids, starts = np.unique(users[order], return_index=True)
+    seen = dataset.split < split
+    lists, top = top_k_items(model, user_ids, k, dataset.users[seen], dataset.items[seen])
+    relevance = np.split(items[order], starts)[1:]
+    return RecommendationRun(lists.shape[1], user_ids, lists, relevance), top
 
 
 def build_recommendations(model: FactorModel, dataset: InteractionDataset,
@@ -43,47 +84,35 @@ def build_recommendations(model: FactorModel, dataset: InteractionDataset,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = model.user_embeddings @ model.item_embeddings.T
-    seen = (dataset.split == TRAIN) | (dataset.split == VAL)
-    scores[dataset.users[seen], dataset.items[seen]] = -np.inf
-
-    test_users, test_items = dataset.split_pairs(TEST)
-    relevance_by_user = {}
-    for u, i in zip(test_users, test_items):
-        relevance_by_user.setdefault(int(u), []).append(int(i))
-
-    user_ids = np.asarray(sorted(relevance_by_user), dtype=np.int64)
-    # stable argsort on the negated scores ranks ties by ascending item id
-    order = np.argsort(-scores[user_ids], axis=1, kind="stable")
-    lists = order[:, :k]
-    if np.any(np.take_along_axis(scores[user_ids], lists, axis=1) == -np.inf):
+    run, top = rank_split(model, dataset, k, TEST)
+    if top.shape[1] < k or np.any(top == -np.inf):
         raise ValueError(f"catalog too small to recommend {k} unseen items")
-    relevance = [np.asarray(sorted(relevance_by_user[int(u)]), dtype=np.int64)
-                 for u in user_ids]
-    return RecommendationRun(k, user_ids, lists, relevance)
+    return run
 
 
-def _hit_matrix(run: RecommendationRun) -> np.ndarray:
-    hits = np.zeros((run.user_ids.shape[0], run.k), dtype=np.float64)
-    for row, rel in enumerate(run.relevance):
-        hits[row] = np.isin(run.lists[row], rel)
-    return hits
+def _hit_matrix(run: RecommendationRun) -> tuple[np.ndarray, np.ndarray]:
+    """1.0 where a listed item is relevant to its user; relevant items per user."""
+    counts = np.asarray([rel.shape[0] for rel in run.relevance], dtype=np.int64)
+    relevant = np.concatenate(run.relevance)
+    width = int(max(run.lists.max(initial=0), relevant.max(initial=0))) + 1
+    listed = np.arange(run.lists.shape[0])[:, None] * width + run.lists
+    codes = np.sort(np.repeat(np.arange(counts.shape[0]), counts) * width + relevant)
+    found = np.minimum(np.searchsorted(codes, listed), codes.shape[0] - 1)
+    return (codes[found] == listed).astype(np.float64), counts
 
 
 def recall_at_k(run: RecommendationRun) -> float:
-    """Mean fraction of each user's test positives that made the list."""
-    hits = _hit_matrix(run)
-    counts = np.asarray([rel.shape[0] for rel in run.relevance], dtype=np.float64)
-    return float(np.mean(hits.sum(axis=1) / counts))
+    """Mean fraction of each user's relevant items in the list, summed in user order."""
+    hits, counts = _hit_matrix(run)
+    return float(np.cumsum(hits.sum(axis=1) / counts)[-1] / counts.shape[0])
 
 
 def _ndcg_vectors(run: RecommendationRun) -> np.ndarray:
     """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions."""
-    hits = _hit_matrix(run)
+    hits, counts = _hit_matrix(run)
     positions = np.arange(1, run.k + 1, dtype=np.float64)
     gains = 1.0 / np.log2(positions + 1.0)
     dcg = np.cumsum(hits * gains[None, :], axis=1)
-    counts = np.asarray([rel.shape[0] for rel in run.relevance])
     ideal_hits = positions[None, :] <= counts[:, None]
     idcg = np.cumsum(ideal_hits * gains[None, :], axis=1)
     return dcg / idcg
@@ -126,12 +155,9 @@ def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
     """
     if not 0.0 < patience < 1.0:
         raise ValueError(f"patience must be in (0, 1), got {patience}")
-    positions = np.arange(1, run.k + 1, dtype=np.float64)
-    slot_exposure = np.power(patience, positions)
+    slot_exposure = np.power(patience, np.arange(1, run.k + 1, dtype=np.float64))
     groups = item_group_mask.shape[0]
-    raw = np.zeros(groups)
-    for row in range(run.user_ids.shape[0]):
-        raw += item_group_mask[:, run.lists[row]].astype(np.float64) @ slot_exposure
+    raw = (item_group_mask[:, run.lists] @ slot_exposure).sum(axis=1)
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("no recommended item belongs to any group")
@@ -203,8 +229,10 @@ def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSe
     """All seven metrics at each requested list depth, one row per (model, k)."""
     rows = []
     diversity_mask = masks.mask_for(diversity_grouping)
+    # one ranking at the deepest k: a stable order's shallower lists are prefixes
+    deepest = build_recommendations(model, dataset, max(k_values)) if k_values else None
     for k in k_values:
-        run = build_recommendations(model, dataset, k)
+        run = replace(deepest, k=k, lists=deepest.lists[:, :k])
         rows.append({
             "model": label,
             "k": int(k),

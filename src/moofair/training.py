@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import TRAIN, VAL, GroupMaskSet, InteractionDataset
-from .metrics import evaluate
+from .metrics import evaluate, rank_split, recall_at_k
 from .model import FactorModel, attach_negatives, init_model
 from .objectives import (
     CONSUMER_OBJECTIVES,
@@ -186,22 +186,8 @@ def _shared_eval_stream(seed: int) -> np.random.Generator:
 def _validation_recall(model: FactorModel, dataset: InteractionDataset,
                        k: int) -> float:
     """Recall@k against validation positives, excluding train items only."""
-    scores = model.user_embeddings @ model.item_embeddings.T
-    train_mask = dataset.split == TRAIN
-    scores[dataset.users[train_mask], dataset.items[train_mask]] = -np.inf
-    val_users, val_items = dataset.split_pairs(VAL)
-    by_user: dict[int, list] = {}
-    for u, i in zip(val_users, val_items):
-        by_user.setdefault(int(u), []).append(int(i))
-    if not by_user:
-        return 0.0
-    users = np.asarray(sorted(by_user), dtype=np.int64)
-    order = np.argsort(-scores[users], axis=1, kind="stable")[:, :k]
-    total = 0.0
-    for row, u in enumerate(users):
-        rel = by_user[int(u)]
-        total += len(set(order[row].tolist()) & set(rel)) / len(rel)
-    return total / users.shape[0]
+    run, _ = rank_split(model, dataset, k, VAL)
+    return recall_at_k(run) if run.user_ids.shape[0] else 0.0
 
 
 def _objective_results(model, dataset, masks, config, batch, ctx_gen):

@@ -1,6 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_raw
+from moofair import metrics
+from moofair.data import TEST, TRAIN, VAL, build_masks, preprocess
 from moofair.metrics import (
     RecommendationRun,
     build_recommendations,
@@ -16,9 +23,10 @@ from moofair.metrics import (
     simpson_diversity,
     write_metrics_csv,
 )
-from moofair.model import init_model
+from moofair.model import FactorModel, init_model
 from moofair.numerics import SeededRng
 from moofair.objectives import consumer_group_fairness
+from moofair.training import _validation_recall
 
 
 def run_from(lists, relevance, k=None):
@@ -311,3 +319,185 @@ class TestEvaluate:
         content = out.read_text().splitlines()
         assert content[0] == "model,k,recall,ndcg,disparity_u,disparity_i,gini,popularity_rate,diversity"
         assert len(content) == 2
+
+
+# Full-sort references: the ranking and metric code that top_k_items and the
+# vectorised metrics replaced, kept as the oracle they must reproduce.
+
+def reference_build_recommendations(model, dataset, k):
+    scores = model.user_embeddings @ model.item_embeddings.T
+    seen = (dataset.split == TRAIN) | (dataset.split == VAL)
+    scores[dataset.users[seen], dataset.items[seen]] = -np.inf
+    test_users, test_items = dataset.split_pairs(TEST)
+    relevance_by_user = {}
+    for u, i in zip(test_users, test_items):
+        relevance_by_user.setdefault(int(u), []).append(int(i))
+    user_ids = np.asarray(sorted(relevance_by_user), dtype=np.int64)
+    order = np.argsort(-scores[user_ids], axis=1, kind="stable")
+    lists = order[:, :k]
+    if np.any(np.take_along_axis(scores[user_ids], lists, axis=1) == -np.inf):
+        raise ValueError(f"catalog too small to recommend {k} unseen items")
+    relevance = [np.asarray(sorted(relevance_by_user[int(u)]), dtype=np.int64)
+                 for u in user_ids]
+    return RecommendationRun(k, user_ids, lists, relevance)
+
+
+def reference_validation_recall(model, dataset, k):
+    scores = model.user_embeddings @ model.item_embeddings.T
+    train_mask = dataset.split == TRAIN
+    scores[dataset.users[train_mask], dataset.items[train_mask]] = -np.inf
+    val_users, val_items = dataset.split_pairs(VAL)
+    by_user = {}
+    for u, i in zip(val_users, val_items):
+        by_user.setdefault(int(u), []).append(int(i))
+    if not by_user:
+        return 0.0
+    users = np.asarray(sorted(by_user), dtype=np.int64)
+    order = np.argsort(-scores[users], axis=1, kind="stable")[:, :k]
+    total = 0.0
+    for row, u in enumerate(users):
+        rel = by_user[int(u)]
+        total += len(set(order[row].tolist()) & set(rel)) / len(rel)
+    return total / users.shape[0]
+
+
+def reference_hit_matrix(run):
+    hits = np.zeros((run.user_ids.shape[0], run.k), dtype=np.float64)
+    for row, rel in enumerate(run.relevance):
+        hits[row] = np.isin(run.lists[row], rel)
+    return hits, np.asarray([rel.shape[0] for rel in run.relevance])
+
+
+def reference_disparity_item(run, item_group_mask, patience=0.5):
+    slot_exposure = np.power(patience, np.arange(1, run.k + 1, dtype=np.float64))
+    raw = np.zeros(item_group_mask.shape[0])
+    for row in range(run.user_ids.shape[0]):
+        raw += item_group_mask[:, run.lists[row]].astype(np.float64) @ slot_exposure
+    diff = raw / raw.sum() - 1.0 / item_group_mask.shape[0]
+    return float(diff @ diff)
+
+
+def reference_evaluate(model, dataset, masks, k_values):
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_hit_matrix", reference_hit_matrix)
+        for k in k_values:
+            run = reference_build_recommendations(model, dataset, k)
+            rows.append({
+                "model": "model", "k": k,
+                "recall": recall_at_k(run), "ndcg": ndcg_at_k(run),
+                "disparity_u": disparity_user(run, masks, "gender"),
+                "disparity_i": reference_disparity_item(run, masks.popularity),
+                "gini": gini_index(run, dataset.num_items),
+                "popularity_rate": popularity_rate(run, masks.popularity),
+                "diversity": simpson_diversity(run, masks.popularity),
+            })
+    return rows
+
+
+def score_model(scores):
+    """A model whose user x item scores are exactly ``scores``."""
+    return FactorModel(scores, np.eye(scores.shape[1]))
+
+
+@st.composite
+def ranking_cases(draw):
+    num_users = draw(st.integers(1, 9))
+    num_items = draw(st.integers(1, 8))
+    cells = st.lists(st.integers(-2, 2), min_size=num_items, max_size=num_items)
+    scores = np.asarray(draw(st.lists(cells, min_size=num_users, max_size=num_users)),
+                        dtype=np.float64)
+    flags = st.lists(st.booleans(), min_size=num_items, max_size=num_items)
+    excluded = np.asarray(draw(st.lists(flags, min_size=num_users, max_size=num_users)))
+    users = np.flatnonzero(draw(st.lists(st.booleans(), min_size=num_users,
+                                         max_size=num_users)))
+    k = draw(st.integers(1, num_items + 1))
+    block = draw(st.integers(1, 4))
+    return scores, excluded, users, k, block
+
+
+class TestTopKItems:
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_equals_full_stable_sort(self, case):
+        scores, excluded, users, k, block = case
+        ex_users, ex_items = np.nonzero(excluded)
+        masked = np.where(excluded, -np.inf, scores)[users]
+        expected = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "USER_BLOCK", block)
+            lists, top = metrics.top_k_items(score_model(scores), users, k,
+                                             ex_users, ex_items)
+        np.testing.assert_array_equal(lists, expected)
+        np.testing.assert_array_equal(top, np.take_along_axis(masked, expected, axis=1))
+
+    def test_catalog_too_small(self, synthetic_dataset):
+        model = init_model(synthetic_dataset.num_users,
+                           synthetic_dataset.num_items, 4, 0.0, SeededRng(9), 1.0)
+        for k in (synthetic_dataset.num_items, synthetic_dataset.num_items + 1):
+            with pytest.raises(ValueError, match="catalog too small"):
+                build_recommendations(model, synthetic_dataset, k)
+
+
+@pytest.fixture(scope="module")
+def roomy_dataset():
+    """Enough unseen items per user for lists of depth 20."""
+    raw = make_raw(seed=1, num_users=80, num_core_items=60, num_tail_items=20,
+                   max_positives=25)
+    dataset = preprocess(raw)
+    return dataset, build_masks(dataset, raw)
+
+
+class TestAgainstFullSort:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_validation_recall_bit_identical(self, roomy_dataset, seed):
+        dataset, _ = roomy_dataset
+        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
+                           SeededRng(seed), 1.0)
+        for k in (1, 5, 20, dataset.num_items):
+            assert (_validation_recall(model, dataset, k)
+                    == reference_validation_recall(model, dataset, k))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k_values", [(5, 10, 20), (20, 10)])
+    def test_evaluate_rows(self, roomy_dataset, seed, k_values):
+        dataset, masks = roomy_dataset
+        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
+                           SeededRng(seed), 1.0)
+        got = evaluate(model, dataset, masks, k_values=k_values)
+        expected = reference_evaluate(model, dataset, masks, k_values)
+        assert [row["k"] for row in got] == list(k_values)
+        for row, ref in zip(got, expected):
+            assert row.keys() == ref.keys()
+            for key, value in ref.items():
+                assert row[key] == (value if isinstance(value, (str, int)) or value is None
+                                    else pytest.approx(value, rel=1e-12, abs=1e-12))
+
+    def test_no_depths_no_rows(self, roomy_dataset):
+        dataset, masks = roomy_dataset
+        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0, SeededRng(0))
+        assert evaluate(model, dataset, masks, k_values=()) == []
+
+
+class TestMemory:
+    def test_no_users_by_items_array(self):
+        # ~2% dense, so the O(interactions) arrays stay well under the limit
+        raw = make_raw(seed=0, num_users=1000, num_core_items=1000, num_tail_items=5,
+                       max_positives=20)
+        dataset = preprocess(raw)
+        masks = build_masks(dataset, raw)
+        assert dataset.num_users > 20 * 32
+        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
+                           SeededRng(0), 1.0)
+        limit = dataset.num_users * dataset.num_items * 8 / 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "USER_BLOCK", 32)
+            for call in (lambda: evaluate(model, dataset, masks),
+                         lambda: _validation_recall(model, dataset, 20)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < limit
