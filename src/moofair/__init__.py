@@ -13,7 +13,6 @@ _SUBMODULES = (
     "model",
     "numerics",
     "objectives",
-    "ranking",
     "solver",
     "training",
 )

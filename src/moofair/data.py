@@ -122,10 +122,6 @@ class InteractionDataset:
     def density(self) -> float:
         return self.num_interactions / float(self.num_users * self.num_items)
 
-    def items_of(self, user: int, split: int) -> np.ndarray:
-        mask = (self.users == user) & (self.split == split)
-        return self.items[mask]
-
     def split_pairs(self, split: int) -> tuple[np.ndarray, np.ndarray]:
         mask = self.split == split
         return self.users[mask], self.items[mask]
@@ -276,51 +272,28 @@ def _parse_ml100k_items(path: str) -> tuple[dict, tuple]:
     return genres, tuple(names)
 
 
-def _parse_ml1m_items(path: str) -> tuple[dict, tuple]:
+def _parse_genre_items(path: str, sep: str, genre_col: int,
+                       encoding: str) -> tuple[dict, tuple]:
+    """Item id (first field) to genre indices, from a ``|``-joined genre list
+    in field ``genre_col``; genre names are indexed in sorted order."""
     raw = {}
-    all_names = set()
-    with open(path, encoding="latin-1") as fh:
+    with open(path, encoding=encoding) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            parts = line.split("::")
-            if len(parts) < 3:
+            parts = line.split(sep)
+            if len(parts) <= genre_col:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 '::'-separated fields"
+                    f"{path}:{lineno}: expected {genre_col + 1} fields separated "
+                    f"by {sep!r}, got {len(parts)}"
                 )
             try:
                 iid = int(parts[0])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            names = tuple(g for g in parts[2].split("|") if g)
-            raw[iid] = names
-            all_names.update(names)
-    ordered = tuple(sorted(all_names))
-    index = {name: k for k, name in enumerate(ordered)}
-    genres = {iid: tuple(index[g] for g in names) for iid, names in raw.items()}
-    return genres, ordered
-
-
-def _parse_generic_items(path: str) -> tuple[dict, tuple]:
-    raw = {}
-    all_names = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            try:
-                iid = int(parts[0])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            names = tuple(g for g in parts[1].split("|") if g)
-            raw[iid] = names
-            all_names.update(names)
-    ordered = tuple(sorted(all_names))
+            raw[iid] = tuple(g for g in parts[genre_col].split("|") if g)
+    ordered = tuple(sorted({g for names in raw.values() for g in names}))
     index = {name: k for k, name in enumerate(ordered)}
     genres = {iid: tuple(index[g] for g in names) for iid, names in raw.items()}
     return genres, ordered
@@ -377,7 +350,9 @@ def ingest(path: str, fmt: str) -> RawRatings:
             )
         item_path = os.path.join(path, "movies.dat")
         if os.path.exists(item_path):
-            raw.item_genres, raw.genre_names = _parse_ml1m_items(item_path)
+            raw.item_genres, raw.genre_names = _parse_genre_items(
+                item_path, "::", genre_col=2, encoding="latin-1"
+            )
     else:  # generic_tsv
         if os.path.isdir(path):
             ratings_path = os.path.join(path, "ratings.tsv")
@@ -397,7 +372,9 @@ def ingest(path: str, fmt: str) -> RawRatings:
             )
         item_path = os.path.join(base, "items.tsv")
         if os.path.exists(item_path):
-            raw.item_genres, raw.genre_names = _parse_generic_items(item_path)
+            raw.item_genres, raw.genre_names = _parse_genre_items(
+                item_path, "\t", genre_col=1, encoding="utf-8"
+            )
     if raw.user_gender is None:
         logger.info("no user attribute file found; gender/age objectives unavailable")
     return raw
@@ -421,29 +398,22 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     items = raw.items[positive]
     stamps = raw.timestamps[positive]
 
-    if users.shape[0]:
-        item_vals, item_counts = np.unique(items, return_counts=True)
-        keep_items = set(item_vals[item_counts >= MIN_ITEM_RATINGS].tolist())
-        mask = np.fromiter((i in keep_items for i in items), dtype=bool, count=items.shape[0])
-        users, items, stamps = users[mask], items[mask], stamps[mask]
+    item_vals, item_counts = np.unique(items, return_counts=True)
+    mask = item_counts[np.searchsorted(item_vals, items)] >= MIN_ITEM_RATINGS
+    users, items, stamps = users[mask], items[mask], stamps[mask]
 
-    if users.shape[0]:
-        user_vals, user_counts = np.unique(users, return_counts=True)
-        keep_users = set(user_vals[user_counts >= MIN_USER_RATINGS].tolist())
-        mask = np.fromiter((u in keep_users for u in users), dtype=bool, count=users.shape[0])
-        users, items, stamps = users[mask], items[mask], stamps[mask]
+    user_vals, user_counts = np.unique(users, return_counts=True)
+    mask = user_counts[np.searchsorted(user_vals, users)] >= MIN_USER_RATINGS
+    users, items, stamps = users[mask], items[mask], stamps[mask]
 
     if users.shape[0] == 0:
         raise EmptyDatasetError("no interactions remain after filtering")
 
+    # dense id = position among the sorted original ids
     user_ids = np.unique(users)
     item_ids = np.unique(items)
-    user_index = {int(u): k for k, u in enumerate(user_ids)}
-    item_index = {int(i): k for k, i in enumerate(item_ids)}
-    dense_users = np.fromiter((user_index[int(u)] for u in users), dtype=np.int64,
-                              count=users.shape[0])
-    dense_items = np.fromiter((item_index[int(i)] for i in items), dtype=np.int64,
-                              count=items.shape[0])
+    dense_users = np.searchsorted(user_ids, users).astype(np.int64, copy=False)
+    dense_items = np.searchsorted(item_ids, items).astype(np.int64, copy=False)
 
     order = np.lexsort((dense_items, stamps, dense_users))
     dense_users = dense_users[order]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionDataset
-from .numerics import SeededRng, sigmoid
+from .numerics import sigmoid
 
 logger = logging.getLogger(__name__)
 
@@ -101,13 +101,12 @@ class FactorModel:
 
 
 def init_model(num_users: int, num_items: int, dim: int, reg: float,
-               rng: SeededRng | np.random.Generator,
+               rng: np.random.Generator,
                init_std: float = INIT_STD) -> FactorModel:
     """Fresh model with i.i.d. zero-mean Gaussian entries of the given std."""
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
     return FactorModel(
-        init_std * gen.standard_normal((num_users, dim)),
-        init_std * gen.standard_normal((num_items, dim)),
+        init_std * rng.standard_normal((num_users, dim)),
+        init_std * rng.standard_normal((num_items, dim)),
         reg,
     )
 
@@ -129,16 +128,6 @@ class TripletBatch:
         return self.users.shape[0]
 
 
-def score(model: FactorModel, user: int, item_set) -> np.ndarray:
-    """Relevance of ``user`` for each item in ``item_set`` (inner products)."""
-    items = np.asarray(item_set, dtype=np.int64)
-    if user < 0 or user >= model.num_users:
-        raise IndexError(f"user id {user} out of range [0, {model.num_users})")
-    if items.size and (items.min() < 0 or items.max() >= model.num_items):
-        raise IndexError("item id out of range")
-    return model.item_embeddings[items] @ model.user_embeddings[user]
-
-
 def _touched_embeddings(model: FactorModel, batch: TripletBatch):
     users = np.unique(batch.users)
     items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
@@ -151,27 +140,12 @@ def _margins(model: FactorModel, batch: TripletBatch) -> np.ndarray:
     return np.einsum("ij,ij->i", u, diff)
 
 
-def bpr_loss(model: FactorModel, batch: TripletBatch) -> float:
-    """Sum of -log sigmoid(score margin) over the batch, plus L2 on the
-    embeddings the batch touches (each counted once)."""
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    margins = _margins(model, batch)
-    # -log(sigmoid(x)) == log(1 + exp(-x)), computed stably
-    loss = float(np.sum(np.logaddexp(0.0, -margins)))
-    if model.reg > 0:
-        users, items = _touched_embeddings(model, batch)
-        loss += model.reg * (
-            float(np.sum(model.user_embeddings[users] ** 2))
-            + float(np.sum(model.item_embeddings[items] ** 2))
-        )
-    return loss
-
-
 def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
-    """Analytic gradient of ``bpr_loss`` over the flattened parameters.
+    """BPR loss and its analytic gradient over the flattened parameters.
 
-    Entries for embeddings the batch never touches are zero.
+    The loss is the sum of -log sigmoid(score margin) over the batch, plus L2
+    on the embeddings the batch touches (each counted once). Gradient entries
+    for embeddings the batch never touches are zero.
     """
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
@@ -199,7 +173,7 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
     return ObjectiveGradient("bpr", loss, grad)
 
 
-def attach_negatives(dataset: InteractionDataset, rng: SeededRng | np.random.Generator,
+def attach_negatives(dataset: InteractionDataset, rng: np.random.Generator,
                      users: np.ndarray, pos_items: np.ndarray) -> TripletBatch:
     """Complete (user, positive) pairs into triples by sampling one negative each.
 
@@ -207,7 +181,6 @@ def attach_negatives(dataset: InteractionDataset, rng: SeededRng | np.random.Gen
     the user (vectorized rejection sampling). Users whose positives cover the
     whole catalog are skipped with a warning.
     """
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
     membership = dataset.train_membership()
     users = np.asarray(users, dtype=np.int64)
     pos_items = np.asarray(pos_items, dtype=np.int64)
@@ -217,32 +190,12 @@ def attach_negatives(dataset: InteractionDataset, rng: SeededRng | np.random.Gen
             logger.warning("user %d has no unobserved items; skipping", u)
         users = users[~saturated]
         pos_items = pos_items[~saturated]
-    neg = gen.integers(dataset.num_items, size=users.shape[0])
+    neg = rng.integers(dataset.num_items, size=users.shape[0])
     bad = membership[users, neg]
     while np.any(bad):
-        neg[bad] = gen.integers(dataset.num_items, size=int(bad.sum()))
+        neg[bad] = rng.integers(dataset.num_items, size=int(bad.sum()))
         bad = membership[users, neg]
     return TripletBatch(users.copy(), pos_items.copy(), neg)
-
-
-def sample_negatives(dataset: InteractionDataset,
-                     rng: SeededRng | np.random.Generator,
-                     users) -> TripletBatch:
-    """One (user, positive, negative) triple per listed user.
-
-    The positive is drawn uniformly from the user's train-split items, the
-    negative uniformly from everything else.
-    """
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
-    lists = dataset.train_positive_lists()
-    users = np.asarray(users, dtype=np.int64)
-    pos = np.empty_like(users)
-    for k, u in enumerate(users):
-        choices = lists[u]
-        if choices.shape[0] == 0:
-            raise ValueError(f"user {u} has no train positives")
-        pos[k] = choices[int(gen.integers(choices.shape[0]))]
-    return attach_negatives(dataset, gen, users, pos)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,17 @@ smooth ranks and position-biased exposure, aggregated per item group, and the
 normalized exposure distribution is pulled toward a target (popularity and
 genre groupings).
 
-Every objective exposes both the scalar loss and its analytic gradient over
-the flattened model parameters; the gradients backpropagate through the whole
-smooth-ranking chain with the Gumbel noise held fixed. Within a family the
-smooth-ranking forward does not depend on the group masks, so it runs once
-per batch and each objective adds only its mask-dependent part.
+``SmoothRankConfig`` holds the hyperparameters of both smooth-ranking chains:
+the sigmoid rank approximation of Qin, Liu & Li (IRJ 2010) with soft top-k
+cutoffs on the consumer side, and temperature ranks with the position-biased
+exposure of Singh & Joachims (KDD 2018) on the producer side.
+
+Every objective returns its scalar loss together with its analytic gradient
+over the flattened model parameters; the gradients backpropagate through the
+whole smooth-ranking chain with the Gumbel noise held fixed. Each family has
+one smooth-ranking forward (``_consumer_forward``, ``_producer_forward``). It
+does not depend on the group masks, so it runs once per batch and each
+objective adds only its mask-dependent part.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ import numpy as np
 
 from .data import GroupMaskSet, InteractionDataset
 from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad
-from .numerics import SeededRng, sample_gumbel, sigmoid
-from .ranking import SmoothRankConfig, hard_ranks
+from .numerics import sample_gumbel, sigmoid
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +59,33 @@ class NdcgVectorSpec:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.candidate_negatives < 0:
             raise ValueError("candidate_negatives must be >= 0")
+
+
+@dataclass(frozen=True)
+class SmoothRankConfig:
+    """Hyperparameters of the smooth-ranking chains.
+
+    steepness: sigmoid slope for pairwise smooth ranks and soft top-k cutoffs.
+    temperature: sharpness of probability-based smooth ranks (smaller = harder).
+    patience: per-position decay of user attention, in (0, 1).
+    rank_offset: added to 0-based probability ranks before exposure so they
+        line up with the 1-based convention of hard-rank exposure.
+    """
+
+    steepness: float = 1.0
+    temperature: float = 1e-5
+    patience: float = 0.5
+    rank_offset: float = 1.0
+
+    def __post_init__(self):
+        if self.steepness <= 0:
+            raise ValueError(f"steepness must be > 0, got {self.steepness}")
+        if self.temperature <= 0:
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.patience < 1.0:
+            raise ValueError(f"patience must be in (0, 1), got {self.patience}")
+        if self.rank_offset < 0:
+            raise ValueError(f"rank_offset must be >= 0, got {self.rank_offset}")
 
 
 @dataclass(frozen=True)
@@ -127,22 +159,20 @@ def _candidate_lists(dataset: InteractionDataset, users: np.ndarray,
 
 def build_consumer_context(dataset: InteractionDataset, users,
                            spec: NdcgVectorSpec,
-                           rng: SeededRng | np.random.Generator) -> ConsumerContext:
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
+                           rng: np.random.Generator) -> ConsumerContext:
     users = np.asarray(users, dtype=np.int64)
-    candidates, counts = _candidate_lists(dataset, users, gen, spec.candidate_negatives)
+    candidates, counts = _candidate_lists(dataset, users, rng, spec.candidate_negatives)
     return ConsumerContext(users, candidates, counts)
 
 
 def build_producer_context(dataset: InteractionDataset, users,
                            n_r_cap: int, candidate_negatives: int,
-                           rng: SeededRng | np.random.Generator) -> ProducerContext:
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
+                           rng: np.random.Generator) -> ProducerContext:
     users = np.asarray(users, dtype=np.int64)
-    candidates, counts = _candidate_lists(dataset, users, gen, candidate_negatives,
+    candidates, counts = _candidate_lists(dataset, users, rng, candidate_negatives,
                                           n_r_cap)
     sizes = [c.shape[0] for c in candidates]
-    flat_noise = (sample_gumbel(gen, sum(sizes)) if sum(sizes)
+    flat_noise = (sample_gumbel(rng, sum(sizes)) if sum(sizes)
                   else np.empty(0, dtype=np.float64))
     bounds = np.cumsum([0] + sizes)
     noise = [flat_noise[bounds[k]:bounds[k + 1]] for k in range(len(sizes))]
@@ -168,14 +198,18 @@ def consumer_group_fairness(group_vectors) -> float:
 
 
 def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
-                      steepness: float, mode: str = "smooth"):
-    """NDCG rows of the context users plus, per block of users, the
-    intermediates the backward of every consumer objective reuses.
+                      steepness: float):
+    """Smooth NDCG@k rows (k = 1..k_max) of the context users plus, per block
+    of users, the intermediates the backward of every consumer objective
+    reuses.
 
+    A positive's smooth 1-based rank among its user's candidates is
+    0.5 + sum_j sigmoid(steepness * (s_j - s_p)), where the j == p term adds
+    the other 0.5; its top-k cutoff is sigmoid(steepness * (k + 0.5 - rank)).
     Independent of the user group masks. A block holds its users with train
-    positives, their positive counts, per-user pairwise sigmoid matrices
-    (smooth mode), and the smooth ranks, discounts, cutoffs (positives x k)
-    and ideal DCG rows, stacked over the block.
+    positives, their positive counts, per-user pairwise sigmoid matrices, and
+    the smooth ranks, discounts, cutoffs (positives x k) and ideal DCG rows,
+    stacked over the block.
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     ks = np.arange(1, k_max + 1, dtype=np.float64)
@@ -192,18 +226,12 @@ def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
         if rows.shape[0] == 0:
             continue
         counts = ctx.positive_counts[rows]
-        if mode == "exact":
-            pairs = None
-            ranks = np.concatenate([hard_ranks(row_scores[r])[:n]
-                                    for r, n in zip(rows, counts)]).astype(np.float64)
-            trunc = (ranks[:, None] <= ks[None, :]).astype(np.float64)
-        else:
-            pairs = []
-            for r, n in zip(rows, counts):
-                scaled = steepness * row_scores[r]
-                pairs.append(sigmoid(scaled[None, :] - scaled[:n, None]))
-            ranks = 0.5 + np.concatenate([pair.sum(axis=1) for pair in pairs])
-            trunc = sigmoid(steepness * (ks[None, :] + 0.5 - ranks[:, None]))
+        pairs = []
+        for r, n in zip(rows, counts):
+            scaled = steepness * row_scores[r]
+            pairs.append(sigmoid(scaled[None, :] - scaled[:n, None]))
+        ranks = 0.5 + np.concatenate([pair.sum(axis=1) for pair in pairs])
+        trunc = sigmoid(steepness * (ks[None, :] + 0.5 - ranks[:, None]))
         disc = 1.0 / np.log2(ranks + 1.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
         g_matrix[rows] = np.add.reduceat(trunc * disc[:, None],
@@ -212,43 +240,11 @@ def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
     return g_matrix, blocks
 
 
-def build_ndcg_matrix(model: FactorModel, ctx: ConsumerContext,
-                      spec: NdcgVectorSpec, mode: str = "smooth",
-                      steepness: float = 1.0) -> np.ndarray:
-    """Batch matrix of NDCG@k values, one row per context user, k = 1..k_max.
-
-    In ``smooth`` mode the ranks are sigmoid-relaxed pairwise ranks and the
-    top-k cutoff is the soft indicator sigmoid(steepness*(k + 0.5 - rank)); in
-    ``exact`` mode hard sort ranks and a hard cutoff are used.
-    """
-    if mode not in ("smooth", "exact"):
-        raise ValueError(f"mode must be 'smooth' or 'exact', got {mode!r}")
-    return _consumer_forward(model, ctx, spec.k_max, steepness, mode)[0]
-
-
-def consumer_fairness_loss(g_matrix: np.ndarray, group_masks: np.ndarray,
-                           valid: np.ndarray | None = None) -> float | None:
-    """Pairwise mean squared distance between the mean NDCG rows of the user
-    groups present in the batch (gender, age, ...).
-
-    ``group_masks`` holds one row per group over the batch users; rows that
-    are not ``valid`` count in no group. Returns None (with a warning) when
-    fewer than two groups are present.
-    """
-    if valid is None:
-        valid = np.ones(g_matrix.shape[0], dtype=bool)
-    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid)
-    return None if result is None else result[0]
-
-
-# The gender and age objectives differ only in their group masks.
-gender_fairness_loss = age_fairness_loss = consumer_fairness_loss
-
-
 def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid,
                                  objective_id: str = "consumer"):
-    """Loss plus dL/dG, or None (with a warning) when fewer than two groups
-    are present."""
+    """Pairwise mean squared distance between the mean NDCG rows of the user
+    groups in the batch (rows not ``valid`` count in no group) plus dL/dG, or
+    None (with a warning) when fewer than two groups are present."""
     masks = (np.asarray(group_masks, dtype=np.float64) * valid[None, :].astype(np.float64))
     counts = masks.sum(axis=1)
     present = np.flatnonzero(counts >= 1)
@@ -343,6 +339,11 @@ def _producer_forward(model: FactorModel, ctx: ProducerContext,
     rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
     row sums). Independent of the item group masks.
 
+    Probabilities are the softmax of the Gumbel-perturbed candidate scores. A
+    relevant item's smooth 0-based rank is
+    sum_{j != i} sigmoid(-(p_i - p_j) / temperature), and its exposure is
+    patience ** (rank + rank_offset).
+
     Rows are bucketed by (relevant count, candidate count), nearly uniform
     (cap + fixed negative draw), so each bucket runs as stacked array ops.
     """
@@ -394,21 +395,6 @@ def _exposure_disparity(forward, item_group_mask: np.ndarray,
     diff = eps - target.distribution
     # d loss / d raw_g through the normalization eps = raw / sum(raw)
     return float(diff @ diff), (2.0 / total) * (diff - float(diff @ eps)), routings
-
-
-def producer_fairness_loss(model: FactorModel, ctx: ProducerContext,
-                           item_group_mask: np.ndarray,
-                           config: SmoothRankConfig,
-                           target: ExposureTarget | None = None) -> float | None:
-    """Squared distance between normalized group exposure and the target.
-
-    Relevant-item exposures are accumulated over the whole batch and routed to
-    every group each item belongs to before normalizing. Returns None when the
-    batch produces no exposure at all.
-    """
-    result = _exposure_disparity(_producer_forward(model, ctx, config),
-                                 item_group_mask, target, "producer")
-    return None if result is None else result[0]
 
 
 def producer_fairness_grad(model: FactorModel, ctx: ProducerContext,

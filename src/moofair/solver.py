@@ -39,11 +39,10 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """Final objective values of one training round plus a checkpoint handle."""
+    """Final objective values of one training round."""
 
     round_id: int
     objective_values: np.ndarray
-    checkpoint_ref: object = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -58,25 +57,6 @@ def gram_matrix(gradients) -> np.ndarray:
     m = stacked @ stacked.T
     # the product is symmetric up to roundoff; make it exactly so
     return 0.5 * (m + m.T)
-
-
-def two_objective_alpha(g1, g2) -> float:
-    """Weight on g1 minimizing ||a*g1 + (1-a)*g2||^2 over a in [0, 1].
-
-    Closed form a* = ((g2 - g1)^T g2) / ||g1 - g2||^2, clipped to [0, 1].
-    Identical (or both-zero) gradients are degenerate: every weight is
-    optimal and 0.5 is returned.
-    """
-    v1 = as_vector(g1, "g1")
-    v2 = as_vector(g2, "g2")
-    if v1.shape != v2.shape:
-        raise ValueError(f"length mismatch: {v1.shape[0]} vs {v2.shape[0]}")
-    diff = v1 - v2
-    denom = float(diff @ diff)
-    if denom == 0.0:
-        return 0.5
-    alpha = float(-(diff @ v2) / denom)
-    return min(1.0, max(0.0, alpha))
 
 
 def _project_simplex(alpha: np.ndarray) -> np.ndarray:
@@ -146,15 +126,6 @@ def pareto_stationary(M, alpha: SimplexWeights, tol: float) -> bool:
     if np.any(a < -SIMPLEX_TOL) or abs(float(a.sum()) - 1.0) > SIMPLEX_TOL:
         return False
     return float(a @ m @ a) <= tol
-
-
-def dominates(a, b) -> bool:
-    """True iff objective vector ``a`` is no worse everywhere and better somewhere."""
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return bool(np.all(va <= vb) and np.any(va < vb))
 
 
 def least_misery_select(records) -> SolutionRecord:

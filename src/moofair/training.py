@@ -27,11 +27,11 @@ from .objectives import (
     PRODUCER_OBJECTIVES,
     ExposureTarget,
     NdcgVectorSpec,
+    SmoothRankConfig,
     build_consumer_context,
     build_producer_context,
     fairness_grad,
 )
-from .ranking import SmoothRankConfig
 from .solver import (
     SimplexWeights,
     SolutionRecord,
@@ -144,9 +144,6 @@ class AlphaTrace:
 
     def append(self, epoch: int, batch: int, alpha: np.ndarray) -> None:
         self.entries.append((epoch, batch, np.asarray(alpha, dtype=np.float64)))
-
-    def mean_alpha(self) -> np.ndarray:
-        return np.mean([entry[2] for entry in self.entries], axis=0)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -351,8 +348,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
         best_epoch = config.epochs_max
 
     values = _final_objective_values(best_model, dataset, masks, config, eval_gen)
-    record = SolutionRecord(round_id=round_index + 1, objective_values=values,
-                            checkpoint_ref=None)
+    record = SolutionRecord(round_id=round_index + 1, objective_values=values)
     return RoundResult(record=record, trace=trace, model=best_model,
                        best_epoch=best_epoch, val_recall=float(best_recall),
                        fw_calls=fw_calls)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moofair.data import RawRatings, build_masks, preprocess
+from moofair.numerics import as_vector
 
 GENRES = ("Action", "Comedy", "Drama", "Romance", "Sci-Fi")
 
@@ -68,6 +69,11 @@ def synthetic_masks(synthetic_raw, synthetic_dataset):
     return build_masks(synthetic_dataset, synthetic_raw)
 
 
+def derived_rng(seed, index):
+    """Independent child stream ``index`` of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
 def finite_difference_gradient(fn, theta, step=1e-6):
     """Central-difference gradient of a scalar function of a flat vector."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -88,3 +94,31 @@ def max_relative_error(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def two_objective_alpha(g1, g2) -> float:
+    """Closed-form weight on g1 minimizing ||a*g1 + (1-a)*g2||^2 over a in [0, 1].
+
+    a* = ((g2 - g1)^T g2) / ||g1 - g2||^2, clipped to [0, 1]; identical (or
+    both-zero) gradients are degenerate and give 0.5. Reference oracle for the
+    two-objective case of the Frank-Wolfe solver.
+    """
+    v1 = as_vector(g1, "g1")
+    v2 = as_vector(g2, "g2")
+    if v1.shape != v2.shape:
+        raise ValueError(f"length mismatch: {v1.shape[0]} vs {v2.shape[0]}")
+    diff = v1 - v2
+    denom = float(diff @ diff)
+    if denom == 0.0:
+        return 0.5
+    alpha = float(-(diff @ v2) / denom)
+    return min(1.0, max(0.0, alpha))
+
+
+def dominates(a, b) -> bool:
+    """True iff objective vector ``a`` is no worse everywhere and better somewhere."""
+    va = as_vector(a, "a")
+    vb = as_vector(b, "b")
+    if va.shape != vb.shape:
+        raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
+    return bool(np.all(va <= vb) and np.any(va < vb))

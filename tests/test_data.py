@@ -66,6 +66,15 @@ class TestIngestGeneric:
         assert raw.genre_names == ("Comedy", "Drama")
         assert raw.item_genres == {1: (0, 1)}
 
+    def test_malformed_items_line_reports_number(self, tmp_path):
+        write_lines(tmp_path / "ratings.tsv", ["1\t1\t5\t10"])
+        write_lines(tmp_path / "items.tsv", ["1\tComedy", "2"])
+        with pytest.raises(DataFormatError, match=r"items\.tsv:2:"):
+            ingest(str(tmp_path), "generic_tsv")
+        write_lines(tmp_path / "items.tsv", ["1\tComedy", "x\tDrama"])
+        with pytest.raises(DataFormatError, match=r"items\.tsv:2:"):
+            ingest(str(tmp_path), "generic_tsv")
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             ingest(str(tmp_path), "csv")
@@ -107,6 +116,17 @@ class TestIngestMovieLens:
         assert raw.user_age == {1: 1, 2: 56}
         assert raw.item_genres == {1193: (0,)}
         assert raw.genre_names == ("Drama",)
+
+    def test_malformed_movies_line_reports_number(self, tmp_path):
+        write_lines(tmp_path / "ratings.dat", ["1::1193::5::978300760"])
+        write_lines(tmp_path / "movies.dat", ["1193::Some Movie (1975)::Drama",
+                                             "1194::No Genres (1976)"])
+        with pytest.raises(DataFormatError, match=r"movies\.dat:2:"):
+            ingest(str(tmp_path), "ml1m")
+        write_lines(tmp_path / "movies.dat", ["1193::Some Movie (1975)::Drama",
+                                             "", "abc::Bad Id (1976)::Comedy"])
+        with pytest.raises(DataFormatError, match=r"movies\.dat:3:"):
+            ingest(str(tmp_path), "ml1m")
 
 
 class TestAgeGroups:
@@ -224,6 +244,69 @@ class TestPreprocess:
         ds = synthetic_dataset
         assert set(np.unique(ds.users)) == set(range(ds.num_users))
         assert set(np.unique(ds.items)) == set(range(ds.num_items))
+
+    @pytest.mark.parametrize("log", ["make_raw", "sparse_ids", "threshold_counts"])
+    def test_matches_dict_remap_oracle(self, log):
+        raw = make_raw(seed=3, num_users=40)
+        if log == "threshold_counts":
+            # item and user positive counts straddle the 5 and 10 thresholds
+            gen = np.random.default_rng(5)
+            n = 1500
+            raw = RawRatings(users=gen.integers(1, 81, n), items=gen.integers(1, 61, n),
+                             ratings=gen.integers(1, 6, n).astype(np.float64),
+                             timestamps=gen.integers(0, 10**6, n))
+        if log == "sparse_ids":
+            offset = 10**12
+            # sparse original ids near 10**12
+            gen = np.random.default_rng(4)
+            user_map = offset + np.sort(gen.choice(10**9, size=raw.users.max() + 1,
+                                                   replace=False))
+            item_map = offset + np.sort(gen.choice(10**9, size=raw.items.max() + 1,
+                                                   replace=False))[::-1]
+            raw.users, raw.items = user_map[raw.users], item_map[raw.items]
+        got = preprocess(raw)
+        expected = preprocess_oracle(raw)
+        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert (got.num_users, got.num_items) == (expected.num_users,
+                                                  expected.num_items)
+
+
+def preprocess_oracle(raw):
+    """Per-element set-membership filters and dict id remaps: the reference
+    ``preprocess`` must match exactly."""
+    positive = raw.ratings >= 4.0
+    users, items = raw.users[positive], raw.items[positive]
+    stamps = raw.timestamps[positive]
+    item_vals, item_counts = np.unique(items, return_counts=True)
+    keep_items = set(item_vals[item_counts >= 5].tolist())
+    mask = np.fromiter((i in keep_items for i in items), dtype=bool, count=items.shape[0])
+    users, items, stamps = users[mask], items[mask], stamps[mask]
+    user_vals, user_counts = np.unique(users, return_counts=True)
+    keep_users = set(user_vals[user_counts >= 10].tolist())
+    mask = np.fromiter((u in keep_users for u in users), dtype=bool, count=users.shape[0])
+    users, items, stamps = users[mask], items[mask], stamps[mask]
+    user_ids, item_ids = np.unique(users), np.unique(items)
+    user_index = {int(u): k for k, u in enumerate(user_ids)}
+    item_index = {int(i): k for k, i in enumerate(item_ids)}
+    dense_users = np.fromiter((user_index[int(u)] for u in users), dtype=np.int64,
+                              count=users.shape[0])
+    dense_items = np.fromiter((item_index[int(i)] for i in items), dtype=np.int64,
+                              count=items.shape[0])
+    order = np.lexsort((dense_items, stamps, dense_users))
+    dense_users, dense_items, stamps = dense_users[order], dense_items[order], stamps[order]
+    split = np.empty(dense_users.shape[0], dtype=np.int8)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(dense_users)) + 1,
+                             [dense_users.shape[0]]))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        n_train, n_val = int(np.floor(0.7 * (e - s))), int(np.floor(0.1 * (e - s)))
+        split[s:s + n_train] = TRAIN
+        split[s + n_train:s + n_train + n_val] = VAL
+        split[s + n_train + n_val:e] = TEST
+    return InteractionDataset(user_ids.shape[0], item_ids.shape[0], dense_users,
+                              dense_items, stamps, split, user_ids, item_ids)
 
 
 def dataset_with_counts(counts):

@@ -24,7 +24,6 @@ from moofair.metrics import (
     write_metrics_csv,
 )
 from moofair.model import FactorModel, init_model
-from moofair.numerics import SeededRng
 from moofair.objectives import consumer_group_fairness
 from moofair.training import _validation_recall
 
@@ -111,7 +110,7 @@ class TestDisparityUser:
 
     def test_matches_brute_force(self, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(1))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(1))
         run = build_recommendations(model, synthetic_dataset, 5)
         got = disparity_user(run, synthetic_masks, "gender")
         # brute force: per-user NDCG vectors, group means, squared distance
@@ -132,7 +131,7 @@ class TestDisparityUser:
 
     def test_age_variant_same_kernel(self, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(2))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(2))
         run = build_recommendations(model, synthetic_dataset, 5)
         value = disparity_user(run, synthetic_masks, "age")
         assert value is not None and value >= 0.0
@@ -262,7 +261,7 @@ class TestSimpsonDiversity:
 class TestBuildRecommendations:
     def test_excludes_train_and_val(self, synthetic_dataset):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(3))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(3))
         run = build_recommendations(model, synthetic_dataset, 5)
         from moofair.data import TRAIN, VAL
         ds = synthetic_dataset
@@ -275,7 +274,7 @@ class TestBuildRecommendations:
 
     def test_only_users_with_test_positives(self, synthetic_dataset):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(4))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(4))
         run = build_recommendations(model, synthetic_dataset, 5)
         from moofair.data import TEST
         ds = synthetic_dataset
@@ -284,7 +283,7 @@ class TestBuildRecommendations:
 
     def test_deterministic(self, synthetic_dataset):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(5))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(5))
         a = build_recommendations(model, synthetic_dataset, 5)
         b = build_recommendations(model, synthetic_dataset, 5)
         assert np.array_equal(a.lists, b.lists)
@@ -293,7 +292,7 @@ class TestBuildRecommendations:
 class TestEvaluate:
     def test_rows_per_k(self, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(6))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(6))
         rows = evaluate(model, synthetic_dataset, synthetic_masks,
                         k_values=(3, 5), label="random")
         assert [row["k"] for row in rows] == [3, 5]
@@ -305,14 +304,14 @@ class TestEvaluate:
 
     def test_deterministic(self, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(7))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(7))
         a = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(4,))
         b = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(4,))
         assert a == b
 
     def test_csv_emission(self, tmp_path, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(8))
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(8))
         rows = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(4,))
         out = tmp_path / "metrics.csv"
         write_metrics_csv(rows, str(out))
@@ -433,7 +432,7 @@ class TestTopKItems:
 
     def test_catalog_too_small(self, synthetic_dataset):
         model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 4, 0.0, SeededRng(9), 1.0)
+                           synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(9), 1.0)
         for k in (synthetic_dataset.num_items, synthetic_dataset.num_items + 1):
             with pytest.raises(ValueError, match="catalog too small"):
                 build_recommendations(model, synthetic_dataset, k)
@@ -453,7 +452,7 @@ class TestAgainstFullSort:
     def test_validation_recall_bit_identical(self, roomy_dataset, seed):
         dataset, _ = roomy_dataset
         model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
-                           SeededRng(seed), 1.0)
+                           np.random.default_rng(seed), 1.0)
         for k in (1, 5, 20, dataset.num_items):
             assert (_validation_recall(model, dataset, k)
                     == reference_validation_recall(model, dataset, k))
@@ -463,7 +462,7 @@ class TestAgainstFullSort:
     def test_evaluate_rows(self, roomy_dataset, seed, k_values):
         dataset, masks = roomy_dataset
         model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
-                           SeededRng(seed), 1.0)
+                           np.random.default_rng(seed), 1.0)
         got = evaluate(model, dataset, masks, k_values=k_values)
         expected = reference_evaluate(model, dataset, masks, k_values)
         assert [row["k"] for row in got] == list(k_values)
@@ -475,7 +474,7 @@ class TestAgainstFullSort:
 
     def test_no_depths_no_rows(self, roomy_dataset):
         dataset, masks = roomy_dataset
-        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0, SeededRng(0))
+        model = init_model(dataset.num_users, dataset.num_items, 8, 0.0, np.random.default_rng(0))
         assert evaluate(model, dataset, masks, k_values=()) == []
 
 
@@ -488,7 +487,7 @@ class TestMemory:
         masks = build_masks(dataset, raw)
         assert dataset.num_users > 20 * 32
         model = init_model(dataset.num_users, dataset.num_items, 8, 0.0,
-                           SeededRng(0), 1.0)
+                           np.random.default_rng(0), 1.0)
         limit = dataset.num_users * dataset.num_items * 8 / 2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "USER_BLOCK", 32)

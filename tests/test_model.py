@@ -7,14 +7,13 @@ from moofair.model import (
     TripletBatch,
     attach_negatives,
     bpr_grad,
-    bpr_loss,
     init_model,
     load_checkpoint,
-    sample_negatives,
     save_checkpoint,
-    score,
 )
-from moofair.numerics import SeededRng, sigmoid
+from moofair.data import TRAIN
+from moofair.metrics import top_k_items
+from moofair.numerics import sigmoid
 from conftest import finite_difference_gradient, max_relative_error
 
 
@@ -43,38 +42,56 @@ class TestFactorModel:
             tiny_model([[np.nan]], [[1.0]])
 
     def test_init_statistics(self):
-        model = init_model(200, 200, 25, 0.0, SeededRng(5))
+        model = init_model(200, 200, 25, 0.0, np.random.default_rng(5))
         flat = model.flatten()
         assert abs(flat.mean()) < 1e-3
         assert flat.std() == pytest.approx(0.01, rel=0.05)
 
 
+def score(model, user, k):
+    """The top-k items of ``user`` as evaluation ranks them, and their scores."""
+    none = np.empty(0, dtype=np.int64)
+    lists, top = top_k_items(model, np.array([user]), k, none, none)
+    return lists[0], top[0]
+
+
 class TestScore:
+    """Relevance is the user-item inner product, as evaluation scores it."""
+
     def test_unit_inner_product(self):
         model = tiny_model([[1.0, 0.0]], [[1.0, 0.0]])
-        np.testing.assert_array_equal(score(model, 0, [0]), [1.0])
+        np.testing.assert_array_equal(score(model, 0, 1)[1], [1.0])
 
     def test_zero_user(self):
         model = tiny_model([[0.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(score(model, 0, [0, 1]), [0.0, 0.0])
+        np.testing.assert_array_equal(score(model, 0, 2)[1], [0.0, 0.0])
 
     def test_known_value(self):
         model = tiny_model([[1.0, 2.0]], [[3.0, 4.0]])
-        np.testing.assert_array_equal(score(model, 0, [0]), [11.0])
+        np.testing.assert_array_equal(score(model, 0, 1)[1], [11.0])
 
     def test_out_of_range(self):
         model = tiny_model([[1.0]], [[1.0]])
         with pytest.raises(IndexError):
-            score(model, 3, [0])
+            score(model, 3, 1)
         with pytest.raises(IndexError):
-            score(model, 0, [5])
+            top_k_items(model, np.array([0]), 1, np.array([0]), np.array([5]))
 
     def test_bilinear_in_user(self):
         rng = np.random.default_rng(1)
         model = init_model(3, 8, 4, 0.0, rng)
-        base = score(model, 1, np.arange(8))
+        items, base = score(model, 1, 8)
+        np.testing.assert_allclose(base, model.item_embeddings[items]
+                                   @ model.user_embeddings[1], rtol=1e-12)
         model.user_embeddings[1] *= 2.5
-        np.testing.assert_allclose(score(model, 1, np.arange(8)), 2.5 * base)
+        scaled_items, scaled = score(model, 1, 8)
+        np.testing.assert_array_equal(scaled_items, items)
+        np.testing.assert_allclose(scaled, 2.5 * base)
+
+
+def bpr_loss(model, triples):
+    """The loss half of ``bpr_grad``."""
+    return bpr_grad(model, triples).loss
 
 
 def batch(users, pos, neg):
@@ -131,7 +148,7 @@ class TestBprGrad:
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return bpr_loss(probe, b)
+            return bpr_grad(probe, b).loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert max_relative_error(result.grad, numeric) <= 1e-5
@@ -161,7 +178,11 @@ class TestBprGrad:
         rng = np.random.default_rng(5)
         model = init_model(4, 5, 3, 0.2, rng, init_std=0.3)
         b = batch([0, 1], [1, 2], [3, 4])
-        assert bpr_grad(model, b).loss == pytest.approx(bpr_loss(model, b), rel=1e-12)
+        u, v = model.user_embeddings, model.item_embeddings
+        margins = np.einsum("ij,ij->i", u[[0, 1]], v[[1, 2]] - v[[3, 4]])
+        expected = (np.sum(-np.log(sigmoid(margins)))
+                    + 0.2 * (np.sum(u[[0, 1]] ** 2) + np.sum(v[[1, 2, 3, 4]] ** 2)))
+        assert bpr_grad(model, b).loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestNegativeSampling:
@@ -176,7 +197,7 @@ class TestNegativeSampling:
         membership = ds_patched.train_membership()
         membership[target_user, :] = True
         membership[target_user, missing] = False
-        out = attach_negatives(ds_patched, SeededRng(0),
+        out = attach_negatives(ds_patched, np.random.default_rng(0),
                                np.array([target_user]), np.array([0]))
         assert out.neg_items[0] == missing
 
@@ -189,22 +210,26 @@ class TestNegativeSampling:
         membership = ds_patched.train_membership()
         membership[1, :] = True
         with caplog.at_level(logging.WARNING):
-            out = attach_negatives(ds_patched, SeededRng(0),
+            out = attach_negatives(ds_patched, np.random.default_rng(0),
                                    np.array([1, 2]), np.array([0, 0]))
         assert "no unobserved items" in caplog.text
         assert out.size == 1
         assert out.users[0] == 2
 
     def test_deterministic(self, synthetic_dataset):
-        users = np.arange(10)
-        a = sample_negatives(synthetic_dataset, SeededRng(3), users)
-        b = sample_negatives(synthetic_dataset, SeededRng(3), users)
+        users, items = synthetic_dataset.split_pairs(TRAIN)
+        a = attach_negatives(synthetic_dataset, np.random.default_rng(3),
+                             users[:10], items[:10])
+        b = attach_negatives(synthetic_dataset, np.random.default_rng(3),
+                             users[:10], items[:10])
         assert np.array_equal(a.pos_items, b.pos_items)
         assert np.array_equal(a.neg_items, b.neg_items)
 
     def test_negatives_not_positives(self, synthetic_dataset):
-        out = sample_negatives(synthetic_dataset, SeededRng(4),
-                               np.arange(synthetic_dataset.num_users))
+        users, items = synthetic_dataset.split_pairs(TRAIN)
+        out = attach_negatives(synthetic_dataset, np.random.default_rng(4),
+                               users, items)
+        assert out.size == users.shape[0]
         sets = synthetic_dataset.train_item_sets()
         for u, j in zip(out.users, out.neg_items):
             assert int(j) not in sets[u]
@@ -214,7 +239,7 @@ class TestNegativeSampling:
         user = 0
         positives = ds.train_item_sets()[user]
         complement = sorted(set(range(ds.num_items)) - positives)
-        out = attach_negatives(ds, SeededRng(5),
+        out = attach_negatives(ds, np.random.default_rng(5),
                                np.full(10**5, user), np.zeros(10**5, dtype=np.int64))
         counts = np.bincount(out.neg_items, minlength=ds.num_items)[complement]
         result = stats.chisquare(counts)
@@ -223,7 +248,7 @@ class TestNegativeSampling:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        model = init_model(4, 5, 3, 0.01, SeededRng(6))
+        model = init_model(4, 5, 3, 0.01, np.random.default_rng(6))
         save_checkpoint(model, str(tmp_path / "ckpt"), {"seed": 6, "epoch": 2})
         loaded, meta = load_checkpoint(str(tmp_path / "ckpt"))
         assert np.array_equal(loaded.user_embeddings, model.user_embeddings)

@@ -1,38 +1,37 @@
 import numpy as np
 import pytest
 
-from moofair.numerics import (
-    SeededRng,
-    dot,
-    gumbel_from_uniform,
-    sample_gumbel,
-    sigmoid,
-    softmax,
-)
+from moofair.model import FactorModel
+from moofair.numerics import gumbel_from_uniform, sample_gumbel, sigmoid
+from moofair.objectives import ProducerContext, SmoothRankConfig, _producer_forward
+from moofair.solver import gram_matrix
+from moofair.training import _round_streams, _shared_eval_stream
 
 EULER_MASCHERONI = 0.5772156649015329
 
 
 class TestDot:
+    """Inner products as the solver takes them: entries of ``gram_matrix``."""
+
     def test_basic(self):
-        assert dot([1, 0, 2], [3, 1, 1]) == 5.0
+        assert gram_matrix([[1, 0, 2], [3, 1, 1]])[0, 1] == 5.0
 
     def test_zero_vector(self):
-        assert dot([0, 0], [5, 7]) == 0.0
+        assert gram_matrix([[0, 0], [5, 7]])[0, 1] == 0.0
 
     def test_self_dot_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.normal(size=rng.integers(1, 20))
-            assert dot(v, v) >= 0.0
+            assert gram_matrix([v])[0, 0] >= 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            dot([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError):
+            gram_matrix([[1, 2], [1, 2, 3]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            dot([np.nan, 1.0], [1.0, 1.0])
+            gram_matrix([[np.nan, 1.0], [1.0, 1.0]])
 
     def test_symmetric_bilinear(self):
         rng = np.random.default_rng(1)
@@ -40,9 +39,11 @@ class TestDot:
             n = int(rng.integers(1, 12))
             a, b, c = rng.normal(size=(3, n))
             s, t = rng.normal(size=2)
-            assert dot(a, b) == pytest.approx(dot(b, a), rel=1e-12)
-            assert dot(s * a + t * b, c) == pytest.approx(
-                s * dot(a, c) + t * dot(b, c), rel=1e-9, abs=1e-12
+            m = gram_matrix([a, b, c, s * a + t * b])
+            assert m[0, 1] == m[1, 0]
+            assert m[0, 1] == pytest.approx(float(a @ b), rel=1e-12)
+            assert m[3, 2] == pytest.approx(
+                s * m[0, 2] + t * m[1, 2], rel=1e-9, abs=1e-12
             )
 
 
@@ -77,11 +78,20 @@ class TestSigmoid:
 
 
 class TestSoftmax:
+    """Sampling probabilities of the producer forward (noise-free scores)."""
+
+    @staticmethod
+    def probs(scores):
+        model = FactorModel(np.array([[1.0]]), np.asarray(scores)[:, None])
+        ctx = ProducerContext(np.array([0]), [np.arange(len(scores))],
+                              np.array([1]), [np.zeros(len(scores))])
+        return _producer_forward(model, ctx, SmoothRankConfig())[0][3][0]
+
     def test_uniform(self):
-        np.testing.assert_allclose(softmax([3.0, 3.0, 3.0]), 1.0 / 3.0)
+        np.testing.assert_allclose(self.probs([3.0, 3.0, 3.0]), 1.0 / 3.0)
 
     def test_large_logits_stable(self):
-        p = softmax([1000.0, 999.0])
+        p = self.probs([1000.0, 999.0])
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -92,17 +102,17 @@ class TestGumbel:
         assert gumbel_from_uniform(1.0 / np.e) == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_mean(self):
-        draws = sample_gumbel(SeededRng(42), 10**6)
+        draws = sample_gumbel(np.random.default_rng(42), 10**6)
         assert draws.mean() == pytest.approx(EULER_MASCHERONI, abs=0.01)
 
     def test_same_seed_bit_identical(self):
-        a = sample_gumbel(SeededRng(7), 1000)
-        b = sample_gumbel(SeededRng(7), 1000)
+        a = sample_gumbel(np.random.default_rng(7), 1000)
+        b = sample_gumbel(np.random.default_rng(7), 1000)
         assert np.array_equal(a, b)
 
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):
-            sample_gumbel(SeededRng(0), 0)
+            sample_gumbel(np.random.default_rng(0), 0)
 
     def test_extreme_uniform_clamped(self):
         assert np.isfinite(gumbel_from_uniform(0.0))
@@ -110,13 +120,20 @@ class TestGumbel:
 
 
 class TestSeededRng:
+    """The seeded streams each training round derives from (seed, round)."""
+
     def test_derived_streams_differ(self):
-        base = SeededRng(11)
-        a = base.derive(0).generator.uniform(size=5)
-        b = base.derive(1).generator.uniform(size=5)
-        assert not np.array_equal(a, b)
+        first = [g.uniform(size=5) for g in _round_streams(11, 0)]
+        second = [g.uniform(size=5) for g in _round_streams(11, 1)]
+        shared = _shared_eval_stream(11).uniform(size=5)
+        draws = first + second + [shared]
+        for a in range(len(draws)):
+            for b in range(a + 1, len(draws)):
+                assert not np.array_equal(draws[a], draws[b])
 
     def test_derived_streams_reproducible(self):
-        a = SeededRng(11).derive(3).generator.uniform(size=5)
-        b = SeededRng(11).derive(3).generator.uniform(size=5)
-        assert np.array_equal(a, b)
+        a = [g.uniform(size=5) for g in _round_streams(11, 3)]
+        b = [g.uniform(size=5) for g in _round_streams(11, 3)]
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(_shared_eval_stream(11).uniform(size=5),
+                              _shared_eval_stream(11).uniform(size=5))

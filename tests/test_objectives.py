@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 
 from moofair.model import FactorModel, init_model
-from moofair.numerics import SeededRng
 from moofair.objectives import (
     ConsumerContext,
     ExposureTarget,
     NdcgVectorSpec,
     ProducerContext,
+    SmoothRankConfig,
+    _consumer_forward,
+    _consumer_loss_and_ndcg_grad,
     build_consumer_context,
-    build_ndcg_matrix,
     build_producer_context,
     consumer_fairness_grad,
     consumer_group_fairness,
-    age_fairness_loss,
     fairness_grad,
-    gender_fairness_loss,
     producer_fairness_grad,
-    producer_fairness_loss,
 )
-from moofair.ranking import SmoothRankConfig
-from conftest import finite_difference_gradient, max_relative_error
+from conftest import derived_rng, finite_difference_gradient, max_relative_error
 
 
 class TestConsumerGroupFairness:
@@ -73,18 +70,41 @@ def context_for(candidates, positive_counts):
     )
 
 
+def ndcg_rows(model, ctx, k_max, steepness=1e6):
+    """Smooth NDCG@1..k_max rows of the consumer forward (hard limit by default)."""
+    return _consumer_forward(model, ctx, k_max, steepness)[0]
+
+
+def hard_rank_ndcg(model, ctx, k_max):
+    """NDCG@1..k_max on hard ranks (descending score, ties by position):
+    the reference the smooth forward approaches as its steepness grows."""
+    rows = np.zeros((ctx.users.shape[0], k_max))
+    ks = np.arange(1, k_max + 1)
+    for row, (u, cand, n) in enumerate(zip(ctx.users, ctx.candidates,
+                                           ctx.positive_counts)):
+        if n == 0:
+            continue
+        scores = model.item_embeddings[cand] @ model.user_embeddings[u]
+        ranks = np.empty(cand.shape[0])
+        ranks[np.lexsort((np.arange(cand.shape[0]), -scores))] = np.arange(
+            1, cand.shape[0] + 1)
+        gains = (ranks[:n, None] <= ks[None, :]) / np.log2(ranks[:n, None] + 1.0)
+        ideal = np.cumsum(1.0 / np.log2(np.arange(1, k_max + 1) + 1.0))
+        rows[row] = gains.sum(axis=0) / ideal[np.minimum(ks, n) - 1]
+    return rows
+
+
 class TestBuildNdcgMatrix:
     def test_exact_single_relevant_at_rank_one(self):
         # positive item 0 scores highest among three candidates
         model = FactorModel(np.array([[1.0]]), np.array([[3.0], [2.0], [1.0]]))
         ctx = context_for([[0, 1, 2]], [1])
-        g = build_ndcg_matrix(model, ctx, NdcgVectorSpec(k_max=3), mode="exact")
-        np.testing.assert_allclose(g, [[1.0, 1.0, 1.0]])
+        np.testing.assert_allclose(ndcg_rows(model, ctx, 3), [[1.0, 1.0, 1.0]])
 
     def test_exact_single_relevant_at_rank_two(self):
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [3.0], [1.0]]))
         ctx = context_for([[0, 1, 2]], [1])
-        g = build_ndcg_matrix(model, ctx, NdcgVectorSpec(k_max=2), mode="exact")
+        g = ndcg_rows(model, ctx, 2)
         np.testing.assert_allclose(g, [[0.0, 1.0 / np.log2(3.0)]])
         assert g[0, 1] == pytest.approx(0.6309297535714574)
 
@@ -92,47 +112,46 @@ class TestBuildNdcgMatrix:
         rng = np.random.default_rng(2)
         model = init_model(3, 12, 4, 0.0, rng, init_std=1.0)
         ctx = context_for([[0, 1, 4, 5, 6], [2, 3, 7, 8, 9]], [2, 2])
-        spec = NdcgVectorSpec(k_max=4)
-        exact = build_ndcg_matrix(model, ctx, spec, mode="exact")
-        smooth = build_ndcg_matrix(model, ctx, spec, mode="smooth", steepness=1e6)
-        np.testing.assert_allclose(smooth, exact, atol=1e-6)
+        exact = hard_rank_ndcg(model, ctx, 4)
+        np.testing.assert_allclose(ndcg_rows(model, ctx, 4), exact, atol=1e-6)
 
     def test_user_without_positives_gets_zero_row(self):
         model = FactorModel(np.ones((2, 1)), np.ones((3, 1)))
         ctx = context_for([[0, 1], [1, 2]], [1, 0])
-        g = build_ndcg_matrix(model, ctx, NdcgVectorSpec(k_max=2), mode="exact")
-        np.testing.assert_array_equal(g[1], 0.0)
+        np.testing.assert_array_equal(ndcg_rows(model, ctx, 2)[1], 0.0)
 
-    def test_rejects_unknown_mode(self):
-        model = FactorModel(np.ones((1, 1)), np.ones((1, 1)))
-        ctx = context_for([[0]], [1])
-        with pytest.raises(ValueError, match="mode"):
-            build_ndcg_matrix(model, ctx, NdcgVectorSpec(k_max=1), mode="soft")
+
+def consumer_loss(g, masks, valid=None):
+    """Disparity loss of hand-built NDCG rows, or None when skipped."""
+    if valid is None:
+        valid = np.ones(g.shape[0], dtype=bool)
+    result = _consumer_loss_and_ndcg_grad(g, masks, valid)
+    return None if result is None else result[0]
 
 
 class TestGenderLoss:
     def test_known_value(self):
         g = np.array([[0.5, 0.5], [0.3, 0.7]])
         masks = np.array([[1, 0], [0, 1]])
-        assert gender_fairness_loss(g, masks) == pytest.approx(0.08)
+        assert consumer_loss(g, masks) == pytest.approx(0.08)
 
     def test_equal_means_zero(self):
         g = np.array([[0.4, 0.6], [0.4, 0.6]])
         masks = np.array([[1, 0], [0, 1]])
-        assert gender_fairness_loss(g, masks) == 0.0
+        assert consumer_loss(g, masks) == 0.0
 
     def test_single_group_skipped_with_warning(self, caplog):
         g = np.array([[0.4, 0.6], [0.2, 0.2]])
         masks = np.array([[1, 1], [0, 0]])
         with caplog.at_level(logging.WARNING):
-            assert gender_fairness_loss(g, masks) is None
+            assert consumer_loss(g, masks) is None
         assert "skipped" in caplog.text
 
     def test_invalid_rows_excluded_from_counts(self):
         g = np.array([[0.5, 0.5], [0.0, 0.0], [0.3, 0.7]])
         masks = np.array([[1, 1, 0], [0, 0, 1]])
         valid = np.array([True, False, True])
-        assert gender_fairness_loss(g, masks, valid) == pytest.approx(0.08)
+        assert consumer_loss(g, masks, valid) == pytest.approx(0.08)
 
 
 class TestAgeLoss:
@@ -141,7 +160,7 @@ class TestAgeLoss:
         masks = np.zeros((7, 2), dtype=int)
         masks[2, 0] = 1
         masks[5, 1] = 1
-        assert age_fairness_loss(g, masks) == pytest.approx(0.08)
+        assert consumer_loss(g, masks) == pytest.approx(0.08)
 
     def test_three_groups_brute_force(self):
         g = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.6]])
@@ -152,14 +171,14 @@ class TestAgeLoss:
             + np.sum((means[0] - means[2]) ** 2)
             + np.sum((means[1] - means[2]) ** 2)
         ) / 3.0
-        assert age_fairness_loss(g, masks) == pytest.approx(expected)
+        assert consumer_loss(g, masks) == pytest.approx(expected)
 
     def test_single_group_skipped(self, caplog):
         g = np.array([[0.4, 0.6]])
         masks = np.zeros((7, 1), dtype=int)
         masks[3, 0] = 1
         with caplog.at_level(logging.WARNING):
-            assert age_fairness_loss(g, masks) is None
+            assert consumer_loss(g, masks) is None
 
 
 def producer_context_for(candidates, relevant_counts, noise=None):
@@ -169,6 +188,12 @@ def producer_context_for(candidates, relevant_counts, noise=None):
         noise = [np.zeros(c.shape[0]) for c in cands]
     return ProducerContext(users, cands,
                            np.asarray(relevant_counts, dtype=np.int64), noise)
+
+
+def producer_loss(model, ctx, mask, config, target=None):
+    """Loss of the producer gradient call, or None when skipped."""
+    result = producer_fairness_grad(model, ctx, mask, config, target)
+    return None if result is None else result.loss
 
 
 class TestProducerLoss:
@@ -184,13 +209,13 @@ class TestProducerLoss:
 
     def test_hand_computed_pipeline(self):
         model, ctx, mask, config = self.hand_instance()
-        loss = producer_fairness_loss(model, ctx, mask, config)
+        loss = producer_loss(model, ctx, mask, config)
         assert loss == pytest.approx(1.0 / 18.0, abs=1e-9)
 
     def test_exposure_matches_target_is_zero(self):
         model, ctx, mask, config = self.hand_instance()
         target = ExposureTarget(np.array([2.0 / 3.0, 1.0 / 3.0]))
-        assert producer_fairness_loss(model, ctx, mask, config,
+        assert producer_loss(model, ctx, mask, config,
                                       target) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_exposure_in_one_group(self):
@@ -198,7 +223,7 @@ class TestProducerLoss:
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.array([[1, 1], [0, 0]], dtype=np.int8)
         config = SmoothRankConfig(temperature=1e-6, patience=0.5, rank_offset=1.0)
-        loss = producer_fairness_loss(model, ctx, mask, config)
+        loss = producer_loss(model, ctx, mask, config)
         assert loss == pytest.approx(0.5)
 
     def test_multi_genre_item_routes_to_every_group(self):
@@ -207,7 +232,7 @@ class TestProducerLoss:
         # item 0 belongs to both groups: routed sums exceed its own exposure
         mask = np.array([[1, 1], [1, 0]], dtype=np.int8)
         config = SmoothRankConfig(temperature=1e-6, patience=0.5, rank_offset=1.0)
-        loss = producer_fairness_loss(model, ctx, mask, config)
+        loss = producer_loss(model, ctx, mask, config)
         raw = np.array([0.5 + 0.25, 0.5])
         eps = raw / raw.sum()
         expected = float(np.sum((eps - 0.5) ** 2))
@@ -218,20 +243,20 @@ class TestProducerLoss:
         ctx = producer_context_for([[0, 1]], [0])
         mask = np.eye(2, dtype=np.int8)
         with caplog.at_level(logging.WARNING):
-            assert producer_fairness_loss(model, ctx, mask,
+            assert producer_loss(model, ctx, mask,
                                           SmoothRankConfig()) is None
 
     def test_normalized_exposure_is_probability_vector(self, synthetic_dataset,
                                                        synthetic_masks):
         # exercised indirectly: any target distribution summing to 1 with the
         # flat target swapped in changes the loss by a bounded amount
-        rng = SeededRng(11)
+        rng = np.random.default_rng(11)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 3, 0.0, rng)
         ctx = build_producer_context(synthetic_dataset, np.arange(8), 5, 10,
-                                     rng.derive(1))
+                                     derived_rng(11, 1))
         config = SmoothRankConfig(temperature=0.05, patience=0.5)
-        loss = producer_fairness_loss(model, ctx, synthetic_masks.popularity, config)
+        loss = producer_loss(model, ctx, synthetic_masks.popularity, config)
         assert loss is not None
         assert 0.0 <= loss <= 2.0  # ||p - q||^2 <= 2 for probability vectors
 
@@ -246,9 +271,9 @@ class TestExposureTarget:
 
 
 def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
-    rng = SeededRng(seed)
-    model = init_model(num_users, num_items, dim, 0.0, rng, init_std=0.6)
-    gen = rng.derive(1).generator
+    model = init_model(num_users, num_items, dim, 0.0, np.random.default_rng(seed),
+                       init_std=0.6)
+    gen = derived_rng(seed, 1)
     # every user gets 2 candidate positives and 2 sampled negatives
     candidates, pos_counts, noise = [], [], []
     for u in range(num_users):
@@ -284,8 +309,8 @@ class TestConsumerGradient:
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            g = build_ndcg_matrix(probe, consumer, spec, "smooth", steepness)
-            return gender_fairness_loss(g, gender_mask, consumer.valid)
+            return consumer_fairness_grad(probe, consumer, gender_mask, spec,
+                                          steepness, "gender").loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
@@ -299,8 +324,8 @@ class TestConsumerGradient:
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            g = build_ndcg_matrix(probe, consumer, spec, "smooth", 1.5)
-            return age_fairness_loss(g, age_mask, consumer.valid)
+            return consumer_fairness_grad(probe, consumer, age_mask, spec,
+                                          1.5, "age").loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert max_relative_error(result.grad, numeric) <= 1e-4
@@ -342,7 +367,7 @@ class TestProducerGradient:
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return producer_fairness_loss(probe, producer, item_mask, config)
+            return producer_fairness_grad(probe, producer, item_mask, config).loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
@@ -351,7 +376,7 @@ class TestProducerGradient:
     def test_zero_loss_zero_gradient(self):
         model, _, producer, _, _, item_mask = make_gradient_world(seed=9)
         config = SmoothRankConfig(temperature=0.25, patience=0.5)
-        base = producer_fairness_loss(model, producer, item_mask, config)
+        base = producer_loss(model, producer, item_mask, config)
         raw_target = None
         # use the achieved distribution as the target: loss 0, gradient 0
         total_loss = producer_fairness_grad(model, producer, item_mask, config)
@@ -386,12 +411,12 @@ class TestDispatcher:
             fairness_grad("novelty", model, synthetic_masks)
 
     def test_consumer_dispatch(self, synthetic_dataset, synthetic_masks):
-        rng = SeededRng(1)
+        rng = np.random.default_rng(1)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 2, 0.0, rng)
         ctx = build_consumer_context(synthetic_dataset, np.arange(6),
                                      NdcgVectorSpec(k_max=3, candidate_negatives=5),
-                                     rng.derive(2))
+                                     derived_rng(1, 2))
         out = fairness_grad("gender", model, synthetic_masks, consumer_ctx=ctx,
                             spec=NdcgVectorSpec(k_max=3, candidate_negatives=5),
                             config=SmoothRankConfig())
@@ -399,11 +424,11 @@ class TestDispatcher:
         assert out.grad.shape == (model.num_parameters,)
 
     def test_producer_dispatch(self, synthetic_dataset, synthetic_masks):
-        rng = SeededRng(2)
+        rng = np.random.default_rng(2)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 2, 0.0, rng)
         ctx = build_producer_context(synthetic_dataset, np.arange(6), 5, 8,
-                                     rng.derive(3))
+                                     derived_rng(2, 3))
         out = fairness_grad("popularity", model, synthetic_masks,
                             producer_ctx=ctx,
                             config=SmoothRankConfig(temperature=0.1))
@@ -412,12 +437,12 @@ class TestDispatcher:
     def test_missing_mask_rejected(self, synthetic_dataset):
         from moofair.data import GroupMaskSet
 
-        rng = SeededRng(3)
+        rng = np.random.default_rng(3)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 2, 0.0, rng)
         ctx = build_consumer_context(synthetic_dataset, np.arange(4),
                                      NdcgVectorSpec(k_max=2, candidate_negatives=4),
-                                     rng.derive(1))
+                                     derived_rng(3, 1))
         with pytest.raises(ValueError, match="gender mask"):
             fairness_grad("gender", model, GroupMaskSet(), consumer_ctx=ctx,
                           spec=NdcgVectorSpec(k_max=2, candidate_negatives=4))
@@ -425,7 +450,7 @@ class TestDispatcher:
 
 class TestContextBuilders:
     def test_consumer_candidates_start_with_positives(self, synthetic_dataset):
-        rng = SeededRng(4)
+        rng = np.random.default_rng(4)
         users = np.arange(5)
         ctx = build_consumer_context(synthetic_dataset, users,
                                      NdcgVectorSpec(k_max=3, candidate_negatives=7),
@@ -439,7 +464,7 @@ class TestContextBuilders:
                 assert int(j) not in sets[u]
 
     def test_producer_relevant_capped(self, synthetic_dataset):
-        rng = SeededRng(5)
+        rng = np.random.default_rng(5)
         ctx = build_producer_context(synthetic_dataset, np.arange(5), 3, 6, rng)
         assert np.all(ctx.relevant_counts <= 3)
         for cand, noise in zip(ctx.candidates, ctx.noise):
@@ -448,9 +473,9 @@ class TestContextBuilders:
     def test_deterministic(self, synthetic_dataset):
         a = build_consumer_context(synthetic_dataset, np.arange(4),
                                    NdcgVectorSpec(k_max=2, candidate_negatives=6),
-                                   SeededRng(6))
+                                   np.random.default_rng(6))
         b = build_consumer_context(synthetic_dataset, np.arange(4),
                                    NdcgVectorSpec(k_max=2, candidate_negatives=6),
-                                   SeededRng(6))
+                                   np.random.default_rng(6))
         for ca, cb in zip(a.candidates, b.candidates):
             assert np.array_equal(ca, cb)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import dominates, two_objective_alpha
 from moofair.solver import (
     SimplexWeights,
     SolutionRecord,
-    dominates,
     frank_wolfe_solve,
     gram_matrix,
     least_misery_select,
     pareto_stationary,
-    two_objective_alpha,
 )
 
 
