@@ -10,36 +10,11 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".moofair.lock"
-
-# TrainConfig fields settable through the key = value config file.
-CONFIG_SCHEMA = {
-    "objectives": "objectives",
-    "learning_rate": float,
-    "reg": float,
-    "batch_size": int,
-    "dim": int,
-    "epochs_max": int,
-    "eval_every": int,
-    "early_stop_patience": int,
-    "grad_normalization": str,
-    "exposure_patience": float,
-    "temperature": float,
-    "ndcg_k": int,
-    "steepness": float,
-    "rank_offset": float,
-    "n_r_cap": int,
-    "candidate_negatives": int,
-    "seed": int,
-    "mode": str,
-    "fixed_weights": "weights",
-    "rounds": int,
-    "eval_k": int,
-}
-
 
 class CliError(Exception):
     """Fatal usage/input error; carries the process exit code."""
@@ -49,22 +24,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _coerce(key: str, value: str):
-    kind = CONFIG_SCHEMA[key]
+def _coerce(key: str, value: str, default):
+    """A config value parsed like its TrainConfig field's default; the two
+    tuple fields take comma-separated lists."""
     try:
-        if kind == "objectives":
+        if key == "objectives":
             return tuple(v.strip() for v in value.split(",") if v.strip())
-        if kind == "weights":
+        if key == "fixed_weights":
             return tuple(float(v) for v in value.split(","))
-        return kind(value)
+        return type(default)(value)
     except ValueError as exc:
         raise CliError(f"config key {key!r}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` document mirroring the training configuration."""
+    """Flat ``key = value`` document; the keys are the TrainConfig fields."""
+    from .training import TrainConfig
+
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
     values = {}
     problems = []
     with open(path) as fh:
@@ -76,11 +55,11 @@ def parse_config_file(path: str) -> dict:
                 problems.append(f"{path}:{lineno}: expected 'key = value'")
                 continue
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_SCHEMA:
+            if key not in defaults:
                 problems.append(f"{path}:{lineno}: unknown key {key!r}")
                 continue
             try:
-                values[key] = _coerce(key, raw)
+                values[key] = _coerce(key, raw, defaults[key])
             except CliError as exc:
                 problems.append(f"{path}:{lineno}: {exc}")
     if problems:
@@ -276,8 +255,7 @@ def cmd_grid(args) -> int:
 
     with OutputLock(args.out):
         points = grid_search(dataset, masks, config,
-                             weight_grid=grid or DEFAULT_GRID,
-                             k_values=(10, 20))
+                             weight_grid=grid or DEFAULT_GRID)
         selected, results = run_pareto_rounds(dataset, masks, config)
         _emit_round_outputs(args.out, config, results, selected)
         path = os.path.join(args.out, "frontier.csv")

@@ -109,7 +109,6 @@ class InteractionDataset:
     split: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
-    _train_sets: list | None = field(default=None, repr=False)
     _train_lists: list | None = field(default=None, repr=False)
     _train_complements: list | None = field(default=None, repr=False)
     _train_membership: np.ndarray | None = field(default=None, repr=False)
@@ -126,23 +125,15 @@ class InteractionDataset:
         mask = self.split == split
         return self.users[mask], self.items[mask]
 
-    def train_item_sets(self) -> list:
-        """Per-user frozensets of train-split items (cached)."""
-        if self._train_sets is None:
-            sets = [set() for _ in range(self.num_users)]
-            mask = self.split == TRAIN
-            for u, i in zip(self.users[mask], self.items[mask]):
-                sets[u].add(int(i))
-            self._train_sets = [frozenset(s) for s in sets]
-        return self._train_sets
-
     def train_positive_lists(self) -> list:
-        """Per-user sorted arrays of train-split items (cached)."""
+        """Per-user sorted, de-duplicated int64 arrays of train-split items
+        (cached): one sort of the (user, item) pair codes, split by user."""
         if self._train_lists is None:
-            self._train_lists = [
-                np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-                for s in self.train_item_sets()
-            ]
+            users, items = self.split_pairs(TRAIN)
+            codes = np.unique(users.astype(np.int64) * self.num_items + items)
+            starts = np.searchsorted(codes, np.arange(1, self.num_users, dtype=np.int64)
+                                     * self.num_items)
+            self._train_lists = np.split(codes % self.num_items, starts)
         return self._train_lists
 
     def train_membership(self) -> np.ndarray:
@@ -160,11 +151,10 @@ class InteractionDataset:
             catalog = np.arange(self.num_items, dtype=np.int64)
             keep = np.ones(self.num_items, dtype=bool)
             complements = []
-            for positives in self.train_item_sets():
-                idx = np.fromiter(positives, dtype=np.int64, count=len(positives))
-                keep[idx] = False
+            for positives in self.train_positive_lists():
+                keep[positives] = False
                 complements.append(catalog[keep])
-                keep[idx] = True
+                keep[positives] = True
             self._train_complements = complements
         return self._train_complements
 

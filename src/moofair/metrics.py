@@ -171,18 +171,13 @@ def exposure_counts(run: RecommendationRun, num_items: int) -> np.ndarray:
     return np.bincount(run.lists.ravel(), minlength=num_items).astype(np.float64)
 
 
-def gini_index(run: RecommendationRun, num_items: int,
-               recommended_only: bool = False) -> float:
+def gini_index(run: RecommendationRun, num_items: int) -> float:
     """Inequality of item exposure across the catalog, in [0, 1).
 
     Exposure is the occurrence count in all lists; items never recommended
-    count as zero unless ``recommended_only`` restricts to the items that
-    appear at least once.
+    count as zero.
     """
-    exposures = exposure_counts(run, num_items)
-    if recommended_only:
-        exposures = exposures[exposures > 0]
-    return gini_from_exposures(exposures)
+    return gini_from_exposures(exposure_counts(run, num_items))
 
 
 def gini_from_exposures(exposures: np.ndarray) -> float:
@@ -224,11 +219,9 @@ def simpson_diversity(run: RecommendationRun, group_mask: np.ndarray) -> float:
 
 def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSet,
              k_values=(10, 20), patience: float = 0.5, label: str = "model",
-             disparity_user_variant: str = "gender",
-             diversity_grouping: str = "popularity") -> list:
+             disparity_user_variant: str = "gender") -> list:
     """All seven metrics at each requested list depth, one row per (model, k)."""
     rows = []
-    diversity_mask = masks.mask_for(diversity_grouping)
     # one ranking at the deepest k: a stable order's shallower lists are prefixes
     deepest = build_recommendations(model, dataset, max(k_values)) if k_values else None
     for k in k_values:
@@ -242,7 +235,7 @@ def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSe
             "disparity_i": disparity_item(run, masks.popularity, patience),
             "gini": gini_index(run, dataset.num_items),
             "popularity_rate": popularity_rate(run, masks.popularity),
-            "diversity": simpson_diversity(run, diversity_mask),
+            "diversity": simpson_diversity(run, masks.popularity),
         })
     return rows
 

@@ -6,13 +6,16 @@ penalized (gender and age groupings).
 
 Producer side: item sampling probabilities are Gumbel-perturbed, turned into
 smooth ranks and position-biased exposure, aggregated per item group, and the
-normalized exposure distribution is pulled toward a target (popularity and
-genre groupings).
+normalized exposure distribution is pulled toward the flat distribution
+(popularity and genre groupings).
 
-``SmoothRankConfig`` holds the hyperparameters of both smooth-ranking chains:
-the sigmoid rank approximation of Qin, Liu & Li (IRJ 2010) with soft top-k
-cutoffs on the consumer side, and temperature ranks with the position-biased
-exposure of Singh & Joachims (KDD 2018) on the producer side.
+The hyperparameters of both smooth-ranking chains are ``TrainConfig``
+fields (``training.py``), which validates them: ``ndcg_k`` and ``steepness``
+for the sigmoid rank approximation of Qin, Liu & Li (IRJ 2010) with soft
+top-k cutoffs on the consumer side; ``temperature``, ``exposure_patience``
+and ``rank_offset`` for the temperature ranks and position-biased exposure
+of Singh & Joachims (KDD 2018) on the producer side, whose equal-exposure
+notion sets the flat target.
 
 Every objective returns its scalar loss together with its analytic gradient
 over the flattened model parameters; the gradients backpropagate through the
@@ -26,12 +29,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import GroupMaskSet, InteractionDataset
 from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad
 from .numerics import sample_gumbel, sigmoid
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -46,109 +53,33 @@ LN2 = float(np.log(2.0))
 USER_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class NdcgVectorSpec:
-    """Shape of the training-time NDCG vectors: truncation depths 1..k_max,
-    candidate sets of all train positives plus sampled negatives."""
-
-    k_max: int = 50
-    candidate_negatives: int = 200
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.candidate_negatives < 0:
-            raise ValueError("candidate_negatives must be >= 0")
-
-
-@dataclass(frozen=True)
-class SmoothRankConfig:
-    """Hyperparameters of the smooth-ranking chains.
-
-    steepness: sigmoid slope for pairwise smooth ranks and soft top-k cutoffs.
-    temperature: sharpness of probability-based smooth ranks (smaller = harder).
-    patience: per-position decay of user attention, in (0, 1).
-    rank_offset: added to 0-based probability ranks before exposure so they
-        line up with the 1-based convention of hard-rank exposure.
-    """
-
-    steepness: float = 1.0
-    temperature: float = 1e-5
-    patience: float = 0.5
-    rank_offset: float = 1.0
-
-    def __post_init__(self):
-        if self.steepness <= 0:
-            raise ValueError(f"steepness must be > 0, got {self.steepness}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if not 0.0 < self.patience < 1.0:
-            raise ValueError(f"patience must be in (0, 1), got {self.patience}")
-        if self.rank_offset < 0:
-            raise ValueError(f"rank_offset must be >= 0, got {self.rank_offset}")
-
-
-@dataclass(frozen=True)
-class ExposureTarget:
-    """Target exposure distribution over item groups (defaults to flat)."""
-
-    distribution: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.distribution, dtype=np.float64)
-        if d.ndim != 1 or d.shape[0] < 1:
-            raise ValueError("target distribution must be a nonempty vector")
-        if np.any(d < 0) or abs(float(d.sum()) - 1.0) > 1e-9:
-            raise ValueError("target distribution must be nonnegative and sum to 1")
-        object.__setattr__(self, "distribution", d)
-
-    @classmethod
-    def flat(cls, groups: int) -> "ExposureTarget":
-        return cls(np.full(groups, 1.0 / groups))
-
-
 @dataclass
-class ConsumerContext:
-    """Frozen per-batch sampling state for the consumer-side objectives.
+class CandidateContext:
+    """Frozen per-batch sampling state for one objective family.
 
-    Per user: candidate item ids with the train positives first, then the
-    sampled negatives. Users without train positives keep an empty positive
-    prefix; they produce zero NDCG rows and are excluded from group counts.
+    Per user: candidate item ids with the train positives first (the capped
+    relevant items, on the producer side), then the sampled negatives;
+    ``counts`` holds the length of that positive prefix, and ``noise`` one
+    frozen Gumbel draw per candidate (producer side only). Users without
+    train positives keep an empty prefix and take part in no group.
     """
 
     users: np.ndarray
-    candidates: list = field(repr=False, default_factory=list)
-    positive_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.positive_counts > 0
-
-
-@dataclass
-class ProducerContext:
-    """Frozen per-batch sampling state for the producer-side objectives.
-
-    Per user: candidate item ids with the capped relevant items first, then
-    sampled negatives, plus one frozen Gumbel noise draw per candidate.
-    """
-
-    users: np.ndarray
-    candidates: list = field(repr=False, default_factory=list)
-    relevant_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    candidates: list = field(repr=False)
+    counts: np.ndarray
     noise: list = field(repr=False, default_factory=list)
 
 
 def _candidate_lists(dataset: InteractionDataset, users: np.ndarray,
-                     gen: np.random.Generator, negatives: int, cap: int = 0):
+                     gen: np.random.Generator, negatives: int, cap: int | None = None):
     """Per user: the train positives (the first ``cap`` of them when cap is
-    set) followed by ``negatives`` sorted non-positives drawn without
+    given) followed by ``negatives`` sorted non-positives drawn without
     replacement (all of them when fewer exist); plus the positive counts."""
     lists = dataset.train_positive_lists()
     pools = dataset.train_complement_lists()
     candidates, counts = [], []
     for u in users:
-        positives = lists[u][: max(0, cap)] if cap else lists[u]
+        positives = lists[u][:cap]
         pool = pools[u]
         if negatives < pool.shape[0]:
             pool = np.sort(gen.choice(pool, size=negatives, replace=False))
@@ -158,16 +89,16 @@ def _candidate_lists(dataset: InteractionDataset, users: np.ndarray,
 
 
 def build_consumer_context(dataset: InteractionDataset, users,
-                           spec: NdcgVectorSpec,
-                           rng: np.random.Generator) -> ConsumerContext:
+                           candidate_negatives: int,
+                           rng: np.random.Generator) -> CandidateContext:
     users = np.asarray(users, dtype=np.int64)
-    candidates, counts = _candidate_lists(dataset, users, rng, spec.candidate_negatives)
-    return ConsumerContext(users, candidates, counts)
+    candidates, counts = _candidate_lists(dataset, users, rng, candidate_negatives)
+    return CandidateContext(users, candidates, counts)
 
 
 def build_producer_context(dataset: InteractionDataset, users,
                            n_r_cap: int, candidate_negatives: int,
-                           rng: np.random.Generator) -> ProducerContext:
+                           rng: np.random.Generator) -> CandidateContext:
     users = np.asarray(users, dtype=np.int64)
     candidates, counts = _candidate_lists(dataset, users, rng, candidate_negatives,
                                           n_r_cap)
@@ -176,7 +107,7 @@ def build_producer_context(dataset: InteractionDataset, users,
                   else np.empty(0, dtype=np.float64))
     bounds = np.cumsum([0] + sizes)
     noise = [flat_noise[bounds[k]:bounds[k + 1]] for k in range(len(sizes))]
-    return ProducerContext(users, candidates, counts, noise)
+    return CandidateContext(users, candidates, counts, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +128,7 @@ def consumer_group_fairness(group_vectors) -> float:
     return total / (n * (n - 1) / 2)
 
 
-def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
+def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
                       steepness: float):
     """Smooth NDCG@k rows (k = 1..k_max) of the context users plus, per block
     of users, the intermediates the backward of every consumer objective
@@ -222,10 +153,10 @@ def _consumer_forward(model: FactorModel, ctx: ConsumerContext, k_max: int,
     blocks = []
     for start in range(0, ctx.users.shape[0], USER_BLOCK):
         rows = np.arange(start, min(start + USER_BLOCK, ctx.users.shape[0]))
-        rows = rows[ctx.positive_counts[rows] > 0]
+        rows = rows[ctx.counts[rows] > 0]
         if rows.shape[0] == 0:
             continue
-        counts = ctx.positive_counts[rows]
+        counts = ctx.counts[rows]
         pairs = []
         for r, n in zip(rows, counts):
             scaled = steepness * row_scores[r]
@@ -266,10 +197,9 @@ def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid,
     return loss, d_g
 
 
-def consumer_fairness_grad(model: FactorModel, ctx: ConsumerContext,
-                           group_masks: np.ndarray, spec: NdcgVectorSpec,
-                           steepness: float, objective_id: str,
-                           forward=None) -> ObjectiveGradient | None:
+def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
+                           group_masks: np.ndarray, config: TrainConfig,
+                           objective_id: str, forward=None) -> ObjectiveGradient | None:
     """Analytic gradient of a consumer-side objective over the flattened model.
 
     Backpropagates the group-mean disparity through the smooth NDCG rows, the
@@ -278,14 +208,15 @@ def consumer_fairness_grad(model: FactorModel, ctx: ConsumerContext,
     computed here when not given.
     """
     if forward is None:
-        forward = _consumer_forward(model, ctx, spec.k_max, steepness)
+        forward = _consumer_forward(model, ctx, config.ndcg_k, config.steepness)
     g_matrix, blocks = forward
-    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.valid,
+    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.counts > 0,
                                           objective_id)
     if result is None:
         return None
     loss, d_g = result
 
+    steepness = config.steepness
     grad = np.zeros(model.num_parameters)
     for rows, counts, pairs, ranks, disc, trunc, idcg in blocks:
         if not np.any(d_g[rows]):
@@ -332,8 +263,8 @@ def _add_embedding_grad(grad: np.ndarray, model: FactorModel, users: np.ndarray,
 # producer side: group exposure disparity
 # ---------------------------------------------------------------------------
 
-def _producer_forward(model: FactorModel, ctx: ProducerContext,
-                      config: SmoothRankConfig):
+def _producer_forward(model: FactorModel, ctx: CandidateContext,
+                      config: TrainConfig):
     """Per shape bucket, the part of the producer chain every producer
     objective shares: sampling probabilities, relevant-item exposure, and the
     rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
@@ -342,13 +273,13 @@ def _producer_forward(model: FactorModel, ctx: ProducerContext,
     Probabilities are the softmax of the Gumbel-perturbed candidate scores. A
     relevant item's smooth 0-based rank is
     sum_{j != i} sigmoid(-(p_i - p_j) / temperature), and its exposure is
-    patience ** (rank + rank_offset).
+    exposure_patience ** (rank + rank_offset).
 
     Rows are bucketed by (relevant count, candidate count), nearly uniform
     (cap + fixed negative draw), so each bucket runs as stacked array ops.
     """
     shapes: dict = {}
-    for row, (n_rel, cand) in enumerate(zip(ctx.relevant_counts, ctx.candidates)):
+    for row, (n_rel, cand) in enumerate(zip(ctx.counts, ctx.candidates)):
         if n_rel:
             shapes.setdefault((int(n_rel), cand.shape[0]), []).append(row)
     all_scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
@@ -364,7 +295,7 @@ def _producer_forward(model: FactorModel, ctx: ProducerContext,
         probs /= probs.sum(axis=1, keepdims=True)
         pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
         ranks = pair.sum(axis=2) - 0.5  # remove the j == i term
-        expo = np.power(config.patience, ranks + config.rank_offset)  # (B, R)
+        expo = np.power(config.exposure_patience, ranks + config.rank_offset)  # (B, R)
         slope = pair
         slope *= 1.0 - pair
         diag = np.arange(n_rel)
@@ -373,12 +304,11 @@ def _producer_forward(model: FactorModel, ctx: ProducerContext,
     return buckets
 
 
-def _exposure_disparity(forward, item_group_mask: np.ndarray,
-                        target: ExposureTarget | None, objective_id: str):
+def _exposure_disparity(forward, item_group_mask: np.ndarray, objective_id: str):
     """The mask-dependent producer part: exposure routed to the item groups,
     then (loss, d loss / d raw group exposure, per-bucket routing) of its
-    normalization against the target (flat by default). None (with a
-    warning) when the batch routes no exposure at all."""
+    normalization against the flat distribution. None (with a warning) when
+    the batch routes no exposure at all."""
     raw = np.zeros(item_group_mask.shape[0])
     routings = []
     for _, n_rel, cands, _, expo, _, _ in forward:
@@ -389,18 +319,14 @@ def _exposure_disparity(forward, item_group_mask: np.ndarray,
     if total <= 0.0:
         logger.warning("%s objective skipped: no routed exposure", objective_id)
         return None
-    if target is None:
-        target = ExposureTarget.flat(raw.shape[0])
     eps = raw / total
-    diff = eps - target.distribution
+    diff = eps - 1.0 / raw.shape[0]
     # d loss / d raw_g through the normalization eps = raw / sum(raw)
     return float(diff @ diff), (2.0 / total) * (diff - float(diff @ eps)), routings
 
 
-def producer_fairness_grad(model: FactorModel, ctx: ProducerContext,
-                           item_group_mask: np.ndarray,
-                           config: SmoothRankConfig,
-                           target: ExposureTarget | None = None,
+def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
+                           item_group_mask: np.ndarray, config: TrainConfig,
                            objective_id: str = "popularity",
                            forward=None) -> ObjectiveGradient | None:
     """Analytic gradient of a producer-side objective over the flattened model.
@@ -412,13 +338,13 @@ def producer_fairness_grad(model: FactorModel, ctx: ProducerContext,
     """
     if forward is None:
         forward = _producer_forward(model, ctx, config)
-    result = _exposure_disparity(forward, item_group_mask, target, objective_id)
+    result = _exposure_disparity(forward, item_group_mask, objective_id)
     if result is None:
         return None
     loss, d_raw, routings = result
 
     d_all_scores = np.zeros((ctx.users.shape[0], model.num_items))
-    log_patience = float(np.log(config.patience))
+    log_patience = float(np.log(config.exposure_patience))
     inv_tau = 1.0 / config.temperature
     for (rows, n_rel, cands, probs, expo, slope, slope_sums), routing in zip(
             forward, routings):
@@ -449,11 +375,9 @@ def _objective_mask(masks: GroupMaskSet, objective_id: str) -> np.ndarray:
 
 def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
                   *, triplet_batch: TripletBatch | None = None,
-                  consumer_ctx: ConsumerContext | None = None,
-                  producer_ctx: ProducerContext | None = None,
-                  spec: NdcgVectorSpec | None = None,
-                  config: SmoothRankConfig | None = None,
-                  target: ExposureTarget | None = None,
+                  consumer_ctx: CandidateContext | None = None,
+                  producer_ctx: CandidateContext | None = None,
+                  config: TrainConfig | None = None,
                   forwards: dict | None = None) -> ObjectiveGradient | None:
     """Loss and gradient of any configured objective on the current batch.
 
@@ -470,16 +394,15 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
     if forwards is None:
         forwards = {}
     if objective_id in CONSUMER_OBJECTIVES:
-        if consumer_ctx is None or spec is None:
+        if consumer_ctx is None or config is None:
             raise ValueError(f"{objective_id} objective requires a consumer context")
         mask = _objective_mask(masks, objective_id)
-        steepness = config.steepness if config is not None else 1.0
         if "consumer" not in forwards:
-            forwards["consumer"] = _consumer_forward(model, consumer_ctx, spec.k_max,
-                                                     steepness)
+            forwards["consumer"] = _consumer_forward(model, consumer_ctx, config.ndcg_k,
+                                                     config.steepness)
         return consumer_fairness_grad(model, consumer_ctx,
-                                      mask[:, consumer_ctx.users], spec,
-                                      steepness, objective_id, forwards["consumer"])
+                                      mask[:, consumer_ctx.users], config,
+                                      objective_id, forwards["consumer"])
     if objective_id in PRODUCER_OBJECTIVES:
         if producer_ctx is None or config is None:
             raise ValueError(f"{objective_id} objective requires a producer context")
@@ -487,5 +410,5 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
         if "producer" not in forwards:
             forwards["producer"] = _producer_forward(model, producer_ctx, config)
         return producer_fairness_grad(model, producer_ctx, mask, config,
-                                      target, objective_id, forwards["producer"])
+                                      objective_id, forwards["producer"])
     raise ValueError(f"unknown objective {objective_id!r}")

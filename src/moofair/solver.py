@@ -68,17 +68,13 @@ def _project_simplex(alpha: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
-def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6,
-                      return_history: bool = False):
+def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6) -> SimplexWeights:
     """Minimize alpha^T M alpha over the probability simplex.
 
     M is the (symmetric PSD) Gram matrix of the objective gradients, so the
     optimum is the squared norm of the min-norm point of their convex hull.
     Starting from uniform weights, each iteration moves toward the vertex
     with the smallest combined inner product, with a closed-form line search.
-
-    Returns SimplexWeights, or (SimplexWeights, history of alpha^T M alpha per
-    iteration) when ``return_history`` is set.
     """
     m = as_matrix(M, "M")
     t = m.shape[0]
@@ -88,7 +84,6 @@ def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6,
         raise ValueError("M must be symmetric")
 
     alpha = np.full(t, 1.0 / t)
-    history = [float(alpha @ m @ alpha)]
     if t > 1:
         for _ in range(max_iters):
             combined = m @ alpha
@@ -104,13 +99,9 @@ def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6,
             new_alpha[target] += w_star
             step_change = w_star * float(np.abs(new_alpha - alpha).sum())
             alpha = new_alpha
-            history.append(float(alpha @ m @ alpha))
             if step_change < tol:
                 break
-    weights = SimplexWeights(_project_simplex(alpha))
-    if return_history:
-        return weights, history
-    return weights
+    return SimplexWeights(_project_simplex(alpha))
 
 
 def pareto_stationary(M, alpha: SimplexWeights, tol: float) -> bool:

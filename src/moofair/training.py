@@ -25,9 +25,6 @@ from .objectives import (
     CONSUMER_OBJECTIVES,
     OBJECTIVE_IDS,
     PRODUCER_OBJECTIVES,
-    ExposureTarget,
-    NdcgVectorSpec,
-    SmoothRankConfig,
     build_consumer_context,
     build_producer_context,
     fairness_grad,
@@ -46,14 +43,26 @@ GRAD_NORM_EPS = 1e-12
 ZERO_GRAD_TOL = 1e-10
 FINAL_EVAL_BATCHES = 10
 
+# Allowed range of each numeric TrainConfig field: (fields, bound, test).
+FIELD_RANGES = (
+    (("learning_rate", "temperature", "steepness"), "> 0", lambda v: v > 0),
+    (("batch_size", "dim", "epochs_max", "eval_every", "early_stop_patience",
+      "ndcg_k", "n_r_cap", "rounds", "eval_k"), ">= 1", lambda v: v >= 1),
+    (("reg", "rank_offset", "candidate_negatives", "seed"), ">= 0", lambda v: v >= 0),
+    (("exposure_patience",), "in (0, 1)", lambda v: 0 < v < 1),
+)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on.
+    """Everything one training run depends on, validated at construction
+    (``FIELD_RANGES`` for the numeric fields).
 
     ``grad_normalization`` defaults to "auto": unit L2 normalization whenever
     several objectives of very different magnitudes are mixed, none for plain
-    single-objective training.
+    single-objective training. ``ndcg_k``, ``steepness``, ``temperature``,
+    ``exposure_patience`` and ``rank_offset`` shape the smooth-ranking chains
+    of the fairness objectives (``objectives.py``).
     """
 
     objectives: tuple = ("bpr",)
@@ -88,8 +97,11 @@ class TrainConfig:
         if len(set(objectives)) != len(objectives):
             raise ValueError("objectives must be unique")
         object.__setattr__(self, "objectives", objectives)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for names, bound, within in FIELD_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not within(value):
+                    raise ValueError(f"{name} must be {bound}, got {value!r}")
         if self.mode not in ("mgda", "fixed_weights"):
             raise ValueError(f"mode must be 'mgda' or 'fixed_weights', got {self.mode!r}")
         if self.grad_normalization not in ("auto", "none", "l2"):
@@ -102,8 +114,6 @@ class TrainConfig:
                 raise ValueError("fixed_weights length must match objectives")
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
     @property
     def num_objectives(self) -> int:
@@ -113,18 +123,6 @@ class TrainConfig:
         if self.grad_normalization != "auto":
             return self.grad_normalization
         return "l2" if self.num_objectives > 1 else "none"
-
-    def smooth_config(self) -> SmoothRankConfig:
-        return SmoothRankConfig(
-            steepness=self.steepness,
-            temperature=self.temperature,
-            patience=self.exposure_patience,
-            rank_offset=self.rank_offset,
-        )
-
-    def ndcg_spec(self) -> NdcgVectorSpec:
-        return NdcgVectorSpec(k_max=self.ndcg_k,
-                              candidate_negatives=self.candidate_negatives)
 
     def validate_masks(self, masks: GroupMaskSet) -> None:
         missing = [o for o in self.objectives
@@ -196,18 +194,15 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
     it, and it is dropped before the next family runs.
     """
     batch_users = np.unique(batch.users)
-    spec = config.ndcg_spec()
-    smooth = config.smooth_config()
     consumer_ctx = None
     producer_ctx = None
     if any(o in CONSUMER_OBJECTIVES for o in config.objectives):
-        consumer_ctx = build_consumer_context(dataset, batch_users, spec, ctx_gen)
+        consumer_ctx = build_consumer_context(dataset, batch_users,
+                                              config.candidate_negatives, ctx_gen)
     if any(o in PRODUCER_OBJECTIVES for o in config.objectives):
         producer_ctx = build_producer_context(dataset, batch_users,
                                               config.n_r_cap,
                                               config.candidate_negatives, ctx_gen)
-    targets = {o: ExposureTarget.flat(masks.mask_for(o).shape[0])
-               for o in config.objectives if o in PRODUCER_OBJECTIVES}
     results = [None] * config.num_objectives
     for family in (("bpr",), CONSUMER_OBJECTIVES, PRODUCER_OBJECTIVES):
         forwards = {}
@@ -216,12 +211,11 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
                 results[k] = fairness_grad(
                     objective, model, masks, triplet_batch=batch,
                     consumer_ctx=consumer_ctx, producer_ctx=producer_ctx,
-                    spec=spec, config=smooth, target=targets.get(objective),
-                    forwards=forwards)
+                    config=config, forwards=forwards)
     return results
 
 
-def _combine_gradients(results, config, fw_max_iters=100, fw_tol=1e-6):
+def _combine_gradients(results, config):
     """Scaling coefficients over all configured objectives for one batch.
 
     Skipped objectives (None results) get weight zero, and so do objectives
@@ -256,7 +250,7 @@ def _combine_gradients(results, config, fw_max_iters=100, fw_tol=1e-6):
         alpha[active[0]] = 1.0
         return alpha, grads[0], fw_used
     m = gram_matrix(grads)
-    weights = frank_wolfe_solve(m, max_iters=fw_max_iters, tol=fw_tol)
+    weights = frank_wolfe_solve(m)
     fw_used = True
     for pos, k in enumerate(active):
         alpha[k] = weights.values[pos]
@@ -371,13 +365,12 @@ DEFAULT_GRID = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
 
 def grid_search(dataset: InteractionDataset, masks: GroupMaskSet,
-                config: TrainConfig, weight_grid=DEFAULT_GRID,
-                k_values=(10, 20)):
+                config: TrainConfig, weight_grid=DEFAULT_GRID):
     """Fixed-weight scan over two objectives, one training run per point.
 
     Each grid value is the weight on the ranking objective; the remainder
-    goes to the single fairness objective. Returns (weights, metrics rows,
-    round result) triples ready for a frontier plot.
+    goes to the single fairness objective. Returns (weights, metrics rows at
+    k = 10, 20, round result) triples ready for a frontier plot.
     """
     if config.num_objectives != 2:
         raise ValueError("grid search requires exactly two objectives")
@@ -386,7 +379,7 @@ def grid_search(dataset: InteractionDataset, masks: GroupMaskSet,
         weights = (float(w), 1.0 - float(w))
         run_config = replace(config, mode="fixed_weights", fixed_weights=weights)
         result = train_round(dataset, masks, run_config, round_index=0)
-        rows = evaluate(result.model, dataset, masks, k_values=k_values,
+        rows = evaluate(result.model, dataset, masks,
                         patience=config.exposure_patience,
                         label=f"grid_{w:g}")
         out.append((weights, rows, result))

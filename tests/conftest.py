@@ -69,6 +69,30 @@ def synthetic_masks(synthetic_raw, synthetic_dataset):
     return build_masks(synthetic_dataset, synthetic_raw)
 
 
+# Per numeric TrainConfig field: a value just outside its range, and the
+# value at (or, for an open bound, just inside) the range's edge.
+FIELD_BOUNDS = (
+    ("learning_rate", 0.0, 1e-12),
+    ("temperature", 0.0, 1e-12),
+    ("steepness", 0.0, 1e-12),
+    ("batch_size", 0, 1),
+    ("dim", 0, 1),
+    ("epochs_max", 0, 1),
+    ("eval_every", 0, 1),
+    ("early_stop_patience", 0, 1),
+    ("ndcg_k", 0, 1),
+    ("n_r_cap", 0, 1),
+    ("rounds", 0, 1),
+    ("eval_k", 0, 1),
+    ("reg", -1e-12, 0.0),
+    ("rank_offset", -1e-12, 0.0),
+    ("candidate_negatives", -1, 0),
+    ("seed", -1, 0),
+    ("exposure_patience", 0.0, 1e-12),
+    ("exposure_patience", 1.0, 1.0 - 1e-12),
+)
+
+
 def derived_rng(seed, index):
     """Independent child stream ``index`` of ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))

@@ -1,10 +1,12 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from conftest import GENRES, make_raw
+from moofair.training import TrainConfig
+from conftest import FIELD_BOUNDS, GENRES, make_raw
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +241,42 @@ class TestConfigFile:
         assert code == 0
         meta = (out / "round_1" / "metadata.txt").read_text()
         assert "seed = 7" in meta
+
+
+    def test_keys_are_the_train_config_fields(self, tmp_path):
+        config = TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights",
+                             fixed_weights=(0.25, 0.75), temperature=0.125)
+        path = tmp_path / "all.cfg"
+        lines = []
+        for f in fields(TrainConfig):
+            value = getattr(config, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            lines.append(f"{f.name} = {text}\n")
+        path.write_text("".join(lines))
+        values = parse_config_file(str(path))
+        assert set(values) == {f.name for f in fields(TrainConfig)}
+        assert TrainConfig(**values) == config
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, rejected) for name, rejected, _ in FIELD_BOUNDS]
+        + [("learning_rate", -1.0)],
+    )
+    def test_out_of_range_value_exits_2_before_training(self, bundle, tmp_path,
+                                                         capsys, name, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{name} = {value}\n")
+        flags = {"--rounds": "1", "--epochs": "1"}
+        # a flag would override the file's value
+        flags.pop({"rounds": "--rounds", "epochs_max": "--epochs"}.get(name), None)
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--config", str(path), "--objectives", "bpr"]
+                    + [arg for flag in flags.items() for arg in flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid training configuration" in err and name in err
+        assert not out.exists()
 
 
 class TestLock:

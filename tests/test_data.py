@@ -358,6 +358,48 @@ class TestPopularityMask:
             np.testing.assert_array_equal(np.flatnonzero(mask[row]), [row])
 
 
+def set_based_train_lists(dataset):
+    """Per-user train items gathered in Python sets: the oracle of
+    ``train_positive_lists``."""
+    sets = [set() for _ in range(dataset.num_users)]
+    users, items = dataset.split_pairs(TRAIN)
+    for u, i in zip(users, items):
+        sets[u].add(int(i))
+    return [np.array(sorted(s), dtype=np.int64) for s in sets]
+
+
+class TestTrainLists:
+    def repeated_pair_log(self):
+        # user 0 has train pair (0, 3) twice, user 1 only a test item, user 3
+        # no interactions; rows are not sorted by user
+        users = np.array([2, 0, 0, 1, 0, 2, 0], dtype=np.int64)
+        items = np.array([4, 3, 1, 2, 3, 0, 2], dtype=np.int64)
+        split = np.array([VAL, TRAIN, TRAIN, TEST, TRAIN, TRAIN, TRAIN], dtype=np.int8)
+        return InteractionDataset(4, 5, users, items, np.arange(7, dtype=np.int64),
+                                  split, np.arange(4, dtype=np.int64),
+                                  np.arange(5, dtype=np.int64))
+
+    @pytest.mark.parametrize("which", ["repeated_pair", "counts", "synthetic"])
+    def test_positive_lists_match_set_oracle(self, which, synthetic_dataset):
+        dataset = {"repeated_pair": self.repeated_pair_log,
+                   "counts": lambda: dataset_with_counts([10, 9, 3, 8, 1]),
+                   "synthetic": lambda: synthetic_dataset}[which]()
+        lists = dataset.train_positive_lists()
+        oracle = set_based_train_lists(dataset)
+        assert len(lists) == len(oracle) == dataset.num_users
+        for got, want in zip(lists, oracle):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeated_pair_lists(self):
+        dataset = self.repeated_pair_log()
+        lists = dataset.train_positive_lists()
+        assert [row.tolist() for row in lists] == [[1, 2, 3], [], [0], []]
+        complements = dataset.train_complement_lists()
+        assert [row.tolist() for row in complements] == [
+            [0, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]]
+
+
 class TestBuildMasks:
     def test_gender_partition(self, synthetic_masks, synthetic_dataset):
         gender = synthetic_masks.gender

@@ -201,9 +201,8 @@ class TestGini:
         run = run_from([[0, 1], [0, 2]], [[0], [0]])
         counts = exposure_counts(run, 5)
         np.testing.assert_array_equal(counts, [2, 1, 1, 0, 0])
-        full = gini_index(run, 5)
-        reduced = gini_index(run, 5, recommended_only=True)
-        assert full > reduced  # zero-exposure items increase inequality
+        # sorted exposures (0, 0, 1, 1, 2): sum (2r - 6) e_r / (5 * 4) = 10 / 20
+        assert gini_index(run, 5) == pytest.approx(0.5)
 
 
 class TestPopularityRate:

@@ -189,9 +189,9 @@ class TestNegativeSampling:
     def test_forced_outcome(self, synthetic_dataset):
         ds = synthetic_dataset
         # craft a user whose train positives cover all items but one
-        sets = ds.train_item_sets()
         target_user = 0
-        missing = next(i for i in range(ds.num_items) if i not in sets[target_user])
+        positives = set(ds.train_positive_lists()[target_user].tolist())
+        missing = next(i for i in range(ds.num_items) if i not in positives)
         ds_patched = type(ds)(**{k: v for k, v in ds.__dict__.items()
                                  if not k.startswith("_train")})
         membership = ds_patched.train_membership()
@@ -230,14 +230,14 @@ class TestNegativeSampling:
         out = attach_negatives(synthetic_dataset, np.random.default_rng(4),
                                users, items)
         assert out.size == users.shape[0]
-        sets = synthetic_dataset.train_item_sets()
+        lists = synthetic_dataset.train_positive_lists()
         for u, j in zip(out.users, out.neg_items):
-            assert int(j) not in sets[u]
+            assert int(j) not in lists[u]
 
     def test_negatives_uniform_over_non_positives(self, synthetic_dataset):
         ds = synthetic_dataset
         user = 0
-        positives = ds.train_item_sets()[user]
+        positives = set(ds.train_positive_lists()[user].tolist())
         complement = sorted(set(range(ds.num_items)) - positives)
         out = attach_negatives(ds, np.random.default_rng(5),
                                np.full(10**5, user), np.zeros(10**5, dtype=np.int64))

@@ -3,7 +3,8 @@ import pytest
 
 from moofair.model import FactorModel
 from moofair.numerics import gumbel_from_uniform, sample_gumbel, sigmoid
-from moofair.objectives import ProducerContext, SmoothRankConfig, _producer_forward
+from moofair.objectives import CandidateContext, _producer_forward
+from moofair.training import TrainConfig
 from moofair.solver import gram_matrix
 from moofair.training import _round_streams, _shared_eval_stream
 
@@ -83,9 +84,9 @@ class TestSoftmax:
     @staticmethod
     def probs(scores):
         model = FactorModel(np.array([[1.0]]), np.asarray(scores)[:, None])
-        ctx = ProducerContext(np.array([0]), [np.arange(len(scores))],
-                              np.array([1]), [np.zeros(len(scores))])
-        return _producer_forward(model, ctx, SmoothRankConfig())[0][3][0]
+        ctx = CandidateContext(np.array([0]), [np.arange(len(scores))],
+                               np.array([1]), [np.zeros(len(scores))])
+        return _producer_forward(model, ctx, TrainConfig())[0][3][0]
 
     def test_uniform(self):
         np.testing.assert_allclose(self.probs([3.0, 3.0, 3.0]), 1.0 / 3.0)

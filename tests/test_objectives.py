@@ -5,11 +5,7 @@ import pytest
 
 from moofair.model import FactorModel, init_model
 from moofair.objectives import (
-    ConsumerContext,
-    ExposureTarget,
-    NdcgVectorSpec,
-    ProducerContext,
-    SmoothRankConfig,
+    CandidateContext,
     _consumer_forward,
     _consumer_loss_and_ndcg_grad,
     build_consumer_context,
@@ -19,6 +15,7 @@ from moofair.objectives import (
     fairness_grad,
     producer_fairness_grad,
 )
+from moofair.training import TrainConfig
 from conftest import derived_rng, finite_difference_gradient, max_relative_error
 
 
@@ -63,7 +60,7 @@ class TestConsumerGroupFairness:
 
 def context_for(candidates, positive_counts):
     users = np.arange(len(candidates), dtype=np.int64)
-    return ConsumerContext(
+    return CandidateContext(
         users,
         [np.asarray(c, dtype=np.int64) for c in candidates],
         np.asarray(positive_counts, dtype=np.int64),
@@ -81,7 +78,7 @@ def hard_rank_ndcg(model, ctx, k_max):
     rows = np.zeros((ctx.users.shape[0], k_max))
     ks = np.arange(1, k_max + 1)
     for row, (u, cand, n) in enumerate(zip(ctx.users, ctx.candidates,
-                                           ctx.positive_counts)):
+                                           ctx.counts)):
         if n == 0:
             continue
         scores = model.item_embeddings[cand] @ model.user_embeddings[u]
@@ -186,13 +183,13 @@ def producer_context_for(candidates, relevant_counts, noise=None):
     cands = [np.asarray(c, dtype=np.int64) for c in candidates]
     if noise is None:
         noise = [np.zeros(c.shape[0]) for c in cands]
-    return ProducerContext(users, cands,
-                           np.asarray(relevant_counts, dtype=np.int64), noise)
+    return CandidateContext(users, cands,
+                            np.asarray(relevant_counts, dtype=np.int64), noise)
 
 
-def producer_loss(model, ctx, mask, config, target=None):
+def producer_loss(model, ctx, mask, config):
     """Loss of the producer gradient call, or None when skipped."""
-    result = producer_fairness_grad(model, ctx, mask, config, target)
+    result = producer_fairness_grad(model, ctx, mask, config)
     return None if result is None else result.loss
 
 
@@ -204,7 +201,7 @@ class TestProducerLoss:
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        config = SmoothRankConfig(temperature=1e-6, patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
         return model, ctx, mask, config
 
     def test_hand_computed_pipeline(self):
@@ -213,16 +210,19 @@ class TestProducerLoss:
         assert loss == pytest.approx(1.0 / 18.0, abs=1e-9)
 
     def test_exposure_matches_target_is_zero(self):
-        model, ctx, mask, config = self.hand_instance()
-        target = ExposureTarget(np.array([2.0 / 3.0, 1.0 / 3.0]))
-        assert producer_loss(model, ctx, mask, config,
-                                      target) == pytest.approx(0.0, abs=1e-12)
+        # equal scores, zero noise, one item per group: the achieved exposure
+        # distribution is the flat target
+        model = FactorModel(np.array([[1.0]]), np.array([[1.5], [1.5]]))
+        ctx = producer_context_for([[0, 1]], [2])
+        mask = np.eye(2, dtype=np.int8)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
+        assert producer_loss(model, ctx, mask, config) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_exposure_in_one_group(self):
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.array([[1, 1], [0, 0]], dtype=np.int8)
-        config = SmoothRankConfig(temperature=1e-6, patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
         loss = producer_loss(model, ctx, mask, config)
         assert loss == pytest.approx(0.5)
 
@@ -231,7 +231,7 @@ class TestProducerLoss:
         ctx = producer_context_for([[0, 1]], [2])
         # item 0 belongs to both groups: routed sums exceed its own exposure
         mask = np.array([[1, 1], [1, 0]], dtype=np.int8)
-        config = SmoothRankConfig(temperature=1e-6, patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
         loss = producer_loss(model, ctx, mask, config)
         raw = np.array([0.5 + 0.25, 0.5])
         eps = raw / raw.sum()
@@ -243,31 +243,21 @@ class TestProducerLoss:
         ctx = producer_context_for([[0, 1]], [0])
         mask = np.eye(2, dtype=np.int8)
         with caplog.at_level(logging.WARNING):
-            assert producer_loss(model, ctx, mask,
-                                          SmoothRankConfig()) is None
+            assert producer_loss(model, ctx, mask, TrainConfig()) is None
 
     def test_normalized_exposure_is_probability_vector(self, synthetic_dataset,
                                                        synthetic_masks):
-        # exercised indirectly: any target distribution summing to 1 with the
-        # flat target swapped in changes the loss by a bounded amount
+        # the normalized exposure and the flat target are both probability
+        # vectors, which bounds the loss
         rng = np.random.default_rng(11)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 3, 0.0, rng)
         ctx = build_producer_context(synthetic_dataset, np.arange(8), 5, 10,
                                      derived_rng(11, 1))
-        config = SmoothRankConfig(temperature=0.05, patience=0.5)
+        config = TrainConfig(temperature=0.05, exposure_patience=0.5)
         loss = producer_loss(model, ctx, synthetic_masks.popularity, config)
         assert loss is not None
         assert 0.0 <= loss <= 2.0  # ||p - q||^2 <= 2 for probability vectors
-
-
-class TestExposureTarget:
-    def test_flat(self):
-        np.testing.assert_allclose(ExposureTarget.flat(5).distribution, 0.2)
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            ExposureTarget(np.array([0.5, 0.6]))
 
 
 def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
@@ -282,7 +272,7 @@ def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
         pos_counts.append(2)
         noise.append(gen.gumbel(size=4))
     consumer = context_for(candidates, pos_counts)
-    producer = ProducerContext(
+    producer = CandidateContext(
         np.arange(num_users, dtype=np.int64),
         [np.asarray(c, dtype=np.int64) for c in candidates],
         np.asarray(pos_counts, dtype=np.int64),
@@ -301,16 +291,14 @@ def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
 class TestConsumerGradient:
     def test_matches_finite_differences(self):
         model, consumer, _, gender_mask, _, _ = make_gradient_world()
-        spec = NdcgVectorSpec(k_max=3)
-        steepness = 2.0
-        result = consumer_fairness_grad(model, consumer, gender_mask, spec,
-                                        steepness, "gender")
+        config = TrainConfig(ndcg_k=3, steepness=2.0)
+        result = consumer_fairness_grad(model, consumer, gender_mask, config, "gender")
 
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return consumer_fairness_grad(probe, consumer, gender_mask, spec,
-                                          steepness, "gender").loss
+            return consumer_fairness_grad(probe, consumer, gender_mask, config,
+                                          "gender").loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
@@ -318,14 +306,14 @@ class TestConsumerGradient:
 
     def test_age_gradient_matches_finite_differences(self):
         model, consumer, _, _, age_mask, _ = make_gradient_world(seed=7)
-        spec = NdcgVectorSpec(k_max=2)
-        result = consumer_fairness_grad(model, consumer, age_mask, spec, 1.5, "age")
+        config = TrainConfig(ndcg_k=2, steepness=1.5)
+        result = consumer_fairness_grad(model, consumer, age_mask, config, "age")
 
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return consumer_fairness_grad(probe, consumer, age_mask, spec,
-                                          1.5, "age").loss
+            return consumer_fairness_grad(probe, consumer, age_mask, config,
+                                          "age").loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert max_relative_error(result.grad, numeric) <= 1e-4
@@ -336,8 +324,8 @@ class TestConsumerGradient:
         model = FactorModel(emb, items)
         ctx = context_for([[0, 1, 2, 3], [0, 1, 2, 3]], [2, 2])
         mask = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        result = consumer_fairness_grad(model, ctx, mask, NdcgVectorSpec(k_max=2),
-                                        1.0, "gender")
+        result = consumer_fairness_grad(model, ctx, mask,
+                                        TrainConfig(ndcg_k=2, steepness=1.0), "gender")
         assert result.loss == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(result.grad, 0.0, atol=1e-12)
 
@@ -346,22 +334,22 @@ class TestConsumerGradient:
         single_group = np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int8)
         with caplog.at_level(logging.WARNING):
             assert consumer_fairness_grad(model, consumer, single_group,
-                                          NdcgVectorSpec(k_max=2), 1.0,
+                                          TrainConfig(ndcg_k=2, steepness=1.0),
                                           "gender") is None
 
     def test_steepness_sweep_stays_finite(self):
         model, consumer, _, gender_mask, _, _ = make_gradient_world(seed=3)
-        spec = NdcgVectorSpec(k_max=3)
         for steep in np.geomspace(0.1, 100.0, 13):
-            result = consumer_fairness_grad(model, consumer, gender_mask, spec,
-                                            float(steep), "gender")
+            config = TrainConfig(ndcg_k=3, steepness=float(steep))
+            result = consumer_fairness_grad(model, consumer, gender_mask, config,
+                                            "gender")
             assert np.all(np.isfinite(result.grad))
 
 
 class TestProducerGradient:
     def test_matches_finite_differences(self):
         model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
-        config = SmoothRankConfig(temperature=0.25, patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
         result = producer_fairness_grad(model, producer, item_mask, config)
 
         def loss_at(theta):
@@ -374,29 +362,16 @@ class TestProducerGradient:
         assert max_relative_error(result.grad, numeric) <= 1e-4
 
     def test_zero_loss_zero_gradient(self):
-        model, _, producer, _, _, item_mask = make_gradient_world(seed=9)
-        config = SmoothRankConfig(temperature=0.25, patience=0.5)
-        base = producer_loss(model, producer, item_mask, config)
-        raw_target = None
-        # use the achieved distribution as the target: loss 0, gradient 0
-        total_loss = producer_fairness_grad(model, producer, item_mask, config)
-        eps_target = ExposureTarget(
-            _achieved_distribution(model, producer, item_mask, config)
-        )
-        result = producer_fairness_grad(model, producer, item_mask, config,
-                                        eps_target)
+        # equal scores, zero noise, one item per group and every item relevant
+        # to one user: the achieved distribution is the flat target
+        model = FactorModel(np.random.default_rng(9).normal(size=(2, 2)),
+                            np.tile([0.3, -0.2], (4, 1)))
+        producer = producer_context_for([[0, 1, 2, 3], [2, 3, 0, 1]], [2, 2])
+        item_mask = np.eye(4, dtype=np.int8)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5)
+        result = producer_fairness_grad(model, producer, item_mask, config)
         assert result.loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(result.grad, 0.0, atol=1e-10)
-        assert base is not None and total_loss is not None and raw_target is None
-
-
-def _achieved_distribution(model, ctx, item_mask, config):
-    from moofair.objectives import _producer_forward
-
-    forward = _producer_forward(model, ctx, config)
-    raw = sum(np.einsum("zbr,br->z", item_mask[:, cands[:, :n_rel]], expo)
-              for _, n_rel, cands, _, expo, _, _ in forward)
-    return raw / raw.sum()
 
 
 class TestDispatcher:
@@ -414,12 +389,10 @@ class TestDispatcher:
         rng = np.random.default_rng(1)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 2, 0.0, rng)
-        ctx = build_consumer_context(synthetic_dataset, np.arange(6),
-                                     NdcgVectorSpec(k_max=3, candidate_negatives=5),
+        ctx = build_consumer_context(synthetic_dataset, np.arange(6), 5,
                                      derived_rng(1, 2))
         out = fairness_grad("gender", model, synthetic_masks, consumer_ctx=ctx,
-                            spec=NdcgVectorSpec(k_max=3, candidate_negatives=5),
-                            config=SmoothRankConfig())
+                            config=TrainConfig(ndcg_k=3, candidate_negatives=5))
         assert out.objective_id == "gender"
         assert out.grad.shape == (model.num_parameters,)
 
@@ -431,7 +404,7 @@ class TestDispatcher:
                                      derived_rng(2, 3))
         out = fairness_grad("popularity", model, synthetic_masks,
                             producer_ctx=ctx,
-                            config=SmoothRankConfig(temperature=0.1))
+                            config=TrainConfig(temperature=0.1))
         assert out.objective_id == "popularity"
 
     def test_missing_mask_rejected(self, synthetic_dataset):
@@ -440,42 +413,36 @@ class TestDispatcher:
         rng = np.random.default_rng(3)
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 2, 0.0, rng)
-        ctx = build_consumer_context(synthetic_dataset, np.arange(4),
-                                     NdcgVectorSpec(k_max=2, candidate_negatives=4),
+        ctx = build_consumer_context(synthetic_dataset, np.arange(4), 4,
                                      derived_rng(3, 1))
         with pytest.raises(ValueError, match="gender mask"):
             fairness_grad("gender", model, GroupMaskSet(), consumer_ctx=ctx,
-                          spec=NdcgVectorSpec(k_max=2, candidate_negatives=4))
+                          config=TrainConfig(ndcg_k=2, candidate_negatives=4))
 
 
 class TestContextBuilders:
     def test_consumer_candidates_start_with_positives(self, synthetic_dataset):
         rng = np.random.default_rng(4)
         users = np.arange(5)
-        ctx = build_consumer_context(synthetic_dataset, users,
-                                     NdcgVectorSpec(k_max=3, candidate_negatives=7),
-                                     rng)
+        ctx = build_consumer_context(synthetic_dataset, users, 7, rng)
         lists = synthetic_dataset.train_positive_lists()
-        sets = synthetic_dataset.train_item_sets()
         for row, u in enumerate(users):
-            n_pos = int(ctx.positive_counts[row])
+            n_pos = int(ctx.counts[row])
             np.testing.assert_array_equal(ctx.candidates[row][:n_pos], lists[u])
             for j in ctx.candidates[row][n_pos:]:
-                assert int(j) not in sets[u]
+                assert int(j) not in lists[u]
 
     def test_producer_relevant_capped(self, synthetic_dataset):
         rng = np.random.default_rng(5)
         ctx = build_producer_context(synthetic_dataset, np.arange(5), 3, 6, rng)
-        assert np.all(ctx.relevant_counts <= 3)
+        assert np.all(ctx.counts <= 3)
         for cand, noise in zip(ctx.candidates, ctx.noise):
             assert cand.shape == noise.shape
 
     def test_deterministic(self, synthetic_dataset):
-        a = build_consumer_context(synthetic_dataset, np.arange(4),
-                                   NdcgVectorSpec(k_max=2, candidate_negatives=6),
+        a = build_consumer_context(synthetic_dataset, np.arange(4), 6,
                                    np.random.default_rng(6))
-        b = build_consumer_context(synthetic_dataset, np.arange(4),
-                                   NdcgVectorSpec(k_max=2, candidate_negatives=6),
+        b = build_consumer_context(synthetic_dataset, np.arange(4), 6,
                                    np.random.default_rng(6))
         for ca, cb in zip(a.candidates, b.candidates):
             assert np.array_equal(ca, cb)

@@ -66,7 +66,7 @@ def test_every_public_name_is_used_by_the_program():
 
 def test_check_sees_definitions_and_uses():
     names = {qualified for qualified, _, _, _ in public_definitions()}
-    assert {"objectives.SmoothRankConfig", "model.FactorModel.flatten",
+    assert {"objectives.CandidateContext", "model.FactorModel.flatten",
             "solver.pareto_stationary"} <= names
     assert UNUSED_ALLOWED <= names
     assert ("cmd_prepare", PACKAGE / "cli.py") in {(n, p) for n, p, _ in uses()}

@@ -18,13 +18,12 @@ from moofair.metrics import top_k_items
 from moofair.model import FactorModel
 from moofair.numerics import sample_gumbel, sigmoid
 from moofair.objectives import (
-    ConsumerContext,
-    ProducerContext,
-    SmoothRankConfig,
+    CandidateContext,
     _consumer_forward,
     _producer_forward,
     build_producer_context,
 )
+from moofair.training import TrainConfig
 
 
 def one_user_model(scores):
@@ -36,7 +35,7 @@ def consumer_forward(scores, steepness=1.0, positives=None, k_max=1):
     is a positive."""
     n = len(scores)
     positives = n if positives is None else positives
-    ctx = ConsumerContext(np.array([0]), [np.arange(n)], np.array([positives]))
+    ctx = CandidateContext(np.array([0]), [np.arange(n)], np.array([positives]))
     g_matrix, blocks = _consumer_forward(one_user_model(scores), ctx, k_max, steepness)
     return g_matrix, blocks[0][3]
 
@@ -52,9 +51,9 @@ def producer_bucket(scores, temperature=1e-5, patience=0.5, rank_offset=1.0,
     n = len(scores)
     relevant = n if relevant is None else relevant
     noise = np.zeros(n) if noise is None else noise
-    ctx = ProducerContext(np.array([0]), [np.arange(n)], np.array([relevant]), [noise])
-    config = SmoothRankConfig(temperature=temperature, patience=patience,
-                              rank_offset=rank_offset)
+    ctx = CandidateContext(np.array([0]), [np.arange(n)], np.array([relevant]), [noise])
+    config = TrainConfig(temperature=temperature, exposure_patience=patience,
+                         rank_offset=rank_offset)
     (_, _, _, probs, expo, _, _), = _producer_forward(one_user_model(scores), ctx,
                                                       config)
     return probs[0], expo[0]
@@ -81,23 +80,26 @@ def hard_ranks(scores):
 
 
 class TestSmoothRankConfig:
+    """The smooth-ranking fields of TrainConfig."""
+
     def test_defaults_valid(self):
-        cfg = SmoothRankConfig()
-        assert cfg.patience == 0.5
+        cfg = TrainConfig()
+        assert cfg.exposure_patience == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"steepness": 0.0},
             {"temperature": -1.0},
-            {"patience": 0.0},
-            {"patience": 1.0},
+            {"exposure_patience": 0.0},
+            {"exposure_patience": 1.0},
             {"rank_offset": -0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SmoothRankConfig(**kwargs)
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**kwargs)
 
 
 class TestPairwiseSmoothRank:
@@ -156,7 +158,7 @@ class TestSmoothDcg:
         np.testing.assert_array_equal(g, [[1.0, 1.0]])
 
     def test_no_relevance(self):
-        ctx = ConsumerContext(np.array([0]), [np.arange(2)], np.array([0]))
+        ctx = CandidateContext(np.array([0]), [np.arange(2)], np.array([0]))
         g, blocks = _consumer_forward(one_user_model([2.0, 1.0]), ctx, 2, 1e6)
         np.testing.assert_array_equal(g, [[0.0, 0.0]])
         assert blocks == []
@@ -164,7 +166,7 @@ class TestSmoothDcg:
     def test_two_relevant(self):
         # positives ranked 1 and 3: DCG@3 = 1 + 1/log2(4) = 1.5
         model = one_user_model([3.0, 1.0, 2.0])
-        ctx = ConsumerContext(np.array([0]), [np.array([0, 1, 2])], np.array([2]))
+        ctx = CandidateContext(np.array([0]), [np.array([0, 1, 2])], np.array([2]))
         g = _consumer_forward(model, ctx, 3, 1e6)[0]
         assert g[0, 2] == pytest.approx(1.5 / (1.0 + 1.0 / np.log2(3.0)), abs=1e-12)
 
@@ -208,7 +210,7 @@ class TestGumbelPerturb:
     def test_same_seed_identical(self, synthetic_dataset):
         model = FactorModel(np.ones((synthetic_dataset.num_users, 1)),
                             np.linspace(-1.0, 1.0, synthetic_dataset.num_items)[:, None])
-        config = SmoothRankConfig(temperature=0.1)
+        config = TrainConfig(temperature=0.1)
         runs = []
         for _ in range(2):
             ctx = build_producer_context(synthetic_dataset, np.arange(4), 3, 5,
@@ -272,16 +274,16 @@ class TestExposure:
         # one bucket stacks the users of equal shape: exposures per (user, item)
         model = FactorModel(np.array([[1.0], [-1.0]]),
                             np.array([[4.0], [3.0], [2.0], [1.0]]))
-        ctx = ProducerContext(np.array([0, 1]), [np.arange(4), np.array([1, 0, 2, 3])],
-                              np.array([2, 2]), [np.zeros(4), np.zeros(4)])
+        ctx = CandidateContext(np.array([0, 1]), [np.arange(4), np.array([1, 0, 2, 3])],
+                               np.array([2, 2]), [np.zeros(4), np.zeros(4)])
         (rows, _, _, _, expo, _, _), = _producer_forward(
-            model, ctx, SmoothRankConfig(temperature=1e-6))
+            model, ctx, TrainConfig(temperature=1e-6))
         np.testing.assert_array_equal(rows, [0, 1])
         np.testing.assert_array_equal(expo, [[0.5, 0.25], [0.125, 0.0625]])
 
     def test_rejects_bad_patience(self):
-        with pytest.raises(ValueError):
-            SmoothRankConfig(patience=1.5)
+        with pytest.raises(ValueError, match="exposure_patience"):
+            TrainConfig(exposure_patience=1.5)
 
 
 class TestLimitAgreement:

@@ -100,9 +100,11 @@ class TestFrankWolfe:
         rng = np.random.default_rng(12)
         for _ in range(20):
             m, _ = random_gram(rng, 4, 10)
-            _, history = frank_wolfe_solve(m, return_history=True)
-            diffs = np.diff(history)
-            assert np.all(diffs <= 1e-12)
+            values = []
+            for iters in range(101):
+                alpha = frank_wolfe_solve(m, max_iters=iters, tol=0.0).values
+                values.append(float(alpha @ m @ alpha))
+            assert np.all(np.diff(values) <= 1e-12)
 
     def test_agrees_with_closed_form_t2(self):
         rng = np.random.default_rng(13)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from moofair.data import TRAIN, GroupMaskSet
-from conftest import dominates
+from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess
+from conftest import FIELD_BOUNDS, dominates, make_raw
 from moofair.training import (
     DEFAULT_GRID,
     AlphaTrace,
@@ -50,6 +50,16 @@ class TestTrainConfig:
     def test_normalization_auto(self):
         assert TrainConfig(objectives=("bpr",)).resolved_normalization() == "none"
         assert TrainConfig(objectives=("bpr", "gender")).resolved_normalization() == "l2"
+
+    @pytest.mark.parametrize("name, rejected, accepted", FIELD_BOUNDS)
+    def test_field_ranges(self, name, rejected, accepted):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: rejected})
+        assert getattr(TrainConfig(**{name: accepted}), name) == accepted
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=float("nan"))
 
     def test_missing_mask_detected(self):
         config = TrainConfig(objectives=("bpr", "gender"))
@@ -154,8 +164,6 @@ class TestSharedForwards:
     def test_matches_single_objective_calls(self, synthetic_dataset,
                                             synthetic_masks):
         from moofair.objectives import (
-            PRODUCER_OBJECTIVES,
-            ExposureTarget,
             build_consumer_context,
             build_producer_context,
             fairness_grad,
@@ -167,19 +175,14 @@ class TestSharedForwards:
                                     config, batch, np.random.default_rng(5))
         gen = np.random.default_rng(5)
         users = np.unique(batch.users)
-        spec = config.ndcg_spec()
-        consumer = build_consumer_context(synthetic_dataset, users, spec, gen)
+        consumer = build_consumer_context(synthetic_dataset, users,
+                                          config.candidate_negatives, gen)
         producer = build_producer_context(synthetic_dataset, users, config.n_r_cap,
                                           config.candidate_negatives, gen)
         for objective, result in zip(config.objectives, shared):
-            target = None
-            if objective in PRODUCER_OBJECTIVES:
-                target = ExposureTarget.flat(
-                    synthetic_masks.mask_for(objective).shape[0])
             fresh = fairness_grad(objective, model, synthetic_masks,
                                   triplet_batch=batch, consumer_ctx=consumer,
-                                  producer_ctx=producer, spec=spec,
-                                  config=config.smooth_config(), target=target)
+                                  producer_ctx=producer, config=config)
             assert result.objective_id == objective
             assert np.linalg.norm(fresh.grad) > ZERO_GRAD_TOL
             assert result.loss == pytest.approx(fresh.loss, rel=1e-10, abs=1e-10)
@@ -267,38 +270,46 @@ class TestParetoRounds:
         assert np.array_equal(s1.objective_values, s2.objective_values)
 
 
+@pytest.fixture(scope="module")
+def grid_world():
+    """Dataset and masks where every user has 20+ unseen items, as the grid's
+    evaluation at k = 10, 20 needs."""
+    raw = make_raw(seed=1, num_users=25, num_core_items=60, num_tail_items=20,
+                   max_positives=20)
+    dataset = preprocess(raw)
+    return dataset, build_masks(dataset, raw)
+
+
 class TestGridSearch:
     def test_requires_two_objectives(self, synthetic_dataset, synthetic_masks):
         config = TrainConfig(objectives=("bpr",), **TINY)
         with pytest.raises(ValueError, match="two objectives"):
             grid_search(synthetic_dataset, synthetic_masks, config)
 
-    def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset,
-                                                synthetic_masks):
+    def test_full_weight_on_bpr_equals_baseline(self, grid_world):
         from moofair.metrics import evaluate
 
+        dataset, masks = grid_world
         shared = {**TINY, "grad_normalization": "none", "epochs_max": 3}
         config = TrainConfig(objectives=("bpr", "popularity"), **shared)
-        out = grid_search(synthetic_dataset, synthetic_masks, config,
-                          weight_grid=(1.0,), k_values=(5,))
+        out = grid_search(dataset, masks, config, weight_grid=(1.0,))
         baseline_cfg = TrainConfig(objectives=("bpr",), **shared)
-        baseline = train_round(synthetic_dataset, synthetic_masks, baseline_cfg)
-        rows = evaluate(baseline.model, synthetic_dataset, synthetic_masks,
-                        k_values=(5,), label="grid_1")
+        baseline = train_round(dataset, masks, baseline_cfg)
+        rows = evaluate(baseline.model, dataset, masks, label="grid_1")
         (weights, grid_rows, _), = out
         assert weights == (1.0, 0.0)
-        assert grid_rows[0]["recall"] == rows[0]["recall"]
-        assert grid_rows[0]["ndcg"] == rows[0]["ndcg"]
+        for grid_row, row in zip(grid_rows, rows):
+            assert grid_row["recall"] == row["recall"]
+            assert grid_row["ndcg"] == row["ndcg"]
 
-    def test_grid_row_count(self, synthetic_dataset, synthetic_masks):
+    def test_grid_row_count(self, grid_world):
         config = TrainConfig(objectives=("bpr", "popularity"),
                              **{**TINY, "epochs_max": 1})
-        out = grid_search(synthetic_dataset, synthetic_masks, config,
-                          weight_grid=DEFAULT_GRID[:3], k_values=(5,))
+        out = grid_search(*grid_world, config, weight_grid=DEFAULT_GRID[:3])
         assert len(out) == 3
         for weights, rows, result in out:
             assert weights[0] + weights[1] == pytest.approx(1.0)
-            assert rows[0]["k"] == 5
+            assert [row["k"] for row in rows] == [10, 20]
             assert result.fw_calls == 0
 
 
