@@ -203,6 +203,14 @@ def cmd_eval(args) -> int:
     from .metrics import evaluate, write_metrics_csv
     from .model import load_checkpoint
 
+    try:
+        k_values = tuple(int(k) for k in args.k.split(","))
+    except ValueError:
+        raise CliError(f"--k must be comma-separated integers, got {args.k!r}") from None
+    if min(k_values) < 1:
+        raise CliError(f"--k values must be >= 1, got {args.k!r}")
+    if not 0.0 < args.patience < 1.0:
+        raise CliError(f"--patience must be in (0, 1), got {args.patience!r}")
     _require_dir(args.bundle, "bundle directory")
     _require_dir(args.checkpoint, "checkpoint directory")
     dataset, masks = load_bundle(args.bundle)
@@ -210,7 +218,6 @@ def cmd_eval(args) -> int:
         model, _ = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise CliError(str(exc)) from None
-    k_values = tuple(int(k) for k in args.k.split(","))
     rows = evaluate(model, dataset, masks, k_values=k_values,
                     patience=args.patience, label=args.label,
                     disparity_user_variant=args.disparity_user)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,22 @@ class RecommendationRun:
     def __post_init__(self):
         if self.k < 1 or self.lists.shape != (self.user_ids.shape[0], self.k):
             raise ValueError("lists must be (num_users, k) with k >= 1")
+
+    # the metrics of a run share these inputs, so each is built once per run
+    @cached_property
+    def hits(self) -> tuple[np.ndarray, np.ndarray]:
+        return _hit_matrix(self)
+
+    @cached_property
+    def ndcg_vectors(self) -> np.ndarray:
+        """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions."""
+        hits, counts = self.hits
+        positions = np.arange(1, self.k + 1, dtype=np.float64)
+        gains = 1.0 / np.log2(positions + 1.0)
+        dcg = np.cumsum(hits * gains[None, :], axis=1)
+        ideal_hits = positions[None, :] <= counts[:, None]
+        idcg = np.cumsum(ideal_hits * gains[None, :], axis=1)
+        return dcg / idcg
 
 
 def top_k_items(model: FactorModel, users: np.ndarray, k: int,
@@ -103,24 +120,13 @@ def _hit_matrix(run: RecommendationRun) -> tuple[np.ndarray, np.ndarray]:
 
 def recall_at_k(run: RecommendationRun) -> float:
     """Mean fraction of each user's relevant items in the list, summed in user order."""
-    hits, counts = _hit_matrix(run)
+    hits, counts = run.hits
     return float(np.cumsum(hits.sum(axis=1) / counts)[-1] / counts.shape[0])
-
-
-def _ndcg_vectors(run: RecommendationRun) -> np.ndarray:
-    """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions."""
-    hits, counts = _hit_matrix(run)
-    positions = np.arange(1, run.k + 1, dtype=np.float64)
-    gains = 1.0 / np.log2(positions + 1.0)
-    dcg = np.cumsum(hits * gains[None, :], axis=1)
-    ideal_hits = positions[None, :] <= counts[:, None]
-    idcg = np.cumsum(ideal_hits * gains[None, :], axis=1)
-    return dcg / idcg
 
 
 def ndcg_at_k(run: RecommendationRun) -> float:
     """Mean normalized discounted cumulative gain at the run's depth."""
-    return float(np.mean(_ndcg_vectors(run)[:, -1]))
+    return float(np.mean(run.ndcg_vectors[:, -1]))
 
 
 def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
@@ -136,7 +142,7 @@ def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
     mask = masks.mask_for(variant)
     if mask is None:
         return None
-    vectors = _ndcg_vectors(run)
+    vectors = run.ndcg_vectors
     group_rows = mask[:, run.user_ids].astype(np.float64)
     counts = group_rows.sum(axis=1)
     means = [group_rows[g] @ vectors / counts[g]

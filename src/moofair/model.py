@@ -154,11 +154,16 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
     u_emb = model.user_embeddings[batch.users]
     diff = model.item_embeddings[batch.pos_items] - model.item_embeddings[batch.neg_items]
 
-    user_grad = np.zeros_like(model.user_embeddings)
-    item_grad = np.zeros_like(model.item_embeddings)
-    np.add.at(user_grad, batch.users, coeff[:, None] * diff)
-    np.add.at(item_grad, batch.pos_items, coeff[:, None] * u_emb)
-    np.add.at(item_grad, batch.neg_items, -coeff[:, None] * u_emb)
+    # one bincount over the flattened parameters (item i is row num_users + i)
+    # adds in np.add.at's order: users, then positives, then negatives
+    rows = np.concatenate([batch.users, model.num_users + batch.pos_items,
+                           model.num_users + batch.neg_items])
+    weights = np.concatenate([coeff[:, None] * diff, coeff[:, None] * u_emb,
+                              -coeff[:, None] * u_emb])
+    grad = np.bincount((rows[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                       weights.ravel(), model.num_parameters)
+    user_grad = grad[:model.num_users * model.dim].reshape(model.num_users, model.dim)
+    item_grad = grad[model.num_users * model.dim:].reshape(model.num_items, model.dim)
 
     loss = float(np.sum(np.logaddexp(0.0, -margins)))
     if model.reg > 0:
@@ -169,7 +174,6 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
             float(np.sum(model.user_embeddings[users] ** 2))
             + float(np.sum(model.item_embeddings[items] ** 2))
         )
-    grad = np.concatenate([user_grad.ravel(), item_grad.ravel()])
     return ObjectiveGradient("bpr", loss, grad)
 
 

@@ -23,6 +23,12 @@ whole smooth-ranking chain with the Gumbel noise held fixed. Each family has
 one smooth-ranking forward (``_consumer_forward``, ``_producer_forward``). It
 does not depend on the group masks, so it runs once per batch and each
 objective adds only its mask-dependent part.
+
+The consumer kernel runs on padded blocks of users sorted by positive count,
+with no loop over users. A block's pairwise sigmoids (ratio form, or
+``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and freed;
+the backward rebuilds them only where the rank gradient is nonzero. Soft
+cutoffs skip positives whose k_max cutoff is 0, which is exact.
 """
 
 from __future__ import annotations
@@ -48,9 +54,12 @@ PRODUCER_OBJECTIVES = ("popularity", "genre")
 
 LN2 = float(np.log(2.0))
 
-# Users per block of the consumer forward and backward; bounds the arrays
-# that exist next to the shared forward: (positives x k), (users x items).
-USER_BLOCK = 32
+# Padded (users x positives x candidates) pairs per block of the consumer
+# kernel: the block's pairwise sigmoids stay cache-sized.
+PAIR_BLOCK = 2 ** 18
+# Largest scaled score spread of a block the ratio-form pairwise sigmoid
+# takes: exp(700) is finite and exp(-700) a normal float64.
+RATIO_SPREAD = 700.0
 
 
 @dataclass
@@ -116,16 +125,36 @@ def build_producer_context(dataset: InteractionDataset, users,
 
 def consumer_group_fairness(group_vectors) -> float:
     """Mean squared distance between all pairs of group representations."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in group_vectors]
-    if len(vectors) < 2:
+    vectors = np.asarray(group_vectors, dtype=np.float64)
+    n = vectors.shape[0]
+    if n < 2:
         raise ValueError("at least two groups are required")
-    n = len(vectors)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = vectors[i] - vectors[j]
-            total += float(diff @ diff)
-    return total / (n * (n - 1) / 2)
+    first, second = np.triu_indices(n, 1)
+    diff = vectors[first] - vectors[second]
+    return float(np.einsum("ij,ij->", diff, diff)) / (n * (n - 1) / 2)
+
+
+def _pair_sigmoids(scaled: np.ndarray, n_pos: int) -> np.ndarray:
+    """sigmoid(scaled[b, j] - scaled[b, p]) for the first ``n_pos`` columns p
+    and every column j of each row, shape (rows, n_pos, columns).
+
+    Padding is -inf: a padding column j gives 0 and a padding p gives finite
+    values. The ratio form E_j / (E_j + E_p), E = exp(scaled - row max), is
+    taken as 1 / (1 + E_p * (1 / E_j)): one exp per candidate and positive,
+    one multiply, add and reciprocal per pair. Past ``RATIO_SPREAD`` 1 / E_j
+    can overflow, so such a block takes ``numerics.sigmoid`` of differences.
+    """
+    top = scaled.max(axis=1, keepdims=True)
+    low = np.where(np.isneginf(scaled), top, scaled).min(axis=1, keepdims=True)
+    if np.max(top - low) > RATIO_SPREAD:
+        pos = scaled[:, :n_pos].copy()
+        pos[np.isneginf(pos)] = 0.0
+        return sigmoid(scaled[:, None, :] - pos[:, :, None])
+    pos = np.exp(scaled[:, :n_pos] - top)
+    pos[pos == 0.0] = 1.0
+    out = np.einsum("bp,bc->bpc", pos, np.exp(top - scaled))  # E_p / E_j
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
@@ -137,37 +166,58 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     A positive's smooth 1-based rank among its user's candidates is
     0.5 + sum_j sigmoid(steepness * (s_j - s_p)), where the j == p term adds
     the other 0.5; its top-k cutoff is sigmoid(steepness * (k + 0.5 - rank)).
-    Independent of the user group masks. A block holds its users with train
-    positives, their positive counts, per-user pairwise sigmoid matrices, and
-    the smooth ranks, discounts, cutoffs (positives x k) and ideal DCG rows,
-    stacked over the block.
+    Independent of the user group masks.
+
+    Users with positives are sorted by positive count and cut into blocks of
+    at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
+    pair matrix outlives its block. The cutoff grows with k, so a positive
+    whose k_max cutoff is exactly 0 adds exactly 0 at every k: cutoffs are
+    built only for the other, live, positives. A block holds its rows, the
+    items (B, C) and scaled scores (B, C) padded with -1 and -inf, the ranks
+    (B, P), the live positives as flat indices into them, their cutoffs
+    (live x k) and discounts, and the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
+    order = np.flatnonzero(ctx.counts > 0)
+    if order.shape[0] == 0:
+        return g_matrix, []
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     # ideal DCG@k with n relevant items is ideal_cum[min(k, n) - 1]
     ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
-    all_scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
-    # freed before the intermediates pile up
-    row_scores = [all_scores[row, cand] for row, cand in enumerate(ctx.candidates)]
-    del all_scores
+    order = order[np.argsort(ctx.counts[order], kind="stable")]
+    n_pos = ctx.counts[order]
+    widths = np.array([ctx.candidates[r].shape[0] for r in order], dtype=np.int64)
+    items = np.concatenate([ctx.candidates[r] for r in order])
+    scores = (model.user_embeddings[ctx.users] @ model.item_embeddings.T)[
+        np.repeat(order, widths), items]
+    starts = np.cumsum(widths) - widths
+    # a block's padded size is at most rows x its last row's positive count x
+    # the running maximum width; rows are added while that fits PAIR_BLOCK
+    row_cost = n_pos * np.maximum.accumulate(widths)
     blocks = []
-    for start in range(0, ctx.users.shape[0], USER_BLOCK):
-        rows = np.arange(start, min(start + USER_BLOCK, ctx.users.shape[0]))
-        rows = rows[ctx.counts[rows] > 0]
-        if rows.shape[0] == 0:
-            continue
-        counts = ctx.counts[rows]
-        pairs = []
-        for r, n in zip(rows, counts):
-            scaled = steepness * row_scores[r]
-            pairs.append(sigmoid(scaled[None, :] - scaled[:n, None]))
-        ranks = 0.5 + np.concatenate([pair.sum(axis=1) for pair in pairs])
-        trunc = sigmoid(steepness * (ks[None, :] + 0.5 - ranks[:, None]))
-        disc = 1.0 / np.log2(ranks + 1.0)
+    start = 0
+    while start < order.shape[0]:
+        cost = np.arange(1, order.shape[0] - start + 1) * row_cost[start:]
+        stop = start + max(1, int(np.searchsorted(cost, PAIR_BLOCK, side="right")))
+        rows, counts = order[start:stop], n_pos[start:stop]
+        cols = np.arange(widths[start:stop].max())
+        pad = cols >= widths[start:stop, None]
+        at = np.where(pad, 0, starts[start:stop, None] + cols)
+        scaled = np.where(pad, -np.inf, steepness * scores[at])
+        n_max = int(counts[-1])
+        ranks = 0.5 + _pair_sigmoids(scaled, n_max).sum(axis=2)
+        live = np.flatnonzero((np.arange(n_max) < counts[:, None])
+                              & (sigmoid(steepness * (k_max + 0.5 - ranks)) > 0.0))
+        live_ranks = ranks.ravel()[live]
+        trunc = sigmoid(steepness * (ks[None, :] + 0.5 - live_ranks[:, None]))
+        disc = 1.0 / np.log2(live_ranks + 1.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
-        g_matrix[rows] = np.add.reduceat(trunc * disc[:, None],
-                                         np.cumsum(counts) - counts, axis=0) / idcg
-        blocks.append((rows, counts, pairs, ranks, disc, trunc, idcg))
+        live_rows, first = np.unique(live // n_max, return_index=True)
+        g_matrix[rows[live_rows]] = np.add.reduceat(trunc * disc[:, None], first,
+                                                    axis=0) / idcg[live_rows]
+        blocks.append((rows, np.where(pad, -1, items[at]), scaled, ranks, live,
+                       trunc, disc, idcg))
+        start = stop
     return g_matrix, blocks
 
 
@@ -184,17 +234,11 @@ def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid,
         logger.warning("%s objective skipped: fewer than two user groups in batch",
                        objective_id)
         return None
-    means = [masks[g] @ g_matrix / counts[g] for g in present]
+    means = masks[present] @ g_matrix / counts[present, None]
     loss = consumer_group_fairness(means)
-    stacked = np.stack(means)
-    pair_norm = n * (n - 1) / 2
     # dL/dA_g = (2 / C(n,2)) * (n * A_g - sum_h A_h)
-    d_means = (2.0 / pair_norm) * (n * stacked - stacked.sum(axis=0)[None, :])
-    d_g = np.zeros_like(g_matrix)
-    for idx, g in enumerate(present):
-        members = masks[g] > 0
-        d_g[members] += d_means[idx] / counts[g]
-    return loss, d_g
+    d_means = (4.0 / (n * (n - 1))) * (n * means - means.sum(axis=0)[None, :])
+    return loss, masks[present].T @ (d_means / counts[present, None])
 
 
 def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
@@ -205,7 +249,9 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     Backpropagates the group-mean disparity through the smooth NDCG rows, the
     soft top-k cutoffs, the smooth pairwise ranks, and the candidate scores.
     ``forward`` is the batch's shared ``_consumer_forward`` result; it is
-    computed here when not given.
+    computed here when not given. Only live positives have a nonzero rank
+    gradient, and a block's pairs are rebuilt only when that gradient is
+    nonzero; when dL/dG is zero the zero gradient returns at once.
     """
     if forward is None:
         forward = _consumer_forward(model, ctx, config.ndcg_k, config.steepness)
@@ -215,34 +261,36 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     if result is None:
         return None
     loss, d_g = result
+    grad = np.zeros(model.num_parameters)
+    if not np.any(d_g):
+        return ObjectiveGradient(objective_id, loss, grad)
 
     steepness = config.steepness
-    grad = np.zeros(model.num_parameters)
-    for rows, counts, pairs, ranks, disc, trunc, idcg in blocks:
-        if not np.any(d_g[rows]):
-            continue
+    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
+    for rows, items, scaled, ranks, live, trunc, disc, idcg in blocks:
+        n_max = ranks.shape[1]
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # discount slope
-        coeff = np.repeat(d_g[rows] / idcg, counts, axis=0)  # (P, K)
-        trunc_slope = 1.0 - trunc
-        trunc_slope *= trunc  # times -steepness, applied after the sum over k
-        disc_slope = -1.0 / ((ranks + 1.0) * LN2 * np.log2(ranks + 1.0) ** 2)
-        d_ranks = (-steepness * np.einsum("pk,pk->p", coeff, trunc_slope) * disc
-                   + np.einsum("pk,pk->p", coeff, trunc) * disc_slope)
-        d_scores = np.zeros((rows.shape[0], model.num_items))
-        for j, (row, pair, d_rank) in enumerate(zip(
-                rows, pairs, np.split(d_ranks, np.cumsum(counts)[:-1]))):
-            if not np.any(d_rank):
-                continue
-            # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)),
-            # the j == p term is constant
-            n_pos = pair.shape[0]
-            slope = steepness * pair * (1.0 - pair)  # (P, C)
-            slope[np.arange(n_pos), np.arange(n_pos)] = 0.0
-            d_row = slope.T @ d_rank
-            d_row[:n_pos] -= d_rank * slope.sum(axis=1)
-            d_scores[j, ctx.candidates[row]] = d_row  # candidates are unique
-        _add_embedding_grad(grad, model, ctx.users[rows], d_scores)
+        coeff = (d_g[rows] / idcg)[live // n_max]  # (live, K)
+        live_ranks = ranks.ravel()[live]
+        disc_slope = -1.0 / ((live_ranks + 1.0) * LN2 * np.log2(live_ranks + 1.0) ** 2)
+        d_ranks = np.zeros(ranks.size)
+        d_ranks[live] = (-steepness * np.einsum("pk,pk->p", coeff, trunc * (1.0 - trunc))
+                         * disc + np.einsum("pk,pk->p", coeff, trunc) * disc_slope)
+        if not np.any(d_ranks):
+            continue
+        d_ranks = d_ranks.reshape(ranks.shape)
+        # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)), the
+        # j == p term is constant
+        slope = _pair_sigmoids(scaled, n_max)
+        slope *= 1.0 - slope  # times steepness, applied to the sums below
+        diag = np.arange(n_max)
+        slope[:, diag, diag] = 0.0
+        d_block = np.matmul(d_ranks[:, None, :], slope)[:, 0, :]
+        d_block[:, :n_max] -= d_ranks * slope.sum(axis=2)
+        r, c = np.nonzero(items >= 0)
+        d_scores[rows[r], items[r, c]] = steepness * d_block[r, c]  # unique per row
+    _add_embedding_grad(grad, model, ctx.users, d_scores)
     return ObjectiveGradient(objective_id, loss, grad)
 
 
@@ -253,8 +301,8 @@ def _add_embedding_grad(grad: np.ndarray, model: FactorModel, users: np.ndarray,
     num_items) matrix: one GEMM per embedding matrix instead of a scatter of
     per-candidate rows. Repeated users are summed."""
     cut = model.num_users * model.dim
-    np.add.at(grad[:cut].reshape(model.num_users, model.dim), users,
-              d_scores @ model.item_embeddings)
+    grad[:cut] += np.bincount((users[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                              (d_scores @ model.item_embeddings).ravel(), cut)
     item_grad = grad[cut:].reshape(model.num_items, model.dim)
     item_grad += d_scores.T @ model.user_embeddings[users]
 

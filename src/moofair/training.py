@@ -114,6 +114,9 @@ class TrainConfig:
                 raise ValueError("fixed_weights length must match objectives")
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
+        elif self.fixed_weights is not None:
+            raise ValueError("fixed_weights is only used in mode 'fixed_weights', "
+                             f"got mode {self.mode!r}")
 
     @property
     def num_objectives(self) -> int:

@@ -119,6 +119,15 @@ class TestTrain:
         assert "fw_calls" in header
         assert rows[1].split(",")[header.index("fw_calls")] == "0"
 
+    def test_weights_without_fixed_mode_exit_2(self, bundle, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--weights", "0.9,0.1",
+                     "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert "fixed_weights" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_objective_without_mask_rejected(self, tsv_corpus, tmp_path, capsys):
         # rebuild the corpus without attribute files
         bare = tmp_path / "bare"
@@ -183,6 +192,18 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "10,x"),
+                                             ("--patience", "1.5")])
+    def test_bad_depth_or_patience_exits_2(self, bundle, checkpoint, tmp_path,
+                                           capsys, flag, value):
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(checkpoint),
+                     "--out", str(out), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
 
     def test_stable_across_reruns(self, bundle, checkpoint, tmp_path):
         outs = []

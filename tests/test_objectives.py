@@ -1,9 +1,13 @@
 import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from moofair import objectives
 from moofair.model import FactorModel, init_model
+from moofair.numerics import sigmoid
 from moofair.objectives import (
     CandidateContext,
     _consumer_forward,
@@ -344,6 +348,161 @@ class TestConsumerGradient:
             result = consumer_fairness_grad(model, consumer, gender_mask, config,
                                             "gender")
             assert np.all(np.isfinite(result.grad))
+
+
+def reference_consumer(model, ctx, k_max, steepness, group_masks=None):
+    """The per-user consumer kernel the blocked one replaced, kept as its
+    oracle: (NDCG rows, each row's smooth ranks) and, given group masks, the
+    gradient of the disparity over the flattened model (None when skipped)."""
+    g_matrix = np.zeros((ctx.users.shape[0], k_max))
+    ks = np.arange(1, k_max + 1, dtype=np.float64)
+    ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
+    scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
+    saved, all_ranks = {}, {}
+    for row, (cand, n) in enumerate(zip(ctx.candidates, ctx.counts)):
+        if n == 0:
+            continue
+        scaled = steepness * scores[row, cand]
+        pair = sigmoid(scaled[None, :] - scaled[:n, None])
+        ranks = 0.5 + pair.sum(axis=1)
+        trunc = sigmoid(steepness * (ks[None, :] + 0.5 - ranks[:, None]))
+        disc = 1.0 / np.log2(ranks + 1.0)
+        idcg = ideal_cum[np.minimum(np.arange(k_max), n - 1)]
+        g_matrix[row] = (trunc * disc[:, None]).sum(axis=0) / idcg
+        saved[row] = (pair, ranks, trunc, disc, idcg)
+        all_ranks[row] = ranks
+    if group_masks is None:
+        return g_matrix, all_ranks
+    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.counts > 0)
+    if result is None:
+        return g_matrix, all_ranks, None
+    d_g = result[1]
+    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
+    for row, (pair, ranks, trunc, disc, idcg) in saved.items():
+        coeff = d_g[row] / idcg
+        disc_slope = -1.0 / ((ranks + 1.0) * np.log(2.0) * np.log2(ranks + 1.0) ** 2)
+        d_rank = (-steepness * (trunc * (1.0 - trunc)) @ coeff * disc
+                  + trunc @ coeff * disc_slope)
+        slope = steepness * pair * (1.0 - pair)
+        n = ranks.shape[0]
+        slope[np.arange(n), np.arange(n)] = 0.0
+        d_row = slope.T @ d_rank
+        d_row[:n] -= d_rank * slope.sum(axis=1)
+        d_scores[row, ctx.candidates[row]] = d_row
+    user_grad = np.zeros_like(model.user_embeddings)
+    user_grad[ctx.users] = d_scores @ model.item_embeddings
+    item_grad = d_scores.T @ model.user_embeddings[ctx.users]
+    return g_matrix, all_ranks, np.concatenate([user_grad.ravel(), item_grad.ravel()])
+
+
+def ragged_world(seed, num_users=14, num_items=120, dim=3):
+    """A model and a consumer context with 0 to 60 positives and a varying
+    number of negatives per user, plus two random user groups."""
+    gen = np.random.default_rng(seed)
+    model = init_model(num_users, num_items, dim, 0.0, gen, init_std=0.7)
+    candidates, counts = [], []
+    for _ in range(num_users):
+        n_pos = int(gen.choice([0, 1, 2, int(gen.integers(3, 61))]))
+        n_neg = int(gen.integers(0, 40))
+        candidates.append(gen.permutation(num_items)[:n_pos + n_neg])
+        counts.append(n_pos)
+    counts[0] = 60  # the widest row, and a row with positives for every group
+    candidates[0] = gen.permutation(num_items)[:100]
+    counts[1] = max(counts[1], 1)
+    masks = np.zeros((2, num_users), dtype=np.int8)
+    masks[gen.integers(0, 2, size=num_users), np.arange(num_users)] = 1
+    masks[:, :2] = [[1, 0], [0, 1]]
+    return model, context_for(candidates, counts), masks
+
+
+def one_user_model(scores):
+    return FactorModel(np.array([[1.0]]), np.asarray(scores, dtype=np.float64)[:, None])
+
+
+def blocked_ranks(blocks):
+    """Row -> smooth ranks of its positives, read from the padded blocks."""
+    found = {}
+    for rows, _, _, ranks, _, _, _, _ in blocks:
+        for b, row in enumerate(rows):
+            found[int(row)] = ranks[b]
+    return found
+
+
+class TestBlockedConsumerKernel:
+    """The blocked kernel against the per-user reference: ragged contexts,
+    blocks split mid-batch, and a steepness of 1e6 that takes the fallback."""
+
+    @pytest.mark.parametrize("steepness", [0.1, 1.0, 50.0, 1e6])
+    @pytest.mark.parametrize("pair_block", [objectives.PAIR_BLOCK, 3000, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_user_reference(self, monkeypatch, seed, pair_block,
+                                        steepness):
+        monkeypatch.setattr(objectives, "PAIR_BLOCK", pair_block)
+        model, ctx, masks = ragged_world(seed)
+        k_max = 10
+        ref_g, ref_ranks, ref_grad = reference_consumer(model, ctx, k_max, steepness,
+                                                        masks)
+        forward = _consumer_forward(model, ctx, k_max, steepness)
+        if pair_block == 1:
+            assert len(forward[1]) == np.count_nonzero(ctx.counts)
+        np.testing.assert_allclose(forward[0], ref_g, rtol=0, atol=1e-12)
+        ranks = blocked_ranks(forward[1])
+        assert sorted(ranks) == sorted(ref_ranks)
+        for row, expected in ref_ranks.items():
+            np.testing.assert_allclose(ranks[row][:expected.shape[0]], expected,
+                                       rtol=1e-12)
+        config = TrainConfig(ndcg_k=k_max, steepness=steepness)
+        result = consumer_fairness_grad(model, ctx, masks, config, "gender", forward)
+        scale = max(1.0, float(np.max(np.abs(ref_grad))))
+        np.testing.assert_allclose(result.grad, ref_grad, rtol=0, atol=1e-12 * scale)
+
+    def test_live_positives_only_get_cutoffs(self):
+        # a lone positive ranked behind 30 better candidates has a k_max cutoff
+        # of exactly 0 at steepness 50 and gets none; the top one keeps its own
+        model = one_user_model(np.arange(31.0)[::-1])
+        ctx = CandidateContext(np.array([0, 0]), [np.arange(31), np.arange(31)[::-1]],
+                               np.array([1, 1]))
+        g_matrix, blocks = _consumer_forward(model, ctx, 5, 50.0)
+        live = np.concatenate([block[4] for block in blocks])
+        assert live.shape[0] == 1
+        np.testing.assert_array_equal(g_matrix[1], 0.0)
+        assert g_matrix[0, -1] == pytest.approx(1.0)
+
+    def test_ratio_form_at_the_spread_limit(self, monkeypatch):
+        # scaled spread exactly RATIO_SPREAD: the ratio form, no fallback,
+        # against an exactly summed sign-split logistic
+        gen = np.random.default_rng(5)
+        half = objectives.RATIO_SPREAD / 2
+        scores = gen.permutation(np.concatenate([[-half, half],
+                                                 gen.uniform(-half, half, 48)]))
+        shapes = []
+        monkeypatch.setattr(objectives, "sigmoid",
+                            lambda x: shapes.append(np.shape(x)) or sigmoid(x))
+        ctx = CandidateContext(np.array([0]), [np.arange(50)], np.array([50]))
+        _, blocks = _consumer_forward(one_user_model(scores), ctx, 3, 1.0)
+        assert all(len(shape) < 3 for shape in shapes)
+
+        def logistic(x):
+            return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+        expected = [0.5 + math.fsum(logistic(s - p) for s in scores) for p in scores]
+        np.testing.assert_allclose(blocks[0][3][0], expected, rtol=1e-13)
+
+    def test_forward_keeps_no_pair_matrix(self):
+        # 4.8M pairs; the per-user kernel kept all of them (38 MB)
+        gen = np.random.default_rng(8)
+        num_users, n_pos, width = 200, 60, 400
+        model = init_model(num_users, 500, 8, 0.0, gen, init_std=0.3)
+        ctx = context_for([gen.permutation(500)[:width] for _ in range(num_users)],
+                          [n_pos] * num_users)
+        pairs = num_users * n_pos * width
+        tracemalloc.start()
+        try:
+            _consumer_forward(model, ctx, 50, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs * 8 / 4
 
 
 class TestProducerGradient:

@@ -37,7 +37,7 @@ def consumer_forward(scores, steepness=1.0, positives=None, k_max=1):
     positives = n if positives is None else positives
     ctx = CandidateContext(np.array([0]), [np.arange(n)], np.array([positives]))
     g_matrix, blocks = _consumer_forward(one_user_model(scores), ctx, k_max, steepness)
-    return g_matrix, blocks[0][3]
+    return g_matrix, blocks[0][3][0]
 
 
 def smooth_ranks(scores, steepness=1.0):

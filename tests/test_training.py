@@ -42,6 +42,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="fixed_weights"):
             TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights")
 
+    def test_weights_without_fixed_mode_rejected(self):
+        # mgda would train and silently ignore them
+        with pytest.raises(ValueError, match="fixed_weights"):
+            TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.9, 0.1))
+
     def test_fixed_weights_must_be_simplex(self):
         with pytest.raises(ValueError):
             TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights",
