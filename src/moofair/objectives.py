@@ -27,8 +27,7 @@ objective adds only its mask-dependent part.
 The consumer kernel runs on padded blocks of users sorted by positive count,
 with no loop over users. A block's pairwise sigmoids (ratio form, or
 ``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and freed;
-the backward rebuilds them only where the rank gradient is nonzero. Soft
-cutoffs skip positives whose k_max cutoff is 0, which is exact.
+the backward rebuilds them only where the rank gradient is nonzero.
 """
 
 from __future__ import annotations
@@ -170,12 +169,10 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
 
     Users with positives are sorted by positive count and cut into blocks of
     at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
-    pair matrix outlives its block. The cutoff grows with k, so a positive
-    whose k_max cutoff is exactly 0 adds exactly 0 at every k: cutoffs are
-    built only for the other, live, positives. A block holds its rows, the
-    items (B, C) and scaled scores (B, C) padded with -1 and -inf, the ranks
-    (B, P), the live positives as flat indices into them, their cutoffs
-    (live x k) and discounts, and the ideal DCG rows (B, k).
+    pair matrix outlives its block. A block holds its rows, the items (B, C)
+    and scaled scores (B, C) padded with -1 and -inf, the ranks (B, P), the
+    cutoffs (B, P, k), the discounts (B, P), zero on padding positives, and
+    the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
@@ -191,13 +188,13 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     scores = (model.user_embeddings[ctx.users] @ model.item_embeddings.T)[
         np.repeat(order, widths), items]
     starts = np.cumsum(widths) - widths
-    # a block's padded size is at most rows x its last row's positive count x
-    # the running maximum width; rows are added while that fits PAIR_BLOCK
-    row_cost = n_pos * np.maximum.accumulate(widths)
     blocks = []
     start = 0
     while start < order.shape[0]:
-        cost = np.arange(1, order.shape[0] - start + 1) * row_cost[start:]
+        # padded size: rows x the last row's positive count x the widest row
+        # since the block's start; rows are added while that fits PAIR_BLOCK
+        cost = (np.arange(1, order.shape[0] - start + 1) * n_pos[start:]
+                * np.maximum.accumulate(widths[start:]))
         stop = start + max(1, int(np.searchsorted(cost, PAIR_BLOCK, side="right")))
         rows, counts = order[start:stop], n_pos[start:stop]
         cols = np.arange(widths[start:stop].max())
@@ -206,17 +203,13 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         scaled = np.where(pad, -np.inf, steepness * scores[at])
         n_max = int(counts[-1])
         ranks = 0.5 + _pair_sigmoids(scaled, n_max).sum(axis=2)
-        live = np.flatnonzero((np.arange(n_max) < counts[:, None])
-                              & (sigmoid(steepness * (k_max + 0.5 - ranks)) > 0.0))
-        live_ranks = ranks.ravel()[live]
-        trunc = sigmoid(steepness * (ks[None, :] + 0.5 - live_ranks[:, None]))
-        disc = 1.0 / np.log2(live_ranks + 1.0)
+        trunc = sigmoid(steepness * (ks + 0.5 - ranks[:, :, None]))  # (B, P, K)
+        # padding positives get a zero discount, so they add nothing
+        disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
-        live_rows, first = np.unique(live // n_max, return_index=True)
-        g_matrix[rows[live_rows]] = np.add.reduceat(trunc * disc[:, None], first,
-                                                    axis=0) / idcg[live_rows]
-        blocks.append((rows, np.where(pad, -1, items[at]), scaled, ranks, live,
-                       trunc, disc, idcg))
+        g_matrix[rows] = np.einsum("bpk,bp->bk", trunc, disc) / idcg
+        blocks.append((rows, np.where(pad, -1, items[at]), scaled, ranks, trunc, disc,
+                       idcg))
         start = stop
     return g_matrix, blocks
 
@@ -249,9 +242,9 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     Backpropagates the group-mean disparity through the smooth NDCG rows, the
     soft top-k cutoffs, the smooth pairwise ranks, and the candidate scores.
     ``forward`` is the batch's shared ``_consumer_forward`` result; it is
-    computed here when not given. Only live positives have a nonzero rank
-    gradient, and a block's pairs are rebuilt only when that gradient is
-    nonzero; when dL/dG is zero the zero gradient returns at once.
+    computed here when not given. A block's pairs are rebuilt only when its
+    rank gradient is nonzero; when dL/dG is zero the zero gradient returns at
+    once.
     """
     if forward is None:
         forward = _consumer_forward(model, ctx, config.ndcg_k, config.steepness)
@@ -267,19 +260,15 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
 
     steepness = config.steepness
     d_scores = np.zeros((ctx.users.shape[0], model.num_items))
-    for rows, items, scaled, ranks, live, trunc, disc, idcg in blocks:
+    for rows, items, scaled, ranks, trunc, disc, idcg in blocks:
         n_max = ranks.shape[1]
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
-        # discount slope
-        coeff = (d_g[rows] / idcg)[live // n_max]  # (live, K)
-        live_ranks = ranks.ravel()[live]
-        disc_slope = -1.0 / ((live_ranks + 1.0) * LN2 * np.log2(live_ranks + 1.0) ** 2)
-        d_ranks = np.zeros(ranks.size)
-        d_ranks[live] = (-steepness * np.einsum("pk,pk->p", coeff, trunc * (1.0 - trunc))
-                         * disc + np.einsum("pk,pk->p", coeff, trunc) * disc_slope)
+        # the discount slope -disc^2 / ((r_p + 1) ln 2)
+        coeff = d_g[rows] / idcg  # (B, K)
+        d_ranks = (-steepness * np.einsum("bpk,bk->bp", trunc * (1.0 - trunc), coeff) * disc
+                   - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
         if not np.any(d_ranks):
             continue
-        d_ranks = d_ranks.reshape(ranks.shape)
         # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)), the
         # j == p term is constant
         slope = _pair_sigmoids(scaled, n_max)

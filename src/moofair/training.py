@@ -115,7 +115,7 @@ class TrainConfig:
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
         elif self.fixed_weights is not None:
-            raise ValueError("fixed_weights is only used in mode 'fixed_weights', "
+            raise ValueError("fixed_weights needs mode 'fixed_weights' (--mode fixed), "
                              f"got mode {self.mode!r}")
 
     @property

@@ -125,7 +125,7 @@ class TestTrain:
                      "--objectives", "bpr,popularity", "--weights", "0.9,0.1",
                      "--rounds", "1", "--epochs", "1"])
         assert code == 2
-        assert "fixed_weights" in capsys.readouterr().err
+        assert "--mode fixed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_objective_without_mask_rejected(self, tsv_corpus, tmp_path, capsys):

@@ -422,7 +422,7 @@ def one_user_model(scores):
 def blocked_ranks(blocks):
     """Row -> smooth ranks of its positives, read from the padded blocks."""
     found = {}
-    for rows, _, _, ranks, _, _, _, _ in blocks:
+    for rows, _, _, ranks, *_ in blocks:
         for b, row in enumerate(rows):
             found[int(row)] = ranks[b]
     return found
@@ -456,17 +456,17 @@ class TestBlockedConsumerKernel:
         scale = max(1.0, float(np.max(np.abs(ref_grad))))
         np.testing.assert_allclose(result.grad, ref_grad, rtol=0, atol=1e-12 * scale)
 
-    def test_live_positives_only_get_cutoffs(self):
-        # a lone positive ranked behind 30 better candidates has a k_max cutoff
-        # of exactly 0 at steepness 50 and gets none; the top one keeps its own
-        model = one_user_model(np.arange(31.0)[::-1])
-        ctx = CandidateContext(np.array([0, 0]), [np.arange(31), np.arange(31)[::-1]],
-                               np.array([1, 1]))
-        g_matrix, blocks = _consumer_forward(model, ctx, 5, 50.0)
-        live = np.concatenate([block[4] for block in blocks])
-        assert live.shape[0] == 1
-        np.testing.assert_array_equal(g_matrix[1], 0.0)
-        assert g_matrix[0, -1] == pytest.approx(1.0)
+    def test_block_size_ignores_wider_rows_of_earlier_blocks(self, monkeypatch):
+        # one positive among 100 candidates, then ten rows of 2 among 10: the
+        # wide row fills its own block, and the narrow rows come 5 to a block
+        # of 100 padded pairs
+        monkeypatch.setattr(objectives, "PAIR_BLOCK", 100)
+        model = one_user_model(np.linspace(-1.0, 1.0, 100))
+        ctx = CandidateContext(np.zeros(11, dtype=np.int64),
+                               [np.arange(100)] + [np.arange(10)] * 10,
+                               np.array([1] + [2] * 10))
+        _, blocks = _consumer_forward(model, ctx, 3, 1.0)
+        assert [block[0].shape[0] for block in blocks] == [1, 5, 5]
 
     def test_ratio_form_at_the_spread_limit(self, monkeypatch):
         # scaled spread exactly RATIO_SPREAD: the ratio form, no fallback,
@@ -480,7 +480,7 @@ class TestBlockedConsumerKernel:
                             lambda x: shapes.append(np.shape(x)) or sigmoid(x))
         ctx = CandidateContext(np.array([0]), [np.arange(50)], np.array([50]))
         _, blocks = _consumer_forward(one_user_model(scores), ctx, 3, 1.0)
-        assert all(len(shape) < 3 for shape in shapes)
+        assert (1, 50, 50) not in shapes  # the cutoffs are (1, 50, 3)
 
         def logistic(x):
             return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
