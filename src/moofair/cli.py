@@ -25,16 +25,16 @@ class CliError(Exception):
 
 
 def _coerce(key: str, value: str, default):
-    """A config value parsed like its TrainConfig field's default; the two
-    tuple fields take comma-separated lists."""
+    """A config value or flag parsed like its TrainConfig field's default;
+    objectives and weight lists are comma-separated."""
     try:
         if key == "objectives":
             return tuple(v.strip() for v in value.split(",") if v.strip())
-        if key == "fixed_weights":
+        if key in ("fixed_weights", "--grid"):
             return tuple(float(v) for v in value.split(","))
         return type(default)(value)
     except ValueError as exc:
-        raise CliError(f"config key {key!r}: {exc}") from None
+        raise CliError(f"{key} = {value!r}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -65,17 +65,6 @@ def parse_config_file(path: str) -> dict:
     if problems:
         raise CliError("invalid config file:\n  " + "\n  ".join(problems))
     return values
-
-
-def build_train_config(file_values: dict, overrides: dict):
-    from .training import TrainConfig
-
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return TrainConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid training configuration: {exc}") from None
 
 
 class OutputLock:
@@ -168,28 +157,36 @@ def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
         fh.write(f"checkpoint = {os.path.join(out_dir, f'round_{selected.round_id}')}\n")
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args, **flags):
+    """TrainConfig from ``--config`` overridden by the flags given, and the
+    bundle it trains on; a bad value or a missing mask exits 2."""
     from .data import load_bundle
-    from .training import run_pareto_rounds
+    from .training import TrainConfig
 
     _require_dir(args.bundle, "bundle directory")
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "objectives": tuple(args.objectives.split(",")) if args.objectives else None,
-        "mode": {"mgda": "mgda", "fixed": "fixed_weights", None: None}.get(
-            args.mode, args.mode),
-        "fixed_weights": tuple(float(w) for w in args.weights.split(","))
-        if args.weights else None,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "epochs_max": args.epochs,
-    }
-    config = build_train_config(file_values, overrides)
+    values = parse_config_file(args.config) if args.config else {}
+    flags.update(rounds=args.rounds, seed=args.seed, epochs_max=args.epochs,
+                 objectives=tuple(args.objectives.split(",")) if args.objectives else None)
+    values.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        config = TrainConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid training configuration: {exc}") from None
     dataset, masks = load_bundle(args.bundle)
     try:
         config.validate_masks(masks)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    return config, dataset, masks
+
+
+def cmd_train(args) -> int:
+    from .training import run_pareto_rounds
+
+    weights = _coerce("fixed_weights", args.weights, None) if args.weights else None
+    config, dataset, masks = _training_inputs(
+        args, mode={"fixed": "fixed_weights"}.get(args.mode, args.mode),
+        fixed_weights=weights)
     with OutputLock(args.out):
         selected, results = run_pareto_rounds(dataset, masks, config)
         _emit_round_outputs(args.out, config, results, selected)
@@ -200,7 +197,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .data import load_bundle
-    from .metrics import evaluate, write_metrics_csv
+    from .metrics import CatalogTooSmallError, evaluate, write_metrics_csv
     from .model import load_checkpoint
 
     try:
@@ -214,13 +211,17 @@ def cmd_eval(args) -> int:
     _require_dir(args.bundle, "bundle directory")
     _require_dir(args.checkpoint, "checkpoint directory")
     dataset, masks = load_bundle(args.bundle)
+    model, _ = load_checkpoint(args.checkpoint)
+    if (model.num_users, model.num_items) != (dataset.num_users, dataset.num_items):
+        raise CliError(f"checkpoint {args.checkpoint} has {model.num_users} users x "
+                       f"{model.num_items} items, the bundle {dataset.num_users} x "
+                       f"{dataset.num_items}")
     try:
-        model, _ = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise CliError(str(exc)) from None
-    rows = evaluate(model, dataset, masks, k_values=k_values,
-                    patience=args.patience, label=args.label,
-                    disparity_user_variant=args.disparity_user)
+        rows = evaluate(model, dataset, masks, k_values=k_values,
+                        patience=args.patience, label=args.label,
+                        disparity_user_variant=args.disparity_user)
+    except CatalogTooSmallError as exc:
+        raise CliError(f"--k: {exc}") from None
     write_metrics_csv(rows, args.out)
     print(f"wrote metrics for k in {list(k_values)} to {args.out}")
     return 0
@@ -229,28 +230,14 @@ def cmd_eval(args) -> int:
 def cmd_grid(args) -> int:
     import csv
 
-    from .data import load_bundle
     from .metrics import evaluate
     from .objectives import CONSUMER_OBJECTIVES
     from .training import DEFAULT_GRID, grid_search, run_pareto_rounds
 
-    _require_dir(args.bundle, "bundle directory")
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "objectives": tuple(args.objectives.split(",")) if args.objectives else None,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "epochs_max": args.epochs,
-    }
-    config = build_train_config(file_values, overrides)
+    config, dataset, masks = _training_inputs(args)
     if config.num_objectives != 2:
         raise CliError("grid search requires exactly two objectives")
-    dataset, masks = load_bundle(args.bundle)
-    try:
-        config.validate_masks(masks)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    grid = tuple(float(w) for w in args.grid.split(",")) if args.grid else None
+    grid = _coerce("--grid", args.grid, None) if args.grid else DEFAULT_GRID
     fairness = config.objectives[1]
     disparity_key = "disparity_u" if fairness in CONSUMER_OBJECTIVES else "disparity_i"
 
@@ -261,8 +248,7 @@ def cmd_grid(args) -> int:
         return at_k["recall"], inv
 
     with OutputLock(args.out):
-        points = grid_search(dataset, masks, config,
-                             weight_grid=grid or DEFAULT_GRID)
+        points = grid_search(dataset, masks, config, weight_grid=grid)
         selected, results = run_pareto_rounds(dataset, masks, config)
         _emit_round_outputs(args.out, config, results, selected)
         path = os.path.join(args.out, "frontier.csv")
@@ -338,12 +324,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .data import DataFormatError, EmptyDatasetError
+
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DataFormatError, EmptyDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,12 @@ the fairness objectives and metrics consume.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import logging
 import os
+import re
+import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,107 +185,112 @@ class GroupMaskSet:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_ratings_file(path: str, sep: str, encoding: str = "utf-8") -> tuple:
-    users, items, ratings, stamps = [], [], [], []
-    with open(path, encoding=encoding) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(sep)
-            if len(parts) < 4:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 4 fields separated by {sep!r}, "
-                    f"got {len(parts)}"
-                )
-            try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
-                ratings.append(float(parts[2]))
-                stamps.append(int(float(parts[3])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return (
-        np.asarray(users, dtype=np.int64),
-        np.asarray(items, dtype=np.int64),
-        np.asarray(ratings, dtype=np.float64),
-        np.asarray(stamps, dtype=np.int64),
-    )
+# the four leading fields of a rating line; the timestamp is read as a float
+# and truncated toward zero, so "1.5e9" is a valid timestamp
+RATING_FIELDS = np.dtype([("user", np.int64), ("item", np.int64),
+                          ("rating", np.float64), ("timestamp", np.float64)])
 
 
-def _parse_user_attributes(path: str, sep: str, gender_col: int, age_col: int,
-                           encoding: str = "utf-8") -> tuple[dict, dict]:
-    gender, age = {}, {}
+def _load_rating_lines(source) -> np.ndarray:
+    """Records of tab-separated rating lines (an iterable of lines) in one
+    vectorised pass; ValueError on a line that does not parse or a timestamp
+    that is not a finite 64-bit integer."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(source, dtype=RATING_FIELDS, delimiter="\t",
+                          usecols=(0, 1, 2, 3), comments=None, ndmin=1)
+    stamps = rows["timestamp"]
+    bad = ~((stamps >= -2.0 ** 63) & (stamps < 2.0 ** 63))  # NaN fails both
+    if np.any(bad):
+        raise ValueError(f"timestamp {stamps[bad][0]} is not a finite 64-bit integer")
+    return rows
+
+
+def _parse_ratings_file(path: str, sep: str, encoding: str) -> tuple:
+    """(users, items, ratings, timestamps) of a rating log with one
+    ``sep``-separated record per non-empty line; fields past the fourth are
+    ignored."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            rows = _load_rating_lines(line.replace(sep, "\t") for line in fh)
+    except ValueError as exc:
+        raise _first_bad_line_error(path, sep, encoding, exc) from None
+    return rows["user"], rows["item"], rows["rating"], rows["timestamp"].astype(np.int64)
+
+
+def _first_bad_line_error(path: str, sep: str, encoding: str,
+                          exc: ValueError) -> DataFormatError:
+    """The error at ``file:line`` of the first line the vectorised parse
+    rejects. numpy's row numbers do not reliably match file lines, so the line
+    is found by bisecting the file's lines; this runs on the error path only."""
+    with open(path, encoding=encoding) as fh:
+        lines = [line.replace(sep, "\t") for line in fh]
+    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rating_lines(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    where = path
+    try:
+        _load_rating_lines(lines[lo:hi])
+    except ValueError as line_exc:
+        exc, where = line_exc, f"{path}:{lo + 1}"
+    return DataFormatError(f"{where}: {re.sub(r' at row [0-9]+', '', str(exc))}")
+
+
+def _attribute_rows(path: str, sep: str, fields: int, encoding: str):
+    """(line number, integer id, fields) of each non-empty line of an attribute
+    file whose first field is the id; DataFormatError at ``file:line`` on a
+    line with fewer than ``fields`` fields or an id that is not an integer."""
     with open(path, encoding=encoding) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
+            parts = line.rstrip("\n").rstrip("\r").split(sep)
+            if parts == [""]:
                 continue
-            parts = line.split(sep)
-            if len(parts) <= max(gender_col, age_col):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected at least "
-                    f"{max(gender_col, age_col) + 1} fields"
-                )
             try:
+                if len(parts) < fields:
+                    raise ValueError(f"expected {fields} fields separated by {sep!r}, "
+                                     f"got {len(parts)}")
                 uid = int(parts[0])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            g = parts[gender_col].strip().upper()
-            if g in GENDER_LABELS:
-                gender[uid] = g
-            try:
-                age[uid] = int(parts[age_col])
-            except ValueError:
-                pass
+            yield lineno, uid, parts
+
+
+def _parse_user_attributes(path: str, sep: str, gender_col: int, age_col: int,
+                           encoding: str) -> tuple[dict, dict]:
+    gender, age = {}, {}
+    for _, uid, parts in _attribute_rows(path, sep, max(gender_col, age_col) + 1,
+                                         encoding):
+        g = parts[gender_col].strip().upper()
+        if g in GENDER_LABELS:
+            gender[uid] = g
+        with contextlib.suppress(ValueError):
+            age[uid] = int(parts[age_col])
     return gender, age
 
 
 def _parse_ml100k_items(path: str) -> tuple[dict, tuple]:
-    names = ML100K_GENRE_COLUMNS[1:]  # drop the "unknown" placeholder
     genres = {}
     n_flags = len(ML100K_GENRE_COLUMNS)
-    with open(path, encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) < 5 + n_flags:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {5 + n_flags} pipe-separated fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                iid = int(parts[0])
-                flags = [int(v) for v in parts[5:5 + n_flags]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            genres[iid] = tuple(k - 1 for k, v in enumerate(flags) if v and k > 0)
-    return genres, tuple(names)
+    for lineno, iid, parts in _attribute_rows(path, "|", 5 + n_flags, "latin-1"):
+        try:
+            flags = [int(v) for v in parts[5:5 + n_flags]]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        genres[iid] = tuple(k - 1 for k, v in enumerate(flags) if v and k > 0)
+    return genres, ML100K_GENRE_COLUMNS[1:]  # drop the "unknown" placeholder
 
 
 def _parse_genre_items(path: str, sep: str, genre_col: int,
                        encoding: str) -> tuple[dict, tuple]:
     """Item id (first field) to genre indices, from a ``|``-joined genre list
     in field ``genre_col``; genre names are indexed in sorted order."""
-    raw = {}
-    with open(path, encoding=encoding) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(sep)
-            if len(parts) <= genre_col:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {genre_col + 1} fields separated "
-                    f"by {sep!r}, got {len(parts)}"
-                )
-            try:
-                iid = int(parts[0])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            raw[iid] = tuple(g for g in parts[genre_col].split("|") if g)
+    raw = {iid: tuple(g for g in parts[genre_col].split("|") if g)
+           for _, iid, parts in _attribute_rows(path, sep, genre_col + 1, encoding)}
     ordered = tuple(sorted({g for names in raw.values() for g in names}))
     index = {name: k for k, name in enumerate(ordered)}
     genres = {iid: tuple(index[g] for g in names) for iid, names in raw.items()}
@@ -300,71 +308,32 @@ def ingest(path: str, fmt: str) -> RawRatings:
         (``user gender age``) and items.tsv (``item genre|genre|...``)
         alongside.
 
-    Attribute files that are absent set the corresponding tables to None;
-    fairness objectives that need them become unavailable downstream.
+    The rating log is parsed in one vectorised pass; a malformed line is a
+    DataFormatError naming ``file:line``. Attribute files that are absent set
+    the corresponding tables to None; fairness objectives that need them
+    become unavailable downstream.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    raw = RawRatings(
-        users=np.empty(0, dtype=np.int64),
-        items=np.empty(0, dtype=np.int64),
-        ratings=np.empty(0, dtype=np.float64),
-        timestamps=np.empty(0, dtype=np.int64),
-    )
-    if fmt == "ml100k":
-        ratings_path = os.path.join(path, "u.data")
-        if not os.path.exists(ratings_path):
-            raise FileNotFoundError(f"ratings file not found: {ratings_path}")
-        raw.users, raw.items, raw.ratings, raw.timestamps = _parse_ratings_file(
-            ratings_path, "\t"
-        )
-        user_path = os.path.join(path, "u.user")
-        if os.path.exists(user_path):
-            raw.user_gender, raw.user_age = _parse_user_attributes(
-                user_path, "|", gender_col=2, age_col=1, encoding="latin-1"
-            )
-        item_path = os.path.join(path, "u.item")
-        if os.path.exists(item_path):
-            raw.item_genres, raw.genre_names = _parse_ml100k_items(item_path)
-    elif fmt == "ml1m":
-        ratings_path = os.path.join(path, "ratings.dat")
-        if not os.path.exists(ratings_path):
-            raise FileNotFoundError(f"ratings file not found: {ratings_path}")
-        raw.users, raw.items, raw.ratings, raw.timestamps = _parse_ratings_file(
-            ratings_path, "::", encoding="latin-1"
-        )
-        user_path = os.path.join(path, "users.dat")
-        if os.path.exists(user_path):
-            raw.user_gender, raw.user_age = _parse_user_attributes(
-                user_path, "::", gender_col=1, age_col=2, encoding="latin-1"
-            )
-        item_path = os.path.join(path, "movies.dat")
-        if os.path.exists(item_path):
-            raw.item_genres, raw.genre_names = _parse_genre_items(
-                item_path, "::", genre_col=2, encoding="latin-1"
-            )
-    else:  # generic_tsv
-        if os.path.isdir(path):
-            ratings_path = os.path.join(path, "ratings.tsv")
-            base = path
-        else:
-            ratings_path = path
-            base = os.path.dirname(path)
-        if not os.path.exists(ratings_path):
-            raise FileNotFoundError(f"ratings file not found: {ratings_path}")
-        raw.users, raw.items, raw.ratings, raw.timestamps = _parse_ratings_file(
-            ratings_path, "\t"
-        )
-        user_path = os.path.join(base, "users.tsv")
-        if os.path.exists(user_path):
-            raw.user_gender, raw.user_age = _parse_user_attributes(
-                user_path, "\t", gender_col=1, age_col=2
-            )
-        item_path = os.path.join(base, "items.tsv")
-        if os.path.exists(item_path):
-            raw.item_genres, raw.genre_names = _parse_genre_items(
-                item_path, "\t", genre_col=1, encoding="utf-8"
-            )
+    names = {"ml100k": ("u.data", "u.user", "u.item"),
+             "ml1m": ("ratings.dat", "users.dat", "movies.dat"),
+             "generic_tsv": ("ratings.tsv", "users.tsv", "items.tsv")}[fmt]
+    if fmt == "generic_tsv" and not os.path.isdir(path):
+        path, ratings_name = os.path.split(path)
+        names = (ratings_name,) + names[1:]
+    ratings_path, user_path, item_path = (os.path.join(path, name) for name in names)
+    if not os.path.exists(ratings_path):
+        raise FileNotFoundError(f"ratings file not found: {ratings_path}")
+    sep, encoding = ("::", "latin-1") if fmt == "ml1m" else ("\t", "utf-8")
+    raw = RawRatings(*_parse_ratings_file(ratings_path, sep, encoding))
+    if os.path.exists(user_path):
+        raw.user_gender, raw.user_age = (
+            _parse_user_attributes(user_path, "|", 2, 1, "latin-1") if fmt == "ml100k"
+            else _parse_user_attributes(user_path, sep, 1, 2, encoding))
+    if os.path.exists(item_path):
+        raw.item_genres, raw.genre_names = (
+            _parse_ml100k_items(item_path) if fmt == "ml100k"
+            else _parse_genre_items(item_path, sep, 2 if fmt == "ml1m" else 1, encoding))
     if raw.user_gender is None:
         logger.info("no user attribute file found; gender/age objectives unavailable")
     return raw
@@ -410,17 +379,14 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     dense_items = dense_items[order]
     stamps = stamps[order]
 
-    split = np.empty(dense_users.shape[0], dtype=np.int8)
-    boundaries = np.flatnonzero(np.diff(dense_users)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [dense_users.shape[0]]))
-    for s, e in zip(starts, ends):
-        count = e - s
-        n_train = int(np.floor(TRAIN_FRACTION * count))
-        n_val = int(np.floor(VAL_FRACTION * count))
-        split[s:s + n_train] = TRAIN
-        split[s + n_train:s + n_train + n_val] = VAL
-        split[s + n_train + n_val:e] = TEST
+    # position of each interaction within its user against the floored
+    # train and val counts; TRAIN, VAL, TEST are 0, 1, 2
+    counts = np.bincount(dense_users)
+    position = np.arange(dense_users.shape[0]) - (np.cumsum(counts) - counts)[dense_users]
+    n_train = np.floor(TRAIN_FRACTION * counts).astype(np.int64)
+    n_val = np.floor(VAL_FRACTION * counts).astype(np.int64)
+    split = ((position >= n_train[dense_users]).astype(np.int8)
+             + (position >= (n_train + n_val)[dense_users]))
 
     return InteractionDataset(
         num_users=user_ids.shape[0],
@@ -447,40 +413,23 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
     Users with unknown gender or age are excluded from those masks entirely.
     """
     masks = GroupMaskSet()
-
-    if raw.user_gender is not None:
-        gender = np.zeros((2, dataset.num_users), dtype=np.int8)
-        unknown = 0
-        for k, orig in enumerate(dataset.user_ids):
-            g = raw.user_gender.get(int(orig))
-            if g == "F":
-                gender[0, k] = 1
-            elif g == "M":
-                gender[1, k] = 1
-            else:
-                unknown += 1
-        if unknown:
-            logger.warning(
-                "%d users have unknown gender and are excluded from the gender mask",
-                unknown,
-            )
-        masks.gender = gender
-
-    if raw.user_age is not None:
-        age = np.zeros((NUM_AGE_GROUPS, dataset.num_users), dtype=np.int8)
-        unknown = 0
-        for k, orig in enumerate(dataset.user_ids):
-            a = raw.user_age.get(int(orig))
-            if a is None:
-                unknown += 1
-            else:
-                age[age_group(int(a)), k] = 1
-        if unknown:
-            logger.warning(
-                "%d users have unknown age and are excluded from the age mask",
-                unknown,
-            )
-        masks.age = age
+    users = [int(orig) for orig in dataset.user_ids]
+    # row of each user's attribute value, -1 when it is unknown
+    for name, table, size, row_of in (
+            ("gender", raw.user_gender, len(GENDER_LABELS),
+             lambda g: GENDER_LABELS.index(g) if g in GENDER_LABELS else -1),
+            ("age", raw.user_age, NUM_AGE_GROUPS,
+             lambda a: -1 if a is None else age_group(int(a)))):
+        if table is None:
+            continue
+        rows = np.array([row_of(table.get(u)) for u in users], dtype=np.int64)
+        known = np.flatnonzero(rows >= 0)
+        mask = np.zeros((size, dataset.num_users), dtype=np.int8)
+        mask[rows[known], known] = 1
+        if known.shape[0] < len(users):
+            logger.warning("%d users have unknown %s and are excluded from the %s mask",
+                           len(users) - known.shape[0], name, name)
+        setattr(masks, name, mask)
 
     masks.popularity = popularity_mask(dataset)
 
@@ -503,17 +452,13 @@ def popularity_mask(dataset: InteractionDataset,
     Row 0 holds the most popular items (label 5 of 5); sizes differ by at
     most one, with the larger groups at the popular end.
     """
-    counts = np.zeros(dataset.num_items, dtype=np.int64)
-    train_mask = dataset.split == TRAIN
-    np.add.at(counts, dataset.items[train_mask], 1)
+    counts = np.bincount(dataset.items[dataset.split == TRAIN],
+                         minlength=dataset.num_items)
     order = np.lexsort((np.arange(dataset.num_items), -counts))
     base, extra = divmod(dataset.num_items, groups)
+    sizes = base + (np.arange(groups) < extra)
     mask = np.zeros((groups, dataset.num_items), dtype=np.int8)
-    pos = 0
-    for row in range(groups):
-        size = base + (1 if row < extra else 0)
-        mask[row, order[pos:pos + size]] = 1
-        pos += size
+    mask[np.repeat(np.arange(groups), sizes), order] = 1
     return mask
 
 
@@ -521,26 +466,93 @@ def popularity_mask(dataset: InteractionDataset,
 # bundle serialization
 # ---------------------------------------------------------------------------
 
+BUNDLE_FILE = "bundle.npz"
+MASK_NAMES = ("gender", "age", "popularity", "genre")
+
+# bundle.npz entries: (dtype, dimensions, required)
+BUNDLE_ARRAYS = {
+    "users": ("int64", 1, True), "items": ("int64", 1, True),
+    "timestamps": ("int64", 1, True), "split": ("int8", 1, True),
+    "user_ids": ("int64", 1, True), "item_ids": ("int64", 1, True),
+    **{f"mask_{name}": ("int8", 2, False) for name in MASK_NAMES},
+    "genre_names": ("U", 1, False),  # unicode of any width
+}
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """A file opened under a temporary name beside ``path`` and renamed over
+    ``path`` once written: a write that fails part way leaves no file under
+    ``path`` (an older one stays as it was)."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def save_npz(path: str, arrays: dict) -> None:
+    """Write ``arrays`` as an uncompressed .npz, atomically. Its zip entries
+    carry zipfile's fixed default date, so equal arrays give equal bytes."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_npz(path: str, spec: dict, legacy_file: str, command: str) -> dict:
+    """The arrays of a .npz written by ``save_npz``, each checked against its
+    ``spec`` entry (dtype, dimensions, required); absent optional arrays are
+    left out.
+
+    A missing file is FileNotFoundError, or a DataFormatError asking to re-run
+    ``moofair <command>`` when ``legacy_file``, the CSV of an earlier version,
+    is there instead. Unreadable files and arrays off their spec are
+    DataFormatErrors naming the file and the key.
+    """
+    if not os.path.exists(path):
+        directory = os.path.dirname(path)
+        if os.path.exists(os.path.join(directory, legacy_file)):
+            raise DataFormatError(
+                f"{directory} holds CSV files of an earlier version; re-run "
+                f"`moofair {command}` to write {os.path.basename(path)}")
+        raise FileNotFoundError(f"not found: {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in spec if key in archive.files}
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from None
+    for key, (dtype, ndim, required) in spec.items():
+        value = arrays.get(key)
+        if value is None:
+            if required:
+                raise DataFormatError(f"{path}: missing array {key!r}")
+        elif not np.issubdtype(value.dtype, dtype) or value.ndim != ndim:
+            raise DataFormatError(f"{path}: array {key!r} is {value.ndim}-D "
+                                  f"{value.dtype}, expected {ndim}-D {dtype}")
+    return arrays
+
+
 def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet) -> None:
-    """Write the preprocessed dataset and masks as a CSV bundle directory."""
+    """Write the preprocessed dataset and masks to ``directory``.
+
+    ``bundle.npz`` holds the interaction arrays (split as int8 codes TRAIN,
+    VAL, TEST), ``user_ids``/``item_ids``, each available mask as
+    ``mask_<name>`` and ``genre_names``; ``stats.txt`` is a human-readable
+    summary. Each file is written atomically.
+    """
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "interactions.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "item", "timestamp", "split"])
-        for u, i, ts, sp in zip(dataset.users, dataset.items,
-                                dataset.timestamps, dataset.split):
-            writer.writerow([int(u), int(i), int(ts), SPLIT_NAMES[sp]])
-    np.savetxt(os.path.join(directory, "user_ids.csv"), dataset.user_ids, fmt="%d")
-    np.savetxt(os.path.join(directory, "item_ids.csv"), dataset.item_ids, fmt="%d")
-    for name in ("gender", "age", "popularity", "genre"):
-        mask = masks.mask_for(name)
-        if mask is not None:
-            np.savetxt(os.path.join(directory, f"mask_{name}.csv"), mask,
-                       fmt="%d", delimiter=",")
+    arrays = {"users": dataset.users, "items": dataset.items,
+              "timestamps": dataset.timestamps, "split": dataset.split,
+              "user_ids": dataset.user_ids, "item_ids": dataset.item_ids}
+    for name in MASK_NAMES:
+        if masks.mask_for(name) is not None:
+            arrays[f"mask_{name}"] = masks.mask_for(name)
     if masks.genre_names:
-        with open(os.path.join(directory, "genre_names.txt"), "w") as fh:
-            fh.write("\n".join(masks.genre_names) + "\n")
-    with open(os.path.join(directory, "stats.txt"), "w") as fh:
+        arrays["genre_names"] = np.array(masks.genre_names, dtype=str)
+    save_npz(os.path.join(directory, BUNDLE_FILE), arrays)
+    with atomic_open(os.path.join(directory, "stats.txt")) as fh:
         fh.write(f"users = {dataset.num_users}\n")
         fh.write(f"items = {dataset.num_items}\n")
         fh.write(f"interactions = {dataset.num_interactions}\n")
@@ -548,49 +560,36 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
 
 
 def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
-    """Read a bundle written by ``save_bundle``."""
-    path = os.path.join(directory, "interactions.csv")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"bundle interactions file not found: {path}")
-    users, items, stamps, split = [], [], [], []
-    split_index = {name: k for k, name in enumerate(SPLIT_NAMES)}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "item", "timestamp", "split"]:
-            raise DataFormatError(f"{path}:1: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                users.append(int(row[0]))
-                items.append(int(row[1]))
-                stamps.append(int(row[2]))
-                split.append(split_index[row[3]])
-            except (ValueError, KeyError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    user_ids = np.loadtxt(os.path.join(directory, "user_ids.csv"),
-                          dtype=np.int64, ndmin=1)
-    item_ids = np.loadtxt(os.path.join(directory, "item_ids.csv"),
-                          dtype=np.int64, ndmin=1)
-    dataset = InteractionDataset(
-        num_users=user_ids.shape[0],
-        num_items=item_ids.shape[0],
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        timestamps=np.asarray(stamps, dtype=np.int64),
-        split=np.asarray(split, dtype=np.int8),
-        user_ids=user_ids,
-        item_ids=item_ids,
-    )
+    """Read a bundle written by ``save_bundle``, checking that its arrays
+    agree: equal lengths, split codes in {TRAIN, VAL, TEST}, dense ids inside
+    ``user_ids``/``item_ids`` and mask widths matching them."""
+    path = os.path.join(directory, BUNDLE_FILE)
+    arrays = load_npz(path, BUNDLE_ARRAYS, "interactions.csv", "prepare")
+    num_users, num_items = arrays["user_ids"].shape[0], arrays["item_ids"].shape[0]
+    count = arrays["users"].shape[0]
+    for key, limit in (("users", num_users), ("items", num_items),
+                       ("timestamps", None), ("split", len(SPLIT_NAMES))):
+        values = arrays[key]
+        if values.shape[0] != count:
+            raise DataFormatError(f"{path}: array {key!r} has {values.shape[0]} "
+                                  f"entries, 'users' has {count}")
+        if limit is not None and count and (values.min() < 0 or values.max() >= limit):
+            raise DataFormatError(f"{path}: array {key!r} holds values outside "
+                                  f"[0, {limit})")
     masks = GroupMaskSet()
-    for name in ("gender", "age", "popularity", "genre"):
-        mpath = os.path.join(directory, f"mask_{name}.csv")
-        if os.path.exists(mpath):
-            setattr(masks, name, np.loadtxt(mpath, dtype=np.int8,
-                                            delimiter=",", ndmin=2))
-    npath = os.path.join(directory, "genre_names.txt")
-    if os.path.exists(npath):
-        with open(npath) as fh:
-            masks.genre_names = tuple(line.strip() for line in fh if line.strip())
+    for name in MASK_NAMES:
+        mask = arrays.get(f"mask_{name}")
+        if mask is None:
+            continue
+        width = num_items if name in ("popularity", "genre") else num_users
+        if mask.shape[1] != width:
+            raise DataFormatError(f"{path}: array 'mask_{name}' has {mask.shape[1]} "
+                                  f"columns, expected {width}")
+        setattr(masks, name, mask)
+    masks.genre_names = tuple(arrays.get("genre_names", np.array([])).tolist())
+    if masks.genre is not None and len(masks.genre_names) != masks.genre.shape[0]:
+        raise DataFormatError(f"{path}: array 'genre_names' has {len(masks.genre_names)} "
+                              f"names for {masks.genre.shape[0]} genre rows")
+    dataset = InteractionDataset(num_users, num_items, *(arrays[key] for key in (
+        "users", "items", "timestamps", "split", "user_ids", "item_ids")))
     return dataset, masks

@@ -22,6 +22,10 @@ METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
 USER_BLOCK = 512  # users scored at once when ranking the catalog
 
 
+class CatalogTooSmallError(ValueError):
+    """Some evaluated user has fewer unseen items than the list depth."""
+
+
 @dataclass
 class RecommendationRun:
     """Top-k lists for every evaluated user plus their relevance sets."""
@@ -103,7 +107,7 @@ def build_recommendations(model: FactorModel, dataset: InteractionDataset,
         raise ValueError(f"k must be >= 1, got {k}")
     run, top = rank_split(model, dataset, k, TEST)
     if top.shape[1] < k or np.any(top == -np.inf):
-        raise ValueError(f"catalog too small to recommend {k} unseen items")
+        raise CatalogTooSmallError(f"catalog too small to recommend {k} unseen items")
     return run
 
 

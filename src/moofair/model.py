@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import DataFormatError, InteractionDataset, atomic_open, load_npz, save_npz
 from .numerics import sigmoid
 
 logger = logging.getLogger(__name__)
@@ -206,35 +206,41 @@ def attach_negatives(dataset: InteractionDataset, rng: np.random.Generator,
 # checkpoints
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FILE = "embeddings.npz"
+
+# embeddings.npz entries: (dtype, dimensions, required)
+CHECKPOINT_ARRAYS = {"user_embeddings": ("float64", 2, True),
+                     "item_embeddings": ("float64", 2, True),
+                     "reg": ("float64", 0, True)}
+
+
 def save_checkpoint(model: FactorModel, directory: str, metadata: dict | None = None) -> None:
-    """Write embeddings as CSV plus a key-value metadata file."""
+    """Write the embeddings and ``reg`` as ``embeddings.npz`` plus a key-value
+    ``metadata.txt``, each atomically."""
     os.makedirs(directory, exist_ok=True)
-    np.savetxt(os.path.join(directory, "user_embeddings.csv"),
-               model.user_embeddings, fmt="%.17g", delimiter=",")
-    np.savetxt(os.path.join(directory, "item_embeddings.csv"),
-               model.item_embeddings, fmt="%.17g", delimiter=",")
+    save_npz(os.path.join(directory, CHECKPOINT_FILE),
+             {"user_embeddings": model.user_embeddings,
+              "item_embeddings": model.item_embeddings, "reg": np.float64(model.reg)})
     meta = {"dim": model.dim, "reg": model.reg}
     meta.update(metadata or {})
-    with open(os.path.join(directory, "metadata.txt"), "w") as fh:
+    with atomic_open(os.path.join(directory, "metadata.txt")) as fh:
         for key in sorted(meta):
             fh.write(f"{key} = {meta[key]}\n")
 
 
 def load_checkpoint(directory: str) -> tuple[FactorModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``."""
-    upath = os.path.join(directory, "user_embeddings.csv")
-    if not os.path.exists(upath):
-        raise FileNotFoundError(f"checkpoint not found: {upath}")
-    user = np.loadtxt(upath, delimiter=",", ndmin=2)
-    item = np.loadtxt(os.path.join(directory, "item_embeddings.csv"),
-                      delimiter=",", ndmin=2)
+    path = os.path.join(directory, CHECKPOINT_FILE)
+    arrays = load_npz(path, CHECKPOINT_ARRAYS, "user_embeddings.csv", "train")
+    try:
+        model = FactorModel(arrays["user_embeddings"], arrays["item_embeddings"],
+                            float(arrays["reg"]))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     meta = {}
     mpath = os.path.join(directory, "metadata.txt")
     if os.path.exists(mpath):
         with open(mpath) as fh:
-            for line in fh:
-                if "=" in line:
-                    key, value = line.split("=", 1)
-                    meta[key.strip()] = value.strip()
-    reg = float(meta.get("reg", 0.0))
-    return FactorModel(user, item, reg), meta
+            meta = dict((part.strip() for part in line.split("=", 1))
+                        for line in fh if "=" in line)
+    return model, meta

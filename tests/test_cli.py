@@ -63,9 +63,12 @@ def tiny_config(tmp_path):
 
 class TestPrepare:
     def test_outputs_written(self, bundle):
-        for name in ("interactions.csv", "mask_gender.csv", "mask_popularity.csv",
-                     "stats.txt"):
-            assert (bundle / name).exists()
+        assert sorted(os.listdir(bundle)) == ["bundle.npz", "stats.txt"]
+        with np.load(bundle / "bundle.npz", allow_pickle=False) as arrays:
+            assert {"users", "split", "mask_gender", "mask_popularity",
+                    "genre_names"} <= set(arrays.files)
+            assert arrays["split"].dtype == np.int8
+            assert arrays["genre_names"].dtype.kind == "U"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["prepare", "--format", "ml100k",
@@ -80,8 +83,28 @@ class TestPrepare:
                      "--in", str(tsv_corpus), "--out", str(out_a)]) == 0
         assert main(["prepare", "--format", "generic_tsv",
                      "--in", str(tsv_corpus), "--out", str(out_b)]) == 0
+        assert sorted(os.listdir(out_a)) == ["bundle.npz", "stats.txt"]
         for name in sorted(os.listdir(out_a)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_bad_rating_line_exits_2_with_file_and_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "u.data").write_text("1\t10\t5\t100\n1\t11\tx\t200\n")
+        code = main(["prepare", "--format", "ml100k", "--in", str(raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw / 'u.data'}:2: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nothing_left_after_filtering_exits_2(self, tmp_path, capsys):
+        (tmp_path / "ratings.tsv").write_text("1\t10\t5\t100\n")
+        code = main(["prepare", "--format", "generic_tsv",
+                     "--in", str(tmp_path / "ratings.tsv"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: no interactions remain")
 
 
 class TestTrain:
@@ -90,7 +113,7 @@ class TestTrain:
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
                      "--config", str(tiny_config)] + TRAIN_ARGS)
         assert code == 0
-        assert (out / "round_1" / "user_embeddings.csv").exists()
+        assert sorted(os.listdir(out / "round_1")) == ["embeddings.npz", "metadata.txt"]
         assert (out / "rounds.csv").exists()
         assert (out / "selection.txt").exists()
         trace = (out / "alpha_trace_round_1.csv").read_text().splitlines()
@@ -128,6 +151,25 @@ class TestTrain:
         assert "--mode fixed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_weights_exit_2(self, bundle, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--mode", "fixed",
+                     "--weights", "0.9,x", "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixed_weights = '0.9,x': ") and "'x'" in err
+        assert not out.exists()
+
+    def test_csv_bundle_of_earlier_version_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "interactions.csv").write_text("user,item,timestamp,split\n")
+        code = main(["train", "--bundle", str(old), "--out", str(tmp_path / "run"),
+                     "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert "re-run `moofair prepare`" in capsys.readouterr().err
+
     def test_objective_without_mask_rejected(self, tsv_corpus, tmp_path, capsys):
         # rebuild the corpus without attribute files
         bare = tmp_path / "bare"
@@ -151,7 +193,7 @@ class TestTrain:
                          "--config", str(tiny_config)] + TRAIN_ARGS)
             assert code == 0
             outs.append(out)
-        for name in ("round_1/user_embeddings.csv", "round_1/item_embeddings.csv",
+        for name in ("round_1/embeddings.npz", "round_1/metadata.txt",
                      "alpha_trace_round_1.csv", "rounds.csv"):
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
@@ -205,6 +247,39 @@ class TestEval:
         assert err.startswith("error: ") and flag in err
         assert not out.exists()
 
+    def test_depth_beyond_catalog_exits_2(self, bundle, checkpoint, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(checkpoint),
+                     "--out", str(out), "--k", "10,5000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --k: catalog too small to recommend 5000")
+        assert not out.exists()
+
+    def test_csv_checkpoint_of_earlier_version_exits_2(self, bundle, tmp_path, capsys):
+        old = tmp_path / "round_1"
+        old.mkdir()
+        (old / "user_embeddings.csv").write_text("0.1,0.2\n")
+        code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(old),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "re-run `moofair train`" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_bundle_exits_2(self, tsv_corpus, checkpoint,
+                                                  tmp_path, capsys):
+        other = tmp_path / "other"
+        (tmp_path / "ratings.tsv").write_text(
+            "".join(line for line in (tsv_corpus / "ratings.tsv").read_text()
+                    .splitlines(keepends=True) if not line.startswith("1\t")))
+        assert main(["prepare", "--format", "generic_tsv",
+                     "--in", str(tmp_path / "ratings.tsv"), "--out", str(other)]) == 0
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--bundle", str(other), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+        assert code == 2
+        assert "users x" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stable_across_reruns(self, bundle, checkpoint, tmp_path):
         outs = []
         for name in ("m1.csv", "m2.csv"):
@@ -230,6 +305,13 @@ class TestGrid:
         assert len(lines) == 1 + 2 + 2  # header + grid points + mgda rounds
         assert lines[1].startswith("0.9,")
         assert lines[3].startswith("mgda,")
+
+    def test_unparsable_grid_exits_2(self, bundle, tmp_path, capsys):
+        code = main(["grid", "--bundle", str(bundle), "--out", str(tmp_path / "g"),
+                     "--objectives", "bpr,popularity", "--grid", "0.9,x"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --grid = '0.9,x': ")
+        assert not (tmp_path / "g").exists()
 
     def test_rejects_three_objectives(self, bundle, tmp_path, capsys):
         code = main(["grid", "--bundle", str(bundle),

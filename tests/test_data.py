@@ -1,10 +1,12 @@
 import logging
 import os
+import time
 
 import numpy as np
 import pytest
 
 from moofair.data import (
+    BUNDLE_FILE,
     TEST,
     TRAIN,
     VAL,
@@ -19,6 +21,7 @@ from moofair.data import (
     popularity_mask,
     preprocess,
     save_bundle,
+    save_npz,
 )
 from conftest import make_raw
 
@@ -55,6 +58,43 @@ class TestIngestGeneric:
         write_lines(path, ["1\t1\t5"])
         with pytest.raises(DataFormatError, match=":1:"):
             ingest(str(path), "generic_tsv")
+
+    @pytest.mark.parametrize("lines, lineno", [
+        # blank lines count as file lines
+        (["1\t1\t5\t10", "", "", "1\t2\t3"], 4),
+        (["", "1\t1\t5\t10", "   "], 3),
+        # a later unparsable line does not hide an earlier bad timestamp
+        (["1\t1\t5\t10", "1\t1\t5\tinf", "x\t1\t5\t1"], 2),
+        (["1\t1\t5\tnan"], 1),
+        (["1\t1\t5\t1e30"], 1),
+        (["99999999999999999999\t1\t5\t10"], 1),
+        (["1.0\t1\t5\t10"], 1),
+    ])
+    def test_bad_line_reports_its_file_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "ratings.tsv"
+        write_lines(path, lines)
+        with pytest.raises(DataFormatError, match=rf"ratings\.tsv:{lineno}: "):
+            ingest(str(path), "generic_tsv")
+
+    def test_matches_line_by_line_oracle(self, tmp_path):
+        gen = np.random.default_rng(8)
+        lines = []
+        for k in range(400):
+            fields = [str(gen.integers(1, 50)), str(gen.integers(1, 90)),
+                      f"{gen.integers(1, 6)}", str(10**9 + int(gen.integers(0, 10**6)))]
+            if k % 7 == 0:
+                fields[3] = f"{float(fields[3]) + 0.75:.6e}"  # float timestamps truncate
+            if k % 11 == 0:
+                fields.append("extra")
+            lines.append("\t".join(fields))
+            if k % 13 == 0:
+                lines.append("")
+        write_lines(tmp_path / "ratings.tsv", lines)
+        raw = ingest(str(tmp_path / "ratings.tsv"), "generic_tsv")
+        expected = line_by_line_ratings(str(tmp_path / "ratings.tsv"), "\t")
+        for got, want in zip((raw.users, raw.items, raw.ratings, raw.timestamps), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_attribute_files_picked_up(self, tmp_path):
         write_lines(tmp_path / "ratings.tsv", ["1\t1\t5\t10", "2\t1\t4\t20"])
@@ -117,6 +157,12 @@ class TestIngestMovieLens:
         assert raw.item_genres == {1193: (0,)}
         assert raw.genre_names == ("Drama",)
 
+    def test_ml1m_bad_rating_line_reports_number(self, tmp_path):
+        write_lines(tmp_path / "ratings.dat",
+                    ["1::1193::5::978300760", "", "2::1193::x::978302109"])
+        with pytest.raises(DataFormatError, match=r"ratings\.dat:3: .*'x'"):
+            ingest(str(tmp_path), "ml1m")
+
     def test_malformed_movies_line_reports_number(self, tmp_path):
         write_lines(tmp_path / "ratings.dat", ["1::1193::5::978300760"])
         write_lines(tmp_path / "movies.dat", ["1193::Some Movie (1975)::Drama",
@@ -127,6 +173,22 @@ class TestIngestMovieLens:
                                              "", "abc::Bad Id (1976)::Comedy"])
         with pytest.raises(DataFormatError, match=r"movies\.dat:3:"):
             ingest(str(tmp_path), "ml1m")
+
+
+def line_by_line_ratings(path, sep):
+    """Per-line split and int/float conversion: the reference the vectorised
+    rating parser must match exactly."""
+    users, items, ratings, stamps = [], [], [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.rstrip("\n").split(sep)
+            if parts != [""]:
+                users.append(int(parts[0]))
+                items.append(int(parts[1]))
+                ratings.append(float(parts[2]))
+                stamps.append(int(float(parts[3])))
+    return (np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
+            np.asarray(ratings, dtype=np.float64), np.asarray(stamps, dtype=np.int64))
 
 
 class TestAgeGroups:
@@ -441,18 +503,25 @@ class TestBundle:
         save_bundle(str(out), synthetic_dataset, synthetic_masks)
         loaded, masks = load_bundle(str(out))
         assert loaded.num_users == synthetic_dataset.num_users
-        assert np.array_equal(loaded.users, synthetic_dataset.users)
-        assert np.array_equal(loaded.items, synthetic_dataset.items)
-        assert np.array_equal(loaded.split, synthetic_dataset.split)
-        assert np.array_equal(masks.gender, synthetic_masks.gender)
-        assert np.array_equal(masks.genre, synthetic_masks.genre)
+        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+            got, want = getattr(loaded, name), getattr(synthetic_dataset, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        for name in ("gender", "age", "popularity", "genre"):
+            got, want = getattr(masks, name), getattr(synthetic_masks, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert masks.genre_names == synthetic_masks.genre_names
+        assert all(type(name) is str for name in masks.genre_names)
 
-    def test_bytes_identical_on_rerun(self, tmp_path, synthetic_dataset, synthetic_masks):
+    def test_bytes_identical_on_rerun(self, tmp_path, synthetic_dataset, synthetic_masks,
+                                      monkeypatch):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         save_bundle(str(out_a), synthetic_dataset, synthetic_masks)
+        # a later wall-clock time must not reach the archive
+        monkeypatch.setattr(time, "time", lambda: 2e9)
         save_bundle(str(out_b), synthetic_dataset, synthetic_masks)
+        assert sorted(os.listdir(out_a)) == [BUNDLE_FILE, "stats.txt"]
         for name in sorted(os.listdir(out_a)):
             with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
@@ -460,3 +529,66 @@ class TestBundle:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_bundle(str(tmp_path / "nope"))
+
+    def test_csv_bundle_of_earlier_version(self, tmp_path):
+        (tmp_path / "interactions.csv").write_text("user,item,timestamp,split\n")
+        with pytest.raises(DataFormatError, match="re-run `moofair prepare`"):
+            load_bundle(str(tmp_path))
+
+    @pytest.mark.parametrize("key, change", [
+        ("users", None),
+        ("split", None),
+        ("items", lambda a: a[:-1]),
+        ("timestamps", lambda a: a[1:]),
+        ("split", lambda a: np.where(np.arange(a.shape[0]) == 3, 3, a).astype(np.int8)),
+        ("split", lambda a: (a - 1).astype(np.int8)),
+        ("users", lambda a: a + 1),
+        ("items", lambda a: a - 1),
+        ("mask_gender", lambda a: a[:, :-1]),
+        ("mask_genre", lambda a: a[:, 1:]),
+        ("mask_popularity", lambda a: a[0]),
+        ("genre_names", lambda a: a[:-1]),
+        ("users", lambda a: a.astype(np.float64)),
+    ])
+    def test_inconsistent_array_names_file_and_key(self, tmp_path, synthetic_dataset,
+                                                    synthetic_masks, key, change):
+        save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
+        path = tmp_path / BUNDLE_FILE
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if change is None:
+            del arrays[key]
+        else:
+            arrays[key] = change(arrays[key])
+        save_npz(str(path), arrays)
+        with pytest.raises(DataFormatError, match=rf"{BUNDLE_FILE}: .*'{key}'"):
+            load_bundle(str(tmp_path))
+
+    def test_unreadable_archive(self, tmp_path):
+        (tmp_path / BUNDLE_FILE).write_bytes(b"user,item\n1,2\n")
+        with pytest.raises(DataFormatError, match=BUNDLE_FILE):
+            load_bundle(str(tmp_path))
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, synthetic_dataset,
+                                                 synthetic_masks, monkeypatch):
+        save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
+        before = (tmp_path / BUNDLE_FILE).read_bytes()
+        real_write = np.lib.format.write_array
+        calls = []
+
+        def fail_on_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
+        assert sorted(os.listdir(tmp_path)) == [BUNDLE_FILE, "stats.txt"]
+        assert (tmp_path / BUNDLE_FILE).read_bytes() == before
+        fresh = tmp_path / "fresh"
+        calls.clear()
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(str(fresh), synthetic_dataset, synthetic_masks)
+        assert os.listdir(fresh) == []

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_raw
@@ -175,17 +175,22 @@ class TestGini:
     def test_single_item_concentration(self):
         assert gini_from_exposures(np.array([0.0, 0.0, 0.0, 8.0])) == pytest.approx(0.75)
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n = int(rng.integers(2, 60))
-            e = rng.uniform(0, 10, size=n)
-            e[rng.uniform(size=n) < 0.3] = 0.0
-            if e.sum() == 0:
-                e[0] = 1.0
-            fast = gini_from_exposures(e)
-            brute = np.abs(e[:, None] - e[None, :]).sum() / (2 * n * n * e.mean())
-            assert fast == pytest.approx(brute, abs=1e-10)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(0.0, 1e6, allow_subnormal=False)),
+                    min_size=1, max_size=60))
+    @example([0.0]).via("all-zero, one item")
+    @example([0.0, 0.0, 0.0]).via("all-zero")
+    @example([7.25]).via("single item")
+    def test_matches_brute_force(self, values):
+        e = np.asarray(values)
+        n = e.shape[0]
+        if e.sum() == 0.0:
+            with pytest.raises(ValueError, match="undefined"):
+                gini_from_exposures(e)
+            return
+        brute = np.abs(e[:, None] - e[None, :]).sum() / (2 * n * n * e.mean())
+        assert gini_from_exposures(e) == pytest.approx(brute, rel=1e-10, abs=1e-12)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(2)

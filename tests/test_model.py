@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from moofair.model import (
+    CHECKPOINT_FILE,
     FactorModel,
     TripletBatch,
     attach_negatives,
@@ -11,7 +14,7 @@ from moofair.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from moofair.data import TRAIN
+from moofair.data import TRAIN, DataFormatError, save_npz
 from moofair.metrics import top_k_items
 from moofair.numerics import sigmoid
 from conftest import finite_difference_gradient, max_relative_error
@@ -250,6 +253,7 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         model = init_model(4, 5, 3, 0.01, np.random.default_rng(6))
         save_checkpoint(model, str(tmp_path / "ckpt"), {"seed": 6, "epoch": 2})
+        assert sorted(os.listdir(tmp_path / "ckpt")) == [CHECKPOINT_FILE, "metadata.txt"]
         loaded, meta = load_checkpoint(str(tmp_path / "ckpt"))
         assert np.array_equal(loaded.user_embeddings, model.user_embeddings)
         assert np.array_equal(loaded.item_embeddings, model.item_embeddings)
@@ -260,3 +264,43 @@ class TestCheckpoint:
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "nope"))
+
+    def test_csv_checkpoint_of_earlier_version(self, tmp_path):
+        (tmp_path / "user_embeddings.csv").write_text("0.5,0.25\n")
+        with pytest.raises(DataFormatError, match="re-run `moofair train`"):
+            load_checkpoint(str(tmp_path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("reg", None),
+        ("item_embeddings", None),
+        ("user_embeddings", np.zeros(3)),
+        ("item_embeddings", np.zeros((5, 2))),
+        ("user_embeddings", np.full((4, 3), np.inf)),
+        ("reg", np.float64(-1.0)),
+    ])
+    def test_bad_array_names_file(self, tmp_path, key, value):
+        model = init_model(4, 5, 3, 0.01, np.random.default_rng(6))
+        arrays = {"user_embeddings": model.user_embeddings,
+                  "item_embeddings": model.item_embeddings, "reg": np.float64(0.01)}
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+        save_npz(str(tmp_path / CHECKPOINT_FILE), arrays)
+        with pytest.raises(DataFormatError, match=CHECKPOINT_FILE):
+            load_checkpoint(str(tmp_path))
+
+    def test_failed_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        model = init_model(4, 5, 3, 0.01, np.random.default_rng(6))
+        save_checkpoint(model, str(tmp_path), {"epoch": 1})
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_model(4, 5, 3, 0.01, np.random.default_rng(7)),
+                            str(tmp_path), {"epoch": 2})
+        assert {name: (tmp_path / name).read_bytes()
+                for name in os.listdir(tmp_path)} == before
