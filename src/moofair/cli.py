@@ -7,6 +7,7 @@ worker pools; keep this module free of numpy imports at load time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -68,27 +69,45 @@ def parse_config_file(path: str) -> dict:
 
 
 class OutputLock:
-    """Exclusive-creation lock file guarding an output directory."""
+    """Exclusive-creation lock file guarding an output directory. It holds
+    the pid of its run; a lock whose pid no longer runs (a killed run) is
+    replaced."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, LOCK_NAME)
 
+    def _held(self) -> bool:
+        """False when the lock is gone or names a pid that no longer runs; a
+        lock being written, unreadable, or of another user's run is held."""
+        try:
+            with open(self.path) as fh:
+                pid = int(fh.read())
+            os.kill(pid, 0)
+        except (ProcessLookupError, FileNotFoundError):
+            return False
+        except (ValueError, OverflowError, PermissionError):
+            pass
+        return True
+
     def __enter__(self):
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise CliError(
-                f"output directory is locked by another run: {self.path}", code=1
-            ) from None
+            if self._held():
+                raise CliError(
+                    f"output directory is locked by another run: {self.path}", code=1
+                ) from None
+            logger.warning("replacing the lock of a run that no longer runs: %s", self.path)
+            self.__exit__()
+            return self.__enter__()
+        os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
 
     def __exit__(self, *exc_info):
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.remove(self.path)
-        except FileNotFoundError:
-            pass
         return False
 
 
@@ -125,8 +144,7 @@ def cmd_prepare(args) -> int:
 
 
 def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
-    import csv
-
+    from .data import atomic_open, write_csv
     from .model import save_checkpoint
 
     paths = []
@@ -138,21 +156,17 @@ def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
             "epoch": result.best_epoch,
             "round": round_id,
         })
-        result.trace.to_csv(os.path.join(out_dir, f"alpha_trace_round_{round_id}.csv"))
+        write_csv(os.path.join(out_dir, f"alpha_trace_round_{round_id}.csv"),
+                  ["epoch", "batch"] + [f"alpha_{o}" for o in result.trace.objectives],
+                  ([epoch, batch, *alpha] for epoch, batch, alpha in result.trace.entries))
         paths.append(ckpt)
-    with open(os.path.join(out_dir, "rounds.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round"] + [f"loss_{o}" for o in config.objectives]
-            + [f"val_recall_at_{config.eval_k}", "fw_calls", "checkpoint"]
-        )
-        for result, ckpt in zip(results, paths):
-            writer.writerow(
-                [result.record.round_id]
-                + [f"{v:.6g}" for v in result.record.objective_values]
-                + [f"{result.val_recall:.6g}", result.fw_calls, ckpt]
-            )
-    with open(os.path.join(out_dir, "selection.txt"), "w") as fh:
+    write_csv(os.path.join(out_dir, "rounds.csv"),
+              ["round"] + [f"loss_{o}" for o in config.objectives]
+              + [f"val_recall_at_{config.eval_k}", "fw_calls", "checkpoint"],
+              ([result.record.round_id, *result.record.objective_values,
+                result.val_recall, result.fw_calls, ckpt]
+               for result, ckpt in zip(results, paths)))
+    with atomic_open(os.path.join(out_dir, "selection.txt")) as fh:
         fh.write(f"selected_round = {selected.round_id}\n")
         fh.write(f"checkpoint = {os.path.join(out_dir, f'round_{selected.round_id}')}\n")
 
@@ -196,8 +210,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import load_bundle
-    from .metrics import CatalogTooSmallError, evaluate, write_metrics_csv
+    from .data import load_bundle, write_csv
+    from .metrics import METRIC_COLUMNS, CatalogTooSmallError, evaluate
     from .model import load_checkpoint
 
     try:
@@ -222,14 +236,13 @@ def cmd_eval(args) -> int:
                         disparity_user_variant=args.disparity_user)
     except CatalogTooSmallError as exc:
         raise CliError(f"--k: {exc}") from None
-    write_metrics_csv(rows, args.out)
+    write_csv(args.out, METRIC_COLUMNS, ([row[c] for c in METRIC_COLUMNS] for row in rows))
     print(f"wrote metrics for k in {list(k_values)} to {args.out}")
     return 0
 
 
 def cmd_grid(args) -> int:
-    import csv
-
+    from .data import write_csv
     from .metrics import evaluate
     from .objectives import CONSUMER_OBJECTIVES
     from .training import DEFAULT_GRID, grid_search, run_pareto_rounds
@@ -251,19 +264,14 @@ def cmd_grid(args) -> int:
         points = grid_search(dataset, masks, config, weight_grid=grid)
         selected, results = run_pareto_rounds(dataset, masks, config)
         _emit_round_outputs(args.out, config, results, selected)
+        frontier = [[weights[0], *frontier_row(rows)] for weights, rows, _ in points]
+        for result in results:
+            rows = evaluate(result.model, dataset, masks, k_values=(10, 20),
+                            patience=config.exposure_patience,
+                            label=f"mgda_{result.record.round_id}")
+            frontier.append(["mgda", *frontier_row(rows)])
         path = os.path.join(args.out, "frontier.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["weight", "recall_at_20", "inv_disparity"])
-            for weights, rows, _result in points:
-                recall, inv = frontier_row(rows)
-                writer.writerow([f"{weights[0]:g}", f"{recall:.6g}", f"{inv:.6g}"])
-            for result in results:
-                rows = evaluate(result.model, dataset, masks, k_values=(10, 20),
-                                patience=config.exposure_patience,
-                                label=f"mgda_{result.record.round_id}")
-                recall, inv = frontier_row(rows)
-                writer.writerow(["mgda", f"{recall:.6g}", f"{inv:.6g}"])
+        write_csv(path, ["weight", "recall_at_20", "inv_disparity"], frontier)
     print(f"wrote frontier comparison to {path}")
     return 0
 

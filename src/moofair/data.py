@@ -9,12 +9,14 @@ the fairness objectives and metrics consume.
 from __future__ import annotations
 
 import contextlib
+import csv
 import logging
 import os
 import re
 import warnings
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,11 +88,11 @@ class RawRatings:
     def num_records(self) -> int:
         return self.users.shape[0]
 
-    @property
+    @cached_property
     def num_users(self) -> int:
         return int(np.unique(self.users).shape[0]) if self.num_records else 0
 
-    @property
+    @cached_property
     def num_items(self) -> int:
         return int(np.unique(self.items).shape[0]) if self.num_records else 0
 
@@ -480,18 +482,28 @@ BUNDLE_ARRAYS = {
 
 
 @contextlib.contextmanager
-def atomic_open(path: str, mode: str = "w"):
+def atomic_open(path: str, mode: str = "w", newline: str | None = None):
     """A file opened under a temporary name beside ``path`` and renamed over
     ``path`` once written: a write that fails part way leaves no file under
     ``path`` (an older one stays as it was)."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and ``rows`` with the csv module, atomically; float
+    cells with six significant digits, None cells empty."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def save_npz(path: str, arrays: dict) -> None:

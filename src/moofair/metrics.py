@@ -7,7 +7,6 @@ test positives as the relevance sets. Smooth approximations are training-only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .data import TEST, GroupMaskSet, InteractionDataset
 from .model import FactorModel
-from .objectives import consumer_group_fairness
+from .objectives import exposure_disparity, group_disparity
 
 METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
                   "gini", "popularity_rate", "diversity")
@@ -135,7 +134,8 @@ def ndcg_at_k(run: RecommendationRun) -> float:
 
 def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
                    variant: str = "gender") -> float | None:
-    """Consumer-side disparity: the training objective on exact NDCG vectors.
+    """Consumer-side disparity: the training loss ``group_disparity`` on exact
+    NDCG vectors.
 
     Per-user vectors of NDCG@1..k are averaged within each attribute group
     and the pairwise squared distances of the group means are returned.
@@ -146,19 +146,14 @@ def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
     mask = masks.mask_for(variant)
     if mask is None:
         return None
-    vectors = run.ndcg_vectors
-    group_rows = mask[:, run.user_ids].astype(np.float64)
-    counts = group_rows.sum(axis=1)
-    means = [group_rows[g] @ vectors / counts[g]
-             for g in np.flatnonzero(counts >= 1)]
-    if len(means) < 2:
-        return None
-    return consumer_group_fairness(means)
+    result = group_disparity(run.ndcg_vectors, mask[:, run.user_ids])
+    return None if result is None else result[0]
 
 
 def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
                    patience: float = 0.5) -> float:
-    """Producer-side disparity: the training objective on hard exposures.
+    """Producer-side disparity: the training loss ``exposure_disparity`` on
+    hard exposures.
 
     Each recommended slot contributes patience**position to every group of
     its item; the normalized distribution is compared to the flat target.
@@ -166,14 +161,10 @@ def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
     if not 0.0 < patience < 1.0:
         raise ValueError(f"patience must be in (0, 1), got {patience}")
     slot_exposure = np.power(patience, np.arange(1, run.k + 1, dtype=np.float64))
-    groups = item_group_mask.shape[0]
-    raw = (item_group_mask[:, run.lists] @ slot_exposure).sum(axis=1)
-    total = raw.sum()
-    if total <= 0.0:
+    result = exposure_disparity((item_group_mask[:, run.lists] @ slot_exposure).sum(axis=1))
+    if result is None:
         raise ValueError("no recommended item belongs to any group")
-    eps = raw / total
-    diff = eps - 1.0 / groups
-    return float(diff @ diff)
+    return result[0]
 
 
 def exposure_counts(run: RecommendationRun, num_items: int) -> np.ndarray:
@@ -248,21 +239,3 @@ def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSe
             "diversity": simpson_diversity(run, masks.popularity),
         })
     return rows
-
-
-def write_metrics_csv(rows, path: str) -> None:
-    """Emit the metrics table with six significant digits per value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for row in rows:
-            out = []
-            for col in METRIC_COLUMNS:
-                value = row.get(col)
-                if value is None:
-                    out.append("")
-                elif isinstance(value, float):
-                    out.append(f"{value:.6g}")
-                else:
-                    out.append(str(value))
-            writer.writerow(out)

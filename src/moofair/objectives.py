@@ -22,12 +22,16 @@ over the flattened model parameters; the gradients backpropagate through the
 whole smooth-ranking chain with the Gumbel noise held fixed. Each family has
 one smooth-ranking forward (``_consumer_forward``, ``_producer_forward``). It
 does not depend on the group masks, so it runs once per batch and each
-objective adds only its mask-dependent part.
+objective adds only its mask-dependent part: ``group_disparity`` or
+``exposure_disparity``, the losses that evaluation (``metrics.py``) reports.
 
-The consumer kernel runs on padded blocks of users sorted by positive count,
-with no loop over users. A block's pairwise sigmoids (ratio form, or
-``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and freed;
-the backward rebuilds them only where the rank gradient is nonzero.
+A batch's candidate sets are flat (``CandidateContext``). Both kernels read
+them as padded (rows x candidates) blocks (``_padded``) with padding scored
+-inf, and share one rank backward (``_rank_backward``). The consumer cuts its
+users, sorted by positive count, into blocks whose pairwise sigmoids (ratio
+form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and
+freed; the backward rebuilds them only where the rank gradient is nonzero.
+The producer runs all its rows as one block.
 """
 
 from __future__ import annotations
@@ -63,74 +67,140 @@ RATIO_SPREAD = 700.0
 
 @dataclass
 class CandidateContext:
-    """Frozen per-batch sampling state for one objective family.
+    """Frozen per-batch sampling state for one objective family, flat.
 
-    Per user: candidate item ids with the train positives first (the capped
-    relevant items, on the producer side), then the sampled negatives;
-    ``counts`` holds the length of that positive prefix, and ``noise`` one
-    frozen Gumbel draw per candidate (producer side only). Users without
-    train positives keep an empty prefix and take part in no group.
+    Row r is user ``users[r]`` and owns the next ``widths[r]`` entries of
+    ``items``: its train positives first (the capped relevant items, on the
+    producer side), ``counts[r]`` of them, then the sampled negatives.
+    ``noise`` holds one frozen Gumbel draw per entry (producer side only).
+    Users without train positives keep an empty prefix and take part in no
+    group.
     """
 
     users: np.ndarray
-    candidates: list = field(repr=False)
+    items: np.ndarray = field(repr=False)
+    widths: np.ndarray
     counts: np.ndarray
-    noise: list = field(repr=False, default_factory=list)
+    noise: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
 
-def _candidate_lists(dataset: InteractionDataset, users: np.ndarray,
-                     gen: np.random.Generator, negatives: int, cap: int | None = None):
+def _candidate_context(dataset: InteractionDataset, users, gen: np.random.Generator,
+                       negatives: int, cap: int | None = None) -> CandidateContext:
     """Per user: the train positives (the first ``cap`` of them when cap is
     given) followed by ``negatives`` sorted non-positives drawn without
-    replacement (all of them when fewer exist); plus the positive counts."""
+    replacement (all of them when fewer exist)."""
+    users = np.asarray(users, dtype=np.int64)
     lists = dataset.train_positive_lists()
     pools = dataset.train_complement_lists()
-    candidates, counts = [], []
+    parts, counts, widths = [], [], []
     for u in users:
-        positives = lists[u][:cap]
-        pool = pools[u]
+        positives, pool = lists[u][:cap], pools[u]
         if negatives < pool.shape[0]:
             pool = np.sort(gen.choice(pool, size=negatives, replace=False))
-        candidates.append(np.concatenate([positives, pool]))
+        parts += (positives, pool)
         counts.append(positives.shape[0])
-    return candidates, np.asarray(counts, dtype=np.int64)
+        widths.append(positives.shape[0] + pool.shape[0])
+    items = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return CandidateContext(users, items, np.asarray(widths, dtype=np.int64),
+                            np.asarray(counts, dtype=np.int64))
 
 
 def build_consumer_context(dataset: InteractionDataset, users,
                            candidate_negatives: int,
                            rng: np.random.Generator) -> CandidateContext:
-    users = np.asarray(users, dtype=np.int64)
-    candidates, counts = _candidate_lists(dataset, users, rng, candidate_negatives)
-    return CandidateContext(users, candidates, counts)
+    return _candidate_context(dataset, users, rng, candidate_negatives)
 
 
 def build_producer_context(dataset: InteractionDataset, users,
                            n_r_cap: int, candidate_negatives: int,
                            rng: np.random.Generator) -> CandidateContext:
-    users = np.asarray(users, dtype=np.int64)
-    candidates, counts = _candidate_lists(dataset, users, rng, candidate_negatives,
-                                          n_r_cap)
-    sizes = [c.shape[0] for c in candidates]
-    flat_noise = (sample_gumbel(rng, sum(sizes)) if sum(sizes)
-                  else np.empty(0, dtype=np.float64))
-    bounds = np.cumsum([0] + sizes)
-    noise = [flat_noise[bounds[k]:bounds[k + 1]] for k in range(len(sizes))]
-    return CandidateContext(users, candidates, counts, noise)
+    ctx = _candidate_context(dataset, users, rng, candidate_negatives, n_r_cap)
+    if ctx.items.shape[0]:
+        ctx.noise = sample_gumbel(rng, ctx.items.shape[0])
+    return ctx
+
+
+def _padded(ctx: CandidateContext, rows: np.ndarray):
+    """Flat positions of the entries of ``rows`` as a (rows x widest row)
+    array and its padding mask. Padding points one past the last entry, so
+    an array over the entries with one value appended reads as a padded
+    block, and writes to padding land in that extra slot."""
+    widths = ctx.widths[rows]
+    cols = np.arange(widths.max())
+    pad = cols >= widths[:, None]
+    starts = (np.cumsum(ctx.widths) - ctx.widths)[rows]
+    return np.where(pad, ctx.items.shape[0], starts[:, None] + cols), pad
+
+
+def _entry_rows(ctx: CandidateContext) -> np.ndarray:
+    return np.repeat(np.arange(ctx.users.shape[0]), ctx.widths)
+
+
+def _entry_scores(model: FactorModel, ctx: CandidateContext) -> np.ndarray:
+    """Score of each context entry: its row's user against its item."""
+    return (model.user_embeddings[ctx.users] @ model.item_embeddings.T)[
+        _entry_rows(ctx), ctx.items]
+
+
+def _embedding_grad(model: FactorModel, ctx: CandidateContext,
+                    d_entries: np.ndarray) -> np.ndarray:
+    """Flattened-model gradient given d loss / d score of each context entry
+    (plus the padding slot, ignored): the chain through score = user . item
+    as one GEMM per embedding matrix. Repeated users are summed."""
+    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
+    d_scores[_entry_rows(ctx), ctx.items] = d_entries[:-1]  # unique per row
+    grad = np.zeros(model.num_parameters)
+    cut = model.num_users * model.dim
+    grad[:cut] += np.bincount((ctx.users[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                              (d_scores @ model.item_embeddings).ravel(), cut)
+    item_grad = grad[cut:].reshape(model.num_items, model.dim)
+    item_grad += d_scores.T @ model.user_embeddings[ctx.users]
+    return grad
+
+
+def _rank_slope(pair: np.ndarray) -> np.ndarray:
+    """In place: the rank slope pair * (1 - pair) of (rows, P, C) pairwise
+    sigmoids, with the constant j == p terms zeroed."""
+    pair *= 1.0 - pair
+    diag = np.arange(pair.shape[1])
+    pair[:, diag, diag] = 0.0
+    return pair
+
+
+def _rank_backward(d_ranks: np.ndarray, slope: np.ndarray, slope_sums: np.ndarray,
+                   scale: float) -> np.ndarray:
+    """d loss / d scores (rows, C) of smooth ranks
+    r_p = const + sum_{j != p} sigmoid(scale * (s_j - s_p)) of the first P
+    columns, given d loss / d r (rows, P), the ``_rank_slope`` and its row
+    sums."""
+    out = np.matmul(d_ranks[:, None, :], slope)[:, 0, :]
+    out[:, :d_ranks.shape[1]] -= d_ranks * slope_sums
+    out *= scale
+    return out
 
 
 # ---------------------------------------------------------------------------
 # consumer side: group-mean NDCG disparity
 # ---------------------------------------------------------------------------
 
-def consumer_group_fairness(group_vectors) -> float:
-    """Mean squared distance between all pairs of group representations."""
-    vectors = np.asarray(group_vectors, dtype=np.float64)
-    n = vectors.shape[0]
+def group_disparity(vectors: np.ndarray, group_rows):
+    """Mean squared distance over all pairs of group means of the ``vectors``
+    rows (group g holds the rows where ``group_rows[g]`` is 1), and its
+    gradient over ``vectors``; None when fewer than two groups have a member.
+    """
+    masks = np.asarray(group_rows, dtype=np.float64)
+    counts = masks.sum(axis=1)
+    present = np.flatnonzero(counts >= 1)
+    n = present.shape[0]
     if n < 2:
-        raise ValueError("at least two groups are required")
+        return None
+    means = masks[present] @ vectors / counts[present, None]
     first, second = np.triu_indices(n, 1)
-    diff = vectors[first] - vectors[second]
-    return float(np.einsum("ij,ij->", diff, diff)) / (n * (n - 1) / 2)
+    diff = means[first] - means[second]
+    loss = float(np.einsum("ij,ij->", diff, diff)) / (n * (n - 1) / 2)
+    # dL/dA_g = (2 / C(n,2)) * (n * A_g - sum_h A_h)
+    d_means = (4.0 / (n * (n - 1))) * (n * means - means.sum(axis=0)[None, :])
+    return loss, masks[present].T @ (d_means / counts[present, None])
 
 
 def _pair_sigmoids(scaled: np.ndarray, n_pos: int) -> np.ndarray:
@@ -169,10 +239,10 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
 
     Users with positives are sorted by positive count and cut into blocks of
     at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
-    pair matrix outlives its block. A block holds its rows, the items (B, C)
-    and scaled scores (B, C) padded with -1 and -inf, the ranks (B, P), the
-    cutoffs (B, P, k), the discounts (B, P), zero on padding positives, and
-    the ideal DCG rows (B, k).
+    pair matrix outlives its block. A block holds its rows, the ``_padded``
+    entry positions (B, C), the scaled scores (B, C) padded with -inf, the
+    ranks (B, P), the cutoffs (B, P, k), the discounts (B, P), zero on padding
+    positives, and the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
@@ -182,12 +252,8 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     # ideal DCG@k with n relevant items is ideal_cum[min(k, n) - 1]
     ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
     order = order[np.argsort(ctx.counts[order], kind="stable")]
-    n_pos = ctx.counts[order]
-    widths = np.array([ctx.candidates[r].shape[0] for r in order], dtype=np.int64)
-    items = np.concatenate([ctx.candidates[r] for r in order])
-    scores = (model.user_embeddings[ctx.users] @ model.item_embeddings.T)[
-        np.repeat(order, widths), items]
-    starts = np.cumsum(widths) - widths
+    n_pos, widths = ctx.counts[order], ctx.widths[order]
+    scaled_entries = np.append(steepness * _entry_scores(model, ctx), -np.inf)
     blocks = []
     start = 0
     while start < order.shape[0]:
@@ -197,10 +263,8 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
                 * np.maximum.accumulate(widths[start:]))
         stop = start + max(1, int(np.searchsorted(cost, PAIR_BLOCK, side="right")))
         rows, counts = order[start:stop], n_pos[start:stop]
-        cols = np.arange(widths[start:stop].max())
-        pad = cols >= widths[start:stop, None]
-        at = np.where(pad, 0, starts[start:stop, None] + cols)
-        scaled = np.where(pad, -np.inf, steepness * scores[at])
+        at, _ = _padded(ctx, rows)
+        scaled = scaled_entries[at]
         n_max = int(counts[-1])
         ranks = 0.5 + _pair_sigmoids(scaled, n_max).sum(axis=2)
         trunc = sigmoid(steepness * (ks + 0.5 - ranks[:, :, None]))  # (B, P, K)
@@ -208,60 +272,37 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
         g_matrix[rows] = np.einsum("bpk,bp->bk", trunc, disc) / idcg
-        blocks.append((rows, np.where(pad, -1, items[at]), scaled, ranks, trunc, disc,
-                       idcg))
+        blocks.append((rows, at, scaled, ranks, trunc, disc, idcg))
         start = stop
     return g_matrix, blocks
 
 
-def _consumer_loss_and_ndcg_grad(g_matrix, group_masks, valid,
-                                 objective_id: str = "consumer"):
-    """Pairwise mean squared distance between the mean NDCG rows of the user
-    groups in the batch (rows not ``valid`` count in no group) plus dL/dG, or
-    None (with a warning) when fewer than two groups are present."""
-    masks = (np.asarray(group_masks, dtype=np.float64) * valid[None, :].astype(np.float64))
-    counts = masks.sum(axis=1)
-    present = np.flatnonzero(counts >= 1)
-    n = present.shape[0]
-    if n < 2:
+def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
+                           group_masks: np.ndarray, config: TrainConfig,
+                           objective_id: str, forward) -> ObjectiveGradient | None:
+    """Analytic gradient of a consumer-side objective over the flattened model.
+
+    Backpropagates ``group_disparity`` of the smooth NDCG rows (users without
+    positives count in no group) through the soft top-k cutoffs, the smooth
+    pairwise ranks, and the candidate scores. ``forward`` is the batch's
+    shared ``_consumer_forward`` result. A block's pairs are rebuilt only when
+    its rank gradient is nonzero; when dL/dG is zero the zero gradient
+    returns at once. None (with a warning) when fewer than two user groups
+    are in the batch.
+    """
+    g_matrix, blocks = forward
+    result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
+    if result is None:
         logger.warning("%s objective skipped: fewer than two user groups in batch",
                        objective_id)
         return None
-    means = masks[present] @ g_matrix / counts[present, None]
-    loss = consumer_group_fairness(means)
-    # dL/dA_g = (2 / C(n,2)) * (n * A_g - sum_h A_h)
-    d_means = (4.0 / (n * (n - 1))) * (n * means - means.sum(axis=0)[None, :])
-    return loss, masks[present].T @ (d_means / counts[present, None])
-
-
-def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
-                           group_masks: np.ndarray, config: TrainConfig,
-                           objective_id: str, forward=None) -> ObjectiveGradient | None:
-    """Analytic gradient of a consumer-side objective over the flattened model.
-
-    Backpropagates the group-mean disparity through the smooth NDCG rows, the
-    soft top-k cutoffs, the smooth pairwise ranks, and the candidate scores.
-    ``forward`` is the batch's shared ``_consumer_forward`` result; it is
-    computed here when not given. A block's pairs are rebuilt only when its
-    rank gradient is nonzero; when dL/dG is zero the zero gradient returns at
-    once.
-    """
-    if forward is None:
-        forward = _consumer_forward(model, ctx, config.ndcg_k, config.steepness)
-    g_matrix, blocks = forward
-    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.counts > 0,
-                                          objective_id)
-    if result is None:
-        return None
     loss, d_g = result
-    grad = np.zeros(model.num_parameters)
     if not np.any(d_g):
-        return ObjectiveGradient(objective_id, loss, grad)
+        return ObjectiveGradient(objective_id, loss, np.zeros(model.num_parameters))
 
     steepness = config.steepness
-    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
-    for rows, items, scaled, ranks, trunc, disc, idcg in blocks:
-        n_max = ranks.shape[1]
+    d_entries = np.zeros(ctx.items.shape[0] + 1)
+    for rows, at, scaled, ranks, trunc, disc, idcg in blocks:
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # the discount slope -disc^2 / ((r_p + 1) ln 2)
         coeff = d_g[rows] / idcg  # (B, K)
@@ -269,134 +310,98 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                    - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
         if not np.any(d_ranks):
             continue
-        # rank -> score: r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p)), the
-        # j == p term is constant
-        slope = _pair_sigmoids(scaled, n_max)
-        slope *= 1.0 - slope  # times steepness, applied to the sums below
-        diag = np.arange(n_max)
-        slope[:, diag, diag] = 0.0
-        d_block = np.matmul(d_ranks[:, None, :], slope)[:, 0, :]
-        d_block[:, :n_max] -= d_ranks * slope.sum(axis=2)
-        r, c = np.nonzero(items >= 0)
-        d_scores[rows[r], items[r, c]] = steepness * d_block[r, c]  # unique per row
-    _add_embedding_grad(grad, model, ctx.users, d_scores)
-    return ObjectiveGradient(objective_id, loss, grad)
-
-
-def _add_embedding_grad(grad: np.ndarray, model: FactorModel, users: np.ndarray,
-                        d_scores: np.ndarray) -> None:
-    """Add to the flattened gradient the chain through score = user . item,
-    given d loss / d score(users[row], item) as a dense (len(users),
-    num_items) matrix: one GEMM per embedding matrix instead of a scatter of
-    per-candidate rows. Repeated users are summed."""
-    cut = model.num_users * model.dim
-    grad[:cut] += np.bincount((users[:, None] * model.dim + np.arange(model.dim)).ravel(),
-                              (d_scores @ model.item_embeddings).ravel(), cut)
-    item_grad = grad[cut:].reshape(model.num_items, model.dim)
-    item_grad += d_scores.T @ model.user_embeddings[users]
+        slope = _rank_slope(_pair_sigmoids(scaled, ranks.shape[1]))
+        d_entries[at] = _rank_backward(d_ranks, slope, slope.sum(axis=2), steepness)
+    return ObjectiveGradient(objective_id, loss, _embedding_grad(model, ctx, d_entries))
 
 
 # ---------------------------------------------------------------------------
 # producer side: group exposure disparity
 # ---------------------------------------------------------------------------
 
-def _producer_forward(model: FactorModel, ctx: CandidateContext,
-                      config: TrainConfig):
-    """Per shape bucket, the part of the producer chain every producer
-    objective shares: sampling probabilities, relevant-item exposure, and the
-    rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
-    row sums). Independent of the item group masks.
-
-    Probabilities are the softmax of the Gumbel-perturbed candidate scores. A
-    relevant item's smooth 0-based rank is
-    sum_{j != i} sigmoid(-(p_i - p_j) / temperature), and its exposure is
-    exposure_patience ** (rank + rank_offset).
-
-    Rows are bucketed by (relevant count, candidate count), nearly uniform
-    (cap + fixed negative draw), so each bucket runs as stacked array ops.
-    """
-    shapes: dict = {}
-    for row, (n_rel, cand) in enumerate(zip(ctx.counts, ctx.candidates)):
-        if n_rel:
-            shapes.setdefault((int(n_rel), cand.shape[0]), []).append(row)
-    all_scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
-    buckets = []
-    inv_tau = 1.0 / config.temperature
-    for (n_rel, _), rows in shapes.items():
-        rows = np.asarray(rows, dtype=np.int64)
-        cands = np.stack([ctx.candidates[r] for r in rows])  # (B, C)
-        shifted = all_scores[rows[:, None], cands]
-        shifted += np.stack([ctx.noise[r] for r in rows])
-        shifted -= shifted.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
-        ranks = pair.sum(axis=2) - 0.5  # remove the j == i term
-        expo = np.power(config.exposure_patience, ranks + config.rank_offset)  # (B, R)
-        slope = pair
-        slope *= 1.0 - pair
-        diag = np.arange(n_rel)
-        slope[:, diag, diag] = 0.0
-        buckets.append((rows, n_rel, cands, probs, expo, slope, slope.sum(axis=2)))
-    return buckets
-
-
-def _exposure_disparity(forward, item_group_mask: np.ndarray, objective_id: str):
-    """The mask-dependent producer part: exposure routed to the item groups,
-    then (loss, d loss / d raw group exposure, per-bucket routing) of its
-    normalization against the flat distribution. None (with a warning) when
-    the batch routes no exposure at all."""
-    raw = np.zeros(item_group_mask.shape[0])
-    routings = []
-    for _, n_rel, cands, _, expo, _, _ in forward:
-        routing = item_group_mask[:, cands[:, :n_rel]].astype(np.float64)  # (z, B, R)
-        raw += np.einsum("zbr,br->z", routing, expo)
-        routings.append(routing)
+def exposure_disparity(raw: np.ndarray):
+    """Squared distance of the normalized group exposure raw / sum(raw) from
+    the flat distribution, and its gradient over ``raw``; None when no
+    exposure is routed to any group."""
     total = float(raw.sum())
     if total <= 0.0:
-        logger.warning("%s objective skipped: no routed exposure", objective_id)
         return None
     eps = raw / total
     diff = eps - 1.0 / raw.shape[0]
     # d loss / d raw_g through the normalization eps = raw / sum(raw)
-    return float(diff @ diff), (2.0 / total) * (diff - float(diff @ eps)), routings
+    return float(diff @ diff), (2.0 / total) * (diff - float(diff @ eps))
+
+
+def _producer_forward(model: FactorModel, ctx: CandidateContext,
+                      config: TrainConfig):
+    """The part of the producer chain every producer objective shares, over
+    one ``_padded`` block of the rows with relevant items: the block's entry
+    positions, its relevant-position mask (B, R) and the relevant items in
+    that mask's order, the sampling probabilities (B, C), the
+    relevant-item exposure (B, R), zero on padding, and the rank slope
+    pair*(1-pair) with the constant j == i terms zeroed (plus its row sums).
+    Independent of the item group masks; None when no row has relevant items.
+
+    Probabilities are the softmax of the Gumbel-perturbed candidate scores,
+    padding scored -inf. A relevant item's smooth 0-based rank is
+    sum_{j != i} sigmoid(-(p_i - p_j) / temperature) over the row's
+    candidates, and its exposure is exposure_patience ** (rank + rank_offset).
+    """
+    rows = np.flatnonzero(ctx.counts)
+    if rows.shape[0] == 0:
+        return None
+    at, pad = _padded(ctx, rows)
+    relevant = np.arange(ctx.counts[rows].max()) < ctx.counts[rows, None]
+    n_rel = relevant.shape[1]
+    shifted = np.append(_entry_scores(model, ctx) + ctx.noise, -np.inf)[at]
+    shifted -= shifted.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    inv_tau = 1.0 / config.temperature
+    pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
+    pair *= ~pad[:, None, :]  # padding columns are no candidates
+    ranks = pair.sum(axis=2) - 0.5  # remove the j == i term
+    expo = np.where(relevant, np.power(config.exposure_patience, ranks + config.rank_offset),
+                    0.0)
+    slope = _rank_slope(pair)
+    relevant_items = ctx.items[at[:, :n_rel][relevant]]
+    return at, relevant, relevant_items, probs, expo, slope, slope.sum(axis=2)
 
 
 def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                            item_group_mask: np.ndarray, config: TrainConfig,
-                           objective_id: str = "popularity",
-                           forward=None) -> ObjectiveGradient | None:
+                           objective_id: str, forward) -> ObjectiveGradient | None:
     """Analytic gradient of a producer-side objective over the flattened model.
 
-    Backpropagates the exposure disparity through the normalization, the
+    Routes each relevant item's exposure to its item groups and
+    backpropagates ``exposure_disparity`` of the routed sums through the
     position-bias decay, the temperature smooth ranks, and the perturbed
     sampling probabilities (noise frozen). ``forward`` is the batch's shared
-    ``_producer_forward`` result; it is computed here when not given.
+    ``_producer_forward`` result. None (with a warning) when the batch routes
+    no exposure at all.
     """
-    if forward is None:
-        forward = _producer_forward(model, ctx, config)
-    result = _exposure_disparity(forward, item_group_mask, objective_id)
+    raw = np.zeros(item_group_mask.shape[0])
+    if forward is not None:
+        at, relevant, relevant_items, probs, expo, slope, slope_sums = forward
+        routing = item_group_mask[:, relevant_items].astype(np.float64)
+        raw = routing @ expo[relevant]
+    result = exposure_disparity(raw)
     if result is None:
+        logger.warning("%s objective skipped: no routed exposure", objective_id)
         return None
-    loss, d_raw, routings = result
+    loss, d_raw = result
 
-    d_all_scores = np.zeros((ctx.users.shape[0], model.num_items))
-    log_patience = float(np.log(config.exposure_patience))
-    inv_tau = 1.0 / config.temperature
-    for (rows, n_rel, cands, probs, expo, slope, slope_sums), routing in zip(
-            forward, routings):
-        d_expo = np.einsum("zbr,z->br", routing, d_raw)
-        d_rank = d_expo * expo * log_patience  # (B, R)
-        # rank -> probs: r_i = sum_{j != i} sigmoid(-(p_i - p_j)/tau)
-        d_probs = np.matmul(d_rank[:, None, :], slope)[:, 0, :] * inv_tau  # (B, C)
-        d_probs[:, :n_rel] -= d_rank * slope_sums * inv_tau
-        # softmax backward (perturbation is additive and frozen)
-        inner = np.einsum("bc,bc->b", d_probs, probs)
-        # candidates are unique within a row
-        d_all_scores[rows[:, None], cands] = probs * (d_probs - inner[:, None])
-    grad = np.zeros(model.num_parameters)
-    _add_embedding_grad(grad, model, ctx.users, d_all_scores)
-    return ObjectiveGradient(objective_id, loss, grad)
+    d_expo = np.zeros_like(expo)
+    d_expo[relevant] = d_raw @ routing
+    d_rank = d_expo * expo * float(np.log(config.exposure_patience))
+    # rank -> probs: r_i = sum_{j != i} sigmoid(-(p_i - p_j)/tau)
+    d_probs = _rank_backward(d_rank, slope, slope_sums, 1.0 / config.temperature)
+    # softmax backward (perturbation is additive and frozen); padding has
+    # probability 0
+    inner = np.einsum("bc,bc->b", d_probs, probs)
+    d_entries = np.zeros(ctx.items.shape[0] + 1)
+    d_entries[at] = probs * (d_probs - inner[:, None])
+    return ObjectiveGradient(objective_id, loss, _embedding_grad(model, ctx, d_entries))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ model.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -146,14 +145,6 @@ class AlphaTrace:
     def append(self, epoch: int, batch: int, alpha: np.ndarray) -> None:
         self.entries.append((epoch, batch, np.asarray(alpha, dtype=np.float64)))
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "batch"]
-                            + [f"alpha_{o}" for o in self.objectives])
-            for epoch, batch, alpha in self.entries:
-                writer.writerow([epoch, batch] + [f"{a:.6g}" for a in alpha])
-
 
 @dataclass
 class RoundResult:
@@ -231,35 +222,23 @@ def _combine_gradients(results, config):
     active = [k for k, r in enumerate(results)
               if r is not None and np.linalg.norm(r.grad) > ZERO_GRAD_TOL]
     if not active:  # every objective flat or skipped: no step this batch
-        zero = np.zeros_like(results[0].grad)
-        return np.zeros(t), zero, False
-    grads = []
-    for k in active:
-        g = results[k].grad
-        if config.resolved_normalization() == "l2":
-            g = g / (np.linalg.norm(g) + GRAD_NORM_EPS)
-        grads.append(g)
+        return np.zeros(t), np.zeros_like(results[0].grad), False
+    grads = [results[k].grad for k in active]
+    if config.resolved_normalization() == "l2":
+        grads = [g / (np.linalg.norm(g) + GRAD_NORM_EPS) for g in grads]
     alpha = np.zeros(t)
-    fw_used = False
+    fw_used = config.mode == "mgda" and len(active) > 1
     if config.mode == "fixed_weights":
         alpha = np.asarray(config.fixed_weights, dtype=np.float64)
-        direction = sum(
-            alpha[k] * grads[pos] for pos, k in enumerate(active) if alpha[k] != 0.0
-        )
-        if not isinstance(direction, np.ndarray):
-            direction = np.zeros_like(results[active[0]].grad)
-        return alpha, direction, fw_used
-    if len(active) == 1:
+    elif fw_used:
+        alpha[active] = frank_wolfe_solve(gram_matrix(grads)).values
+    else:  # one active gradient under MGDA: it is the direction
         alpha[active[0]] = 1.0
         return alpha, grads[0], fw_used
-    m = gram_matrix(grads)
-    weights = frank_wolfe_solve(m)
-    fw_used = True
-    for pos, k in enumerate(active):
-        alpha[k] = weights.values[pos]
     direction = np.zeros_like(grads[0])
-    for pos in range(len(active)):
-        direction += weights.values[pos] * grads[pos]
+    for k, g in zip(active, grads):
+        if alpha[k] != 0.0:
+            direction += alpha[k] * g
     return alpha, direction, fw_used
 
 

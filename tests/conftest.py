@@ -3,6 +3,7 @@ import pytest
 
 from moofair.data import RawRatings, build_masks, preprocess
 from moofair.numerics import as_vector
+from moofair.objectives import CandidateContext
 
 GENRES = ("Action", "Comedy", "Drama", "Romance", "Sci-Fi")
 
@@ -91,6 +92,22 @@ FIELD_BOUNDS = (
     ("exposure_patience", 0.0, 1e-12),
     ("exposure_patience", 1.0, 1.0 - 1e-12),
 )
+
+
+def flat_context(candidates, counts, users=None, noise=None):
+    """CandidateContext of per-row candidate lists; row r is user r unless
+    ``users`` is given, and ``noise`` holds per-row draws (producer side)."""
+    rows = [np.asarray(c, dtype=np.int64) for c in candidates]
+    users = np.arange(len(rows)) if users is None else users
+    extra = {} if noise is None else {"noise": np.concatenate(noise).astype(np.float64)}
+    return CandidateContext(np.asarray(users, dtype=np.int64), np.concatenate(rows),
+                            np.array([r.shape[0] for r in rows], dtype=np.int64),
+                            np.asarray(counts, dtype=np.int64), **extra)
+
+
+def context_rows(ctx):
+    """The per-row candidate arrays of a flat context."""
+    return np.split(ctx.items, np.cumsum(ctx.widths)[:-1])
 
 
 def derived_rng(seed, index):

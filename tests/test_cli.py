@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -390,3 +392,33 @@ class TestLock:
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
                      "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
         assert code == 1
+
+    def test_live_pid_exits_1(self, bundle, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".moofair.lock").write_text(str(os.getpid()))
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        assert code == 1
+        assert (out / ".moofair.lock").read_text() == str(os.getpid())
+        assert not (out / "rounds.csv").exists()
+
+    def test_lock_of_a_finished_run_is_replaced(self, bundle, tmp_path):
+        # the lock a killed run leaves names a pid that no longer runs
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".moofair.lock").write_text(child.stdout.strip())
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        assert code == 0
+        assert (out / "rounds.csv").exists()
+        assert not (out / ".moofair.lock").exists()
+
+    def test_lock_holds_its_pid(self, tmp_path):
+        from moofair.cli import OutputLock
+
+        with OutputLock(str(tmp_path)):
+            assert (tmp_path / ".moofair.lock").read_text() == str(os.getpid())
+        assert not (tmp_path / ".moofair.lock").exists()

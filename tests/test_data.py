@@ -22,6 +22,7 @@ from moofair.data import (
     preprocess,
     save_bundle,
     save_npz,
+    write_csv,
 )
 from conftest import make_raw
 
@@ -39,6 +40,15 @@ class TestIngestGeneric:
         assert raw.num_records == 3
         assert raw.num_users == 1
         assert raw.user_gender is None
+
+    def test_counts_computed_once(self, monkeypatch):
+        raw = RawRatings(np.array([3, 1, 3]), np.array([5, 5, 6]), np.ones(3),
+                         np.arange(3))
+        calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+        assert (raw.num_users, raw.num_items, raw.num_users, raw.num_items) == (2, 2, 2, 2)
+        assert len(calls) == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ratings.tsv"
@@ -592,3 +602,26 @@ class TestBundle:
         with pytest.raises(OSError, match="disk full"):
             save_bundle(str(fresh), synthetic_dataset, synthetic_masks)
         assert os.listdir(fresh) == []
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ["a", "b", "c"], [[1, np.float64(1 / 3), None], ["x", 2.5e-7, 3]])
+        assert path.read_bytes() == b"a,b,c\r\n1,0.333333,\r\nx,2.5e-07,3\r\n"
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "rounds.csv"
+
+        def rows():
+            yield [1, 0.5]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(str(path), ["round", "loss"], rows())
+        assert os.listdir(tmp_path) == []
+        path.write_text("earlier\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(str(path), ["round", "loss"], rows())
+        assert os.listdir(tmp_path) == ["rounds.csv"]
+        assert path.read_text() == "earlier\n"

@@ -21,10 +21,11 @@ from moofair.metrics import (
     popularity_rate,
     recall_at_k,
     simpson_diversity,
-    write_metrics_csv,
 )
+from moofair.data import write_csv
+from moofair.metrics import METRIC_COLUMNS
 from moofair.model import FactorModel, init_model
-from moofair.objectives import consumer_group_fairness
+from moofair.objectives import group_disparity
 from moofair.training import _validation_recall
 
 
@@ -100,7 +101,8 @@ class TestDisparityUser:
     def test_constant_gap_arithmetic(self):
         # the disparity kernel on two K=20 vectors differing by 0.1 everywhere
         base = np.full(20, 0.5)
-        assert consumer_group_fairness([base, base + 0.1]) == pytest.approx(0.2)
+        loss, _ = group_disparity(np.stack([base, base + 0.1]), np.eye(2))
+        assert loss == pytest.approx(0.2)
 
     def test_identical_groups_zero(self, synthetic_masks):
         run = run_from([[0, 1], [0, 1]], [[0], [0]])
@@ -318,10 +320,14 @@ class TestEvaluate:
                            synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(8))
         rows = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(4,))
         out = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, str(out))
-        content = out.read_text().splitlines()
+        rows[0]["disparity_u"] = None
+        write_csv(str(out), METRIC_COLUMNS, ([row[c] for c in METRIC_COLUMNS] for row in rows))
+        content = out.read_bytes().decode().split("\r\n")
         assert content[0] == "model,k,recall,ndcg,disparity_u,disparity_i,gini,popularity_rate,diversity"
-        assert len(content) == 2
+        assert content[1].split(",")[:2] == ["model", "4"]
+        assert content[1].split(",")[2] == f"{rows[0]['recall']:.6g}"
+        assert content[1].split(",")[4] == ""
+        assert content[2:] == [""]
 
 
 # Full-sort references: the ranking and metric code that top_k_items and the

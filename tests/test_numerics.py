@@ -84,9 +84,10 @@ class TestSoftmax:
     @staticmethod
     def probs(scores):
         model = FactorModel(np.array([[1.0]]), np.asarray(scores)[:, None])
-        ctx = CandidateContext(np.array([0]), [np.arange(len(scores))],
-                               np.array([1]), [np.zeros(len(scores))])
-        return _producer_forward(model, ctx, TrainConfig())[0][3][0]
+        n = len(scores)
+        ctx = CandidateContext(np.array([0]), np.arange(n), np.array([n]), np.array([1]),
+                               np.zeros(n))
+        return _producer_forward(model, ctx, TrainConfig())[3][0]
 
     def test_uniform(self):
         np.testing.assert_allclose(self.probs([3.0, 3.0, 3.0]), 1.0 / 3.0)

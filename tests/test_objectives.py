@@ -11,16 +11,28 @@ from moofair.numerics import sigmoid
 from moofair.objectives import (
     CandidateContext,
     _consumer_forward,
-    _consumer_loss_and_ndcg_grad,
+    _producer_forward,
     build_consumer_context,
     build_producer_context,
     consumer_fairness_grad,
-    consumer_group_fairness,
     fairness_grad,
+    group_disparity,
     producer_fairness_grad,
 )
 from moofair.training import TrainConfig
-from conftest import derived_rng, finite_difference_gradient, max_relative_error
+from conftest import (
+    context_rows,
+    derived_rng,
+    finite_difference_gradient,
+    flat_context,
+    max_relative_error,
+)
+
+
+def consumer_group_fairness(vectors):
+    """``group_disparity`` of one group per row."""
+    result = group_disparity(np.asarray(vectors, dtype=np.float64), np.eye(len(vectors)))
+    return None if result is None else result[0]
 
 
 class TestConsumerGroupFairness:
@@ -58,17 +70,23 @@ class TestConsumerGroupFairness:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_requires_two_groups(self):
-        with pytest.raises(ValueError):
-            consumer_group_fairness([[1.0, 2.0]])
+        assert consumer_group_fairness([[1.0, 2.0]]) is None
 
 
 def context_for(candidates, positive_counts):
-    users = np.arange(len(candidates), dtype=np.int64)
-    return CandidateContext(
-        users,
-        [np.asarray(c, dtype=np.int64) for c in candidates],
-        np.asarray(positive_counts, dtype=np.int64),
-    )
+    return flat_context(candidates, positive_counts)
+
+
+def consumer_grad(model, ctx, masks, config, objective_id="gender"):
+    """A consumer objective's gradient, its forward computed first."""
+    forward = _consumer_forward(model, ctx, config.ndcg_k, config.steepness)
+    return consumer_fairness_grad(model, ctx, masks, config, objective_id, forward)
+
+
+def producer_grad(model, ctx, mask, config):
+    """A producer objective's gradient, its forward computed first."""
+    return producer_fairness_grad(model, ctx, mask, config, "popularity",
+                                  _producer_forward(model, ctx, config))
 
 
 def ndcg_rows(model, ctx, k_max, steepness=1e6):
@@ -81,7 +99,7 @@ def hard_rank_ndcg(model, ctx, k_max):
     the reference the smooth forward approaches as its steepness grows."""
     rows = np.zeros((ctx.users.shape[0], k_max))
     ks = np.arange(1, k_max + 1)
-    for row, (u, cand, n) in enumerate(zip(ctx.users, ctx.candidates,
+    for row, (u, cand, n) in enumerate(zip(ctx.users, context_rows(ctx),
                                            ctx.counts)):
         if n == 0:
             continue
@@ -123,11 +141,15 @@ class TestBuildNdcgMatrix:
 
 
 def consumer_loss(g, masks, valid=None):
-    """Disparity loss of hand-built NDCG rows, or None when skipped."""
-    if valid is None:
-        valid = np.ones(g.shape[0], dtype=bool)
-    result = _consumer_loss_and_ndcg_grad(g, masks, valid)
-    return None if result is None else result[0]
+    """Training disparity loss of hand-built NDCG rows (rows not ``valid``
+    are users without positives), or None when skipped."""
+    n = g.shape[0]
+    valid = np.ones(n, dtype=bool) if valid is None else valid
+    ctx = CandidateContext(np.arange(n), np.zeros(n, dtype=np.int64),
+                           np.ones(n, dtype=np.int64), valid.astype(np.int64))
+    model = FactorModel(np.zeros((n, 1)), np.zeros((1, 1)))
+    result = consumer_fairness_grad(model, ctx, masks, TrainConfig(), "gender", (g, []))
+    return None if result is None else result.loss
 
 
 class TestGenderLoss:
@@ -183,17 +205,14 @@ class TestAgeLoss:
 
 
 def producer_context_for(candidates, relevant_counts, noise=None):
-    users = np.arange(len(candidates), dtype=np.int64)
-    cands = [np.asarray(c, dtype=np.int64) for c in candidates]
     if noise is None:
-        noise = [np.zeros(c.shape[0]) for c in cands]
-    return CandidateContext(users, cands,
-                            np.asarray(relevant_counts, dtype=np.int64), noise)
+        noise = [np.zeros(len(c)) for c in candidates]
+    return flat_context(candidates, relevant_counts, noise=noise)
 
 
 def producer_loss(model, ctx, mask, config):
     """Loss of the producer gradient call, or None when skipped."""
-    result = producer_fairness_grad(model, ctx, mask, config)
+    result = producer_grad(model, ctx, mask, config)
     return None if result is None else result.loss
 
 
@@ -276,12 +295,7 @@ def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
         pos_counts.append(2)
         noise.append(gen.gumbel(size=4))
     consumer = context_for(candidates, pos_counts)
-    producer = CandidateContext(
-        np.arange(num_users, dtype=np.int64),
-        [np.asarray(c, dtype=np.int64) for c in candidates],
-        np.asarray(pos_counts, dtype=np.int64),
-        noise,
-    )
+    producer = flat_context(candidates, pos_counts, noise=noise)
     gender_mask = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8)[:, :num_users]
     age_mask = np.zeros((7, num_users), dtype=np.int8)
     for u in range(num_users):
@@ -296,13 +310,12 @@ class TestConsumerGradient:
     def test_matches_finite_differences(self):
         model, consumer, _, gender_mask, _, _ = make_gradient_world()
         config = TrainConfig(ndcg_k=3, steepness=2.0)
-        result = consumer_fairness_grad(model, consumer, gender_mask, config, "gender")
+        result = consumer_grad(model, consumer, gender_mask, config)
 
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return consumer_fairness_grad(probe, consumer, gender_mask, config,
-                                          "gender").loss
+            return consumer_grad(probe, consumer, gender_mask, config).loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
@@ -311,13 +324,12 @@ class TestConsumerGradient:
     def test_age_gradient_matches_finite_differences(self):
         model, consumer, _, _, age_mask, _ = make_gradient_world(seed=7)
         config = TrainConfig(ndcg_k=2, steepness=1.5)
-        result = consumer_fairness_grad(model, consumer, age_mask, config, "age")
+        result = consumer_grad(model, consumer, age_mask, config, "age")
 
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return consumer_fairness_grad(probe, consumer, age_mask, config,
-                                          "age").loss
+            return consumer_grad(probe, consumer, age_mask, config, "age").loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert max_relative_error(result.grad, numeric) <= 1e-4
@@ -328,8 +340,7 @@ class TestConsumerGradient:
         model = FactorModel(emb, items)
         ctx = context_for([[0, 1, 2, 3], [0, 1, 2, 3]], [2, 2])
         mask = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        result = consumer_fairness_grad(model, ctx, mask,
-                                        TrainConfig(ndcg_k=2, steepness=1.0), "gender")
+        result = consumer_grad(model, ctx, mask, TrainConfig(ndcg_k=2, steepness=1.0))
         assert result.loss == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(result.grad, 0.0, atol=1e-12)
 
@@ -337,16 +348,14 @@ class TestConsumerGradient:
         model, consumer, _, _, _, _ = make_gradient_world()
         single_group = np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int8)
         with caplog.at_level(logging.WARNING):
-            assert consumer_fairness_grad(model, consumer, single_group,
-                                          TrainConfig(ndcg_k=2, steepness=1.0),
-                                          "gender") is None
+            assert consumer_grad(model, consumer, single_group,
+                                 TrainConfig(ndcg_k=2, steepness=1.0)) is None
 
     def test_steepness_sweep_stays_finite(self):
         model, consumer, _, gender_mask, _, _ = make_gradient_world(seed=3)
         for steep in np.geomspace(0.1, 100.0, 13):
             config = TrainConfig(ndcg_k=3, steepness=float(steep))
-            result = consumer_fairness_grad(model, consumer, gender_mask, config,
-                                            "gender")
+            result = consumer_grad(model, consumer, gender_mask, config)
             assert np.all(np.isfinite(result.grad))
 
 
@@ -359,7 +368,7 @@ def reference_consumer(model, ctx, k_max, steepness, group_masks=None):
     ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
     scores = model.user_embeddings[ctx.users] @ model.item_embeddings.T
     saved, all_ranks = {}, {}
-    for row, (cand, n) in enumerate(zip(ctx.candidates, ctx.counts)):
+    for row, (cand, n) in enumerate(zip(context_rows(ctx), ctx.counts)):
         if n == 0:
             continue
         scaled = steepness * scores[row, cand]
@@ -373,7 +382,7 @@ def reference_consumer(model, ctx, k_max, steepness, group_masks=None):
         all_ranks[row] = ranks
     if group_masks is None:
         return g_matrix, all_ranks
-    result = _consumer_loss_and_ndcg_grad(g_matrix, group_masks, ctx.counts > 0)
+    result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
     if result is None:
         return g_matrix, all_ranks, None
     d_g = result[1]
@@ -388,7 +397,7 @@ def reference_consumer(model, ctx, k_max, steepness, group_masks=None):
         slope[np.arange(n), np.arange(n)] = 0.0
         d_row = slope.T @ d_rank
         d_row[:n] -= d_rank * slope.sum(axis=1)
-        d_scores[row, ctx.candidates[row]] = d_row
+        d_scores[row, context_rows(ctx)[row]] = d_row
     user_grad = np.zeros_like(model.user_embeddings)
     user_grad[ctx.users] = d_scores @ model.item_embeddings
     item_grad = d_scores.T @ model.user_embeddings[ctx.users]
@@ -462,9 +471,8 @@ class TestBlockedConsumerKernel:
         # of 100 padded pairs
         monkeypatch.setattr(objectives, "PAIR_BLOCK", 100)
         model = one_user_model(np.linspace(-1.0, 1.0, 100))
-        ctx = CandidateContext(np.zeros(11, dtype=np.int64),
-                               [np.arange(100)] + [np.arange(10)] * 10,
-                               np.array([1] + [2] * 10))
+        ctx = flat_context([np.arange(100)] + [np.arange(10)] * 10, [1] + [2] * 10,
+                           users=np.zeros(11))
         _, blocks = _consumer_forward(model, ctx, 3, 1.0)
         assert [block[0].shape[0] for block in blocks] == [1, 5, 5]
 
@@ -478,7 +486,7 @@ class TestBlockedConsumerKernel:
         shapes = []
         monkeypatch.setattr(objectives, "sigmoid",
                             lambda x: shapes.append(np.shape(x)) or sigmoid(x))
-        ctx = CandidateContext(np.array([0]), [np.arange(50)], np.array([50]))
+        ctx = flat_context([np.arange(50)], [50])
         _, blocks = _consumer_forward(one_user_model(scores), ctx, 3, 1.0)
         assert (1, 50, 50) not in shapes  # the cutoffs are (1, 50, 3)
 
@@ -505,16 +513,66 @@ class TestBlockedConsumerKernel:
         assert peak < pairs * 8 / 4
 
 
+def ragged_producer_world(seed, num_users=6, num_items=30):
+    """A model and a producer context whose rows differ in width and in
+    relevant count (some none), plus two item groups."""
+    gen = np.random.default_rng(seed)
+    model = init_model(num_users, num_items, 3, 0.0, gen, init_std=0.6)
+    candidates, counts, noise = [], [], []
+    for u in range(num_users):
+        width = int(gen.integers(2, 12))
+        candidates.append(gen.permutation(num_items)[:width])
+        counts.append(int(gen.integers(0, min(width, 4) + 1)))
+        noise.append(gen.gumbel(size=width))
+    counts[0], counts[1] = 0, 2
+    item_mask = np.zeros((2, num_items), dtype=np.int8)
+    item_mask[np.arange(num_items) % 2, np.arange(num_items)] = 1
+    return model, flat_context(candidates, counts, noise=noise), item_mask
+
+
 class TestProducerGradient:
-    def test_matches_finite_differences(self):
-        model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_padded_block_matches_single_rows(self, seed):
+        # padding columns score -inf and are left out of the pair sums, so
+        # each row's exposures equal those of the row run alone
+        model, ctx, _ = ragged_producer_world(seed)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
-        result = producer_fairness_grad(model, producer, item_mask, config)
+        _, relevant, _, probs, expo, _, _ = _producer_forward(model, ctx, config)
+        rows = np.flatnonzero(ctx.counts)
+        starts = np.cumsum(ctx.widths) - ctx.widths
+        for b, r in enumerate(rows):
+            entries = slice(starts[r], starts[r] + ctx.widths[r])
+            alone = flat_context([ctx.items[entries]], [ctx.counts[r]], users=[ctx.users[r]],
+                                 noise=[ctx.noise[entries]])
+            single = _producer_forward(model, alone, config)
+            np.testing.assert_allclose(probs[b, :ctx.widths[r]], single[3][0], rtol=1e-13)
+            np.testing.assert_array_equal(probs[b, ctx.widths[r]:], 0.0)
+            np.testing.assert_allclose(expo[b, :ctx.counts[r]], single[4][0], rtol=1e-13)
+            np.testing.assert_array_equal(expo[b, ctx.counts[r]:], 0.0)
+            assert relevant[b].sum() == ctx.counts[r]
+
+    def test_ragged_rows_match_finite_differences(self):
+        model, ctx, item_mask = ragged_producer_world(3)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
+        result = producer_grad(model, ctx, item_mask, config)
 
         def loss_at(theta):
             probe = model.copy()
             probe.set_flat(theta)
-            return producer_fairness_grad(probe, producer, item_mask, config).loss
+            return producer_grad(probe, ctx, item_mask, config).loss
+
+        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
+        assert max_relative_error(result.grad, numeric) <= 1e-4
+
+    def test_matches_finite_differences(self):
+        model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
+        result = producer_grad(model, producer, item_mask, config)
+
+        def loss_at(theta):
+            probe = model.copy()
+            probe.set_flat(theta)
+            return producer_grad(probe, producer, item_mask, config).loss
 
         numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
         assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
@@ -528,7 +586,7 @@ class TestProducerGradient:
         producer = producer_context_for([[0, 1, 2, 3], [2, 3, 0, 1]], [2, 2])
         item_mask = np.eye(4, dtype=np.int8)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5)
-        result = producer_fairness_grad(model, producer, item_mask, config)
+        result = producer_grad(model, producer, item_mask, config)
         assert result.loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(result.grad, 0.0, atol=1e-10)
 
@@ -587,21 +645,20 @@ class TestContextBuilders:
         lists = synthetic_dataset.train_positive_lists()
         for row, u in enumerate(users):
             n_pos = int(ctx.counts[row])
-            np.testing.assert_array_equal(ctx.candidates[row][:n_pos], lists[u])
-            for j in ctx.candidates[row][n_pos:]:
+            np.testing.assert_array_equal(context_rows(ctx)[row][:n_pos], lists[u])
+            for j in context_rows(ctx)[row][n_pos:]:
                 assert int(j) not in lists[u]
 
     def test_producer_relevant_capped(self, synthetic_dataset):
         rng = np.random.default_rng(5)
         ctx = build_producer_context(synthetic_dataset, np.arange(5), 3, 6, rng)
         assert np.all(ctx.counts <= 3)
-        for cand, noise in zip(ctx.candidates, ctx.noise):
-            assert cand.shape == noise.shape
+        assert ctx.noise.shape == ctx.items.shape
 
     def test_deterministic(self, synthetic_dataset):
         a = build_consumer_context(synthetic_dataset, np.arange(4), 6,
                                    np.random.default_rng(6))
         b = build_consumer_context(synthetic_dataset, np.arange(4), 6,
                                    np.random.default_rng(6))
-        for ca, cb in zip(a.candidates, b.candidates):
-            assert np.array_equal(ca, cb)
+        assert np.array_equal(a.items, b.items)
+        assert np.array_equal(a.widths, b.widths)

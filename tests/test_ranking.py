@@ -18,12 +18,17 @@ from moofair.metrics import top_k_items
 from moofair.model import FactorModel
 from moofair.numerics import sample_gumbel, sigmoid
 from moofair.objectives import (
-    CandidateContext,
     _consumer_forward,
     _producer_forward,
     build_producer_context,
 )
 from moofair.training import TrainConfig
+from conftest import flat_context
+
+
+def one_row(n, positives, noise=None):
+    """Context of one user whose candidates are items 0..n-1."""
+    return flat_context([np.arange(n)], [positives], noise=None if noise is None else [noise])
 
 
 def one_user_model(scores):
@@ -35,7 +40,7 @@ def consumer_forward(scores, steepness=1.0, positives=None, k_max=1):
     is a positive."""
     n = len(scores)
     positives = n if positives is None else positives
-    ctx = CandidateContext(np.array([0]), [np.arange(n)], np.array([positives]))
+    ctx = one_row(n, positives)
     g_matrix, blocks = _consumer_forward(one_user_model(scores), ctx, k_max, steepness)
     return g_matrix, blocks[0][3][0]
 
@@ -51,11 +56,10 @@ def producer_bucket(scores, temperature=1e-5, patience=0.5, rank_offset=1.0,
     n = len(scores)
     relevant = n if relevant is None else relevant
     noise = np.zeros(n) if noise is None else noise
-    ctx = CandidateContext(np.array([0]), [np.arange(n)], np.array([relevant]), [noise])
     config = TrainConfig(temperature=temperature, exposure_patience=patience,
                          rank_offset=rank_offset)
-    (_, _, _, probs, expo, _, _), = _producer_forward(one_user_model(scores), ctx,
-                                                      config)
+    forward = _producer_forward(one_user_model(scores), one_row(n, relevant, noise), config)
+    probs, expo = forward[3], forward[4]
     return probs[0], expo[0]
 
 
@@ -158,7 +162,7 @@ class TestSmoothDcg:
         np.testing.assert_array_equal(g, [[1.0, 1.0]])
 
     def test_no_relevance(self):
-        ctx = CandidateContext(np.array([0]), [np.arange(2)], np.array([0]))
+        ctx = one_row(2, 0)
         g, blocks = _consumer_forward(one_user_model([2.0, 1.0]), ctx, 2, 1e6)
         np.testing.assert_array_equal(g, [[0.0, 0.0]])
         assert blocks == []
@@ -166,7 +170,7 @@ class TestSmoothDcg:
     def test_two_relevant(self):
         # positives ranked 1 and 3: DCG@3 = 1 + 1/log2(4) = 1.5
         model = one_user_model([3.0, 1.0, 2.0])
-        ctx = CandidateContext(np.array([0]), [np.array([0, 1, 2])], np.array([2]))
+        ctx = one_row(3, 2)
         g = _consumer_forward(model, ctx, 3, 1e6)[0]
         assert g[0, 2] == pytest.approx(1.5 / (1.0 + 1.0 / np.log2(3.0)), abs=1e-12)
 
@@ -216,8 +220,8 @@ class TestGumbelPerturb:
             ctx = build_producer_context(synthetic_dataset, np.arange(4), 3, 5,
                                          np.random.default_rng(9))
             runs.append(_producer_forward(model, ctx, config))
-        for a, b in zip(*runs):
-            assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])
+        a, b = runs
+        assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])
 
     def test_argmax_frequency_matches_pl(self):
         # Adding Gumbel noise and taking the argmax samples items with their
@@ -271,15 +275,13 @@ class TestExposure:
         np.testing.assert_array_equal(expo, np.power(0.5, hard_ranks(scores)))
 
     def test_matrix_input(self):
-        # one bucket stacks the users of equal shape: exposures per (user, item)
+        # one block stacks the users: exposures per (user, relevant item)
         model = FactorModel(np.array([[1.0], [-1.0]]),
                             np.array([[4.0], [3.0], [2.0], [1.0]]))
-        ctx = CandidateContext(np.array([0, 1]), [np.arange(4), np.array([1, 0, 2, 3])],
-                               np.array([2, 2]), [np.zeros(4), np.zeros(4)])
-        (rows, _, _, _, expo, _, _), = _producer_forward(
-            model, ctx, TrainConfig(temperature=1e-6))
-        np.testing.assert_array_equal(rows, [0, 1])
-        np.testing.assert_array_equal(expo, [[0.5, 0.25], [0.125, 0.0625]])
+        ctx = flat_context([np.arange(4), [1, 0, 2, 3]], [2, 2],
+                           noise=[np.zeros(4), np.zeros(4)])
+        forward = _producer_forward(model, ctx, TrainConfig(temperature=1e-6))
+        np.testing.assert_array_equal(forward[4], [[0.5, 0.25], [0.125, 0.0625]])
 
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError, match="exposure_patience"):

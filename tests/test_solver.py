@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import dominates, two_objective_alpha
 from moofair.solver import (
@@ -161,6 +164,49 @@ class TestFrankWolfe:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             frank_wolfe_solve(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def gradient_sets(min_t=2, max_t=5):
+    """t gradients of 1 to 8 coordinates in [-100, 100]."""
+    return st.tuples(st.integers(min_t, max_t), st.integers(1, 8)).flatmap(
+        lambda shape: arrays(np.float64, shape,
+                             elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+
+
+class TestFrankWolfeProperties:
+    """Frank-Wolfe on random PSD Gram matrices of random gradients."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gradient_sets())
+    def test_kkt_conditions(self, gradients):
+        # KKT of min a^T M a on the simplex: (M a)_i >= a^T M a for every i,
+        # with equality where a_i > 0. Frank-Wolfe closes the gap
+        # a^T M a - min_i (M a)_i like 1 / iterations; 1000 of them leave
+        # under 1e-3 of the largest eigenvalue.
+        m = gram_matrix(gradients)
+        a = frank_wolfe_solve(m, max_iters=1000, tol=0.0).values
+        value = float(a @ m @ a)
+        combined = m @ a
+        tol = 2e-3 * max(float(np.linalg.eigvalsh(m).max()), 1e-300)
+        assert np.all(a >= 0.0) and a.sum() == pytest.approx(1.0, abs=1e-12)
+        assert value - combined.min() <= tol
+        assert np.all(np.abs(a * (combined - value)) <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gradient_sets(2, 2))
+    def test_two_objectives_match_closed_form(self, gradients):
+        g1, g2 = gradients
+        m = gram_matrix(gradients)
+        a = frank_wolfe_solve(m).values
+        alpha = two_objective_alpha(g1, g2)
+        point = alpha * g1 + (1.0 - alpha) * g2
+        scale = max(1.0, float(np.abs(m).max()))
+        assert float(a @ m @ a) == pytest.approx(float(point @ point), abs=1e-12 * scale)
+        # rounding in the objective (~1e-16 * scale) moves the minimizer of a
+        # parabola of curvature |g1 - g2|^2 by up to sqrt(1e-16 * scale / curvature)
+        curvature = float((g1 - g2) @ (g1 - g2))
+        if curvature > 0.0:
+            assert a[0] == pytest.approx(alpha, abs=1e-7 * np.sqrt(scale / curvature))
 
 
 class TestParetoStationary:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess
+from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess, write_csv
 from conftest import FIELD_BOUNDS, dominates, make_raw
 from moofair.training import (
     DEFAULT_GRID,
@@ -318,13 +318,44 @@ class TestGridSearch:
             assert result.fw_calls == 0
 
 
+class TestCombineGradients:
+    @staticmethod
+    def results(*grads):
+        from moofair.model import ObjectiveGradient
+
+        return [None if g is None else ObjectiveGradient("o", 1.0, np.asarray(g, float))
+                for g in grads]
+
+    def test_single_active_gradient_is_the_direction(self):
+        from moofair.training import _combine_gradients
+
+        results = self.results([3.0, 4.0], [0.0, 0.0], None)
+        config = TrainConfig(objectives=("bpr", "gender", "age"), grad_normalization="none")
+        alpha, direction, fw_used = _combine_gradients(results, config)
+        assert direction is results[0].grad
+        np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
+        assert not fw_used
+
+    def test_fixed_weights_keep_every_weight(self):
+        from moofair.training import _combine_gradients
+
+        results = self.results([3.0, 4.0], [0.0, 0.0], [1.0, 0.0])
+        config = TrainConfig(objectives=("bpr", "gender", "age"), mode="fixed_weights",
+                             fixed_weights=(0.5, 0.3, 0.2), grad_normalization="none")
+        alpha, direction, fw_used = _combine_gradients(results, config)
+        np.testing.assert_array_equal(alpha, [0.5, 0.3, 0.2])
+        np.testing.assert_array_equal(direction, [0.5 * 3.0 + 0.2, 0.5 * 4.0])
+        assert not fw_used
+
+
 class TestAlphaTrace:
     def test_csv_round_trip(self, tmp_path):
         trace = AlphaTrace(("bpr", "gender"))
         trace.append(1, 0, np.array([0.3, 0.7]))
         trace.append(1, 1, np.array([0.4, 0.6]))
         path = tmp_path / "alpha.csv"
-        trace.to_csv(str(path))
+        write_csv(str(path), ["epoch", "batch", "alpha_bpr", "alpha_gender"],
+                  ([epoch, batch, *alpha] for epoch, batch, alpha in trace.entries))
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,batch,alpha_bpr,alpha_gender"
         assert lines[1] == "1,0,0.3,0.7"
