@@ -11,11 +11,14 @@ import contextlib
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".moofair.lock"
+# weights on bpr that ``moofair grid`` trains by default
+DEFAULT_GRID = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
+
 
 class CliError(Exception):
     """Fatal usage/input error; carries the process exit code."""
@@ -198,9 +201,7 @@ def cmd_train(args) -> int:
     from .training import run_pareto_rounds
 
     weights = _coerce("fixed_weights", args.weights, None) if args.weights else None
-    config, dataset, masks = _training_inputs(
-        args, mode={"fixed": "fixed_weights"}.get(args.mode, args.mode),
-        fixed_weights=weights)
+    config, dataset, masks = _training_inputs(args, fixed_weights=weights)
     with OutputLock(args.out):
         selected, results = run_pareto_rounds(dataset, masks, config)
         _emit_round_outputs(args.out, config, results, selected)
@@ -242,34 +243,40 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    """Fixed-weight rounds at each grid weight on bpr, then MGDA rounds; each model's
+    recall@20 and 1 / its fairness objective's disparity@20 go to frontier.csv."""
     from .data import write_csv
-    from .metrics import evaluate
+    from .metrics import build_recommendations, disparity_item, disparity_user, recall_at_k
     from .objectives import CONSUMER_OBJECTIVES
-    from .training import DEFAULT_GRID, grid_search, run_pareto_rounds
+    from .training import run_pareto_rounds, train_round
 
     config, dataset, masks = _training_inputs(args)
     if config.num_objectives != 2:
         raise CliError("grid search requires exactly two objectives")
     grid = _coerce("--grid", args.grid, None) if args.grid else DEFAULT_GRID
+    try:
+        grid_configs = [replace(config, fixed_weights=(w, 1 - w)) for w in grid]
+    except ValueError as exc:
+        raise CliError(f"--grid: {exc}") from None
+    mgda = replace(config, fixed_weights=None)
     fairness = config.objectives[1]
-    disparity_key = "disparity_u" if fairness in CONSUMER_OBJECTIVES else "disparity_i"
-
-    def frontier_row(rows):
-        at_k = next(r for r in rows if r["k"] == 20)
-        disparity = at_k[disparity_key]
-        inv = float("inf") if disparity == 0 else 1.0 / disparity
-        return at_k["recall"], inv
 
     with OutputLock(args.out):
-        points = grid_search(dataset, masks, config, weight_grid=grid)
-        selected, results = run_pareto_rounds(dataset, masks, config)
-        _emit_round_outputs(args.out, config, results, selected)
-        frontier = [[weights[0], *frontier_row(rows)] for weights, rows, _ in points]
-        for result in results:
-            rows = evaluate(result.model, dataset, masks, k_values=(10, 20),
-                            patience=config.exposure_patience,
-                            label=f"mgda_{result.record.round_id}")
-            frontier.append(["mgda", *frontier_row(rows)])
+        models = [(w, train_round(dataset, masks, c).model)
+                  for w, c in zip(grid, grid_configs)]
+        selected, results = run_pareto_rounds(dataset, masks, mgda)
+        _emit_round_outputs(args.out, mgda, results, selected)
+        models += [("mgda", result.model) for result in results]
+        frontier = []
+        for weight, model in models:
+            run = build_recommendations(model, dataset, 20)
+            if fairness in CONSUMER_OBJECTIVES:
+                disparity = disparity_user(run, masks, fairness)
+            else:
+                disparity = disparity_item(run, masks.mask_for(fairness),
+                                           config.exposure_patience)
+            inv = None if disparity is None else 1.0 / disparity if disparity else float("inf")
+            frontier.append([weight, recall_at_k(run), inv])
         path = os.path.join(args.out, "frontier.csv")
         write_csv(path, ["weight", "recall_at_20", "inv_disparity"], frontier)
     print(f"wrote frontier comparison to {path}")
@@ -291,16 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--out", required=True)
     prepare.set_defaults(func=cmd_prepare)
 
-    train = sub.add_parser("train", help="run multi-objective training rounds")
-    train.add_argument("--bundle", required=True)
-    train.add_argument("--out", required=True)
-    train.add_argument("--config")
-    train.add_argument("--objectives")
-    train.add_argument("--mode", choices=("mgda", "fixed"))
-    train.add_argument("--weights")
-    train.add_argument("--rounds", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--epochs", type=int)
+    # the flags train and grid share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--bundle", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--config")
+    run.add_argument("--objectives")
+    run.add_argument("--rounds", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--epochs", type=int)
+
+    train = sub.add_parser("train", parents=[run],
+                           help="run multi-objective training rounds")
+    train.add_argument("--weights", help="comma-separated weights, one per objective: "
+                                         "selects fixed-weight training in place of MGDA")
     train.set_defaults(func=cmd_train)
 
     evaluate_ = sub.add_parser("eval", help="compute the metrics table")
@@ -314,15 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default="gender", choices=("gender", "age"))
     evaluate_.set_defaults(func=cmd_eval)
 
-    grid = sub.add_parser("grid", help="fixed-weight grid versus learned weights")
-    grid.add_argument("--bundle", required=True)
-    grid.add_argument("--out", required=True)
-    grid.add_argument("--config")
-    grid.add_argument("--objectives")
-    grid.add_argument("--grid")
-    grid.add_argument("--rounds", type=int)
-    grid.add_argument("--seed", type=int)
-    grid.add_argument("--epochs", type=int)
+    grid = sub.add_parser("grid", parents=[run],
+                          help="fixed-weight grid versus learned weights")
+    grid.add_argument("--grid", help="comma-separated weights on bpr, one round each")
     grid.set_defaults(func=cmd_grid)
     return parser
 

@@ -57,14 +57,6 @@ class EmptyDatasetError(ValueError):
     """No interactions survive ingestion or filtering."""
 
 
-def age_group(age: int) -> int:
-    """0-based index of the age bracket containing ``age``."""
-    for idx, upper in enumerate(AGE_UPPER_BOUNDS):
-        if age <= upper:
-            return idx
-    return NUM_AGE_GROUPS - 1
-
-
 @dataclass
 class RawRatings:
     """Parsed rating records plus whatever attribute tables the format provides.
@@ -421,7 +413,7 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
             ("gender", raw.user_gender, len(GENDER_LABELS),
              lambda g: GENDER_LABELS.index(g) if g in GENDER_LABELS else -1),
             ("age", raw.user_age, NUM_AGE_GROUPS,
-             lambda a: -1 if a is None else age_group(int(a)))):
+             lambda a: -1 if a is None else np.searchsorted(AGE_UPPER_BOUNDS, int(a)))):
         if table is None:
             continue
         rows = np.array([row_of(table.get(u)) for u in users], dtype=np.int64)

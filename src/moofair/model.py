@@ -128,18 +128,6 @@ class TripletBatch:
         return self.users.shape[0]
 
 
-def _touched_embeddings(model: FactorModel, batch: TripletBatch):
-    users = np.unique(batch.users)
-    items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
-    return users, items
-
-
-def _margins(model: FactorModel, batch: TripletBatch) -> np.ndarray:
-    u = model.user_embeddings[batch.users]
-    diff = model.item_embeddings[batch.pos_items] - model.item_embeddings[batch.neg_items]
-    return np.einsum("ij,ij->i", u, diff)
-
-
 def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
     """BPR loss and its analytic gradient over the flattened parameters.
 
@@ -149,10 +137,10 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
     """
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    margins = _margins(model, batch)
-    coeff = sigmoid(margins) - 1.0  # d(-log sigmoid(x))/dx
     u_emb = model.user_embeddings[batch.users]
     diff = model.item_embeddings[batch.pos_items] - model.item_embeddings[batch.neg_items]
+    margins = np.einsum("ij,ij->i", u_emb, diff)
+    coeff = sigmoid(margins) - 1.0  # d(-log sigmoid(x))/dx
 
     # one bincount over the flattened parameters (item i is row num_users + i)
     # adds in np.add.at's order: users, then positives, then negatives
@@ -167,7 +155,8 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
 
     loss = float(np.sum(np.logaddexp(0.0, -margins)))
     if model.reg > 0:
-        users, items = _touched_embeddings(model, batch)
+        users = np.unique(batch.users)
+        items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
         user_grad[users] += 2.0 * model.reg * model.user_embeddings[users]
         item_grad[items] += 2.0 * model.reg * model.item_embeddings[items]
         loss += model.reg * (

@@ -46,15 +46,9 @@ def sigmoid(x):
     return out
 
 
-def gumbel_from_uniform(u):
-    """Map uniform draws on (0,1) to standard Gumbel noise -log(-log(u))."""
-    u = np.clip(np.asarray(u, dtype=np.float64), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
-    return -np.log(-np.log(u))
-
-
 def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` standard Gumbel samples from the given stream."""
+    """``n`` standard Gumbel samples -log(-log(u)), u uniform draws from the stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = rng.uniform(0.0, 1.0, size=n)
-    return gumbel_from_uniform(u)
+    u = np.clip(rng.uniform(0.0, 1.0, size=n), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    return -np.log(-np.log(u))

@@ -33,9 +33,6 @@ class SimplexWeights:
             raise ValueError(f"weights must sum to 1, got sum {v.sum()!r}")
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class SolutionRecord:

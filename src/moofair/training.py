@@ -2,7 +2,7 @@
 
 Each batch computes every active objective's loss and gradient on a shared
 parameter snapshot, optionally normalizes the gradients, solves for the
-scaling coefficients (min-norm Frank-Wolfe, or fixed weights in grid mode),
+scaling coefficients (min-norm Frank-Wolfe, or the configured fixed weights),
 and applies one SGD step with the aggregated direction. Validation recall
 drives early stopping and best-checkpoint selection; multiple independent
 rounds form a solution set from which the least-misery rule picks the final
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import TRAIN, VAL, GroupMaskSet, InteractionDataset
-from .metrics import evaluate, rank_split, recall_at_k
+from .metrics import rank_split, recall_at_k
 from .model import FactorModel, attach_negatives, init_model
 from .objectives import (
     CONSUMER_OBJECTIVES,
@@ -59,7 +59,9 @@ class TrainConfig:
 
     ``grad_normalization`` defaults to "auto": unit L2 normalization whenever
     several objectives of very different magnitudes are mixed, none for plain
-    single-objective training. ``ndcg_k``, ``steepness``, ``temperature``,
+    single-objective training. ``fixed_weights``, one per objective on the
+    simplex, selects fixed-weight training; None (the default) trains with
+    MGDA weights. ``ndcg_k``, ``steepness``, ``temperature``,
     ``exposure_patience`` and ``rank_offset`` shape the smooth-ranking chains
     of the fairness objectives (``objectives.py``).
     """
@@ -81,7 +83,6 @@ class TrainConfig:
     n_r_cap: int = 10
     candidate_negatives: int = 200
     seed: int = 0
-    mode: str = "mgda"
     fixed_weights: tuple | None = None
     rounds: int = 5
     eval_k: int = 20
@@ -101,21 +102,14 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not within(value):
                     raise ValueError(f"{name} must be {bound}, got {value!r}")
-        if self.mode not in ("mgda", "fixed_weights"):
-            raise ValueError(f"mode must be 'mgda' or 'fixed_weights', got {self.mode!r}")
         if self.grad_normalization not in ("auto", "none", "l2"):
             raise ValueError("grad_normalization must be 'auto', 'none', or 'l2'")
-        if self.mode == "fixed_weights":
-            if self.fixed_weights is None:
-                raise ValueError("fixed_weights mode requires fixed_weights")
+        if self.fixed_weights is not None:
             weights = tuple(float(w) for w in self.fixed_weights)
             if len(weights) != len(objectives):
                 raise ValueError("fixed_weights length must match objectives")
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
-        elif self.fixed_weights is not None:
-            raise ValueError("fixed_weights needs mode 'fixed_weights' (--mode fixed), "
-                             f"got mode {self.mode!r}")
 
     @property
     def num_objectives(self) -> int:
@@ -227,8 +221,8 @@ def _combine_gradients(results, config):
     if config.resolved_normalization() == "l2":
         grads = [g / (np.linalg.norm(g) + GRAD_NORM_EPS) for g in grads]
     alpha = np.zeros(t)
-    fw_used = config.mode == "mgda" and len(active) > 1
-    if config.mode == "fixed_weights":
+    fw_used = config.fixed_weights is None and len(active) > 1
+    if config.fixed_weights is not None:
         alpha = np.asarray(config.fixed_weights, dtype=np.float64)
     elif fw_used:
         alpha[active] = frank_wolfe_solve(gram_matrix(grads)).values
@@ -341,28 +335,3 @@ def run_pareto_rounds(dataset: InteractionDataset, masks: GroupMaskSet,
                for r in range(config.rounds)]
     selected = least_misery_select([r.record for r in results])
     return selected, results
-
-
-DEFAULT_GRID = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-
-
-def grid_search(dataset: InteractionDataset, masks: GroupMaskSet,
-                config: TrainConfig, weight_grid=DEFAULT_GRID):
-    """Fixed-weight scan over two objectives, one training run per point.
-
-    Each grid value is the weight on the ranking objective; the remainder
-    goes to the single fairness objective. Returns (weights, metrics rows at
-    k = 10, 20, round result) triples ready for a frontier plot.
-    """
-    if config.num_objectives != 2:
-        raise ValueError("grid search requires exactly two objectives")
-    out = []
-    for w in weight_grid:
-        weights = (float(w), 1.0 - float(w))
-        run_config = replace(config, mode="fixed_weights", fixed_weights=weights)
-        result = train_round(dataset, masks, run_config, round_index=0)
-        rows = evaluate(result.model, dataset, masks,
-                        patience=config.exposure_patience,
-                        label=f"grid_{w:g}")
-        out.append((weights, rows, result))
-    return out

@@ -1,13 +1,17 @@
+import csv
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from moofair.training import TrainConfig
+from moofair.data import load_bundle, save_bundle
+from moofair.metrics import build_recommendations, disparity_item, disparity_user
+from moofair.model import load_checkpoint
+from moofair.training import TrainConfig, train_round
 from conftest import FIELD_BOUNDS, GENRES, make_raw
 
 
@@ -122,6 +126,9 @@ class TestTrain:
         assert trace[0] == "epoch,batch,alpha_bpr,alpha_popularity"
         assert len(trace) > 1
         assert not (out / ".moofair.lock").exists()
+        # without --weights the rounds train with MGDA weights
+        rounds = list(csv.DictReader((out / "rounds.csv").read_text().splitlines()))
+        assert int(rounds[0]["fw_calls"]) > 0
 
     def test_single_objective_selection(self, bundle, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -135,8 +142,7 @@ class TestTrain:
         out = tmp_path / "run"
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
                      "--config", str(tiny_config),
-                     "--objectives", "bpr,popularity",
-                     "--mode", "fixed", "--weights", "0.5,0.5",
+                     "--objectives", "bpr,popularity", "--weights", "0.5,0.5",
                      "--rounds", "1", "--epochs", "1"])
         assert code == 0
         rows = (out / "rounds.csv").read_text().splitlines()
@@ -144,19 +150,26 @@ class TestTrain:
         assert "fw_calls" in header
         assert rows[1].split(",")[header.index("fw_calls")] == "0"
 
-    def test_weights_without_fixed_mode_exit_2(self, bundle, tmp_path, capsys):
+    def test_mode_flag_and_key_exit_2(self, bundle, tmp_path, capsys):
         out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--bundle", str(bundle), "--out", str(out),
+                  "--objectives", "bpr,popularity", "--mode", "fixed",
+                  "--weights", "0.9,0.1", "--rounds", "1", "--epochs", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        config = tmp_path / "mode.cfg"
+        config.write_text("mode = fixed_weights\nfixed_weights = 0.9,0.1\n")
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
-                     "--objectives", "bpr,popularity", "--weights", "0.9,0.1",
-                     "--rounds", "1", "--epochs", "1"])
+                     "--config", str(config), "--objectives", "bpr,popularity"])
         assert code == 2
-        assert "--mode fixed" in capsys.readouterr().err
+        assert "unknown key 'mode'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unparsable_weights_exit_2(self, bundle, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
-                     "--objectives", "bpr,popularity", "--mode", "fixed",
+                     "--objectives", "bpr,popularity",
                      "--weights", "0.9,x", "--rounds", "1", "--epochs", "1"])
         assert code == 2
         err = capsys.readouterr().err
@@ -322,6 +335,82 @@ class TestGrid:
         assert code == 2
         assert "two objectives" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fairness", ["age", "genre"])
+    def test_frontier_reports_the_objective_disparity(self, bundle, tiny_config,
+                                                      tmp_path, fairness):
+        out = tmp_path / "grid"
+        flags = dict(objectives=("bpr", fairness), rounds=2, epochs_max=1, seed=0)
+        code = main(["grid", "--bundle", str(bundle), "--out", str(out),
+                     "--config", str(tiny_config), "--objectives", f"bpr,{fairness}",
+                     "--grid", "0.9,0.5", "--rounds", "2", "--epochs", "1", "--seed", "0"])
+        assert code == 0
+        dataset, masks = load_bundle(str(bundle))
+        config = TrainConfig(**{**parse_config_file(str(tiny_config)), **flags})
+        models = [train_round(dataset, masks, replace(config, fixed_weights=(w, 1 - w))).model
+                  for w in (0.9, 0.5)]
+        models += [load_checkpoint(str(out / f"round_{r}"))[0] for r in (1, 2)]
+        rows = list(csv.DictReader((out / "frontier.csv").read_text().splitlines()))
+        assert [row["weight"] for row in rows] == ["0.9", "0.5", "mgda", "mgda"]
+        for row, model in zip(rows, models):
+            run = build_recommendations(model, dataset, 20)
+            if fairness == "age":
+                disparity = disparity_user(run, masks, "age")
+            else:
+                disparity = disparity_item(run, masks.genre, config.exposure_patience)
+            assert row["inv_disparity"] == f"{1.0 / disparity:.6g}"
+
+    def test_undefined_disparity_is_an_empty_cell(self, bundle, tiny_config, tmp_path):
+        # every user in one gender group: the gender disparity is undefined
+        dataset, masks = load_bundle(str(bundle))
+        masks.gender = np.zeros_like(masks.gender)
+        masks.gender[0] = 1
+        one_group = tmp_path / "bundle"
+        save_bundle(str(one_group), dataset, masks)
+        out = tmp_path / "grid"
+        code = main(["grid", "--bundle", str(one_group), "--out", str(out),
+                     "--config", str(tiny_config), "--objectives", "bpr,gender",
+                     "--grid", "0.5", "--rounds", "1", "--epochs", "1"])
+        assert code == 0
+        rows = list(csv.DictReader((out / "frontier.csv").read_text().splitlines()))
+        assert [(row["weight"], row["inv_disparity"]) for row in rows] == [
+            ("0.5", ""), ("mgda", "")]
+        assert all(float(row["recall_at_20"]) >= 0.0 for row in rows)
+
+    def test_config_fixed_weights_keep_mgda_rounds(self, bundle, tiny_config, tmp_path):
+        config = tmp_path / "fixed.cfg"
+        config.write_text(tiny_config.read_text() + "fixed_weights = 0.5,0.5\n")
+        out = tmp_path / "grid"
+        code = main(["grid", "--bundle", str(bundle), "--out", str(out),
+                     "--config", str(config), "--objectives", "bpr,popularity",
+                     "--grid", "0.9", "--rounds", "1", "--epochs", "1"])
+        assert code == 0
+        rounds = list(csv.DictReader((out / "rounds.csv").read_text().splitlines()))
+        assert int(rounds[0]["fw_calls"]) > 0
+        frontier = (out / "frontier.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in frontier[1:]] == ["0.9", "mgda"]
+
+    def test_out_of_range_grid_weight_exits_2(self, bundle, tmp_path, capsys):
+        code = main(["grid", "--bundle", str(bundle), "--out", str(tmp_path / "g"),
+                     "--objectives", "bpr,popularity", "--grid", "0.5,1.5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --grid: ")
+        assert not (tmp_path / "g").exists()
+
+
+class TestPackage:
+    def test_cli_import_loads_no_numpy_and_submodules_import(self):
+        # MOOFAIR_THREADS caps the BLAS pools only if numpy loads after main starts
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, moofair.cli\n"
+                "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+                "from moofair import data, training\n"
+                "assert data.build_masks and training.train_round\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
@@ -349,8 +438,8 @@ class TestConfigFile:
 
 
     def test_keys_are_the_train_config_fields(self, tmp_path):
-        config = TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights",
-                             fixed_weights=(0.25, 0.75), temperature=0.125)
+        config = TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.25, 0.75),
+                             temperature=0.125)
         path = tmp_path / "all.cfg"
         lines = []
         for f in fields(TrainConfig):

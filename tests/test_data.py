@@ -14,7 +14,6 @@ from moofair.data import (
     EmptyDatasetError,
     InteractionDataset,
     RawRatings,
-    age_group,
     build_masks,
     ingest,
     load_bundle,
@@ -201,6 +200,20 @@ def line_by_line_ratings(path, sep):
             np.asarray(ratings, dtype=np.float64), np.asarray(stamps, dtype=np.int64))
 
 
+BOUNDARY_AGES = (0, 17, 18, 24, 25, 34, 35, 44, 45, 49, 50, 55, 56, 90, 1)
+
+
+@pytest.fixture(scope="module")
+def boundary_age_masks():
+    """Masks of a log whose users cycle through ``BOUNDARY_AGES``, and the
+    age of each dense user."""
+    raw = make_raw(seed=0)
+    raw.user_age = {u: BOUNDARY_AGES[u % len(BOUNDARY_AGES)] for u in raw.user_age}
+    dataset = preprocess(raw)
+    ages = np.array([raw.user_age[int(orig)] for orig in dataset.user_ids])
+    return build_masks(dataset, raw).age, ages
+
+
 class TestAgeGroups:
     @pytest.mark.parametrize("age,expected", [
         (0, 0), (17, 0), (18, 1), (24, 1), (25, 2), (34, 2), (35, 3),
@@ -208,8 +221,14 @@ class TestAgeGroups:
         # the coded brackets of the larger logs land in the same groups
         (1, 0),
     ])
-    def test_boundaries(self, age, expected):
-        assert age_group(age) == expected
+    def test_boundaries(self, boundary_age_masks, age, expected):
+        mask, ages = boundary_age_masks
+        users = np.flatnonzero(ages == age)
+        assert users.shape[0] >= 1
+        column = np.zeros(mask.shape[0], dtype=mask.dtype)
+        column[expected] = 1
+        np.testing.assert_array_equal(mask[:, users], np.repeat(column[:, None],
+                                                                users.shape[0], axis=1))
 
 
 def single_user_raw(num_positives, other_users=12, items_per_other=12):

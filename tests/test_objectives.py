@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moofair import objectives
 from moofair.model import FactorModel, init_model
@@ -528,6 +530,39 @@ def ragged_producer_world(seed, num_users=6, num_items=30):
     item_mask = np.zeros((2, num_items), dtype=np.int8)
     item_mask[np.arange(num_items) % 2, np.arange(num_items)] = 1
     return model, flat_context(candidates, counts, noise=noise), item_mask
+
+
+@st.composite
+def distinct_score_rows(draw):
+    """1-3 candidate rows of distinct scores on a 1/8 grid, and each row's
+    positive count."""
+    rows = draw(st.lists(st.lists(st.integers(-40, 40), min_size=2, max_size=10,
+                                  unique=True), min_size=1, max_size=3))
+    return rows, [draw(st.integers(1, len(row))) for row in rows]
+
+
+class TestSmoothRankLimit:
+    """Each positive's smooth rank approaches 1 + (number of candidates
+    scoring higher) as the steepness grows. Score spreads times steepness
+    past ``RATIO_SPREAD`` take the ``numerics.sigmoid`` fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=distinct_score_rows(), steepness=st.floats(1e2, 1e6))
+    @example(world=([[0, 1, 2]], [2]), steepness=1e2)  # ratio form
+    @example(world=([[40, -40, 3], [0, 1]], [2, 1]), steepness=1e6)  # fallback
+    def test_smooth_ranks_approach_hard_ranks(self, world, steepness):
+        rows, counts = world
+        scores = [np.asarray(row, dtype=np.float64) / 8.0 for row in rows]
+        model = FactorModel(np.ones((len(rows), 1)), np.concatenate(scores)[:, None])
+        ends = np.cumsum([s.shape[0] for s in scores])
+        ctx = flat_context([np.arange(end - s.shape[0], end)
+                            for s, end in zip(scores, ends)], counts)
+        ranks = blocked_ranks(_consumer_forward(model, ctx, 5, steepness)[1])
+        for row, (s, n) in enumerate(zip(scores, counts)):
+            hard = 1.0 + (s[None, :] > s[:n, None]).sum(axis=1)
+            # each other candidate is off by sigmoid(-steepness * gap), gap >= 1/8
+            bound = (s.shape[0] - 1) * np.exp(-steepness / 8.0) + 1e-12
+            assert np.all(np.abs(ranks[row][:n] - hard) <= bound)
 
 
 class TestProducerGradient:

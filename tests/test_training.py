@@ -1,16 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess, write_csv
-from conftest import FIELD_BOUNDS, dominates, make_raw
-from moofair.training import (
-    DEFAULT_GRID,
-    AlphaTrace,
-    TrainConfig,
-    grid_search,
-    run_pareto_rounds,
-    train_round,
-)
+from moofair.data import TRAIN, GroupMaskSet, write_csv
+from conftest import FIELD_BOUNDS, dominates
+from moofair.training import AlphaTrace, TrainConfig, run_pareto_rounds, train_round
 
 TINY = dict(
     learning_rate=0.05,
@@ -38,19 +33,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown objectives"):
             TrainConfig(objectives=("bpr", "novelty"))
 
-    def test_fixed_mode_needs_weights(self):
-        with pytest.raises(ValueError, match="fixed_weights"):
-            TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights")
+    def test_fixed_weights_length_must_match(self):
+        with pytest.raises(ValueError, match="fixed_weights length"):
+            TrainConfig(objectives=("bpr", "gender"), fixed_weights=(1.0,))
 
-    def test_weights_without_fixed_mode_rejected(self):
-        # mgda would train and silently ignore them
-        with pytest.raises(ValueError, match="fixed_weights"):
-            TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.9, 0.1))
+    def test_mode_is_not_a_field(self):
+        # fixed_weights alone selects fixed-weight training
+        with pytest.raises(TypeError, match="mode"):
+            TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights")
+        config = TrainConfig(objectives=("bpr", "gender"), fixed_weights=(1, 0))
+        assert config.fixed_weights == (1.0, 0.0)
+        assert TrainConfig(objectives=("bpr", "gender")).fixed_weights is None
 
     def test_fixed_weights_must_be_simplex(self):
         with pytest.raises(ValueError):
-            TrainConfig(objectives=("bpr", "gender"), mode="fixed_weights",
-                        fixed_weights=(0.7, 0.7))
+            TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.7, 0.7))
 
     def test_normalization_auto(self):
         assert TrainConfig(objectives=("bpr",)).resolved_normalization() == "none"
@@ -94,8 +91,7 @@ class TestSingleObjective:
                                                    synthetic_masks):
         shared = {**TINY, "grad_normalization": "none"}
         bpr_only = TrainConfig(objectives=("bpr",), **shared)
-        zero_fair = TrainConfig(objectives=("bpr", "gender"),
-                                mode="fixed_weights", fixed_weights=(1.0, 0.0),
+        zero_fair = TrainConfig(objectives=("bpr", "gender"), fixed_weights=(1.0, 0.0),
                                 **shared)
         a = train_round(synthetic_dataset, synthetic_masks, bpr_only)
         b = train_round(synthetic_dataset, synthetic_masks, zero_fair)
@@ -275,47 +271,19 @@ class TestParetoRounds:
         assert np.array_equal(s1.objective_values, s2.objective_values)
 
 
-@pytest.fixture(scope="module")
-def grid_world():
-    """Dataset and masks where every user has 20+ unseen items, as the grid's
-    evaluation at k = 10, 20 needs."""
-    raw = make_raw(seed=1, num_users=25, num_core_items=60, num_tail_items=20,
-                   max_positives=20)
-    dataset = preprocess(raw)
-    return dataset, build_masks(dataset, raw)
-
-
 class TestGridSearch:
-    def test_requires_two_objectives(self, synthetic_dataset, synthetic_masks):
-        config = TrainConfig(objectives=("bpr",), **TINY)
-        with pytest.raises(ValueError, match="two objectives"):
-            grid_search(synthetic_dataset, synthetic_masks, config)
-
-    def test_full_weight_on_bpr_equals_baseline(self, grid_world):
-        from moofair.metrics import evaluate
-
-        dataset, masks = grid_world
+    def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset, synthetic_masks):
+        # a grid point of `moofair grid` at weight 1 on bpr trains like bpr alone
         shared = {**TINY, "grad_normalization": "none", "epochs_max": 3}
         config = TrainConfig(objectives=("bpr", "popularity"), **shared)
-        out = grid_search(dataset, masks, config, weight_grid=(1.0,))
-        baseline_cfg = TrainConfig(objectives=("bpr",), **shared)
-        baseline = train_round(dataset, masks, baseline_cfg)
-        rows = evaluate(baseline.model, dataset, masks, label="grid_1")
-        (weights, grid_rows, _), = out
-        assert weights == (1.0, 0.0)
-        for grid_row, row in zip(grid_rows, rows):
-            assert grid_row["recall"] == row["recall"]
-            assert grid_row["ndcg"] == row["ndcg"]
-
-    def test_grid_row_count(self, grid_world):
-        config = TrainConfig(objectives=("bpr", "popularity"),
-                             **{**TINY, "epochs_max": 1})
-        out = grid_search(*grid_world, config, weight_grid=DEFAULT_GRID[:3])
-        assert len(out) == 3
-        for weights, rows, result in out:
-            assert weights[0] + weights[1] == pytest.approx(1.0)
-            assert [row["k"] for row in rows] == [10, 20]
-            assert result.fw_calls == 0
+        point = train_round(synthetic_dataset, synthetic_masks,
+                            replace(config, fixed_weights=(1.0, 0.0)))
+        baseline = train_round(synthetic_dataset, synthetic_masks,
+                               TrainConfig(objectives=("bpr",), **shared))
+        assert np.array_equal(point.model.user_embeddings, baseline.model.user_embeddings)
+        assert np.array_equal(point.model.item_embeddings, baseline.model.item_embeddings)
+        assert point.best_epoch == baseline.best_epoch
+        assert point.fw_calls == 0
 
 
 class TestCombineGradients:
@@ -340,7 +308,7 @@ class TestCombineGradients:
         from moofair.training import _combine_gradients
 
         results = self.results([3.0, 4.0], [0.0, 0.0], [1.0, 0.0])
-        config = TrainConfig(objectives=("bpr", "gender", "age"), mode="fixed_weights",
+        config = TrainConfig(objectives=("bpr", "gender", "age"),
                              fixed_weights=(0.5, 0.3, 0.2), grad_normalization="none")
         alpha, direction, fw_used = _combine_gradients(results, config)
         np.testing.assert_array_equal(alpha, [0.5, 0.3, 0.2])
