@@ -1,10 +1,13 @@
 from dataclasses import replace
 
+import csv
+
 import numpy as np
 import pytest
 
-from moofair.data import TRAIN, GroupMaskSet, write_csv
-from conftest import FIELD_BOUNDS, dominates
+from moofair.cli import DEFAULT_GRID, main
+from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess, save_bundle, write_csv
+from conftest import FIELD_BOUNDS, dominates, make_raw
 from moofair.training import AlphaTrace, TrainConfig, run_pareto_rounds, train_round
 
 TINY = dict(
@@ -271,7 +274,40 @@ class TestParetoRounds:
         assert np.array_equal(s1.objective_values, s2.objective_values)
 
 
+@pytest.fixture(scope="module")
+def grid_bundle(tmp_path_factory):
+    """Bundle where every user has 20+ unseen items, as the grid's
+    evaluation at k = 20 needs."""
+    raw = make_raw(seed=1, num_users=25, num_core_items=60, num_tail_items=20,
+                   max_positives=20)
+    dataset = preprocess(raw)
+    path = tmp_path_factory.mktemp("grid") / "bundle"
+    save_bundle(str(path), dataset, build_masks(dataset, raw))
+    return path
+
+
 class TestGridSearch:
+    def test_requires_two_objectives(self, grid_bundle, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code = main(["grid", "--bundle", str(grid_bundle), "--out", str(out),
+                     "--objectives", "bpr"])
+        assert code == 2
+        assert "two objectives" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_row_count(self, grid_bundle, tmp_path):
+        out = tmp_path / "grid"
+        grid = DEFAULT_GRID[:3]
+        code = main(["grid", "--bundle", str(grid_bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity",
+                     "--grid", ",".join(map(str, grid)),
+                     "--rounds", "1", "--epochs", "1", "--seed", "0"])
+        assert code == 0
+        rows = list(csv.DictReader((out / "frontier.csv").read_text().splitlines()))
+        assert [row["weight"] for row in rows] == [*map(str, grid), "mgda"]
+        for row in rows:
+            assert 0.0 <= float(row["recall_at_20"]) <= 1.0
+
     def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset, synthetic_masks):
         # a grid point of `moofair grid` at weight 1 on bpr trains like bpr alone
         shared = {**TINY, "grad_normalization": "none", "epochs_max": 3}
