@@ -246,7 +246,9 @@ def cmd_grid(args) -> int:
     """Fixed-weight rounds at each grid weight on bpr, then MGDA rounds; each model's
     recall@20 and 1 / its fairness objective's disparity@20 go to frontier.csv."""
     from .data import write_csv
-    from .metrics import build_recommendations, disparity_item, disparity_user, recall_at_k
+    from .metrics import (CatalogTooSmallError, build_recommendations, disparity_item,
+                          disparity_user, recall_at_k)
+    from .model import FactorModel
     from .objectives import CONSUMER_OBJECTIVES
     from .training import run_pareto_rounds, train_round
 
@@ -260,6 +262,11 @@ def cmd_grid(args) -> int:
         raise CliError(f"--grid: {exc}") from None
     mgda = replace(config, fixed_weights=None)
     fairness = config.objectives[1]
+    try:  # every model is ranked at depth 20: check the catalog before any training
+        build_recommendations(FactorModel([[0.0]] * dataset.num_users,
+                                          [[0.0]] * dataset.num_items), dataset, 20)
+    except CatalogTooSmallError as exc:
+        raise CliError(f"grid: {exc}") from None
 
     with OutputLock(args.out):
         models = [(w, train_round(dataset, masks, c).model)

@@ -85,13 +85,13 @@ def top_k_items(model: FactorModel, users: np.ndarray, k: int,
 
 
 def rank_split(model: FactorModel, dataset: InteractionDataset, k: int, split: int):
-    """Run against the ``split`` positives, earlier splits' positives excluded; its scores."""
+    """Run against the distinct ``split`` pairs, earlier splits' pairs excluded; its scores."""
     users, items = dataset.split_pairs(split)
-    order = np.lexsort((items, users))
-    user_ids, starts = np.unique(users[order], return_index=True)
+    users, items = np.divmod(np.unique(users * dataset.num_items + items), dataset.num_items)
+    user_ids, starts = np.unique(users, return_index=True)
     seen = dataset.split < split
     lists, top = top_k_items(model, user_ids, k, dataset.users[seen], dataset.items[seen])
-    relevance = np.split(items[order], starts)[1:]
+    relevance = np.split(items, starts)[1:]
     return RecommendationRun(lists.shape[1], user_ids, lists, relevance), top
 
 

@@ -48,30 +48,20 @@ class SolutionRecord:
 
 
 def gram_matrix(gradients) -> np.ndarray:
-    """Matrix of pairwise inner products of the given gradient vectors."""
-    g = [as_vector(gi, f"gradient {i}") for i, gi in enumerate(gradients)]
-    stacked = np.stack(g)
-    m = stacked @ stacked.T
-    # the product is symmetric up to roundoff; make it exactly so
-    return 0.5 * (m + m.T)
-
-
-def _project_simplex(alpha: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative drift and renormalize the sum to one."""
-    clipped = np.maximum(alpha, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        return np.full_like(alpha, 1.0 / alpha.shape[0])
-    return clipped / total
+    """Pairwise inner products of the rows of a (t x P) gradient matrix; numpy
+    runs ``g @ g.T`` as a symmetric rank-k update, so it is exactly symmetric."""
+    g = as_matrix(gradients, "gradients")
+    return g @ g.T
 
 
 def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6) -> SimplexWeights:
     """Minimize alpha^T M alpha over the probability simplex.
 
-    M is the (symmetric PSD) Gram matrix of the objective gradients, so the
-    optimum is the squared norm of the min-norm point of their convex hull.
-    Starting from uniform weights, each iteration moves toward the vertex
-    with the smallest combined inner product, with a closed-form line search.
+    M = G G^T is the Gram matrix of the stacked (t x P) objective gradients G,
+    so the optimum is the squared norm of the min-norm point alpha^T G of
+    their convex hull. From uniform weights, each iteration moves toward the
+    vertex with the smallest combined inner product by a closed-form line
+    search; a convex combination of simplex points, alpha needs no projection.
     """
     m = as_matrix(M, "M")
     t = m.shape[0]
@@ -98,7 +88,7 @@ def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6) -> SimplexWeig
             alpha = new_alpha
             if step_change < tol:
                 break
-    return SimplexWeights(_project_simplex(alpha))
+    return SimplexWeights(alpha)
 
 
 def pareto_stationary(M, alpha: SimplexWeights, tol: float) -> bool:
@@ -129,11 +119,5 @@ def least_misery_select(records) -> SolutionRecord:
         raise ValueError("at least one record is required")
     baseline = records[0].objective_values
     denom = np.where(np.abs(baseline) > 1e-12, np.abs(baseline), 1.0)
-    best = None
-    best_key = None
-    for rec in records:
-        worst = float(np.max(rec.objective_values / denom))
-        key = (worst, rec.round_id)
-        if best_key is None or key < best_key:
-            best, best_key = rec, key
-    return best
+    return min(records, key=lambda rec: (float(np.max(rec.objective_values / denom)),
+                                         rec.round_id))

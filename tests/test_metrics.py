@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_raw
 from moofair import metrics
-from moofair.data import TEST, TRAIN, VAL, build_masks, preprocess
+from moofair.data import TEST, TRAIN, VAL, InteractionDataset, build_masks, preprocess
 from moofair.metrics import (
     RecommendationRun,
     build_recommendations,
@@ -340,7 +340,7 @@ def reference_build_recommendations(model, dataset, k):
     test_users, test_items = dataset.split_pairs(TEST)
     relevance_by_user = {}
     for u, i in zip(test_users, test_items):
-        relevance_by_user.setdefault(int(u), []).append(int(i))
+        relevance_by_user.setdefault(int(u), set()).add(int(i))
     user_ids = np.asarray(sorted(relevance_by_user), dtype=np.int64)
     order = np.argsort(-scores[user_ids], axis=1, kind="stable")
     lists = order[:, :k]
@@ -358,7 +358,7 @@ def reference_validation_recall(model, dataset, k):
     val_users, val_items = dataset.split_pairs(VAL)
     by_user = {}
     for u, i in zip(val_users, val_items):
-        by_user.setdefault(int(u), []).append(int(i))
+        by_user.setdefault(int(u), set()).add(int(i))
     if not by_user:
         return 0.0
     users = np.asarray(sorted(by_user), dtype=np.int64)
@@ -366,7 +366,7 @@ def reference_validation_recall(model, dataset, k):
     total = 0.0
     for row, u in enumerate(users):
         rel = by_user[int(u)]
-        total += len(set(order[row].tolist()) & set(rel)) / len(rel)
+        total += len(set(order[row].tolist()) & rel) / len(rel)
     return total / users.shape[0]
 
 
@@ -486,6 +486,35 @@ class TestAgainstFullSort:
         dataset, masks = roomy_dataset
         model = init_model(dataset.num_users, dataset.num_items, 8, 0.0, np.random.default_rng(0))
         assert evaluate(model, dataset, masks, k_values=()) == []
+
+
+class TestRepeatedPairs:
+    """A (user, item) pair listed twice in a split is one relevant item."""
+
+    @staticmethod
+    def world(split):
+        # user 0: item 1 twice in ``split``, ranked first; user 1: item 1 once,
+        # ranked below item 3 (item 2 is user 1's train positive)
+        dataset = InteractionDataset(
+            num_users=2, num_items=4, users=np.array([0, 0, 0, 1, 1]),
+            items=np.array([0, 1, 1, 2, 1]), timestamps=np.arange(5),
+            split=np.array([TRAIN, split, split, TRAIN, split], dtype=np.int8),
+            user_ids=np.arange(2), item_ids=np.arange(4))
+        return dataset, score_model(np.array([[0.0, 3.0, 2.0, 1.0], [0.0, 1.0, 2.0, 3.0]]))
+
+    def test_evaluation_relevance(self):
+        dataset, model = self.world(TEST)
+        run = build_recommendations(model, dataset, 1)
+        assert [rel.tolist() for rel in run.relevance] == [[1], [1]]
+        assert recall_at_k(run) == 0.5
+        assert ndcg_at_k(run) == 0.5
+        run = build_recommendations(model, dataset, 2)
+        assert run.lists[0].tolist() == [1, 2]
+        assert run.ndcg_vectors[0].tolist() == [1.0, 1.0]
+
+    def test_validation_relevance(self):
+        dataset, model = self.world(VAL)
+        assert _validation_recall(model, dataset, 1) == 0.5
 
 
 class TestMemory:

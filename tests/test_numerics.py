@@ -41,7 +41,7 @@ class TestDot:
             a, b, c = rng.normal(size=(3, n))
             s, t = rng.normal(size=2)
             m = gram_matrix([a, b, c, s * a + t * b])
-            assert m[0, 1] == m[1, 0]
+            assert np.array_equal(m, m.T)
             assert m[0, 1] == pytest.approx(float(a @ b), rel=1e-12)
             assert m[3, 2] == pytest.approx(
                 s * m[0, 2] + t * m[1, 2], rel=1e-9, abs=1e-12

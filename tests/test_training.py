@@ -53,8 +53,16 @@ class TestTrainConfig:
             TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.7, 0.7))
 
     def test_normalization_auto(self):
-        assert TrainConfig(objectives=("bpr",)).resolved_normalization() == "none"
-        assert TrainConfig(objectives=("bpr", "gender")).resolved_normalization() == "l2"
+        # "auto" leaves a lone objective's gradient as it is and scales the
+        # gradients of several objectives to unit length
+        from moofair.training import _combine_gradients
+
+        results = TestCombineGradients.results([3.0, 4.0])
+        _, direction, _ = _combine_gradients(results, TrainConfig(objectives=("bpr",)))
+        assert direction is results[0].grad
+        results = TestCombineGradients.results([3.0, 4.0], [0.0, 0.0])
+        _, direction, _ = _combine_gradients(results, TrainConfig(objectives=("bpr", "gender")))
+        np.testing.assert_allclose(direction, [0.6, 0.8], rtol=1e-12)
 
     @pytest.mark.parametrize("name, rejected, accepted", FIELD_BOUNDS)
     def test_field_ranges(self, name, rejected, accepted):
@@ -308,6 +316,20 @@ class TestGridSearch:
         for row in rows:
             assert 0.0 <= float(row["recall_at_20"]) <= 1.0
 
+    def test_small_catalog_exits_before_training(self, tmp_path, capsys):
+        # make_raw(seed=0) leaves some test users fewer than 20 unseen items
+        raw = make_raw(seed=0)
+        dataset = preprocess(raw)
+        bundle = tmp_path / "bundle"
+        save_bundle(str(bundle), dataset, build_masks(dataset, raw))
+        out = tmp_path / "grid"
+        code = main(["grid", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--grid", "0.9,0.5",
+                     "--rounds", "2", "--epochs", "3"])
+        assert code == 2
+        assert "error: grid: catalog too small" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset, synthetic_masks):
         # a grid point of `moofair grid` at weight 1 on bpr trains like bpr alone
         shared = {**TINY, "grad_normalization": "none", "epochs_max": 3}
@@ -350,6 +372,32 @@ class TestCombineGradients:
         np.testing.assert_array_equal(alpha, [0.5, 0.3, 0.2])
         np.testing.assert_array_equal(direction, [0.5 * 3.0 + 0.2, 0.5 * 4.0])
         assert not fw_used
+
+
+class TestGoldenResults:
+    """Pinned results of one seed-0 MGDA round on the synthetic fixture, to
+    1e-10 relative, so that a silent change of results fails here. A
+    deliberate change updates these values and names them in CHANGES.md.
+    (The fixture leaves some users only 7 unseen items, so evaluation is at
+    k = 5.)"""
+
+    def test_mgda_round(self, synthetic_dataset, synthetic_masks):
+        from moofair.metrics import evaluate
+
+        config = TrainConfig(objectives=("bpr", "gender", "popularity"),
+                             **{**TINY, "epochs_max": 4})
+        result = train_round(synthetic_dataset, synthetic_masks, config)
+        assert result.fw_calls == 28
+        np.testing.assert_allclose(
+            result.record.objective_values,
+            [38.11472402380065, 7.163491502370977e-05, 0.3367720980789848], rtol=1e-10)
+        np.testing.assert_allclose(
+            np.mean([alpha for _, _, alpha in result.trace.entries], axis=0),
+            [0.3563009854519149, 0.284262308471035, 0.35943670607704997], rtol=1e-10)
+        row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
+        np.testing.assert_allclose(
+            [row["recall"], row["ndcg"], row["disparity_i"]],
+            [0.4544444444444444, 0.4614687262561829, 0.012181755116198406], rtol=1e-10)
 
 
 class TestAlphaTrace:
