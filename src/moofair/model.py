@@ -1,9 +1,11 @@
 """Matrix-factorization recommender trained on pairwise implicit feedback.
 
-Relevance is the inner product of user and item embeddings. The ranking loss
-drives the score of each observed item above a sampled unobserved one; its
-analytic gradient is exposed over a flattened view of all embeddings so that
-several objectives can be combined on the same parameter vector.
+Relevance is the inner product of user and item embeddings, stored as one
+stacked (U+I) x d parameter matrix where item i is row U + i. The ranking
+loss drives the score of each observed item above a sampled unobserved one;
+its analytic gradient, like every objective's, covers only the parameter rows
+the batch touches, so that several objectives can be combined and stepped on
+those rows alone.
 """
 
 from __future__ import annotations
@@ -24,24 +26,44 @@ INIT_STD = 0.01
 
 @dataclass(frozen=True)
 class ObjectiveGradient:
-    """One objective's scalar loss and its gradient over the flattened parameters."""
+    """One objective's scalar loss and its gradient over the rows it touches.
+
+    ``rows`` are sorted, unique ids into the stacked (U+I)-row parameter
+    matrix, and row k of the (len(rows), d) ``grad`` is the gradient of row
+    ``rows[k]``; every other row has a zero gradient.
+    """
 
     objective_id: str
     loss: float
+    rows: np.ndarray
     grad: np.ndarray
 
     def __post_init__(self):
         if not np.isfinite(self.loss):
             raise ValueError(f"{self.objective_id}: loss is not finite")
-        if self.grad.ndim != 1 or not np.all(np.isfinite(self.grad)):
-            raise ValueError(f"{self.objective_id}: gradient must be a finite vector")
+        if (self.grad.ndim != 2 or self.grad.shape[0] != self.rows.shape[0]
+                or np.any(np.diff(self.rows) <= 0) or not np.all(np.isfinite(self.grad))):
+            raise ValueError(f"{self.objective_id}: gradient must be finite, one row "
+                             "per sorted, unique row id")
+
+
+def compact_ids(ids: np.ndarray):
+    """``np.unique(ids, return_inverse=True)`` of nonnegative integer ids by
+    one bincount instead of a sort: the sorted distinct ids, and the index of
+    each entry's id among them."""
+    table = np.bincount(ids)
+    unique = np.flatnonzero(table)
+    table[unique] = np.arange(unique.shape[0])
+    return unique, table[ids]
 
 
 class FactorModel:
-    """User and item embedding matrices with an L2 regularization strength.
+    """User and item embeddings stacked into one (U+I) x d matrix ``params``,
+    with an L2 regularization strength.
 
-    The flattened parameter view is the concatenation of the user matrix and
-    the item matrix in row-major order; ``set_flat`` restores it losslessly.
+    ``user_embeddings`` and ``item_embeddings`` are views of its first U and
+    last I rows. ``flatten`` copies ``params`` out in row-major order and
+    ``set_flat`` writes such a copy back in place.
     """
 
     def __init__(self, user_embeddings: np.ndarray, item_embeddings: np.ndarray,
@@ -61,43 +83,34 @@ class FactorModel:
             raise ValueError("embeddings contain non-finite entries")
         if reg < 0:
             raise ValueError(f"regularization must be nonnegative, got {reg}")
-        self.user_embeddings = user_embeddings
-        self.item_embeddings = item_embeddings
+        self.params = np.concatenate([user_embeddings, item_embeddings])
+        self.num_users = user_embeddings.shape[0]
         self.reg = float(reg)
 
     @property
-    def num_users(self) -> int:
-        return self.user_embeddings.shape[0]
+    def user_embeddings(self) -> np.ndarray:
+        return self.params[:self.num_users]
+
+    @property
+    def item_embeddings(self) -> np.ndarray:
+        return self.params[self.num_users:]
 
     @property
     def num_items(self) -> int:
-        return self.item_embeddings.shape[0]
+        return self.params.shape[0] - self.num_users
 
     @property
     def dim(self) -> int:
-        return self.user_embeddings.shape[1]
-
-    @property
-    def num_parameters(self) -> int:
-        return (self.num_users + self.num_items) * self.dim
+        return self.params.shape[1]
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self.user_embeddings.ravel(),
-                               self.item_embeddings.ravel()])
+        return self.params.flatten()
 
     def set_flat(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.num_parameters,):
-            raise ValueError(
-                f"expected {self.num_parameters} parameters, got {theta.shape}"
-            )
-        cut = self.num_users * self.dim
-        self.user_embeddings = theta[:cut].reshape(self.num_users, self.dim).copy()
-        self.item_embeddings = theta[cut:].reshape(self.num_items, self.dim).copy()
-
-    def copy(self) -> "FactorModel":
-        return FactorModel(self.user_embeddings.copy(),
-                           self.item_embeddings.copy(), self.reg)
+        if theta.shape != (self.params.size,):
+            raise ValueError(f"expected {self.params.size} parameters, got {theta.shape}")
+        self.params[...] = theta.reshape(self.params.shape)
 
 
 def init_model(num_users: int, num_items: int, dim: int, reg: float,
@@ -129,11 +142,10 @@ class TripletBatch:
 
 
 def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
-    """BPR loss and its analytic gradient over the flattened parameters.
+    """BPR loss and its analytic gradient over the rows the batch touches.
 
     The loss is the sum of -log sigmoid(score margin) over the batch, plus L2
-    on the embeddings the batch touches (each counted once). Gradient entries
-    for embeddings the batch never touches are zero.
+    on the embeddings the batch touches (each counted once).
     """
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
@@ -142,28 +154,28 @@ def bpr_grad(model: FactorModel, batch: TripletBatch) -> ObjectiveGradient:
     margins = np.einsum("ij,ij->i", u_emb, diff)
     coeff = sigmoid(margins) - 1.0  # d(-log sigmoid(x))/dx
 
-    # one bincount over the flattened parameters (item i is row num_users + i)
-    # adds in np.add.at's order: users, then positives, then negatives
-    rows = np.concatenate([batch.users, model.num_users + batch.pos_items,
-                           model.num_users + batch.neg_items])
-    weights = np.concatenate([coeff[:, None] * diff, coeff[:, None] * u_emb,
-                              -coeff[:, None] * u_emb])
-    grad = np.bincount((rows[:, None] * model.dim + np.arange(model.dim)).ravel(),
-                       weights.ravel(), model.num_parameters)
-    user_grad = grad[:model.num_users * model.dim].reshape(model.num_users, model.dim)
-    item_grad = grad[model.num_users * model.dim:].reshape(model.num_items, model.dim)
+    # one bincount over the touched rows adds in np.add.at's order: users,
+    # then positives, then negatives
+    rows, at = compact_ids(np.concatenate([batch.users, model.num_users + batch.pos_items,
+                                           model.num_users + batch.neg_items]))
+    # filled in place: the (batch x d) temporaries of a concatenation cost
+    # about 0.2 ms per step at ML-1M shape
+    weights = np.empty((3, batch.size, model.dim))
+    np.multiply(coeff[:, None], diff, out=weights[0])
+    np.multiply(coeff[:, None], u_emb, out=weights[1])
+    np.negative(weights[1], out=weights[2])
+    grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                       weights.ravel(), rows.shape[0] * model.dim).reshape(-1, model.dim)
 
     loss = float(np.sum(np.logaddexp(0.0, -margins)))
     if model.reg > 0:
-        users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
-        items = np.flatnonzero(np.bincount(np.concatenate([batch.pos_items, batch.neg_items])))
-        user_grad[users] += 2.0 * model.reg * model.user_embeddings[users]
-        item_grad[items] += 2.0 * model.reg * model.item_embeddings[items]
-        loss += model.reg * (
-            float(np.sum(model.user_embeddings[users] ** 2))
-            + float(np.sum(model.item_embeddings[items] ** 2))
-        )
-    return ObjectiveGradient("bpr", loss, grad)
+        touched = model.params[rows]
+        cut = int(np.searchsorted(rows, model.num_users))
+        loss += model.reg * (float(np.sum(touched[:cut] ** 2))
+                             + float(np.sum(touched[cut:] ** 2)))
+        touched *= 2.0 * model.reg
+        grad += touched
+    return ObjectiveGradient("bpr", loss, rows, grad)
 
 
 def attach_negatives(dataset: InteractionDataset, rng: np.random.Generator,

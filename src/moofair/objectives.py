@@ -18,7 +18,8 @@ of Singh & Joachims (KDD 2018) on the producer side, whose equal-exposure
 notion sets the flat target.
 
 Every objective returns its scalar loss together with its analytic gradient
-over the flattened model parameters; the gradients backpropagate through the
+over the parameter rows it touches (``model.ObjectiveGradient``): the batch's
+users and the items of its contexts. The gradients backpropagate through the
 whole smooth-ranking chain with the Gumbel noise held fixed. Each family has
 one smooth-ranking forward (``_consumer_forward``, ``_producer_forward``). It
 does not depend on the group masks, so it runs once per batch and each
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import GroupMaskSet, InteractionDataset
-from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad
+from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad, compact_ids
 from .numerics import sample_gumbel, sigmoid
 
 if TYPE_CHECKING:
@@ -143,19 +144,23 @@ def _entry_scores(model: FactorModel, ctx: CandidateContext) -> np.ndarray:
 
 
 def _embedding_grad(model: FactorModel, ctx: CandidateContext,
-                    d_entries: np.ndarray) -> np.ndarray:
-    """Flattened-model gradient given d loss / d score of each context entry
-    (plus the padding slot, ignored): the chain through score = user . item
-    as one GEMM per embedding matrix. Repeated users are summed."""
-    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
-    d_scores[_entry_rows(ctx), ctx.items] = d_entries[:-1]  # unique per row
-    grad = np.zeros(model.num_parameters)
-    cut = model.num_users * model.dim
-    grad[:cut] += np.bincount((ctx.users[:, None] * model.dim + np.arange(model.dim)).ravel(),
-                              (d_scores @ model.item_embeddings).ravel(), cut)
-    item_grad = grad[cut:].reshape(model.num_items, model.dim)
-    item_grad += d_scores.T @ model.user_embeddings[ctx.users]
-    return grad
+                    d_entries: np.ndarray):
+    """Gradient rows of the context users and of the items the context
+    touches, given d loss / d score of each context entry (plus the padding
+    slot, ignored): the chain through score = user . item as one GEMM per
+    embedding matrix over the touched items only. Repeated users are summed.
+    Returns (rows, grad) as ``ObjectiveGradient`` holds them."""
+    items, cols = compact_ids(ctx.items)
+    d_scores = np.zeros((ctx.users.shape[0], items.shape[0]))
+    # flat positions: faster than a 2-D fancy index, and unique per row
+    np.put(d_scores, _entry_rows(ctx) * items.shape[0] + cols, d_entries[:-1])
+    users, at = compact_ids(ctx.users)
+    user_grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                            (d_scores @ model.item_embeddings[items]).ravel(),
+                            users.shape[0] * model.dim).reshape(-1, model.dim)
+    item_grad = d_scores.T @ model.user_embeddings[ctx.users]
+    return (np.concatenate([users, model.num_users + items]),
+            np.concatenate([user_grad, item_grad]))
 
 
 def _rank_slope(pair: np.ndarray) -> np.ndarray:
@@ -280,7 +285,7 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
 def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                            group_masks: np.ndarray, config: TrainConfig,
                            objective_id: str, forward) -> ObjectiveGradient | None:
-    """Analytic gradient of a consumer-side objective over the flattened model.
+    """Analytic gradient of a consumer-side objective over the rows it touches.
 
     Backpropagates ``group_disparity`` of the smooth NDCG rows (users without
     positives count in no group) through the soft top-k cutoffs, the smooth
@@ -298,7 +303,8 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
         return None
     loss, d_g = result
     if not np.any(d_g):
-        return ObjectiveGradient(objective_id, loss, np.zeros(model.num_parameters))
+        return ObjectiveGradient(objective_id, loss, np.empty(0, dtype=np.int64),
+                                 np.empty((0, model.dim)))
 
     steepness = config.steepness
     d_entries = np.zeros(ctx.items.shape[0] + 1)
@@ -312,7 +318,7 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
             continue
         slope = _rank_slope(_pair_sigmoids(scaled, ranks.shape[1]))
         d_entries[at] = _rank_backward(d_ranks, slope, slope.sum(axis=2), steepness)
-    return ObjectiveGradient(objective_id, loss, _embedding_grad(model, ctx, d_entries))
+    return ObjectiveGradient(objective_id, loss, *_embedding_grad(model, ctx, d_entries))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +377,7 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
 def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                            item_group_mask: np.ndarray, config: TrainConfig,
                            objective_id: str, forward) -> ObjectiveGradient | None:
-    """Analytic gradient of a producer-side objective over the flattened model.
+    """Analytic gradient of a producer-side objective over the rows it touches.
 
     Routes each relevant item's exposure to its item groups and
     backpropagates ``exposure_disparity`` of the routed sums through the
@@ -401,7 +407,7 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     inner = np.einsum("bc,bc->b", d_probs, probs)
     d_entries = np.zeros(ctx.items.shape[0] + 1)
     d_entries[at] = probs * (d_probs - inner[:, None])
-    return ObjectiveGradient(objective_id, loss, _embedding_grad(model, ctx, d_entries))
+    return ObjectiveGradient(objective_id, loss, *_embedding_grad(model, ctx, d_entries))
 
 
 # ---------------------------------------------------------------------------

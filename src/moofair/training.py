@@ -1,12 +1,13 @@
 """Multi-objective training loop.
 
-Each batch computes every active objective's loss and gradient on a shared
-parameter snapshot, optionally normalizes the gradients, solves for the
-scaling coefficients (min-norm Frank-Wolfe, or the configured fixed weights),
-and applies one SGD step with the aggregated direction. Validation recall
-drives early stopping and best-checkpoint selection; multiple independent
-rounds form a solution set from which the least-misery rule picks the final
-model.
+Each batch computes every active objective's loss and its gradient over the
+parameter rows it touches on a shared parameter snapshot, optionally
+normalizes the gradients, solves for the scaling coefficients (min-norm
+Frank-Wolfe, or the configured fixed weights), and applies one SGD step with
+the aggregated direction, in place on the union of those rows. Validation
+recall drives early stopping and best-checkpoint selection; multiple
+independent rounds form a solution set from which the least-misery rule picks
+the final model.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class TrainConfig:
     (``FIELD_RANGES`` for the numeric fields).
 
     ``grad_normalization`` "l2" scales each active gradient to unit length
-    before weighting; "auto", the default, does so whenever several objectives
-    of very different magnitudes are mixed. ``fixed_weights``, one per
+    before weighting; "auto", the default, does so whenever more than one
+    objective is configured (even when only one is active in a batch), and
+    leaves a lone objective's gradient as it is. ``fixed_weights``, one per
     objective on the simplex, selects fixed-weight training; None (the
     default) trains with MGDA weights. ``ndcg_k``, ``steepness``,
     ``temperature``, ``exposure_patience`` and ``rank_offset`` shape the
@@ -199,35 +201,44 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
 
 
 def _combine_gradients(results, config):
-    """Scaling coefficients over all configured objectives for one batch.
+    """Scaling coefficients over all configured objectives for one batch, and
+    the step direction over the rows the active objectives touch.
 
     Skipped objectives (None results) get weight zero, and so do objectives
     whose gradient has vanished for the batch: a (near-)zero gradient carries
     no descent information, but as a min-norm vertex it would absorb all the
-    weight and stall every other objective. The active gradients are stacked
-    once into a (t x P) matrix G, normalized in place as ``TrainConfig`` says;
-    the solver runs on G G^T and the direction is alpha[active] @ G. Returns
-    (alpha over all objectives, direction, fw_used).
+    weight and stall every other objective. The active gradients are
+    scattered once into a (t x |rows| x d) stack G over the union of their
+    rows (a row an objective leaves out is zero there, and zero rows add
+    nothing to G G^T) and normalized in place as ``TrainConfig`` says; the
+    solver runs on G G^T and the direction is alpha[active] @ G. Returns
+    (alpha over all objectives, rows, direction rows, fw_used).
     """
     t = config.num_objectives
     norms = np.array([0.0 if r is None else np.linalg.norm(r.grad) for r in results])
     active = np.flatnonzero(norms > ZERO_GRAD_TOL)
     alpha = np.zeros(t)
     if active.size == 0:  # every objective flat or skipped: no step this batch
-        return alpha, np.zeros_like(results[0].grad), False
+        return alpha, results[0].rows[:0], results[0].grad[:0], False
     l2 = config.grad_normalization == "l2" or (config.grad_normalization == "auto" and t > 1)
     if config.fixed_weights is not None:
         alpha = np.asarray(config.fixed_weights, dtype=np.float64)
     elif active.size == 1:  # one active gradient under MGDA: it is the direction
         alpha[active] = 1.0
-        grad = results[active[0]].grad
-        return alpha, grad / (norms[active[0]] + GRAD_NORM_EPS) if l2 else grad, False
-    g = np.stack([results[k].grad for k in active])
+        result = results[active[0]]
+        grad = result.grad / (norms[active[0]] + GRAD_NORM_EPS) if l2 else result.grad
+        return alpha, result.rows, grad, False
+    rows = np.flatnonzero(np.bincount(np.concatenate([results[k].rows for k in active])))
+    g = np.zeros((active.size, rows.shape[0], results[0].grad.shape[1]))
+    for n, k in enumerate(active):
+        g[n, np.searchsorted(rows, results[k].rows)] = results[k].grad
+    g = g.reshape(active.size, -1)
     if l2:
         g /= norms[active, None] + GRAD_NORM_EPS
     if config.fixed_weights is None:
         alpha[active] = frank_wolfe_solve(gram_matrix(g)).values
-    return alpha, alpha[active] @ g, config.fixed_weights is None
+    direction = (alpha[active] @ g).reshape(rows.shape[0], -1)
+    return alpha, rows, direction, config.fixed_weights is None
 
 
 def _final_objective_values(model, dataset, masks, config, eval_gen) -> np.ndarray:
@@ -273,7 +284,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
     trace = AlphaTrace(config.objectives)
     fw_calls = 0
     best_recall = -np.inf
-    best_model = model.copy()
+    best_params = None  # flat snapshot of the best-validation model
     best_epoch = 0
     stale_evals = 0
 
@@ -287,17 +298,15 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                 continue
             results = _objective_results(model, dataset, masks, config,
                                          batch, ctx_gen)
-            alpha, direction, fw_used = _combine_gradients(results, config)
+            alpha, rows, direction, fw_used = _combine_gradients(results, config)
             fw_calls += int(fw_used)
             trace.append(epoch, b, alpha)
-            theta = model.flatten()
-            theta -= config.learning_rate * direction
-            model.set_flat(theta)
+            model.params[rows] -= config.learning_rate * direction
         if epoch % config.eval_every == 0:
             recall = _validation_recall(model, dataset, config.eval_k)
             if recall > best_recall:
                 best_recall = recall
-                best_model = model.copy()
+                best_params = model.flatten()
                 best_epoch = epoch
                 stale_evals = 0
             else:
@@ -306,14 +315,15 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                 logger.info("round %d: early stop at epoch %d", round_index, epoch)
                 break
 
-    if best_recall == -np.inf:  # never evaluated: keep the final state
+    if best_params is None:  # never evaluated: keep the final state
         best_recall = _validation_recall(model, dataset, config.eval_k)
-        best_model = model.copy()
         best_epoch = config.epochs_max
+    else:
+        model.set_flat(best_params)
 
-    values = _final_objective_values(best_model, dataset, masks, config, eval_gen)
+    values = _final_objective_values(model, dataset, masks, config, eval_gen)
     record = SolutionRecord(round_id=round_index + 1, objective_values=values)
-    return RoundResult(record=record, trace=trace, model=best_model,
+    return RoundResult(record=record, trace=trace, model=model,
                        best_epoch=best_epoch, val_recall=float(best_recall),
                        fw_calls=fw_calls)
 

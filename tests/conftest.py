@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moofair.data import RawRatings, build_masks, preprocess
+from moofair.model import FactorModel
 from moofair.numerics import as_vector
 from moofair.objectives import CandidateContext
 
@@ -115,24 +116,31 @@ def derived_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def finite_difference_gradient(fn, theta, step=1e-6):
-    """Central-difference gradient of a scalar function of a flat vector."""
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
+def dense_gradient(model, result):
+    """An ``ObjectiveGradient``'s rows scattered over the flattened
+    parameters (item i is row U + i); rows it leaves out are zero."""
+    dense = np.zeros((model.num_users + model.num_items, model.dim))
+    dense[result.rows] = result.grad
+    return dense.ravel()
+
+
+def finite_difference_error(model, result, loss_of, step=1e-6, floor=1e-6):
+    """Worst elementwise relative error (with an absolute floor) of the
+    ``dense_gradient`` of ``result`` against central differences of
+    ``loss_of(probe)`` over the flattened parameters, where ``probe`` is a
+    model built with the constructor and set to the bumped parameters."""
+    theta = model.flatten()
+    probe = FactorModel(model.user_embeddings, model.item_embeddings, model.reg)
+    numeric = np.empty_like(theta)
     for k in range(theta.shape[0]):
         bumped = theta.copy()
         bumped[k] = theta[k] + step
-        up = fn(bumped)
+        probe.set_flat(bumped)
+        up = loss_of(probe)
         bumped[k] = theta[k] - step
-        down = fn(bumped)
-        grad[k] = (up - down) / (2.0 * step)
-    return grad
-
-
-def max_relative_error(analytic, numeric, floor=1e-6):
-    """Worst-case elementwise relative error with an absolute floor."""
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
+        probe.set_flat(bumped)
+        numeric[k] = (up - loss_of(probe)) / (2.0 * step)
+    analytic = dense_gradient(model, result)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

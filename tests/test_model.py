@@ -17,7 +17,7 @@ from moofair.model import (
 from moofair.data import TRAIN, DataFormatError, save_npz
 from moofair.metrics import top_k_items
 from moofair.numerics import sigmoid
-from conftest import finite_difference_gradient, max_relative_error
+from conftest import dense_gradient, finite_difference_error
 
 
 def tiny_model(user_rows, item_rows, reg=0.0):
@@ -31,10 +31,20 @@ class TestFactorModel:
         model = init_model(4, 6, 3, 0.1, rng)
         theta = model.flatten()
         other = init_model(4, 6, 3, 0.1, np.random.default_rng(99))
+        users = other.user_embeddings
         other.set_flat(theta)
-        assert np.array_equal(other.user_embeddings, model.user_embeddings)
+        # set_flat writes in place, so earlier views see the new values
+        assert np.array_equal(users, model.user_embeddings)
         assert np.array_equal(other.item_embeddings, model.item_embeddings)
-        assert theta.shape == (model.num_parameters,)
+        assert theta.shape == ((4 + 6) * 3,)
+
+    def test_embeddings_are_views_of_the_stacked_parameters(self):
+        model = tiny_model([[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(model.params, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        model.params[2] -= 1.0
+        np.testing.assert_array_equal(model.item_embeddings[1], [4.0, 5.0])
+        model.user_embeddings[0] *= 2.0
+        np.testing.assert_array_equal(model.params[0], [2.0, 4.0])
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -147,14 +157,8 @@ class TestBprGrad:
         b = batch([0, 1, 2, 3, 4, 0], [0, 1, 2, 3, 4, 5],
                   [1, 2, 3, 4, 5, 0])
         result = bpr_grad(model, b)
-
-        def loss_at(theta):
-            probe = model.copy()
-            probe.set_flat(theta)
-            return bpr_grad(probe, b).loss
-
-        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
-        assert max_relative_error(result.grad, numeric) <= 1e-5
+        assert finite_difference_error(model, result,
+                                       lambda probe: bpr_grad(probe, b).loss) <= 1e-5
 
     def test_saturated_gradient_vanishes(self):
         model = tiny_model([[50.0]], [[1.0], [-1.0]])
@@ -164,18 +168,18 @@ class TestBprGrad:
     def test_item_block_antisymmetric(self):
         model = tiny_model([[0.3, -0.2]], [[0.5, 0.1], [0.4, 0.2]])
         result = bpr_grad(model, batch([0], [0], [1]))
-        item_block = result.grad[2:].reshape(2, 2)
+        item_block = dense_gradient(model, result)[2:].reshape(2, 2)
         np.testing.assert_allclose(item_block[0], -item_block[1], atol=1e-15)
 
     def test_untouched_entries_zero(self):
         rng = np.random.default_rng(4)
         model = init_model(4, 9, 2, 0.1, rng)
         result = bpr_grad(model, batch([1], [2], [3]))
-        grad_items = result.grad[4 * 2:].reshape(9, 2)
-        touched = {2, 3}
-        for item in range(9):
-            if item not in touched:
-                np.testing.assert_array_equal(grad_items[item], 0.0)
+        # user 1 and items 2 and 3, stacked after the 4 users
+        np.testing.assert_array_equal(result.rows, [1, 4 + 2, 4 + 3])
+        grad_items = dense_gradient(model, result)[4 * 2:].reshape(9, 2)
+        for item in set(range(9)) - {2, 3}:
+            np.testing.assert_array_equal(grad_items[item], 0.0)
 
     def test_loss_value_matches_bpr_loss(self):
         rng = np.random.default_rng(5)

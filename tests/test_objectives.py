@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moofair import objectives
-from moofair.model import FactorModel, init_model
+from moofair.data import GroupMaskSet
+from moofair.model import FactorModel, TripletBatch, init_model
 from moofair.numerics import sigmoid
 from moofair.objectives import (
     CandidateContext,
@@ -24,10 +25,10 @@ from moofair.objectives import (
 from moofair.training import TrainConfig
 from conftest import (
     context_rows,
+    dense_gradient,
     derived_rng,
-    finite_difference_gradient,
+    finite_difference_error,
     flat_context,
-    max_relative_error,
 )
 
 
@@ -314,27 +315,19 @@ class TestConsumerGradient:
         config = TrainConfig(ndcg_k=3, steepness=2.0)
         result = consumer_grad(model, consumer, gender_mask, config)
 
-        def loss_at(theta):
-            probe = model.copy()
-            probe.set_flat(theta)
+        def loss_of(probe):
             return consumer_grad(probe, consumer, gender_mask, config).loss
 
-        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
-        assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
-        assert max_relative_error(result.grad, numeric) <= 1e-4
+        assert result.loss == pytest.approx(loss_of(model), rel=1e-12)
+        assert finite_difference_error(model, result, loss_of) <= 1e-4
 
     def test_age_gradient_matches_finite_differences(self):
         model, consumer, _, _, age_mask, _ = make_gradient_world(seed=7)
         config = TrainConfig(ndcg_k=2, steepness=1.5)
         result = consumer_grad(model, consumer, age_mask, config, "age")
-
-        def loss_at(theta):
-            probe = model.copy()
-            probe.set_flat(theta)
-            return consumer_grad(probe, consumer, age_mask, config, "age").loss
-
-        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
-        assert max_relative_error(result.grad, numeric) <= 1e-4
+        assert finite_difference_error(
+            model, result,
+            lambda probe: consumer_grad(probe, consumer, age_mask, config, "age").loss) <= 1e-4
 
     def test_symmetric_configuration_has_zero_gradient(self):
         emb = np.array([[0.4, -0.1], [0.4, -0.1]])
@@ -465,7 +458,8 @@ class TestBlockedConsumerKernel:
         config = TrainConfig(ndcg_k=k_max, steepness=steepness)
         result = consumer_fairness_grad(model, ctx, masks, config, "gender", forward)
         scale = max(1.0, float(np.max(np.abs(ref_grad))))
-        np.testing.assert_allclose(result.grad, ref_grad, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(dense_gradient(model, result), ref_grad, rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_block_size_ignores_wider_rows_of_earlier_blocks(self, monkeypatch):
         # one positive among 100 candidates, then ten rows of 2 among 10: the
@@ -590,28 +584,19 @@ class TestProducerGradient:
         model, ctx, item_mask = ragged_producer_world(3)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
         result = producer_grad(model, ctx, item_mask, config)
-
-        def loss_at(theta):
-            probe = model.copy()
-            probe.set_flat(theta)
-            return producer_grad(probe, ctx, item_mask, config).loss
-
-        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
-        assert max_relative_error(result.grad, numeric) <= 1e-4
+        assert finite_difference_error(
+            model, result, lambda probe: producer_grad(probe, ctx, item_mask, config).loss) <= 1e-4
 
     def test_matches_finite_differences(self):
         model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
         result = producer_grad(model, producer, item_mask, config)
 
-        def loss_at(theta):
-            probe = model.copy()
-            probe.set_flat(theta)
+        def loss_of(probe):
             return producer_grad(probe, producer, item_mask, config).loss
 
-        numeric = finite_difference_gradient(loss_at, model.flatten(), step=1e-6)
-        assert result.loss == pytest.approx(loss_at(model.flatten()), rel=1e-12)
-        assert max_relative_error(result.grad, numeric) <= 1e-4
+        assert result.loss == pytest.approx(loss_of(model), rel=1e-12)
+        assert finite_difference_error(model, result, loss_of) <= 1e-4
 
     def test_zero_loss_zero_gradient(self):
         # equal scores, zero noise, one item per group and every item relevant
@@ -624,6 +609,111 @@ class TestProducerGradient:
         result = producer_grad(model, producer, item_mask, config)
         assert result.loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(result.grad, 0.0, atol=1e-10)
+
+
+def dense_bpr_grad(model, batch):
+    """The dense BPR gradient over the flattened parameters that the
+    sparse-row ``bpr_grad`` replaced, kept as its oracle."""
+    u_emb = model.user_embeddings[batch.users]
+    diff = model.item_embeddings[batch.pos_items] - model.item_embeddings[batch.neg_items]
+    coeff = sigmoid(np.einsum("ij,ij->i", u_emb, diff)) - 1.0
+    rows = np.concatenate([batch.users, model.num_users + batch.pos_items,
+                           model.num_users + batch.neg_items])
+    weights = np.concatenate([coeff[:, None] * diff, coeff[:, None] * u_emb,
+                              -coeff[:, None] * u_emb])
+    cut = model.num_users * model.dim
+    grad = np.bincount((rows[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                       weights.ravel(), model.params.size)
+    if model.reg > 0:
+        users = np.unique(batch.users)
+        items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
+        grad[:cut].reshape(-1, model.dim)[users] += 2.0 * model.reg * model.user_embeddings[users]
+        grad[cut:].reshape(-1, model.dim)[items] += 2.0 * model.reg * model.item_embeddings[items]
+    return grad
+
+
+def dense_embedding_grad(model, ctx, d_entries):
+    """The dense ``_embedding_grad`` the sparse-row one replaced, kept as its
+    oracle: d loss / d score per context entry scattered to a (rows x
+    catalog) matrix, one GEMM per embedding matrix, repeated users summed."""
+    d_scores = np.zeros((ctx.users.shape[0], model.num_items))
+    d_scores[np.repeat(np.arange(ctx.users.shape[0]), ctx.widths), ctx.items] = d_entries[:-1]
+    cut = model.num_users * model.dim
+    grad = np.zeros(model.params.size)
+    grad[:cut] += np.bincount((ctx.users[:, None] * model.dim + np.arange(model.dim)).ravel(),
+                              (d_scores @ model.item_embeddings).ravel(), cut)
+    grad[cut:] += (d_scores.T @ model.user_embeddings[ctx.users]).ravel()
+    return grad
+
+
+@st.composite
+def sparse_worlds(draw):
+    """A small random model, triplet batch, consumer and producer contexts
+    (repeated users, users without positives, items no context touches) and
+    group masks under which no objective is skipped."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    num_users, num_items = draw(st.integers(2, 6)), draw(st.integers(4, 14))
+    dim = draw(st.integers(1, 4))
+    model = init_model(num_users, num_items, dim, draw(st.sampled_from([0.0, 0.1])), gen,
+                       init_std=0.7)
+    n = draw(st.integers(1, 8))
+    batch = TripletBatch(gen.integers(num_users, size=n), gen.integers(num_items, size=n),
+                         gen.integers(num_items, size=n))
+    users = np.concatenate([[0, 1], gen.integers(num_users, size=draw(st.integers(0, 3)))])
+    candidates, counts, noise = [], [], []
+    for row in range(users.shape[0]):
+        width = int(gen.integers(1, num_items // 2 + 1))
+        candidates.append(gen.permutation(num_items)[:width])
+        counts.append(max(int(gen.integers(0, width + 1)), int(row < 2)))
+        noise.append(gen.gumbel(size=width))
+    masks = GroupMaskSet(
+        gender=np.eye(2, dtype=np.int8)[np.arange(num_users) % 2].T,
+        age=np.eye(7, dtype=np.int8)[np.arange(num_users) % 7].T,
+        popularity=np.eye(2, dtype=np.int8)[np.arange(num_items) % 2].T,
+        # every item in genre i % 3, some in others too
+        genre=((gen.random((3, num_items)) < 0.5)
+               | np.eye(3, dtype=bool)[np.arange(num_items) % 3].T).astype(np.int8))
+    return (model, batch, flat_context(candidates, counts, users=users),
+            flat_context(candidates, counts, users=users, noise=noise), masks)
+
+
+class TestSparseGradientContract:
+    """Every objective's gradient holds sorted, unique rows of the stacked
+    (U+I)-row parameters, one gradient row each, and scattered to the
+    flattened parameters it equals the dense gradient it replaced."""
+
+    @pytest.mark.parametrize("objective", objectives.OBJECTIVE_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(world=sparse_worlds())
+    def test_rows_and_dense_oracle(self, objective, world):
+        from unittest import mock
+
+        model, batch, consumer, producer, masks = world
+        config = TrainConfig(ndcg_k=3, steepness=1.0, temperature=0.25)
+        seen = []
+        chain = objectives._embedding_grad
+
+        def recording(model, ctx, d_entries):
+            seen.append(dense_embedding_grad(model, ctx, d_entries))
+            return chain(model, ctx, d_entries)
+
+        with mock.patch.object(objectives, "_embedding_grad", recording):
+            result = fairness_grad(objective, model, masks, triplet_batch=batch,
+                                   consumer_ctx=consumer, producer_ctx=producer,
+                                   config=config)
+        rows = result.rows
+        assert rows.dtype == np.int64
+        assert np.all(np.diff(rows) > 0)
+        assert rows.size == 0 or 0 <= rows[0] <= rows[-1] < model.num_users + model.num_items
+        assert result.grad.shape == (rows.shape[0], model.dim)
+        if objective == "bpr":
+            oracle = dense_bpr_grad(model, batch)
+            np.testing.assert_array_equal(dense_gradient(model, result), oracle)
+        else:
+            # no seen entry: dL/dG was zero and the zero gradient returned early
+            oracle = seen[0] if seen else np.zeros(model.params.size)
+            np.testing.assert_allclose(dense_gradient(model, result), oracle,
+                                       rtol=0, atol=1e-12)
 
 
 class TestDispatcher:
@@ -646,7 +736,7 @@ class TestDispatcher:
         out = fairness_grad("gender", model, synthetic_masks, consumer_ctx=ctx,
                             config=TrainConfig(ndcg_k=3, candidate_negatives=5))
         assert out.objective_id == "gender"
-        assert out.grad.shape == (model.num_parameters,)
+        assert out.grad.shape == (out.rows.shape[0], model.dim)
 
     def test_producer_dispatch(self, synthetic_dataset, synthetic_masks):
         rng = np.random.default_rng(2)

@@ -1,13 +1,26 @@
 from dataclasses import replace
 
 import csv
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moofair.cli import DEFAULT_GRID, main
-from moofair.data import TRAIN, GroupMaskSet, build_masks, preprocess, save_bundle, write_csv
-from conftest import FIELD_BOUNDS, dominates, make_raw
+from moofair.data import (
+    TRAIN,
+    VAL,
+    GroupMaskSet,
+    InteractionDataset,
+    build_masks,
+    preprocess,
+    save_bundle,
+    write_csv,
+)
+from conftest import FIELD_BOUNDS, dense_gradient, dominates, make_raw
 from moofair.training import AlphaTrace, TrainConfig, run_pareto_rounds, train_round
 
 TINY = dict(
@@ -58,11 +71,12 @@ class TestTrainConfig:
         from moofair.training import _combine_gradients
 
         results = TestCombineGradients.results([3.0, 4.0])
-        _, direction, _ = _combine_gradients(results, TrainConfig(objectives=("bpr",)))
+        _, _, direction, _ = _combine_gradients(results, TrainConfig(objectives=("bpr",)))
         assert direction is results[0].grad
         results = TestCombineGradients.results([3.0, 4.0], [0.0, 0.0])
-        _, direction, _ = _combine_gradients(results, TrainConfig(objectives=("bpr", "gender")))
-        np.testing.assert_allclose(direction, [0.6, 0.8], rtol=1e-12)
+        _, _, direction, _ = _combine_gradients(results,
+                                                TrainConfig(objectives=("bpr", "gender")))
+        np.testing.assert_allclose(direction, [[0.6, 0.8]], rtol=1e-12)
 
     @pytest.mark.parametrize("name, rejected, accepted", FIELD_BOUNDS)
     def test_field_ranges(self, name, rejected, accepted):
@@ -138,7 +152,7 @@ class TestMultiObjective:
                                  users[:64], items[:64])
         results = _objective_results(model, synthetic_dataset, synthetic_masks,
                                      config, batch, ctx_gen)
-        grads = [r.grad / (np.linalg.norm(r.grad) + 1e-12)
+        grads = [dense_gradient(model, r) / (np.linalg.norm(r.grad) + 1e-12)
                  for r in results if r is not None]
         m = gram_matrix(grads)
         weights = frank_wolfe_solve(m)
@@ -198,6 +212,7 @@ class TestSharedForwards:
             assert result.objective_id == objective
             assert np.linalg.norm(fresh.grad) > ZERO_GRAD_TOL
             assert result.loss == pytest.approx(fresh.loss, rel=1e-10, abs=1e-10)
+            np.testing.assert_array_equal(result.rows, fresh.rows)
             np.testing.assert_allclose(result.grad, fresh.grad, rtol=1e-10,
                                        atol=1e-10)
 
@@ -347,9 +362,11 @@ class TestGridSearch:
 class TestCombineGradients:
     @staticmethod
     def results(*grads):
+        """One-row gradients (row 0) of the given vectors; None is skipped."""
         from moofair.model import ObjectiveGradient
 
-        return [None if g is None else ObjectiveGradient("o", 1.0, np.asarray(g, float))
+        return [None if g is None else
+                ObjectiveGradient("o", 1.0, np.array([0]), np.asarray(g, float)[None, :])
                 for g in grads]
 
     def test_single_active_gradient_is_the_direction(self):
@@ -357,8 +374,9 @@ class TestCombineGradients:
 
         results = self.results([3.0, 4.0], [0.0, 0.0], None)
         config = TrainConfig(objectives=("bpr", "gender", "age"), grad_normalization="none")
-        alpha, direction, fw_used = _combine_gradients(results, config)
+        alpha, rows, direction, fw_used = _combine_gradients(results, config)
         assert direction is results[0].grad
+        assert rows is results[0].rows
         np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
         assert not fw_used
 
@@ -368,18 +386,78 @@ class TestCombineGradients:
         results = self.results([3.0, 4.0], [0.0, 0.0], [1.0, 0.0])
         config = TrainConfig(objectives=("bpr", "gender", "age"),
                              fixed_weights=(0.5, 0.3, 0.2), grad_normalization="none")
-        alpha, direction, fw_used = _combine_gradients(results, config)
+        alpha, rows, direction, fw_used = _combine_gradients(results, config)
         np.testing.assert_array_equal(alpha, [0.5, 0.3, 0.2])
-        np.testing.assert_array_equal(direction, [0.5 * 3.0 + 0.2, 0.5 * 4.0])
+        np.testing.assert_array_equal(rows, [0])
+        np.testing.assert_array_equal(direction, [[0.5 * 3.0 + 0.2, 0.5 * 4.0]])
         assert not fw_used
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.sampled_from(["l2", "none"]),
+           st.booleans())
+    def test_union_of_rows_matches_dense_stack(self, seed, t, normalization, fixed):
+        # oracle: the dense step over the flattened parameters that the
+        # sparse-row one replaced (stack, normalize, solve, combine)
+        from moofair.model import ObjectiveGradient
+        from moofair.solver import frank_wolfe_solve
+        from moofair.training import GRAD_NORM_EPS, _combine_gradients
+
+        gen = np.random.default_rng(seed)
+        num_rows, dim = 12, 3
+        results, dense = [], []
+        for _ in range(t):
+            rows = np.flatnonzero(gen.random(num_rows) < 0.4)
+            grad = gen.normal(size=(rows.shape[0], dim))
+            results.append(ObjectiveGradient("o", 1.0, rows, grad))
+            full = np.zeros((num_rows, dim))
+            full[rows] = grad
+            dense.append(full.ravel())
+        weights = gen.dirichlet(np.ones(t)) if fixed else None
+        config = TrainConfig(objectives=("bpr", "gender", "age", "popularity")[:t],
+                             grad_normalization=normalization,
+                             fixed_weights=None if weights is None else tuple(weights))
+        alpha, rows, direction, _ = _combine_gradients(results, config)
+        active = [k for k in range(t) if np.linalg.norm(dense[k]) > 1e-10]
+        assert np.all(np.diff(rows) > 0)
+        g = np.stack([dense[k] for k in active]) if active else np.zeros((0, num_rows * dim))
+        if normalization == "l2":
+            g /= np.linalg.norm(g, axis=1, keepdims=True) + GRAD_NORM_EPS
+        if not fixed and len(active) > 1:
+            np.testing.assert_allclose(alpha[active], frank_wolfe_solve(g @ g.T).values,
+                                       rtol=1e-9, atol=1e-12)
+        expected = (alpha[active] @ g).reshape(num_rows, dim)
+        scattered = np.zeros((num_rows, dim))
+        scattered[rows] = direction
+        np.testing.assert_allclose(scattered, expected, rtol=0, atol=1e-12)
 
 
 class TestGoldenResults:
-    """Pinned results of one seed-0 MGDA round on the synthetic fixture, to
-    1e-10 relative, so that a silent change of results fails here. A
-    deliberate change updates these values and names them in CHANGES.md.
-    (The fixture leaves some users only 7 unseen items, so evaluation is at
-    k = 5.)"""
+    """Pinned results of seed-0 rounds on the synthetic fixture, so that a
+    silent change of results fails here: a BPR-only round exactly, and an
+    MGDA round to 1e-10 relative. A deliberate change updates these values
+    and names them in CHANGES.md. (The fixture leaves some users only 7
+    unseen items, so evaluation is at k = 5.)"""
+
+    def test_bpr_round(self, synthetic_dataset, synthetic_masks):
+        # BPR alone steps along its raw gradient, summed in a fixed order, so
+        # the values are pinned exactly; the best model is the epoch-2
+        # snapshot, so restoring it is covered
+        from moofair.metrics import evaluate
+
+        config = TrainConfig(objectives=("bpr",), **{**TINY, "epochs_max": 4})
+        result = train_round(synthetic_dataset, synthetic_masks, config)
+        assert result.best_epoch == 2
+        assert result.record.objective_values.tolist() == [38.121020159060684]
+        model = result.model
+        digest = hashlib.sha256(model.user_embeddings.tobytes()
+                                + model.item_embeddings.tobytes()).hexdigest()
+        assert digest == "01f6b19902919846946a348623c77cd19102247b59ab2a210bca717f2db20f53"
+        row, = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(5,))
+        assert {key: row[key] for key in ("recall", "ndcg", "disparity_u", "disparity_i",
+                                          "gini", "popularity_rate", "diversity")} == {
+            "recall": 0.5094444444444445, "ndcg": 0.5124803580550367,
+            "disparity_u": 0.05112131862610297, "disparity_i": 0.0038270320268239105,
+            "gini": 0.2192, "popularity_rate": 0.12, "diversity": 0.7918568232662192}
 
     def test_mgda_round(self, synthetic_dataset, synthetic_masks):
         from moofair.metrics import evaluate
@@ -398,6 +476,50 @@ class TestGoldenResults:
         np.testing.assert_allclose(
             [row["recall"], row["ndcg"], row["disparity_i"]],
             [0.4544444444444444, 0.4614687262561829, 0.012181755116198406], rtol=1e-10)
+
+
+class TestStepMemory:
+    def test_bpr_step_allocates_under_a_quarter_of_the_parameters(self, monkeypatch):
+        # one batch of 800 BPR pairs touches at most 1 800 of 50 200 rows, so
+        # the step (gradient, direction and update) must not allocate (U+I)*d
+        from moofair import training
+
+        num_users, num_items, dim = 200, 50_000, 16
+        gen = np.random.default_rng(0)
+        users = np.repeat(np.arange(num_users), 5)
+        items = np.concatenate([gen.choice(num_items, 5, replace=False)
+                                for _ in range(num_users)])
+        dataset = InteractionDataset(num_users, num_items, users, items,
+                                     np.zeros_like(users),
+                                     np.tile([TRAIN] * 4 + [VAL], num_users),
+                                     np.arange(num_users), np.arange(num_items))
+        config = TrainConfig(objectives=("bpr",), dim=dim, batch_size=1024,
+                             epochs_max=1, eval_every=1)
+        attach = training.attach_negatives
+        peaks = []
+
+        class StepDone(Exception):
+            pass
+
+        def traced_attach(*args):
+            batch = attach(*args)
+            tracemalloc.start()
+            return batch
+
+        def stop_at_validation(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise StepDone
+
+        monkeypatch.setattr(training, "attach_negatives", traced_attach)
+        monkeypatch.setattr(training, "_validation_recall", stop_at_validation)
+        try:
+            with pytest.raises(StepDone):
+                train_round(dataset, GroupMaskSet(), config)
+        finally:
+            tracemalloc.stop()
+        dense_bytes = (num_users + num_items) * dim * 8
+        assert len(peaks) == 1
+        assert peaks[0] < dense_bytes / 4
 
 
 class TestAlphaTrace:
