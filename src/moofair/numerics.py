@@ -28,16 +28,17 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Numerically stable logistic function, elementwise.
 
     The half-tanh form 0.5*(1+tanh(x/2)) equals 1/(1+exp(-x)), never
     overflows (tanh saturates to +-1 on its own, infinities included), and
     keeps the symmetry sigmoid(x) + sigmoid(-x) == 1 to float64 roundoff. It
-    is computed in one output buffer, without temporaries.
+    is computed in one output buffer, without temporaries: ``out`` when
+    given (``x`` itself is allowed), else a new array.
     """
     z = np.asarray(x, dtype=np.float64)
-    out = np.multiply(z, 0.5, out=np.empty_like(z))
+    out = np.multiply(z, 0.5, out=np.empty_like(z) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5

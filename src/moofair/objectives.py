@@ -32,7 +32,9 @@ them as padded (rows x candidates) blocks (``_padded``) with padding scored
 users, sorted by positive count, into blocks whose pairwise sigmoids (ratio
 form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and
 freed; the backward rebuilds them only where the rank gradient is nonzero.
-The producer runs all its rows as one block.
+The producer runs its pair chain on row blocks of at most ``PAIR_BLOCK``
+pairs too, writing each block's rank slope in place into the one slope array
+its backward reads.
 """
 
 from __future__ import annotations
@@ -352,6 +354,8 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     padding scored -inf. A relevant item's smooth 0-based rank is
     sum_{j != i} sigmoid(-(p_i - p_j) / temperature) over the row's
     candidates, and its exposure is exposure_patience ** (rank + rank_offset).
+    The pair chain runs on blocks of rows of at most ``PAIR_BLOCK`` pairs,
+    each written in place into its rows of the slope.
     """
     rows = np.flatnonzero(ctx.counts)
     if rows.shape[0] == 0:
@@ -363,15 +367,24 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     shifted -= shifted.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    inv_tau = 1.0 / config.temperature
-    pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
-    pair *= ~pad[:, None, :]  # padding columns are no candidates
-    ranks = pair.sum(axis=2) - 0.5  # remove the j == i term
+    neg_inv_tau = -1.0 / config.temperature
+    slope = np.empty((rows.shape[0], n_rel, probs.shape[1]))
+    ranks = np.empty((rows.shape[0], n_rel))
+    slope_sums = np.empty_like(ranks)
+    step = max(1, PAIR_BLOCK // slope[0].size)
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        pair = slope[block]
+        np.subtract(probs[block, :n_rel, None], probs[block, None, :], out=pair)
+        pair *= neg_inv_tau
+        sigmoid(pair, out=pair)
+        pair *= ~pad[block, None, :]  # padding columns are no candidates
+        ranks[block] = pair.sum(axis=2) - 0.5  # remove the j == i term
+        slope_sums[block] = _rank_slope(pair).sum(axis=2)
     expo = np.where(relevant, np.power(config.exposure_patience, ranks + config.rank_offset),
                     0.0)
-    slope = _rank_slope(pair)
     relevant_items = ctx.items[at[:, :n_rel][relevant]]
-    return at, relevant, relevant_items, probs, expo, slope, slope.sum(axis=2)
+    return at, relevant, relevant_items, probs, expo, slope, slope_sums
 
 
 def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,

@@ -559,6 +559,49 @@ class TestSmoothRankLimit:
             assert np.all(np.abs(ranks[row][:n] - hard) <= bound)
 
 
+def one_block_producer_forward(model, ctx, config):
+    """``_producer_forward`` with its pair chain run on all rows at once, the
+    form the blocked chain replaced, kept as its oracle."""
+    rows = np.flatnonzero(ctx.counts)
+    at, pad = objectives._padded(ctx, rows)
+    relevant = np.arange(ctx.counts[rows].max()) < ctx.counts[rows, None]
+    n_rel = relevant.shape[1]
+    shifted = np.append(objectives._entry_scores(model, ctx) + ctx.noise, -np.inf)[at]
+    shifted -= shifted.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    inv_tau = 1.0 / config.temperature
+    pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
+    pair *= ~pad[:, None, :]
+    ranks = pair.sum(axis=2) - 0.5
+    expo = np.where(relevant, np.power(config.exposure_patience, ranks + config.rank_offset),
+                    0.0)
+    slope = objectives._rank_slope(pair)
+    relevant_items = ctx.items[at[:, :n_rel][relevant]]
+    return at, relevant, relevant_items, probs, expo, slope, slope.sum(axis=2)
+
+
+class TestBlockedProducerChain:
+    """The pair chain in row blocks does the same elementwise arithmetic and
+    the same per-row sums as one block, so every output is bitwise equal."""
+
+    @pytest.mark.parametrize("pair_block", [objectives.PAIR_BLOCK, 100, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_one_block(self, monkeypatch, seed, pair_block):
+        monkeypatch.setattr(objectives, "PAIR_BLOCK", pair_block)
+        model, ctx, _ = ragged_producer_world(seed, num_users=40)
+        config = TrainConfig(temperature=0.05, exposure_patience=0.5, rank_offset=1.0)
+        reference = one_block_producer_forward(model, ctx, config)
+        if pair_block == 100:
+            # several rows per block, and several blocks
+            rows_per_block = 100 // reference[5][0].size
+            assert 1 < rows_per_block < reference[5].shape[0] // 2
+        for got, expected in zip(_producer_forward(model, ctx, config), reference,
+                                 strict=True):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
 class TestProducerGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_padded_block_matches_single_rows(self, seed):
