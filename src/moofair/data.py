@@ -106,7 +106,7 @@ class InteractionDataset:
     split: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
-    _train_lists: list | None = field(default=None, repr=False)
+    _train_positives: tuple | None = field(default=None, repr=False)
     _train_complements: list | None = field(default=None, repr=False)
     _train_membership: np.ndarray | None = field(default=None, repr=False)
 
@@ -122,16 +122,23 @@ class InteractionDataset:
         mask = self.split == split
         return self.users[mask], self.items[mask]
 
-    def train_positive_lists(self) -> list:
-        """Per-user sorted, de-duplicated int64 arrays of train-split items
-        (cached): one sort of the (user, item) pair codes, split by user."""
-        if self._train_lists is None:
+    def train_positives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Train-split positives in compressed rows (cached): user u's sorted,
+        de-duplicated int64 items are ``items[indptr[u]:indptr[u + 1]]``.
+        One sort of the (user, item) pair codes; returns (indptr, items)."""
+        if self._train_positives is None:
             users, items = self.split_pairs(TRAIN)
             codes = np.unique(users.astype(np.int64) * self.num_items + items)
-            starts = np.searchsorted(codes, np.arange(1, self.num_users, dtype=np.int64)
+            indptr = np.searchsorted(codes, np.arange(self.num_users + 1, dtype=np.int64)
                                      * self.num_items)
-            self._train_lists = np.split(codes % self.num_items, starts)
-        return self._train_lists
+            self._train_positives = indptr, codes % self.num_items
+        return self._train_positives
+
+    def train_positive_lists(self) -> list:
+        """Per-user sorted, de-duplicated int64 arrays of train-split items:
+        the rows of ``train_positives``."""
+        indptr, items = self.train_positives()
+        return np.split(items, indptr[1:-1])
 
     def train_membership(self) -> np.ndarray:
         """Boolean (num_users, num_items) matrix of train-split positives (cached)."""
@@ -143,7 +150,9 @@ class InteractionDataset:
         return self._train_membership
 
     def train_complement_lists(self) -> list:
-        """Per-user sorted arrays of items that are not train positives (cached)."""
+        """Per-user sorted arrays of items that are not train positives
+        (cached). Training does not use them; the benchmark's traced run
+        still wraps this method."""
         if self._train_complements is None:
             catalog = np.arange(self.num_items, dtype=np.int64)
             keep = np.ones(self.num_items, dtype=bool)

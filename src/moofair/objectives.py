@@ -26,21 +26,23 @@ does not depend on the group masks, so it runs once per batch and each
 objective adds only its mask-dependent part: ``group_disparity`` or
 ``exposure_disparity``, the losses that evaluation (``metrics.py``) reports.
 
-A batch's candidate sets are flat (``CandidateContext``). Both kernels read
-them as padded (rows x candidates) blocks (``_padded``) with padding scored
--inf, and share one rank backward (``_rank_backward``). The consumer cuts its
-users, sorted by positive count, into blocks whose pairwise sigmoids (ratio
-form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are summed into ranks and
-freed; the backward rebuilds them only where the rank gradient is nonzero.
-The producer runs its pair chain on row blocks of at most ``PAIR_BLOCK``
-pairs too, writing each block's rank slope in place into the one slope array
-its backward reads.
+A batch's candidate sets are flat (``CandidateContext``), drawn for all its
+users at once by one vectorised sampler (``_candidate_context``). Both
+kernels read them as padded (rows x candidates) blocks (``_padded``) with
+padding scored -inf, and share one rank backward (``_rank_backward``). The
+consumer cuts its users, sorted by positive count, into blocks whose pairwise
+sigmoids (ratio form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are
+summed into ranks and freed; the backward rebuilds them only where the rank
+gradient is nonzero. The producer runs its pair chain on row blocks of at
+most ``PAIR_BLOCK`` pairs too, writing each block's rank slope in place into
+the one slope array its backward reads.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -86,26 +88,60 @@ class CandidateContext:
     counts: np.ndarray
     noise: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
+    @cached_property
+    def touched(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct items of the context, and each entry's flat
+        position in a (rows x those items) matrix; computed once for all the
+        objectives of a family (``_embedding_grad``)."""
+        items, cols = compact_ids(self.items)
+        return items, _entry_rows(self) * items.shape[0] + cols
+
 
 def _candidate_context(dataset: InteractionDataset, users, gen: np.random.Generator,
                        negatives: int, cap: int | None = None) -> CandidateContext:
-    """Per user: the train positives (the first ``cap`` of them when cap is
-    given) followed by ``negatives`` sorted non-positives drawn without
-    replacement (all of them when fewer exist)."""
+    """Per user: the train positives, ascending (the first ``cap`` of them
+    when cap is given), followed by min(negatives, free) distinct
+    non-positives drawn uniformly without replacement, ascending, where free
+    is the user's number of non-positives (so a row with free <= negatives
+    takes them all).
+
+    All rows are drawn at once on a (rows x catalog) mask that starts as
+    their train positives. Each row still short draws as many item ids, with
+    replacement, as it lacks; the mask keeps one entry per new item and
+    ignores positives and repeats; this goes on until every row holds its
+    quota. The draws are i.i.d. over the catalog and a row stops on the
+    number of distinct items it holds, so its final set is uniform among the
+    sets of that size. A row that keeps more than half its non-positives
+    draws the ones it leaves out instead, so it needs few rounds.
+    """
     users = np.asarray(users, dtype=np.int64)
-    lists = dataset.train_positive_lists()
-    pools = dataset.train_complement_lists()
-    parts, counts, widths = [], [], []
-    for u in users:
-        positives, pool = lists[u][:cap], pools[u]
-        if negatives < pool.shape[0]:
-            pool = np.sort(gen.choice(pool, size=negatives, replace=False))
-        parts += (positives, pool)
-        counts.append(positives.shape[0])
-        widths.append(positives.shape[0] + pool.shape[0])
-    items = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return CandidateContext(users, items, np.asarray(widths, dtype=np.int64),
-                            np.asarray(counts, dtype=np.int64))
+    n = dataset.num_items
+    indptr, train_items = dataset.train_positives()
+    n_pos = indptr[users + 1] - indptr[users]
+    free = n - n_pos
+    quota = np.minimum(negatives, free)
+    flip = 2 * quota > free
+    goal = n_pos + np.where(flip, free - quota, quota)
+    positive = dataset.train_membership()[users]
+    held = positive.copy()
+    rows, short = np.arange(users.shape[0]), goal - n_pos
+    while np.any(short):
+        rows, short = rows[short > 0], short[short > 0]
+        draws = np.repeat(rows * n, short) + gen.integers(n, size=short.sum())
+        held.reshape(-1)[draws] = True
+        short = goal[rows] - np.count_nonzero(held[rows], axis=1)
+    drawn = held ^ positive
+    drawn[flip] = ~held[flip]  # a row that drew what it leaves out keeps the rest
+    counts = n_pos if cap is None else np.minimum(n_pos, cap)
+    # per entry, whether it is a negative: row r is counts[r] positives, then quota[r]
+    negative = np.repeat(np.tile([False, True], users.shape[0]),
+                         np.column_stack([counts, quota]).ravel())
+    items = np.empty(negative.shape[0], dtype=np.int64)
+    # row r's first counts[r] train positives start at indptr[users[r]]
+    items[~negative] = train_items[np.arange(counts.sum()) + np.repeat(
+        indptr[users] - np.cumsum(counts) + counts, counts)]
+    items[negative] = np.flatnonzero(drawn) % n  # row by row, ascending
+    return CandidateContext(users, items, counts + quota, counts)
 
 
 def build_consumer_context(dataset: InteractionDataset, users,
@@ -152,10 +188,10 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
     slot, ignored): the chain through score = user . item as one GEMM per
     embedding matrix over the touched items only. Repeated users are summed.
     Returns (rows, grad) as ``ObjectiveGradient`` holds them."""
-    items, cols = compact_ids(ctx.items)
+    items, flat = ctx.touched
     d_scores = np.zeros((ctx.users.shape[0], items.shape[0]))
     # flat positions: faster than a 2-D fancy index, and unique per row
-    np.put(d_scores, _entry_rows(ctx) * items.shape[0] + cols, d_entries[:-1])
+    np.put(d_scores, flat, d_entries[:-1])
     users, at = compact_ids(ctx.users)
     user_grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
                             (d_scores @ model.item_embeddings[items]).ravel(),

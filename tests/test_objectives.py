@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import tracemalloc
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from moofair import objectives
-from moofair.data import GroupMaskSet
+from moofair.data import TRAIN, GroupMaskSet, InteractionDataset
 from moofair.model import FactorModel, TripletBatch, init_model
 from moofair.numerics import sigmoid
 from moofair.objectives import (
@@ -805,7 +807,22 @@ class TestDispatcher:
                           config=TrainConfig(ndcg_k=2, candidate_negatives=4))
 
 
+def with_train_positives(dataset, users, items):
+    """``dataset`` plus train interactions (users[i], items[i])."""
+    users = np.concatenate([dataset.users, np.asarray(users, dtype=dataset.users.dtype)])
+    items = np.concatenate([dataset.items, np.asarray(items, dtype=dataset.items.dtype)])
+    return InteractionDataset(dataset.num_users, dataset.num_items, users, items,
+                              np.zeros_like(users), np.concatenate([
+                                  dataset.split, np.full(users.shape[0] - dataset.split.shape[0],
+                                                         TRAIN, dtype=dataset.split.dtype)]),
+                              dataset.user_ids, dataset.item_ids)
+
+
 class TestContextBuilders:
+    """The context builders' contract: per row the train positives (capped
+    on the producer side), then min(k, free) distinct non-positives,
+    ascending, uniform over the sets of that size."""
+
     def test_consumer_candidates_start_with_positives(self, synthetic_dataset):
         rng = np.random.default_rng(4)
         users = np.arange(5)
@@ -830,3 +847,62 @@ class TestContextBuilders:
                                    np.random.default_rng(6))
         assert np.array_equal(a.items, b.items)
         assert np.array_equal(a.widths, b.widths)
+
+    @pytest.fixture(scope="class")
+    def dataset(self, synthetic_dataset):
+        # user 0 holds every item, user 1 all but three
+        n = synthetic_dataset.num_items
+        kept = np.setdiff1d(np.arange(n), synthetic_dataset.train_positive_lists()[1])[3:]
+        return with_train_positives(synthetic_dataset, [0] * n + [1] * kept.shape[0],
+                                    np.concatenate([np.arange(n), kept]))
+
+    # the synthetic users keep 9 to 16 non-positives: at k = 4 every one
+    # draws its negatives; at 7 most draw the ones they leave out; at 12 some
+    # take all and the others draw what they leave out
+    @pytest.mark.parametrize("k", [4, 7, 12])
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_contract(self, dataset, k, cap):
+        users = np.arange(dataset.num_users)
+
+        def build(gen):
+            if cap is None:
+                return build_consumer_context(dataset, users, k, gen)
+            return build_producer_context(dataset, users, cap, k, gen)
+
+        ctx, again = (build(derived_rng(k, 0 if cap is None else cap)) for _ in range(2))
+        for field in ("users", "items", "widths", "counts", "noise"):
+            assert np.array_equal(getattr(ctx, field), getattr(again, field))
+        assert ctx.noise.shape == (ctx.items.shape if cap else (0,))
+        lists = dataset.train_positive_lists()
+        catalog = np.arange(dataset.num_items)
+        free = [dataset.num_items - lists[u].shape[0] for u in users]
+        assert free[0] == 0 and free[1] == 3
+        np.testing.assert_array_equal(ctx.users, users)
+        np.testing.assert_array_equal(ctx.widths, ctx.counts + np.minimum(k, free))
+        for row, (u, entries) in enumerate(zip(users, context_rows(ctx), strict=True)):
+            n_pos = int(ctx.counts[row])
+            np.testing.assert_array_equal(entries[:n_pos], lists[u][:cap])
+            negatives = entries[n_pos:]
+            assert np.all(np.diff(negatives) > 0)
+            assert not np.isin(negatives, lists[u]).any()
+            if free[row] <= k:
+                np.testing.assert_array_equal(negatives, np.setdiff1d(catalog, lists[u]))
+        assert ctx.widths[0] == ctx.counts[0]  # the saturated user has no negatives
+
+    @pytest.mark.parametrize("k", [3, 4])  # 4 of 6 draws the two left out
+    def test_subsets_uniform(self, k):
+        # one user with six non-positives, drawn in 20 000 rows at once
+        positives = [0, 2, 5, 7]
+        num_items, rows = 10, 20_000
+        dataset = InteractionDataset(1, num_items, np.zeros(4, dtype=np.int64),
+                                     np.array(positives), np.zeros(4, dtype=np.int64),
+                                     np.full(4, TRAIN), np.arange(1), np.arange(num_items))
+        ctx = build_consumer_context(dataset, np.zeros(rows, dtype=np.int64), k,
+                                     np.random.default_rng(11))
+        np.testing.assert_array_equal(ctx.widths, 4 + k)
+        negatives = ctx.items.reshape(rows, 4 + k)[:, 4:]
+        subsets = {s: n for n, s in enumerate(itertools.combinations(
+            sorted(set(range(num_items)) - set(positives)), k))}
+        counts = np.bincount([subsets[tuple(row)] for row in negatives.tolist()],
+                             minlength=len(subsets))
+        assert stats.chisquare(counts).pvalue > 0.01

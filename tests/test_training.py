@@ -468,14 +468,14 @@ class TestGoldenResults:
         assert result.fw_calls == 28
         np.testing.assert_allclose(
             result.record.objective_values,
-            [38.11472402380065, 7.163491502370977e-05, 0.3367720980789848], rtol=1e-10)
+            [38.115462338492065, 7.153118682886782e-05, 0.4386950270799586], rtol=1e-10)
         np.testing.assert_allclose(
             np.mean([alpha for _, _, alpha in result.trace.entries], axis=0),
-            [0.3563009854519149, 0.284262308471035, 0.35943670607704997], rtol=1e-10)
+            [0.35553461409544546, 0.28419485691560237, 0.3602705289889522], rtol=1e-10)
         row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
         np.testing.assert_allclose(
             [row["recall"], row["ndcg"], row["disparity_i"]],
-            [0.4544444444444444, 0.4614687262561829, 0.012181755116198406], rtol=1e-10)
+            [0.5066666666666666, 0.5346096346664857, 0.013485952133194585], rtol=1e-10)
 
 
 class TestStepMemory:
