@@ -209,13 +209,18 @@ def _load_rating_lines(source) -> np.ndarray:
     return rows
 
 
+def _tab_lines(fh, sep: str):
+    """The lines of ``fh`` with ``sep`` made tabs; a tab-separated file as is."""
+    return fh if sep == "\t" else (line.replace(sep, "\t") for line in fh)
+
+
 def _parse_ratings_file(path: str, sep: str, encoding: str) -> tuple:
     """(users, items, ratings, timestamps) of a rating log with one
     ``sep``-separated record per non-empty line; fields past the fourth are
     ignored."""
     try:
         with open(path, encoding=encoding) as fh:
-            rows = _load_rating_lines(line.replace(sep, "\t") for line in fh)
+            rows = _load_rating_lines(_tab_lines(fh, sep))
     except ValueError as exc:
         raise _first_bad_line_error(path, sep, encoding, exc) from None
     return rows["user"], rows["item"], rows["rating"], rows["timestamp"].astype(np.int64)
@@ -227,7 +232,7 @@ def _first_bad_line_error(path: str, sep: str, encoding: str,
     rejects. numpy's row numbers do not reliably match file lines, so the line
     is found by bisecting the file's lines; this runs on the error path only."""
     with open(path, encoding=encoding) as fh:
-        lines = [line.replace(sep, "\t") for line in fh]
+        lines = list(_tab_lines(fh, sep))
     lo, hi = 0, len(lines)  # lines[:lo] parse, lines[lo:hi] do not
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -311,10 +316,13 @@ def ingest(path: str, fmt: str) -> RawRatings:
         (``user gender age``) and items.tsv (``item genre|genre|...``)
         alongside.
 
-    The rating log is parsed in one vectorised pass; a malformed line is a
-    DataFormatError naming ``file:line``. Attribute files that are absent set
-    the corresponding tables to None; fairness objectives that need them
-    become unavailable downstream.
+    The rating log is parsed in one vectorised ``np.loadtxt`` pass: a
+    tab-separated log (ml100k, generic_tsv) is read straight from the open
+    file, and only the '::' log of ml1m passes through a per-line replace of
+    its separator. A malformed line is a DataFormatError naming
+    ``file:line``. Attribute files that are absent set the corresponding
+    tables to None; fairness objectives that need them become unavailable
+    downstream.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
@@ -354,48 +362,67 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     that order). Per user, interactions sorted by (timestamp, item) are tagged
     70% train / 10% val / remainder test, with train and val counts floored so
     the test split is never empty for users at the size threshold.
+
+    Each filter counts its id column with one ``np.unique`` and narrows one
+    mask of surviving records; dense ids number the surviving ids in sorted
+    order by a cumulative sum over the kept codes. Rows are ordered by an
+    argsort of the timestamps, then a stable (radix) argsort of the dense users
+    in their narrowest unsigned dtype, then by (item, record) within runs of
+    equal (user, timestamp): the order of a stable lexsort.
     """
-    positive = raw.ratings >= POSITIVE_RATING
-    users = raw.users[positive]
-    items = raw.items[positive]
-    stamps = raw.timestamps[positive]
-
-    item_vals, item_counts = np.unique(items, return_counts=True)
-    mask = item_counts[np.searchsorted(item_vals, items)] >= MIN_ITEM_RATINGS
-    users, items, stamps = users[mask], items[mask], stamps[mask]
-
-    user_vals, user_counts = np.unique(users, return_counts=True)
-    mask = user_counts[np.searchsorted(user_vals, users)] >= MIN_USER_RATINGS
-    users, items, stamps = users[mask], items[mask], stamps[mask]
-
-    if users.shape[0] == 0:
+    kept = raw.ratings >= POSITIVE_RATING  # the records that survive so far
+    item_vals, item_codes, counts = np.unique(raw.items[kept], return_inverse=True,
+                                              return_counts=True)
+    keep = (counts >= MIN_ITEM_RATINGS)[item_codes]
+    kept[kept] = keep
+    item_codes = item_codes[keep]
+    user_vals, user_codes, counts = np.unique(raw.users[kept], return_inverse=True,
+                                              return_counts=True)
+    user_kept = counts >= MIN_USER_RATINGS
+    keep = user_kept[user_codes]
+    kept[kept] = keep
+    user_codes, item_codes = user_codes[keep], item_codes[keep]
+    del keep
+    if user_codes.shape[0] == 0:
         raise EmptyDatasetError("no interactions remain after filtering")
+    stamps = raw.timestamps[kept]
+    del kept
 
-    # dense id = position among the sorted original ids
-    user_ids = np.unique(users)
-    item_ids = np.unique(items)
-    dense_users = np.searchsorted(user_ids, users).astype(np.int64, copy=False)
-    dense_items = np.searchsorted(item_ids, items).astype(np.int64, copy=False)
+    # dense id = position among the sorted surviving original ids
+    user_ids = user_vals[user_kept]
+    users = (np.cumsum(user_kept) - 1).astype(
+        np.min_scalar_type(user_ids.shape[0] - 1))[user_codes]
+    del user_codes
+    present = np.zeros(item_vals.shape[0], dtype=bool)
+    present[item_codes] = True
+    item_ids = item_vals[present]
+    items = (np.cumsum(present) - 1)[item_codes]
+    del item_codes
 
-    order = np.lexsort((dense_items, stamps, dense_users))
-    dense_users = dense_users[order]
-    dense_items = dense_items[order]
-    stamps = stamps[order]
+    order = np.argsort(stamps)
+    order = order[np.argsort(users[order], kind="stable")]
+    users, items, stamps = users[order], items[order], stamps[order]
+    # the rows in runs of two or more equal (user, timestamp), re-sorted by
+    # (item, record) within their run
+    starts = np.insert((users[1:] != users[:-1]) | (stamps[1:] != stamps[:-1]), 0, True)
+    at = np.flatnonzero(~(starts & np.append(starts[1:], True)))
+    order = order[at]
+    items[at] = items[at][np.lexsort((order, items[at], np.cumsum(starts[at])))]
+    del order, starts, at
+    users = users.astype(np.int64)
 
-    # position of each interaction within its user against the floored
-    # train and val counts; TRAIN, VAL, TEST are 0, 1, 2
-    counts = np.bincount(dense_users)
-    position = np.arange(dense_users.shape[0]) - (np.cumsum(counts) - counts)[dense_users]
+    # each user's rows run train, then val, then test
+    counts = counts[user_kept]
     n_train = np.floor(TRAIN_FRACTION * counts).astype(np.int64)
     n_val = np.floor(VAL_FRACTION * counts).astype(np.int64)
-    split = ((position >= n_train[dense_users]).astype(np.int8)
-             + (position >= (n_train + n_val)[dense_users]))
+    split = np.repeat(np.tile(np.array([TRAIN, VAL, TEST], dtype=np.int8), counts.shape[0]),
+                      np.stack([n_train, n_val, counts - n_train - n_val], axis=1).ravel())
 
     return InteractionDataset(
         num_users=user_ids.shape[0],
         num_items=item_ids.shape[0],
-        users=dense_users,
-        items=dense_items,
+        users=users,
+        items=items,
         timestamps=stamps,
         split=split,
         user_ids=user_ids,
@@ -416,16 +443,18 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
     Users with unknown gender or age are excluded from those masks entirely.
     """
     masks = GroupMaskSet()
-    users = [int(orig) for orig in dataset.user_ids]
+    users = dataset.user_ids.tolist()
     # row of each user's attribute value, -1 when it is unknown
-    for name, table, size, row_of in (
+    for name, table, size, rows_of in (
             ("gender", raw.user_gender, len(GENDER_LABELS),
-             lambda g: GENDER_LABELS.index(g) if g in GENDER_LABELS else -1),
+             lambda values: [GENDER_LABELS.index(g) if g in GENDER_LABELS else -1
+                             for g in values]),
             ("age", raw.user_age, NUM_AGE_GROUPS,
-             lambda a: -1 if a is None else np.searchsorted(AGE_UPPER_BOUNDS, int(a)))):
+             lambda values: np.where([a is None for a in values], -1, np.searchsorted(
+                 AGE_UPPER_BOUNDS, [0 if a is None else int(a) for a in values])))):
         if table is None:
             continue
-        rows = np.array([row_of(table.get(u)) for u in users], dtype=np.int64)
+        rows = np.asarray(rows_of([table.get(u) for u in users]), dtype=np.int64)
         known = np.flatnonzero(rows >= 0)
         mask = np.zeros((size, dataset.num_users), dtype=np.int8)
         mask[rows[known], known] = 1

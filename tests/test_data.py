@@ -1,12 +1,17 @@
 import logging
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moofair.data import (
+    AGE_UPPER_BOUNDS,
     BUNDLE_FILE,
+    GENDER_LABELS,
     TEST,
     TRAIN,
     VAL,
@@ -23,7 +28,7 @@ from moofair.data import (
     save_npz,
     write_csv,
 )
-from conftest import make_raw
+from conftest import GENRES, make_raw
 
 
 def write_lines(path, lines):
@@ -123,6 +128,28 @@ class TestIngestGeneric:
         write_lines(tmp_path / "items.tsv", ["1\tComedy", "x\tDrama"])
         with pytest.raises(DataFormatError, match=r"items\.tsv:2:"):
             ingest(str(tmp_path), "generic_tsv")
+
+    @pytest.mark.parametrize("fmt", ["generic_tsv", "ml100k"])
+    def test_crlf_log_ingests_like_its_lf_copy(self, tmp_path, fmt):
+        names = {"generic_tsv": ("ratings.tsv", "users.tsv"), "ml100k": ("u.data", "u.user")}[fmt]
+        users = ["1\tF\t33", "2\tM\t19"] if fmt == "generic_tsv" else [
+            "1|24|M|technician|85711", "2|53|F|other|94043"]
+        ratings = ["1\t10\t5\t100", "1\t11\t3\t2.5e2", "", "2\t10\t4\t150\textra",
+                   "-3\t12\t4.5\t-7"]
+        raws = []
+        for ending in ("\n", "\r\n"):
+            directory = tmp_path / ("crlf" if ending == "\r\n" else "lf")
+            directory.mkdir()
+            for name, lines in zip(names, (ratings, users)):
+                (directory / name).write_bytes((ending.join(lines) + ending).encode())
+            raws.append(ingest(str(directory), fmt))
+        lf, crlf = raws
+        for name in ("users", "items", "ratings", "timestamps"):
+            a, b = getattr(lf, name), getattr(crlf, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+        assert lf.num_records == 4
+        assert (lf.user_gender, lf.user_age) == (crlf.user_gender, crlf.user_age)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
@@ -400,6 +427,119 @@ def preprocess_oracle(raw):
                               dense_items, stamps, split, user_ids, item_ids)
 
 
+# original ids and timestamps are offset + code * stride: none, near -2**62 and
+# near +2**62, with sorted, reversed and sparse strides
+ID_OFFSETS = (0, -2**62, 2**62)
+ID_STRIDES = (1, -3, 2**40)
+
+
+def drawn_log(seed, core, num_users, num_items, num_records, num_stamps, offsets, strides):
+    """A rating log of ``num_records`` random records plus, when ``core`` > 0,
+    ``core`` users who each rate 10 of ``core`` items positively (every item
+    10 times), so at least ``core`` users and items survive the filters.
+    Timestamps are drawn from ``num_stamps`` values, so records of one user
+    share timestamps, and (user, item) pairs repeat."""
+    gen = np.random.default_rng(seed)
+    users = np.concatenate([np.repeat(np.arange(core), 10),
+                            gen.integers(0, num_users, num_records)])
+    items = np.concatenate([(np.repeat(np.arange(core), 10) + np.tile(np.arange(10), core))
+                            % max(core, 1),
+                            gen.integers(0, num_items, num_records)])
+    ratings = np.concatenate([gen.integers(4, 6, 10 * core),
+                              gen.integers(1, 6, num_records)]).astype(np.float64)
+    stamps = gen.integers(0, num_stamps, users.shape[0])
+    perm = gen.permutation(users.shape[0])
+    (user_offset, item_offset, stamp_offset), (user_stride, item_stride) = offsets, strides
+    return RawRatings(users=user_offset + users[perm] * user_stride,
+                      items=item_offset + items[perm] * item_stride,
+                      ratings=ratings[perm],
+                      timestamps=stamp_offset + stamps[perm] * 7)
+
+
+def preprocess_lexsort_reference(raw):
+    """The earlier ``preprocess``: unsorted ``searchsorted`` lookups and one
+    three-key ``np.lexsort``; the memory reference of the current one."""
+    positive = raw.ratings >= 4.0
+    users = raw.users[positive]
+    items = raw.items[positive]
+    stamps = raw.timestamps[positive]
+
+    item_vals, item_counts = np.unique(items, return_counts=True)
+    mask = item_counts[np.searchsorted(item_vals, items)] >= 5
+    users, items, stamps = users[mask], items[mask], stamps[mask]
+
+    user_vals, user_counts = np.unique(users, return_counts=True)
+    mask = user_counts[np.searchsorted(user_vals, users)] >= 10
+    users, items, stamps = users[mask], items[mask], stamps[mask]
+
+    user_ids = np.unique(users)
+    item_ids = np.unique(items)
+    dense_users = np.searchsorted(user_ids, users).astype(np.int64, copy=False)
+    dense_items = np.searchsorted(item_ids, items).astype(np.int64, copy=False)
+
+    order = np.lexsort((dense_items, stamps, dense_users))
+    dense_users = dense_users[order]
+    dense_items = dense_items[order]
+    stamps = stamps[order]
+
+    counts = np.bincount(dense_users)
+    position = np.arange(dense_users.shape[0]) - (np.cumsum(counts) - counts)[dense_users]
+    n_train = np.floor(0.7 * counts).astype(np.int64)
+    n_val = np.floor(0.1 * counts).astype(np.int64)
+    split = ((position >= n_train[dense_users]).astype(np.int8)
+             + (position >= (n_train + n_val)[dense_users]))
+    return InteractionDataset(user_ids.shape[0], item_ids.shape[0], dense_users,
+                              dense_items, stamps, split, user_ids, item_ids)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPreprocessAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), core=st.sampled_from((0, 0, 255, 256, 257)),
+           num_users=st.integers(1, 40), num_items=st.integers(1, 30),
+           num_records=st.integers(0, 1500), num_stamps=st.integers(1, 60),
+           offsets=st.tuples(*[st.sampled_from(ID_OFFSETS)] * 3),
+           strides=st.tuples(*[st.sampled_from(ID_STRIDES)] * 2))
+    # 255, 256 and 257 surviving users and items: the largest dense id is
+    # inside uint8, at its maximum, and past it (uint16)
+    @example(seed=0, core=255, num_users=1, num_items=1, num_records=0, num_stamps=3,
+             offsets=(0, 0, 0), strides=(1, 1))
+    @example(seed=1, core=256, num_users=1, num_items=1, num_records=0, num_stamps=1,
+             offsets=(2**62, -2**62, -2**62), strides=(-3, 2**40))
+    @example(seed=2, core=257, num_users=1, num_items=1, num_records=0, num_stamps=2,
+             offsets=(-2**62, 2**62, 2**62), strides=(2**40, -3))
+    def test_matches_oracle_on_drawn_logs(self, seed, core, num_users, num_items,
+                                          num_records, num_stamps, offsets, strides):
+        raw = drawn_log(seed, core, num_users, num_items, num_records, num_stamps,
+                        offsets, strides)
+        expected = preprocess_oracle(raw)
+        if expected.num_interactions == 0:
+            with pytest.raises(EmptyDatasetError):
+                preprocess(raw)
+            return
+        got = preprocess(raw)
+        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert (got.num_users, got.num_items) == (expected.num_users, expected.num_items)
+        if core and not num_records:
+            assert got.num_users == got.num_items == core
+
+    def test_peak_memory_within_lexsort_reference(self):
+        raw = drawn_log(11, 0, 2500, 1800, 200_000, 10**7, (10**9, 10**6, 10**9), (1, 1))
+        reference = traced_peak(lambda: preprocess_lexsort_reference(raw))
+        assert traced_peak(lambda: preprocess(raw)) <= reference
+
+
 def dataset_with_counts(counts):
     """Train-split-only dataset where item k appears counts[k] times."""
     users, items = [], []
@@ -524,6 +664,93 @@ class TestBuildMasks:
         assert masks.age is None
         assert masks.genre is None
         assert masks.popularity is not None
+
+
+def build_masks_oracle(dataset, raw):
+    """Gender, age and genre masks from per-user and per-item dict lookups
+    in Python loops: the reference ``build_masks`` must match."""
+    masks = {}
+    if raw.user_gender is not None:
+        masks["gender"] = np.zeros((len(GENDER_LABELS), dataset.num_users), dtype=np.int8)
+        for k, orig in enumerate(dataset.user_ids):
+            gender = raw.user_gender.get(int(orig))
+            if gender in GENDER_LABELS:
+                masks["gender"][GENDER_LABELS.index(gender), k] = 1
+    if raw.user_age is not None:
+        masks["age"] = np.zeros((len(AGE_UPPER_BOUNDS) + 1, dataset.num_users), dtype=np.int8)
+        for k, orig in enumerate(dataset.user_ids):
+            age = raw.user_age.get(int(orig))
+            if age is not None:
+                masks["age"][sum(age > bound for bound in AGE_UPPER_BOUNDS), k] = 1
+    if raw.item_genres is not None:
+        masks["genre"] = np.zeros((len(raw.genre_names), dataset.num_items), dtype=np.int8)
+        for k, orig in enumerate(dataset.item_ids):
+            for g in raw.item_genres.get(int(orig), ()):
+                masks["genre"][g, k] = 1
+    return masks
+
+
+# ages on both sides of every bracket bound, and far outside the brackets
+BRACKET_AGES = tuple(a for bound in AGE_UPPER_BOUNDS for a in (bound, bound + 1)) + (
+    -4, 0, 200, 10**30)
+
+
+class TestBuildMasksAgainstOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dict_tables(self, seed):
+        raw = make_raw(seed=seed, num_users=45)
+        gen = np.random.default_rng(seed)
+        users, items = sorted(raw.user_gender), sorted(raw.item_genres)
+        for k, u in enumerate(users):
+            raw.user_age[u] = BRACKET_AGES[k % len(BRACKET_AGES)]
+        for u in gen.choice(users, 6, replace=False).tolist():
+            del raw.user_gender[u]  # unknown gender
+        raw.user_gender[users[0]] = "X"  # a label outside GENDER_LABELS
+        for u in gen.choice(users[len(BRACKET_AGES):], 5, replace=False).tolist():
+            del raw.user_age[u]  # unknown or unparsable age
+        assert set(raw.user_age.values()) == set(BRACKET_AGES)
+        for i in gen.choice(items, 6, replace=False).tolist():
+            if i % 2:
+                del raw.item_genres[i]
+            else:
+                raw.item_genres[i] = ()
+        self.assert_matches_oracle(raw)
+
+    def test_tables_read_from_files(self, tmp_path):
+        raw = make_raw(seed=4, num_users=40)
+        write_lines(tmp_path / "ratings.tsv", [
+            f"{u}\t{i}\t{r:g}\t{t}" for u, i, r, t in
+            zip(raw.users, raw.items, raw.ratings, raw.timestamps)])
+        users = sorted(set(raw.users.tolist()))
+        ages = BRACKET_AGES[:-1] + ("", "abc", "17.5", "-")
+        genders = ("F", "M", "m", "", "X")
+        write_lines(tmp_path / "users.tsv", [
+            f"{u}\t{genders[k % len(genders)]}\t{ages[k % len(ages)]}"
+            for k, u in enumerate(users)])
+        write_lines(tmp_path / "items.tsv", [
+            f"{i}\t{'|'.join(GENRES[:i % 3])}" for i in sorted(set(raw.items.tolist()))])
+        raw = ingest(str(tmp_path), "generic_tsv")
+        assert len(raw.user_age) < len(users) and len(raw.user_gender) < len(users)
+        self.assert_matches_oracle(raw)
+
+    def test_no_user_tables(self):
+        raw = make_raw(seed=5)
+        raw.user_gender = raw.user_age = None
+        self.assert_matches_oracle(raw)
+
+    @staticmethod
+    def assert_matches_oracle(raw):
+        dataset = preprocess(raw)
+        masks = build_masks(dataset, raw)
+        expected = build_masks_oracle(dataset, raw)
+        for name in ("gender", "age", "genre"):
+            got = masks.mask_for(name)
+            if name not in expected:
+                assert got is None, name
+                continue
+            assert got.dtype == expected[name].dtype, name
+            np.testing.assert_array_equal(got, expected[name], err_msg=name)
+        assert masks.genre_names == tuple(raw.genre_names)
 
 
 class TestBundle:
