@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import logging
 import os
 import re
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .numerics import sorted_distinct
 
 logger = logging.getLogger(__name__)
 
@@ -82,11 +85,11 @@ class RawRatings:
 
     @cached_property
     def num_users(self) -> int:
-        return int(np.unique(self.users).shape[0]) if self.num_records else 0
+        return sorted_distinct(self.users).shape[0]
 
     @cached_property
     def num_items(self) -> int:
-        return int(np.unique(self.items).shape[0]) if self.num_records else 0
+        return sorted_distinct(self.items).shape[0]
 
 
 @dataclass
@@ -128,7 +131,7 @@ class InteractionDataset:
         One sort of the (user, item) pair codes; returns (indptr, items)."""
         if self._train_positives is None:
             users, items = self.split_pairs(TRAIN)
-            codes = np.unique(users.astype(np.int64) * self.num_items + items)
+            codes = sorted_distinct(users.astype(np.int64) * self.num_items + items)
             indptr = np.searchsorted(codes, np.arange(self.num_users + 1, dtype=np.int64)
                                      * self.num_items)
             self._train_positives = indptr, codes % self.num_items
@@ -188,6 +191,8 @@ class GroupMaskSet:
 # ingestion
 # ---------------------------------------------------------------------------
 
+READ_BLOCK = 1 << 20  # characters of a rating log converted to tabs at once
+
 # the four leading fields of a rating line; the timestamp is read as a float
 # and truncated toward zero, so "1.5e9" is a valid timestamp
 RATING_FIELDS = np.dtype([("user", np.int64), ("item", np.int64),
@@ -210,8 +215,17 @@ def _load_rating_lines(source) -> np.ndarray:
 
 
 def _tab_lines(fh, sep: str):
-    """The lines of ``fh`` with ``sep`` made tabs; a tab-separated file as is."""
-    return fh if sep == "\t" else (line.replace(sep, "\t") for line in fh)
+    """The lines of ``fh`` with ``sep`` made tabs; a tab-separated file as is.
+
+    ``sep`` is replaced once per block of about ``READ_BLOCK`` characters,
+    each block completed to its line end, and the block is split on "\\n"
+    alone, as iterating ``fh`` splits it (``str.splitlines`` would also split
+    on form feeds, "\\x85", "\\u2028" and others).
+    """
+    if sep == "\t":
+        return fh
+    blocks = iter(lambda: fh.read(READ_BLOCK) + fh.readline(), "")
+    return (line for block in blocks for line in io.StringIO(block.replace(sep, "\t")))
 
 
 def _parse_ratings_file(path: str, sep: str, encoding: str) -> tuple:
@@ -318,9 +332,9 @@ def ingest(path: str, fmt: str) -> RawRatings:
 
     The rating log is parsed in one vectorised ``np.loadtxt`` pass: a
     tab-separated log (ml100k, generic_tsv) is read straight from the open
-    file, and only the '::' log of ml1m passes through a per-line replace of
-    its separator. A malformed line is a DataFormatError naming
-    ``file:line``. Attribute files that are absent set the corresponding
+    file, and only the '::' log of ml1m passes through ``_tab_lines``, which
+    replaces its separator a block at a time. A malformed line is a
+    DataFormatError naming ``file:line``. Attribute files that are absent set the corresponding
     tables to None; fairness objectives that need them become unavailable
     downstream.
     """

@@ -1,4 +1,4 @@
-"""Dense float64 linear-algebra and random-sampling substrate shared by all modules."""
+"""Dense float64 linear algebra, random sampling and integer sets shared by all modules."""
 
 from __future__ import annotations
 
@@ -53,3 +53,16 @@ def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     u = np.clip(rng.uniform(0.0, 1.0, size=n), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     return -np.log(-np.log(u))
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array by one sort and a neighbour mask.
+
+    numpy 2 takes a hash path in ``np.unique`` for integers, which on wide ids
+    (pair codes, raw MovieLens ids) is many times slower than sorting.
+    """
+    ordered = np.sort(values)
+    first = np.empty(ordered.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]

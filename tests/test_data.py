@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moofair import data
 from moofair.data import (
     AGE_UPPER_BOUNDS,
     BUNDLE_FILE,
@@ -49,8 +50,9 @@ class TestIngestGeneric:
         raw = RawRatings(np.array([3, 1, 3]), np.array([5, 5, 6]), np.ones(3),
                          np.arange(3))
         calls = []
-        real_unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+        real_distinct = data.sorted_distinct
+        monkeypatch.setattr(data, "sorted_distinct",
+                            lambda *a: calls.append(1) or real_distinct(*a))
         assert (raw.num_users, raw.num_items, raw.num_users, raw.num_items) == (2, 2, 2, 2)
         assert len(calls) == 2
 
@@ -197,6 +199,31 @@ class TestIngestMovieLens:
         write_lines(tmp_path / "ratings.dat",
                     ["1::1193::5::978300760", "", "2::1193::x::978302109"])
         with pytest.raises(DataFormatError, match=r"ratings\.dat:3: .*'x'"):
+            ingest(str(tmp_path), "ml1m")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("block", [1, 5, 64, 1 << 20])
+    def test_ml1m_log_read_in_blocks(self, tmp_path, monkeypatch, ending, block):
+        # the ignored fields hold characters that str.splitlines, unlike
+        # iterating the file, takes for line ends
+        gen = np.random.default_rng(3)
+        records = [(int(gen.integers(1, 40)), int(gen.integers(1, 60)),
+                    int(gen.integers(1, 6)), 10**9 + int(gen.integers(0, 10**6)))
+                   for _ in range(60)]
+        extras = ["", "::a\x0bb", "::\x0c", "::x\x1cy\x1dz\x1e", "::\x85:::\x85"]
+        lines = ["::".join(map(str, r)) + extras[n % len(extras)]
+                 for n, r in enumerate(records)]
+        lines.insert(17, "")
+        path = tmp_path / "ratings.dat"
+        monkeypatch.setattr(data, "READ_BLOCK", block)
+        path.write_bytes((ending.join(lines) + ending).encode("latin-1"))
+        raw = ingest(str(tmp_path), "ml1m")
+        for got, want in zip((raw.users, raw.items, raw.ratings, raw.timestamps),
+                             np.asarray(records).T):
+            np.testing.assert_array_equal(got, want)
+        lines[40] = "1::2::x::3" + extras[4]
+        path.write_bytes((ending.join(lines) + ending).encode("latin-1"))
+        with pytest.raises(DataFormatError, match=r"ratings\.dat:41: .*'x'"):
             ingest(str(tmp_path), "ml1m")
 
     def test_malformed_movies_line_reports_number(self, tmp_path):

@@ -412,7 +412,7 @@ def score_model(scores):
 @st.composite
 def ranking_cases(draw):
     num_users = draw(st.integers(1, 9))
-    num_items = draw(st.integers(1, 8))
+    num_items = draw(st.integers(1, 12))
     cells = st.lists(st.integers(-2, 2), min_size=num_items, max_size=num_items)
     scores = np.asarray(draw(st.lists(cells, min_size=num_users, max_size=num_users)),
                         dtype=np.float64)
@@ -422,19 +422,36 @@ def ranking_cases(draw):
                                          max_size=num_users)))
     k = draw(st.integers(1, num_items + 1))
     block = draw(st.integers(1, 4))
-    return scores, excluded, users, k, block
+    chunks = draw(st.integers(1, num_items))
+    return scores, excluded, users, k, block, chunks
+
+
+# three rows of ten: -1, 0 or 1 everywhere
+TIED = np.repeat([[-1.0], [0.0], [1.0]], 10, axis=1)
+NONE = np.zeros((3, 10), dtype=bool)
+# row 0 has 2 unseen items, row 1 none, row 2 all ten
+SPARSE = np.zeros((3, 10), dtype=bool)
+SPARSE[0, 2:] = SPARSE[1] = True
+ALL = np.arange(3)
 
 
 class TestTopKItems:
     @settings(max_examples=300, deadline=None)
     @given(ranking_cases())
+    @example((TIED, NONE, ALL, 3, 2, 2))  # all-tied rows
+    @example((TIED, NONE, ALL, 10, 4, 3))  # k = catalog
+    @example((TIED, NONE, ALL, 11, 1, 10))  # k = catalog + 1
+    @example((TIED[::-1] * np.arange(10), SPARSE, ALL, 4, 3, 2))  # k-th best is -inf
+    @example((TIED[::-1] * np.arange(10), SPARSE, ALL, 4, 1, 10))
     def test_equals_full_stable_sort(self, case):
-        scores, excluded, users, k, block = case
+        # chunk counts below the catalog run the chunk-maxima prefilter
+        scores, excluded, users, k, block, chunks = case
         ex_users, ex_items = np.nonzero(excluded)
         masked = np.where(excluded, -np.inf, scores)[users]
         expected = np.argsort(-masked, axis=1, kind="stable")[:, :k]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "USER_BLOCK", block)
+            mp.setattr(metrics, "TOP_K_CHUNKS", chunks)
             lists, top = metrics.top_k_items(score_model(scores), users, k,
                                              ex_users, ex_items)
         np.testing.assert_array_equal(lists, expected)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moofair.model import FactorModel
-from moofair.numerics import sample_gumbel, sigmoid
+from moofair.numerics import sample_gumbel, sigmoid, sorted_distinct
 from moofair.objectives import CandidateContext, _producer_forward
 from moofair.training import TrainConfig
 from moofair.solver import gram_matrix
@@ -148,3 +150,17 @@ class TestSeededRng:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert np.array_equal(_shared_eval_stream(11).uniform(size=5),
                               _shared_eval_stream(11).uniform(size=5))
+
+
+# wide int64 codes: small ids with repeats and values near +-2**62
+wide_codes = st.lists(st.one_of(st.integers(-5, 5), st.integers(2**62 - 3, 2**62 + 3),
+                                st.integers(-2**62 - 3, -2**62 + 3)), max_size=40)
+
+
+class TestSortedDistinct:
+    @given(wide_codes)
+    def test_equals_unique(self, codes):
+        codes = np.asarray(codes, dtype=np.int64)
+        got = sorted_distinct(codes)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.unique(codes))
