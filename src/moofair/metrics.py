@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import TEST, GroupMaskSet, InteractionDataset
 from .model import FactorModel
-from .numerics import sorted_distinct
+from .numerics import run_starts, sorted_distinct
 from .objectives import exposure_disparity, group_disparity
 
 METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
@@ -105,7 +105,8 @@ def top_k_items(model: FactorModel, users: np.ndarray, k: int,
         kept = np.flatnonzero(scores >= bound[:, None])
         row, item = np.divmod(kept, num_items)
         value = scores.ravel()[kept]
-        order = np.lexsort((-value, row))
+        # the narrowest row key (uint16 at USER_BLOCK rows) is radix-sorted
+        order = np.lexsort((-value, row.astype(np.min_scalar_type(stop - start - 1))))
         # every row keeps at least depth items; its first depth in sort order
         picks = order[np.searchsorted(row, np.arange(stop - start))[:, None]
                       + np.arange(depth)]
@@ -119,10 +120,12 @@ def rank_split(model: FactorModel, dataset: InteractionDataset, k: int, split: i
     users, items = dataset.split_pairs(split)
     users, items = np.divmod(sorted_distinct(users * dataset.num_items + items),
                              dataset.num_items)
-    user_ids, starts = np.unique(users, return_index=True)
+    starts = run_starts(users)
+    user_ids = users[starts]
     seen = dataset.split < split
     lists, top = top_k_items(model, user_ids, k, dataset.users[seen], dataset.items[seen])
-    relevance = np.split(items, starts)[1:]
+    ends = np.append(starts[1:], users.shape[0])
+    relevance = [items[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     return RecommendationRun(lists.shape[1], user_ids, lists, relevance), top
 
 

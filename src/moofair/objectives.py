@@ -33,9 +33,13 @@ padding scored -inf, and share one rank backward (``_rank_backward``). The
 consumer cuts its users, sorted by positive count, into blocks whose pairwise
 sigmoids (ratio form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are
 summed into ranks and freed; the backward rebuilds them only where the rank
-gradient is nonzero. The producer runs its pair chain on row blocks of at
-most ``PAIR_BLOCK`` pairs too, writing each block's rank slope in place into
-the one slope array its backward reads.
+gradient is nonzero. The soft top-k cutoffs, (positives x k) per user, are
+not kept either: the backward recomputes them from the ranks, bitwise equal
+(``_cutoffs``), so a kept forward holds O(entries + positives) memory, not
+k times that, while the other family runs beside it (``training.py``). The
+producer runs its pair chain on row blocks of at most ``PAIR_BLOCK`` pairs
+too, writing each block's rank slope in place into the one slope array its
+backward reads.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ PRODUCER_OBJECTIVES = ("popularity", "genre")
 
 LN2 = float(np.log(2.0))
 
-# Padded (users x positives x candidates) pairs per block of the consumer
-# kernel: the block's pairwise sigmoids stay cache-sized.
+# Padded pairs (users x positives x candidates) per block of both pair
+# chains, and d-scores (users x touched items) per block of
+# ``_embedding_grad``: a block's arrays stay cache-sized.
 PAIR_BLOCK = 2 ** 18
 # Largest scaled score spread of a block the ratio-form pairwise sigmoid
 # takes: exp(700) is finite and exp(-700) a normal float64.
@@ -185,18 +190,29 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
                     d_entries: np.ndarray):
     """Gradient rows of the context users and of the items the context
     touches, given d loss / d score of each context entry (plus the padding
-    slot, ignored): the chain through score = user . item as one GEMM per
-    embedding matrix over the touched items only. Repeated users are summed.
-    Returns (rows, grad) as ``ObjectiveGradient`` holds them."""
+    slot, ignored): the chain through score = user . item as GEMMs over the
+    touched items only, on blocks of context rows whose (rows x touched
+    items) d-scores hold at most ``PAIR_BLOCK`` entries, so that a family's
+    backward stays small beside the other family's. Repeated users are
+    summed. Returns (rows, grad) as ``ObjectiveGradient`` holds them."""
     items, flat = ctx.touched
-    d_scores = np.zeros((ctx.users.shape[0], items.shape[0]))
-    # flat positions: faster than a 2-D fancy index, and unique per row
-    np.put(d_scores, flat, d_entries[:-1])
+    n_rows, n_items = ctx.users.shape[0], items.shape[0]
+    item_embeddings = model.item_embeddings[items]
+    row_grad = np.empty((n_rows, model.dim))
+    item_grad = np.zeros((n_items, model.dim))
+    ends = np.cumsum(ctx.widths)
+    step = max(1, PAIR_BLOCK // max(n_items, 1))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        lo, hi = ends[start] - ctx.widths[start], ends[stop - 1]
+        d_scores = np.zeros((stop - start, n_items))
+        # flat positions: faster than a 2-D fancy index, and unique per row
+        np.put(d_scores, flat[lo:hi] - start * n_items, d_entries[lo:hi])
+        row_grad[start:stop] = d_scores @ item_embeddings
+        item_grad += d_scores.T @ model.user_embeddings[ctx.users[start:stop]]
     users, at = compact_ids(ctx.users)
     user_grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
-                            (d_scores @ model.item_embeddings[items]).ravel(),
-                            users.shape[0] * model.dim).reshape(-1, model.dim)
-    item_grad = d_scores.T @ model.user_embeddings[ctx.users]
+                            row_grad.ravel(), users.shape[0] * model.dim).reshape(-1, model.dim)
     return (np.concatenate([users, model.num_users + items]),
             np.concatenate([user_grad, item_grad]))
 
@@ -269,6 +285,11 @@ def _pair_sigmoids(scaled: np.ndarray, n_pos: int) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
+def _cutoffs(ranks: np.ndarray, ks: np.ndarray, steepness: float) -> np.ndarray:
+    """Soft top-k cutoffs sigmoid(steepness * (k + 0.5 - rank)), (B, P, K)."""
+    return sigmoid(steepness * (ks + 0.5 - ranks[:, :, None]))
+
+
 def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
                       steepness: float):
     """Smooth NDCG@k rows (k = 1..k_max) of the context users plus, per block
@@ -282,10 +303,11 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
 
     Users with positives are sorted by positive count and cut into blocks of
     at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
-    pair matrix outlives its block. A block holds its rows, the ``_padded``
-    entry positions (B, C), the scaled scores (B, C) padded with -inf, the
-    ranks (B, P), the cutoffs (B, P, k), the discounts (B, P), zero on padding
-    positives, and the ideal DCG rows (B, k).
+    pair matrix outlives its block, and neither do the (B, P, k) cutoffs: the
+    backward recomputes them from the ranks. A block holds its rows, the
+    ``_padded`` entry positions (B, C), the scaled scores (B, C) padded with
+    -inf, the ranks (B, P), the discounts (B, P), zero on padding positives,
+    and the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
@@ -310,12 +332,11 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         scaled = scaled_entries[at]
         n_max = int(counts[-1])
         ranks = 0.5 + _pair_sigmoids(scaled, n_max).sum(axis=2)
-        trunc = sigmoid(steepness * (ks + 0.5 - ranks[:, :, None]))  # (B, P, K)
         # padding positives get a zero discount, so they add nothing
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
-        g_matrix[rows] = np.einsum("bpk,bp->bk", trunc, disc) / idcg
-        blocks.append((rows, at, scaled, ranks, trunc, disc, idcg))
+        g_matrix[rows] = np.einsum("bpk,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
+        blocks.append((rows, at, scaled, ranks, disc, idcg))
         start = stop
     return g_matrix, blocks
 
@@ -328,10 +349,11 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     Backpropagates ``group_disparity`` of the smooth NDCG rows (users without
     positives count in no group) through the soft top-k cutoffs, the smooth
     pairwise ranks, and the candidate scores. ``forward`` is the batch's
-    shared ``_consumer_forward`` result. A block's pairs are rebuilt only when
-    its rank gradient is nonzero; when dL/dG is zero the zero gradient
-    returns at once. None (with a warning) when fewer than two user groups
-    are in the batch.
+    shared ``_consumer_forward`` result. A block's cutoffs are recomputed from
+    its ranks only when its rows' dL/dG is nonzero, and its pairs rebuilt
+    only when its rank gradient is nonzero; when dL/dG is zero the zero
+    gradient returns at once. None (with a warning) when fewer than two user
+    groups are in the batch.
     """
     g_matrix, blocks = forward
     result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
@@ -345,11 +367,15 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                                  np.empty((0, model.dim)))
 
     steepness = config.steepness
+    ks = np.arange(1, g_matrix.shape[1] + 1, dtype=np.float64)
     d_entries = np.zeros(ctx.items.shape[0] + 1)
-    for rows, at, scaled, ranks, trunc, disc, idcg in blocks:
+    for rows, at, scaled, ranks, disc, idcg in blocks:
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # the discount slope -disc^2 / ((r_p + 1) ln 2)
         coeff = d_g[rows] / idcg  # (B, K)
+        if not np.any(coeff):
+            continue
+        trunc = _cutoffs(ranks, ks, steepness)
         d_ranks = (-steepness * np.einsum("bpk,bk->bp", trunc * (1.0 - trunc), coeff) * disc
                    - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
         if not np.any(d_ranks):

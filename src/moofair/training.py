@@ -8,12 +8,26 @@ the aggregated direction, in place on the union of those rows. Validation
 recall drives early stopping and best-checkpoint selection; multiple
 independent rounds form a solution set from which the least-misery rule picks
 the final model.
+
+A step uses two threads. The batch's contexts are drawn on the calling
+thread, in a fixed order from the round's context stream, so the draws do
+not depend on threading. Then one worker, the round's single-thread pool,
+runs the consumer family (the costliest) while the calling thread runs BPR
+and the producer family; both read the same model, and the worker is joined
+before the gradients are combined. A worker exception re-raises in the
+caller, and the worker ends with the round. For the round OpenBLAS is held
+to one thread (``numerics.one_blas_thread``): a multithreaded BLAS call
+leaves its workers spinning on the second core, where they would take the
+time the two families need. Only BLAS reduction order changes, so results
+agree to roundoff, and one BLAS thread alone measured no slower at the
+benchmark's ML-100k and ML-1M shapes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +35,7 @@ import numpy as np
 from .data import TRAIN, VAL, GroupMaskSet, InteractionDataset
 from .metrics import rank_split, recall_at_k
 from .model import FactorModel, attach_negatives, init_model
+from .numerics import one_blas_thread
 from .objectives import (
     CONSUMER_OBJECTIVES,
     OBJECTIVE_IDS,
@@ -170,13 +185,16 @@ def _validation_recall(model: FactorModel, dataset: InteractionDataset,
     return recall_at_k(run) if run.user_ids.shape[0] else 0.0
 
 
-def _objective_results(model, dataset, masks, config, batch, ctx_gen):
+def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
     """Loss and gradient per configured objective for one batch.
 
-    Contexts (candidate negatives, Gumbel noise) are drawn once per batch and
-    shared within each objective family, and so is the family's
-    smooth-ranking forward: its first objective computes it, the others reuse
-    it, and it is dropped before the next family runs.
+    Contexts (candidate negatives, Gumbel noise) are drawn once per batch, on
+    this thread, and shared within each objective family, and so is the
+    family's smooth-ranking forward: its first objective computes it, the
+    others reuse it, and it is dropped when the family is done. The consumer
+    family runs on ``pool``'s worker while this thread runs BPR and the
+    producer family; the families read the same model and fill disjoint
+    results, and the worker is joined before return.
     """
     batch_users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
     consumer_ctx = None
@@ -189,7 +207,8 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
                                               config.n_r_cap,
                                               config.candidate_negatives, ctx_gen)
     results = [None] * config.num_objectives
-    for family in (("bpr",), CONSUMER_OBJECTIVES, PRODUCER_OBJECTIVES):
+
+    def run(family):
         forwards = {}
         for k, objective in enumerate(config.objectives):
             if objective in family:
@@ -197,6 +216,12 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen):
                     objective, model, masks, triplet_batch=batch,
                     consumer_ctx=consumer_ctx, producer_ctx=producer_ctx,
                     config=config, forwards=forwards)
+
+    consumer = None if consumer_ctx is None else pool.submit(run, CONSUMER_OBJECTIVES)
+    run(("bpr",))
+    run(PRODUCER_OBJECTIVES)
+    if consumer is not None:
+        consumer.result()  # re-raises the worker's exception here
     return results
 
 
@@ -241,7 +266,8 @@ def _combine_gradients(results, config):
     return alpha, rows, direction, config.fixed_weights is None
 
 
-def _final_objective_values(model, dataset, masks, config, eval_gen) -> np.ndarray:
+def _final_objective_values(model, dataset, masks, config, eval_gen,
+                            pool) -> np.ndarray:
     """Mean per-objective losses over a deterministic handful of batches."""
     train_users, train_items = dataset.split_pairs(TRAIN)
     n = train_users.shape[0]
@@ -253,7 +279,8 @@ def _final_objective_values(model, dataset, masks, config, eval_gen) -> np.ndarr
         batch = attach_negatives(dataset, eval_gen, train_users[sl], train_items[sl])
         if batch.size == 0:
             continue
-        results = _objective_results(model, dataset, masks, config, batch, eval_gen)
+        results = _objective_results(model, dataset, masks, config, batch, eval_gen,
+                                     pool)
         for k, result in enumerate(results):
             if result is not None:
                 sums[k] += result.loss
@@ -288,40 +315,42 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
     best_epoch = 0
     stale_evals = 0
 
-    for epoch in range(1, config.epochs_max + 1):
-        perm = batch_gen.permutation(n_pairs)
-        for b in range(n_batches):
-            idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
-            batch = attach_negatives(dataset, batch_gen,
-                                     train_users[idx], train_items[idx])
-            if batch.size == 0:
-                continue
-            results = _objective_results(model, dataset, masks, config,
-                                         batch, ctx_gen)
-            alpha, rows, direction, fw_used = _combine_gradients(results, config)
-            fw_calls += int(fw_used)
-            trace.append(epoch, b, alpha)
-            model.params[rows] -= config.learning_rate * direction
-        if epoch % config.eval_every == 0:
-            recall = _validation_recall(model, dataset, config.eval_k)
-            if recall > best_recall:
-                best_recall = recall
-                best_params = model.flatten()
-                best_epoch = epoch
-                stale_evals = 0
-            else:
-                stale_evals += 1
-            if stale_evals >= config.early_stop_patience:
-                logger.info("round %d: early stop at epoch %d", round_index, epoch)
-                break
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        for epoch in range(1, config.epochs_max + 1):
+            perm = batch_gen.permutation(n_pairs)
+            for b in range(n_batches):
+                idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
+                batch = attach_negatives(dataset, batch_gen,
+                                         train_users[idx], train_items[idx])
+                if batch.size == 0:
+                    continue
+                results = _objective_results(model, dataset, masks, config,
+                                             batch, ctx_gen, pool)
+                alpha, rows, direction, fw_used = _combine_gradients(results, config)
+                fw_calls += int(fw_used)
+                trace.append(epoch, b, alpha)
+                model.params[rows] -= config.learning_rate * direction
+            if epoch % config.eval_every == 0:
+                recall = _validation_recall(model, dataset, config.eval_k)
+                if recall > best_recall:
+                    best_recall = recall
+                    best_params = model.flatten()
+                    best_epoch = epoch
+                    stale_evals = 0
+                else:
+                    stale_evals += 1
+                if stale_evals >= config.early_stop_patience:
+                    logger.info("round %d: early stop at epoch %d", round_index, epoch)
+                    break
 
-    if best_params is None:  # never evaluated: keep the final state
-        best_recall = _validation_recall(model, dataset, config.eval_k)
-        best_epoch = config.epochs_max
-    else:
-        model.set_flat(best_params)
+        if best_params is None:  # never evaluated: keep the final state
+            best_recall = _validation_recall(model, dataset, config.eval_k)
+            best_epoch = config.epochs_max
+        else:
+            model.set_flat(best_params)
 
-    values = _final_objective_values(model, dataset, masks, config, eval_gen)
+        values = _final_objective_values(model, dataset, masks, config, eval_gen,
+                                         pool)
     record = SolutionRecord(round_id=round_index + 1, objective_values=values)
     return RoundResult(record=record, trace=trace, model=model,
                        best_epoch=best_epoch, val_recall=float(best_recall),

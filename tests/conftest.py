@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moofair import numerics
 from moofair.data import RawRatings, build_masks, preprocess
 from moofair.model import FactorModel
 from moofair.numerics import as_vector
@@ -171,3 +172,17 @@ def dominates(a, b) -> bool:
     if va.shape != vb.shape:
         raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
     return bool(np.all(va <= vb) and np.any(va < vb))
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, the count set to 2 for the test and
+    restored after it."""
+    controls = numerics._blas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy is not linked against a recognised OpenBLAS")
+    get, set_ = controls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

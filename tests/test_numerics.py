@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from moofair import numerics
 from moofair.model import FactorModel
-from moofair.numerics import sample_gumbel, sigmoid, sorted_distinct
+from moofair.numerics import (
+    one_blas_thread,
+    run_starts,
+    sample_gumbel,
+    sigmoid,
+    sorted_distinct,
+)
 from moofair.objectives import CandidateContext, _producer_forward
 from moofair.training import TrainConfig
 from moofair.solver import gram_matrix
@@ -164,3 +171,37 @@ class TestSortedDistinct:
         got = sorted_distinct(codes)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.unique(codes))
+
+    @given(wide_codes)
+    def test_run_starts_are_first_positions(self, codes):
+        ordered = np.sort(np.asarray(codes, dtype=np.int64))
+        np.testing.assert_array_equal(run_starts(ordered),
+                                      np.unique(ordered, return_index=True)[1])
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_restored_after(self, blas_threads):
+        with one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restored_after_an_exception(self, blas_threads):
+        with pytest.raises(ZeroDivisionError):
+            with one_blas_thread():
+                assert blas_threads() == 1
+                1 / 0
+        assert blas_threads() == 2
+
+    def test_nests(self, blas_threads):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_without_openblas_runs_the_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_blas_thread_controls", lambda: None)
+        ran = []
+        with one_blas_thread():
+            ran.append(True)
+        assert ran == [True]

@@ -11,7 +11,7 @@ from scipy import stats
 
 from moofair import objectives
 from moofair.data import TRAIN, GroupMaskSet, InteractionDataset
-from moofair.model import FactorModel, TripletBatch, init_model
+from moofair.model import FactorModel, ObjectiveGradient, TripletBatch, init_model
 from moofair.numerics import sigmoid
 from moofair.objectives import (
     CandidateContext,
@@ -510,6 +510,24 @@ class TestBlockedConsumerKernel:
             tracemalloc.stop()
         assert peak < pairs * 8 / 4
 
+    def test_forward_keeps_no_cutoffs(self):
+        # the backward recomputes the (B, P, k) soft cutoffs from the ranks:
+        # no block keeps a 3-D array, and a deeper k adds only the ideal DCG
+        # rows, k floats per user, not k per positive
+        gen = np.random.default_rng(9)
+        num_users, width = 40, 60
+        model = init_model(num_users, 200, 4, 0.0, gen, init_std=0.3)
+        ctx = context_for([gen.permutation(200)[:width] for _ in range(num_users)],
+                          gen.integers(0, 30, num_users))
+
+        def retained_bytes(k_max):
+            _, blocks = _consumer_forward(model, ctx, k_max, 1.0)
+            assert max(a.ndim for block in blocks for a in block) == 2
+            return sum(a.nbytes for block in blocks for a in block)
+
+        users = np.count_nonzero(ctx.counts)
+        assert retained_bytes(50) - retained_bytes(5) == users * 45 * 8
+
 
 def ragged_producer_world(seed, num_users=6, num_items=30):
     """A model and a producer context whose rows differ in width and in
@@ -758,6 +776,25 @@ class TestSparseGradientContract:
             # no seen entry: dL/dG was zero and the zero gradient returned early
             oracle = seen[0] if seen else np.zeros(model.params.size)
             np.testing.assert_allclose(dense_gradient(model, result), oracle,
+                                       rtol=0, atol=1e-12)
+
+
+    # one context row per d-score block, a few, and all of them
+    @pytest.mark.parametrize("pair_block", [1, 20, objectives.PAIR_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(world=sparse_worlds(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_embedding_grad_blocks_match_dense_oracle(self, pair_block, world, seed):
+        from unittest import mock
+
+        model, _, consumer, producer, _ = world
+        gen = np.random.default_rng(seed)
+        for ctx in (consumer, producer):
+            d_entries = np.append(gen.normal(size=ctx.items.shape[0]), gen.normal())
+            with mock.patch.object(objectives, "PAIR_BLOCK", pair_block):
+                rows, grad = objectives._embedding_grad(model, ctx, d_entries)
+            result = ObjectiveGradient("gender", 0.0, rows, grad)
+            np.testing.assert_allclose(dense_gradient(model, result),
+                                       dense_embedding_grad(model, ctx, d_entries),
                                        rtol=0, atol=1e-12)
 
 

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import csv
 import hashlib
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +40,13 @@ TINY = dict(
     seed=0,
     rounds=1,
 )
+
+
+@pytest.fixture
+def pool():
+    """The one-worker pool a training round runs its consumer family on."""
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        yield executor
 
 
 class TestTrainConfig:
@@ -136,7 +145,7 @@ class TestMultiObjective:
             assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_min_norm_never_exceeds_single_gradient(self, synthetic_dataset,
-                                                    synthetic_masks):
+                                                    synthetic_masks, pool):
         # recompute one batch by hand and check alpha' M alpha <= min diag
         from moofair.model import attach_negatives, init_model
         from moofair.solver import frank_wolfe_solve, gram_matrix
@@ -151,7 +160,7 @@ class TestMultiObjective:
         batch = attach_negatives(synthetic_dataset, batch_gen,
                                  users[:64], items[:64])
         results = _objective_results(model, synthetic_dataset, synthetic_masks,
-                                     config, batch, ctx_gen)
+                                     config, batch, ctx_gen, pool)
         grads = [dense_gradient(model, r) / (np.linalg.norm(r.grad) + 1e-12)
                  for r in results if r is not None]
         m = gram_matrix(grads)
@@ -188,7 +197,7 @@ class TestSharedForwards:
         return config, model, batch
 
     def test_matches_single_objective_calls(self, synthetic_dataset,
-                                            synthetic_masks):
+                                            synthetic_masks, pool):
         from moofair.objectives import (
             build_consumer_context,
             build_producer_context,
@@ -198,7 +207,7 @@ class TestSharedForwards:
 
         config, model, batch = self.batch_world(synthetic_dataset)
         shared = _objective_results(model, synthetic_dataset, synthetic_masks,
-                                    config, batch, np.random.default_rng(5))
+                                    config, batch, np.random.default_rng(5), pool)
         gen = np.random.default_rng(5)
         users = np.unique(batch.users)
         consumer = build_consumer_context(synthetic_dataset, users,
@@ -218,7 +227,7 @@ class TestSharedForwards:
 
     def test_each_family_forward_runs_once_per_batch(self, synthetic_dataset,
                                                      synthetic_masks,
-                                                     monkeypatch):
+                                                     monkeypatch, pool):
         from moofair import objectives
         from moofair.training import _objective_results
 
@@ -231,9 +240,49 @@ class TestSharedForwards:
             monkeypatch.setattr(objectives, name, counting)
         config, model, batch = self.batch_world(synthetic_dataset)
         results = _objective_results(model, synthetic_dataset, synthetic_masks,
-                                     config, batch, np.random.default_rng(5))
+                                     config, batch, np.random.default_rng(5), pool)
         assert all(r is not None for r in results)
         assert calls == {"_consumer_forward": 1, "_producer_forward": 1}
+
+
+class TestThreadedStep:
+    OBJECTIVES = ("bpr", "gender", "popularity")
+
+    def test_worker_exception_propagates_and_round_cleans_up(
+            self, synthetic_dataset, synthetic_masks, monkeypatch, blas_threads):
+        from moofair import objectives
+
+        raised_on = []
+
+        def failing(*args, **kwargs):
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("consumer objective failed")
+
+        monkeypatch.setattr(objectives, "consumer_fairness_grad", failing)
+        threads_before = threading.active_count()
+        config = TrainConfig(objectives=self.OBJECTIVES, **TINY)
+        with pytest.raises(RuntimeError, match="consumer objective failed"):
+            train_round(synthetic_dataset, synthetic_masks, config)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert blas_threads() == 2
+        assert threading.active_count() == threads_before
+
+    def test_one_blas_thread_during_the_step(self, synthetic_dataset, synthetic_masks,
+                                             monkeypatch, blas_threads):
+        from moofair import objectives
+
+        seen = []
+        consumer_grad = objectives.consumer_fairness_grad
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return consumer_grad(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, "consumer_fairness_grad", recording)
+        config = TrainConfig(objectives=self.OBJECTIVES, **{**TINY, "epochs_max": 1})
+        train_round(synthetic_dataset, synthetic_masks, config)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
 
 
 class TestDeterminism:
