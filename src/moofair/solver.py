@@ -1,9 +1,10 @@
 """Pareto machinery for multi-objective gradient descent.
 
 The per-step objective weights are the coordinates of the minimum-norm point
-in the convex hull of the objective gradients, found by Frank-Wolfe iteration
-on the simplex. Everything here works in Gram form: the solver only ever sees
-the t x t matrix of gradient inner products, never the gradients themselves.
+in the convex hull of the objective gradients, solved exactly from the KKT
+systems of every support. Everything here works in Gram form: the solver only
+ever sees the t x t matrix of gradient inner products, never the gradients
+themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class SimplexWeights:
         v = as_vector(self.values, "weights")
         if v.shape[0] < 1:
             raise ValueError("weights must have at least one entry")
-        if np.any(v < -SIMPLEX_TOL):
+        if np.any(v < 0.0):
             raise ValueError(f"weights must be nonnegative, got {v}")
         if abs(float(v.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"weights must sum to 1, got sum {v.sum()!r}")
@@ -54,14 +55,24 @@ def gram_matrix(gradients) -> np.ndarray:
     return g @ g.T
 
 
-def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6) -> SimplexWeights:
-    """Minimize alpha^T M alpha over the probability simplex.
+def frank_wolfe_solve(M) -> SimplexWeights:
+    """Minimize alpha^T M alpha over the probability simplex, exactly.
 
     M = G G^T is the Gram matrix of the stacked (t x P) objective gradients G,
     so the optimum is the squared norm of the min-norm point alpha^T G of
-    their convex hull. From uniform weights, each iteration moves toward the
-    vertex with the smallest combined inner product by a closed-form line
-    search; a convex combination of simplex points, alpha needs no projection.
+    their convex hull. An optimum of smallest support S uniquely solves the
+    KKT system M_SS a = lambda 1, sum(a) = 1, so the systems of all 2^t - 1
+    supports are solved in one batched pseudo-inverse (which also takes the
+    singular ones of rank-deficient or duplicate gradients), each block
+    divided by its largest entry. Each solution, clipped to the simplex, is a
+    candidate; the one of least duality gap a^T M a - min_i (M a)_i wins.
+    The gap is never negative on the simplex and is zero exactly at the
+    optimum of this convex problem, so no tolerance decides which systems
+    count as solved. The cost grows as 2^t; training has at most five
+    objectives.
+
+    The name predates this exact solve: the benchmark wraps the solver by
+    this name, so renaming it waits for a benchmark change.
     """
     m = as_matrix(M, "M")
     t = m.shape[0]
@@ -70,40 +81,20 @@ def frank_wolfe_solve(M, max_iters: int = 100, tol: float = 1e-6) -> SimplexWeig
     if not np.allclose(m, m.T, atol=1e-9 * max(1.0, float(np.abs(m).max()))):
         raise ValueError("M must be symmetric")
 
-    alpha = np.full(t, 1.0 / t)
-    if t > 1:
-        for _ in range(max_iters):
-            combined = m @ alpha
-            target = int(np.argmin(combined))
-            direction = alpha.copy()
-            direction[target] -= 1.0  # alpha - e_target
-            num = float(direction @ combined)
-            denom = float(direction @ m @ direction)
-            if denom <= 0.0:
-                break
-            w_star = min(1.0, max(0.0, num / denom))
-            new_alpha = (1.0 - w_star) * alpha
-            new_alpha[target] += w_star
-            step_change = w_star * float(np.abs(new_alpha - alpha).sum())
-            alpha = new_alpha
-            if step_change < tol:
-                break
-    return SimplexWeights(alpha)
-
-
-def pareto_stationary(M, alpha: SimplexWeights, tol: float) -> bool:
-    """True iff the weighted gradient combination has (near-)zero norm.
-
-    alpha^T M alpha equals ||sum_i alpha_i g_i||^2, so a value below ``tol``
-    together with valid simplex weights certifies a stationary point.
-    """
-    m = as_matrix(M, "M")
-    a = alpha.values if isinstance(alpha, SimplexWeights) else as_vector(alpha, "alpha")
-    if a.shape[0] != m.shape[0]:
-        raise ValueError(f"alpha length {a.shape[0]} does not match M size {m.shape[0]}")
-    if np.any(a < -SIMPLEX_TOL) or abs(float(a.sum()) - 1.0) > SIMPLEX_TOL:
-        return False
-    return float(a @ m @ a) <= tol
+    on = ((np.arange(1, 2 ** t)[:, None] >> np.arange(t)) & 1).astype(bool)
+    block = np.where(on[:, :, None] & on[:, None, :], m, 0.0)
+    scale = np.abs(block).max(axis=(1, 2))
+    block /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    kkt = np.zeros((on.shape[0], t + 1, t + 1))
+    kkt[:, :t, :t] = block + np.eye(t) * ~on[:, :, None]  # a_i = 0 off the support
+    kkt[:, :t, t] = -1.0 * on
+    kkt[:, t, :t] = on
+    a = np.clip((np.linalg.pinv(kkt) @ np.eye(t + 1)[t])[:, :t], 0.0, None)
+    a = a[a.sum(axis=1) > 0.0]  # the singletons always remain
+    a /= a.sum(axis=1, keepdims=True)
+    combined = a @ m
+    gap = np.einsum("ni,ni->n", a, combined) - combined.min(axis=1)
+    return SimplexWeights(a[np.argmin(gap)])
 
 
 def least_misery_select(records) -> SolutionRecord:

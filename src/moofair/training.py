@@ -1,10 +1,11 @@
 """Multi-objective training loop.
 
 Each batch computes every active objective's loss and its gradient over the
-parameter rows it touches on a shared parameter snapshot, optionally
-normalizes the gradients, solves for the scaling coefficients (min-norm
-Frank-Wolfe, or the configured fixed weights), and applies one SGD step with
-the aggregated direction, in place on the union of those rows. Validation
+parameter rows it touches on a shared parameter snapshot, scales the
+gradients to unit length when several objectives are configured, takes the
+scaling coefficients (the exact min-norm point of the gradients' convex hull,
+or the configured fixed weights), and applies one SGD step with the
+aggregated direction, in place on the union of those rows. Validation
 recall drives early stopping and best-checkpoint selection; multiple
 independent rounds form a solution set from which the least-misery rule picks
 the final model.
@@ -73,12 +74,11 @@ class TrainConfig:
     """Everything one training run depends on, validated at construction
     (``FIELD_RANGES`` for the numeric fields).
 
-    ``grad_normalization`` "l2" scales each active gradient to unit length
-    before weighting; "auto", the default, does so whenever more than one
-    objective is configured (even when only one is active in a batch), and
-    leaves a lone objective's gradient as it is. ``fixed_weights``, one per
-    objective on the simplex, selects fixed-weight training; None (the
-    default) trains with MGDA weights. ``ndcg_k``, ``steepness``,
+    When more than one objective is configured, each active gradient is
+    scaled to unit length before weighting (even when only one is active in
+    a batch); a lone objective's gradient is left as it is. ``fixed_weights``,
+    one per objective on the simplex, selects fixed-weight training; None
+    (the default) trains with MGDA weights. ``ndcg_k``, ``steepness``,
     ``temperature``, ``exposure_patience`` and ``rank_offset`` shape the
     smooth-ranking chains of the fairness objectives (``objectives.py``).
     """
@@ -91,7 +91,6 @@ class TrainConfig:
     epochs_max: int = 300
     eval_every: int = 5
     early_stop_patience: int = 50
-    grad_normalization: str = "auto"
     exposure_patience: float = 0.5
     temperature: float = 1e-5
     ndcg_k: int = 50
@@ -119,8 +118,6 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not within(value):
                     raise ValueError(f"{name} must be {bound}, got {value!r}")
-        if self.grad_normalization not in ("auto", "none", "l2"):
-            raise ValueError("grad_normalization must be 'auto', 'none', or 'l2'")
         if self.fixed_weights is not None:
             weights = tuple(float(w) for w in self.fixed_weights)
             if len(weights) != len(objectives):
@@ -235,9 +232,10 @@ def _combine_gradients(results, config):
     weight and stall every other objective. The active gradients are
     scattered once into a (t x |rows| x d) stack G over the union of their
     rows (a row an objective leaves out is zero there, and zero rows add
-    nothing to G G^T) and normalized in place as ``TrainConfig`` says; the
-    solver runs on G G^T and the direction is alpha[active] @ G. Returns
-    (alpha over all objectives, rows, direction rows, fw_used).
+    nothing to G G^T) and, with several objectives configured, scaled to
+    unit length in place; the solver runs on G G^T and the direction is
+    alpha[active] @ G. Returns (alpha over all objectives, rows, direction
+    rows, fw_used).
     """
     t = config.num_objectives
     norms = np.array([0.0 if r is None else np.linalg.norm(r.grad) for r in results])
@@ -245,20 +243,20 @@ def _combine_gradients(results, config):
     alpha = np.zeros(t)
     if active.size == 0:  # every objective flat or skipped: no step this batch
         return alpha, results[0].rows[:0], results[0].grad[:0], False
-    l2 = config.grad_normalization == "l2" or (config.grad_normalization == "auto" and t > 1)
+    unit = t > 1  # several objectives step along unit-length gradients
     if config.fixed_weights is not None:
         alpha = np.asarray(config.fixed_weights, dtype=np.float64)
     elif active.size == 1:  # one active gradient under MGDA: it is the direction
         alpha[active] = 1.0
         result = results[active[0]]
-        grad = result.grad / (norms[active[0]] + GRAD_NORM_EPS) if l2 else result.grad
+        grad = result.grad / (norms[active[0]] + GRAD_NORM_EPS) if unit else result.grad
         return alpha, result.rows, grad, False
     rows = np.flatnonzero(np.bincount(np.concatenate([results[k].rows for k in active])))
     g = np.zeros((active.size, rows.shape[0], results[0].grad.shape[1]))
     for n, k in enumerate(active):
         g[n, np.searchsorted(rows, results[k].rows)] = results[k].grad
     g = g.reshape(active.size, -1)
-    if l2:
+    if unit:
         g /= norms[active, None] + GRAD_NORM_EPS
     if config.fixed_weights is None:
         alpha[active] = frank_wolfe_solve(gram_matrix(g)).values

@@ -176,6 +176,17 @@ class TestTrain:
         assert err.startswith("error: fixed_weights = '0.9,x': ") and "'x'" in err
         assert not out.exists()
 
+    def test_negative_weight_exits_2(self, bundle, tmp_path, capsys):
+        # a weight a hair below zero, even one the sum tolerance would absorb,
+        # would step its objective up
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--weights", "1.0000000005,-5e-10",
+                     "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert "weights must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_bundle_of_earlier_version_exits_2(self, tmp_path, capsys):
         old = tmp_path / "old"
         old.mkdir()

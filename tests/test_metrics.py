@@ -315,6 +315,22 @@ class TestEvaluate:
         b = evaluate(model, synthetic_dataset, synthetic_masks, k_values=(4,))
         assert a == b
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([-4, -1, 1, 3]))
+    def test_rows_unchanged_under_ties_by_exact_rescaling(self, roomy_dataset, seed, dim,
+                                                          power):
+        # embeddings in {-1, 0, 1} tie most scores; scaling the users by a
+        # power of two scales every score exactly, so the order and its ties
+        # stay, and so must every metric
+        dataset, masks = roomy_dataset
+        gen = np.random.default_rng(seed)
+        users = gen.integers(-1, 2, size=(dataset.num_users, dim)).astype(np.float64)
+        items = gen.integers(-1, 2, size=(dataset.num_items, dim)).astype(np.float64)
+        rows = evaluate(FactorModel(users, items), dataset, masks, k_values=(5, 20))
+        scaled = evaluate(FactorModel(users * 2.0 ** power, items), dataset, masks,
+                          k_values=(5, 20))
+        assert scaled == rows
+
     def test_csv_emission(self, tmp_path, synthetic_dataset, synthetic_masks):
         model = init_model(synthetic_dataset.num_users,
                            synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(8))

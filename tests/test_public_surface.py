@@ -15,10 +15,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "moofair"
 PROGRAM_FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Pareto-stationarity certificate: ROADMAP item 1 reports it in run telemetry.
 # The complement lists: training no longer reads them, but the benchmark's
 # traced run wraps them by name; they go when it stops (ROADMAP).
-UNUSED_ALLOWED = {"solver.pareto_stationary", "data.InteractionDataset.train_complement_lists"}
+UNUSED_ALLOWED = {"data.InteractionDataset.train_complement_lists"}
 
 
 def public_definitions():
@@ -69,6 +68,6 @@ def test_every_public_name_is_used_by_the_program():
 def test_check_sees_definitions_and_uses():
     names = {qualified for qualified, _, _, _ in public_definitions()}
     assert {"objectives.CandidateContext", "model.FactorModel.flatten",
-            "solver.pareto_stationary"} <= names
+            "solver.frank_wolfe_solve"} <= names
     assert UNUSED_ALLOWED <= names
     assert ("cmd_prepare", PACKAGE / "cli.py") in {(n, p) for n, p, _ in uses()}

@@ -11,7 +11,6 @@ from moofair.solver import (
     frank_wolfe_solve,
     gram_matrix,
     least_misery_select,
-    pareto_stationary,
 )
 
 
@@ -84,7 +83,6 @@ class TestFrankWolfe:
         m = np.array([[c, -c], [-c, c]])
         weights = frank_wolfe_solve(m)
         assert weights.values @ m @ weights.values == pytest.approx(0.0, abs=1e-12)
-        assert pareto_stationary(m, weights, tol=1e-10)
 
     def test_single_objective(self):
         weights = frank_wolfe_solve(np.array([[4.0]]))
@@ -94,31 +92,21 @@ class TestFrankWolfe:
         rng = np.random.default_rng(11)
         for _ in range(10):
             m, _ = random_gram(rng, 3, 8)
-            weights = frank_wolfe_solve(m, max_iters=200, tol=1e-9)
+            weights = frank_wolfe_solve(m)
             achieved = float(weights.values @ m @ weights.values)
             oracle = simplex_grid_min(m, step=1e-3)
-            assert achieved <= oracle + 1e-4
-
-    def test_objective_non_increasing(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            m, _ = random_gram(rng, 4, 10)
-            values = []
-            for iters in range(101):
-                alpha = frank_wolfe_solve(m, max_iters=iters, tol=0.0).values
-                values.append(float(alpha @ m @ alpha))
-            assert np.all(np.diff(values) <= 1e-12)
+            assert achieved <= oracle + 1e-12
 
     def test_agrees_with_closed_form_t2(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             g1, g2 = rng.normal(size=(2, 7))
             m = gram_matrix([g1, g2])
-            weights = frank_wolfe_solve(m, max_iters=200, tol=1e-12)
+            weights = frank_wolfe_solve(m)
             alpha = two_objective_alpha(g1, g2)
-            fw_val = float(weights.values @ m @ weights.values)
+            value = float(weights.values @ m @ weights.values)
             cf = alpha * g1 + (1 - alpha) * g2
-            assert fw_val == pytest.approx(float(cf @ cf), abs=1e-8)
+            assert value == pytest.approx(float(cf @ cf), rel=1e-12, abs=1e-12)
 
     def test_simplex_invariants_exact(self):
         rng = np.random.default_rng(14)
@@ -129,67 +117,73 @@ class TestFrankWolfe:
             assert weights.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_common_descent_at_optimum(self):
-        # where the min-norm point is nonzero, the combined direction has
-        # positive inner product with every gradient up to the remaining
-        # duality gap, hence is a common descent direction
+        # where the min-norm point is nonzero, the combined direction has an
+        # inner product of at least its squared norm with every gradient, so
+        # it is a common descent direction
         rng = np.random.default_rng(15)
         for _ in range(30):
             m, _ = random_gram(rng, 3, 25)
-            weights = frank_wolfe_solve(m, max_iters=5000, tol=0.0)
-            a = weights.values
+            a = frank_wolfe_solve(m).values
             value = float(a @ m @ a)
             if value <= 1e-10:
                 continue
             combined = m @ a
-            gap = value - float(combined.min())
-            assert gap <= 1e-4
-            assert np.all(combined >= value - gap - 1e-12)
+            assert np.all(combined >= value - 1e-12 * np.abs(m).max())
             assert np.any(combined > 0)
 
     def test_common_descent_exact_for_two_objectives(self):
-        # the two-objective segment is explored exactly, so the KKT equality
-        # holds to roundoff on the active components
+        # the KKT equality holds to roundoff on the active components
         rng = np.random.default_rng(19)
         for _ in range(50):
             m, _ = random_gram(rng, 2, 25)
-            weights = frank_wolfe_solve(m, max_iters=50, tol=0.0)
-            a = weights.values
+            a = frank_wolfe_solve(m).values
             value = float(a @ m @ a)
             if value <= 1e-10:
                 continue
             combined = m @ a
             active = a > 1e-9
-            assert np.all(combined[active] >= value - 1e-8)
+            np.testing.assert_allclose(combined[active], value, rtol=0,
+                                       atol=1e-12 * np.abs(m).max())
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             frank_wolfe_solve(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def gradient_sets(min_t=2, max_t=5):
-    """t gradients of 1 to 8 coordinates in [-100, 100]."""
-    return st.tuples(st.integers(min_t, max_t), st.integers(1, 8)).flatmap(
-        lambda shape: arrays(np.float64, shape,
-                             elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+@st.composite
+def gradient_sets(draw, min_t=1, max_t=5):
+    """t gradients of 1 to 8 coordinates in [-100, 100]. Each row after the
+    first is its own draw or a multiple (0, 1, -1 or 1/2) of an earlier row,
+    so zero, duplicate and parallel gradients and rank-deficient Gram
+    matrices all occur."""
+    t, dim = draw(st.integers(min_t, max_t)), draw(st.integers(1, 8))
+    g = draw(arrays(np.float64, (t, dim),
+                    elements=st.floats(-100.0, 100.0, allow_subnormal=False))).copy()
+    for i in range(1, t):
+        source = draw(st.integers(-1, i - 1))  # -1 keeps the row's own draw
+        if source >= 0:
+            g[i] = draw(st.sampled_from([0.0, 1.0, -1.0, 0.5])) * g[source]
+    return g
 
 
 class TestFrankWolfeProperties:
-    """Frank-Wolfe on random PSD Gram matrices of random gradients."""
+    """The exact solver on Gram matrices of random, often degenerate,
+    gradients."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(gradient_sets())
     def test_kkt_conditions(self, gradients):
         # KKT of min a^T M a on the simplex: (M a)_i >= a^T M a for every i,
-        # with equality where a_i > 0. Frank-Wolfe closes the gap
-        # a^T M a - min_i (M a)_i like 1 / iterations; 1000 of them leave
-        # under 1e-3 of the largest eigenvalue.
+        # with equality where a_i > 0; both hold to 1e-12 of the largest
+        # eigenvalue (floored at 1e-300: smaller Gram entries are subnormal
+        # and have no relative precision left)
         m = gram_matrix(gradients)
-        a = frank_wolfe_solve(m, max_iters=1000, tol=0.0).values
+        a = frank_wolfe_solve(m).values
         value = float(a @ m @ a)
         combined = m @ a
-        tol = 2e-3 * max(float(np.linalg.eigvalsh(m).max()), 1e-300)
+        tol = 1e-12 * max(float(np.linalg.eigvalsh(m).max()), 1e-300)
         assert np.all(a >= 0.0) and a.sum() == pytest.approx(1.0, abs=1e-12)
-        assert value - combined.min() <= tol
+        assert np.all(combined >= value - tol)
         assert np.all(np.abs(a * (combined - value)) <= tol)
 
     @settings(max_examples=200, deadline=None)
@@ -207,28 +201,6 @@ class TestFrankWolfeProperties:
         curvature = float((g1 - g2) @ (g1 - g2))
         if curvature > 0.0:
             assert a[0] == pytest.approx(alpha, abs=1e-7 * np.sqrt(scale / curvature))
-
-
-class TestParetoStationary:
-    def test_opposite_gradients(self):
-        m = gram_matrix([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
-        assert pareto_stationary(m, SimplexWeights(np.array([0.5, 0.5])), 1e-9)
-
-    def test_single_nonzero_gradient(self):
-        m = gram_matrix([np.array([1.0, 2.0])])
-        assert not pareto_stationary(m, SimplexWeights(np.array([1.0])), 1e-9)
-
-    def test_oracle_agreement(self):
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            m, _ = random_gram(rng, 3, 4)
-            weights = frank_wolfe_solve(m, max_iters=500, tol=1e-12)
-            oracle = simplex_grid_min(m, step=1e-2)
-            tol = 1e-8
-            if oracle <= tol:
-                assert pareto_stationary(m, weights, tol + 1e-4)
-            if not pareto_stationary(m, weights, tol):
-                assert oracle > tol / 10
 
 
 class TestDominates:
@@ -255,6 +227,9 @@ class TestSimplexWeights:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SimplexWeights(np.array([-0.1, 1.1]))
+        # no tolerance below zero: a negative weight would step an objective up
+        with pytest.raises(ValueError, match="nonnegative"):
+            SimplexWeights(np.array([1.0000000005, -5e-10]))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import csv
 import hashlib
@@ -75,8 +74,8 @@ class TestTrainConfig:
             TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.7, 0.7))
 
     def test_normalization_auto(self):
-        # "auto" leaves a lone objective's gradient as it is and scales the
-        # gradients of several objectives to unit length
+        # a lone configured objective steps along its gradient as it is; with
+        # several configured, the gradients are scaled to unit length
         from moofair.training import _combine_gradients
 
         results = TestCombineGradients.results([3.0, 4.0])
@@ -120,18 +119,6 @@ class TestSingleObjective:
                                                         "eval_every": 1})
         baseline = train_round(synthetic_dataset, synthetic_masks, untrained)
         assert result.val_recall >= baseline.val_recall
-
-    def test_zero_weight_fairness_matches_bpr_only(self, synthetic_dataset,
-                                                   synthetic_masks):
-        shared = {**TINY, "grad_normalization": "none"}
-        bpr_only = TrainConfig(objectives=("bpr",), **shared)
-        zero_fair = TrainConfig(objectives=("bpr", "gender"), fixed_weights=(1.0, 0.0),
-                                **shared)
-        a = train_round(synthetic_dataset, synthetic_masks, bpr_only)
-        b = train_round(synthetic_dataset, synthetic_masks, zero_fair)
-        assert np.array_equal(a.model.user_embeddings, b.model.user_embeddings)
-        assert np.array_equal(a.model.item_embeddings, b.model.item_embeddings)
-        assert b.fw_calls == 0
 
 
 class TestMultiObjective:
@@ -394,18 +381,19 @@ class TestGridSearch:
         assert "error: grid: catalog too small" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset, synthetic_masks):
-        # a grid point of `moofair grid` at weight 1 on bpr trains like bpr alone
-        shared = {**TINY, "grad_normalization": "none", "epochs_max": 3}
-        config = TrainConfig(objectives=("bpr", "popularity"), **shared)
-        point = train_round(synthetic_dataset, synthetic_masks,
-                            replace(config, fixed_weights=(1.0, 0.0)))
-        baseline = train_round(synthetic_dataset, synthetic_masks,
-                               TrainConfig(objectives=("bpr",), **shared))
-        assert np.array_equal(point.model.user_embeddings, baseline.model.user_embeddings)
-        assert np.array_equal(point.model.item_embeddings, baseline.model.item_embeddings)
-        assert point.best_epoch == baseline.best_epoch
-        assert point.fw_calls == 0
+    def test_full_weight_on_bpr_ignores_the_other_objective(self, synthetic_dataset,
+                                                            synthetic_masks):
+        # a grid point of `moofair grid` at weight 1 on bpr steps along the
+        # unit-length BPR gradient, whichever objective has weight 0
+        gender, popularity = (
+            train_round(synthetic_dataset, synthetic_masks,
+                        TrainConfig(objectives=("bpr", other), fixed_weights=(1.0, 0.0),
+                                    **TINY))
+            for other in ("gender", "popularity"))
+        assert np.array_equal(gender.model.user_embeddings, popularity.model.user_embeddings)
+        assert np.array_equal(gender.model.item_embeddings, popularity.model.item_embeddings)
+        assert gender.best_epoch == popularity.best_epoch
+        assert gender.fw_calls == popularity.fw_calls == 0
 
 
 class TestCombineGradients:
@@ -419,12 +407,13 @@ class TestCombineGradients:
                 for g in grads]
 
     def test_single_active_gradient_is_the_direction(self):
+        # scaled to unit length, as three objectives are configured
         from moofair.training import _combine_gradients
 
         results = self.results([3.0, 4.0], [0.0, 0.0], None)
-        config = TrainConfig(objectives=("bpr", "gender", "age"), grad_normalization="none")
+        config = TrainConfig(objectives=("bpr", "gender", "age"))
         alpha, rows, direction, fw_used = _combine_gradients(results, config)
-        assert direction is results[0].grad
+        np.testing.assert_allclose(direction, [[0.6, 0.8]], rtol=1e-12)
         assert rows is results[0].rows
         np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
         assert not fw_used
@@ -434,19 +423,19 @@ class TestCombineGradients:
 
         results = self.results([3.0, 4.0], [0.0, 0.0], [1.0, 0.0])
         config = TrainConfig(objectives=("bpr", "gender", "age"),
-                             fixed_weights=(0.5, 0.3, 0.2), grad_normalization="none")
+                             fixed_weights=(0.5, 0.3, 0.2))
         alpha, rows, direction, fw_used = _combine_gradients(results, config)
         np.testing.assert_array_equal(alpha, [0.5, 0.3, 0.2])
         np.testing.assert_array_equal(rows, [0])
-        np.testing.assert_array_equal(direction, [[0.5 * 3.0 + 0.2, 0.5 * 4.0]])
+        # the unit-length gradients (0.6, 0.8) and (1, 0), weighted
+        np.testing.assert_allclose(direction, [[0.5 * 0.6 + 0.2, 0.5 * 0.8]], rtol=1e-12)
         assert not fw_used
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.sampled_from(["l2", "none"]),
-           st.booleans())
-    def test_union_of_rows_matches_dense_stack(self, seed, t, normalization, fixed):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.booleans())
+    def test_union_of_rows_matches_dense_stack(self, seed, t, fixed):
         # oracle: the dense step over the flattened parameters that the
-        # sparse-row one replaced (stack, normalize, solve, combine)
+        # sparse-row one replaced (stack, scale to unit length, solve, combine)
         from moofair.model import ObjectiveGradient
         from moofair.solver import frank_wolfe_solve
         from moofair.training import GRAD_NORM_EPS, _combine_gradients
@@ -463,14 +452,12 @@ class TestCombineGradients:
             dense.append(full.ravel())
         weights = gen.dirichlet(np.ones(t)) if fixed else None
         config = TrainConfig(objectives=("bpr", "gender", "age", "popularity")[:t],
-                             grad_normalization=normalization,
                              fixed_weights=None if weights is None else tuple(weights))
         alpha, rows, direction, _ = _combine_gradients(results, config)
         active = [k for k in range(t) if np.linalg.norm(dense[k]) > 1e-10]
         assert np.all(np.diff(rows) > 0)
         g = np.stack([dense[k] for k in active]) if active else np.zeros((0, num_rows * dim))
-        if normalization == "l2":
-            g /= np.linalg.norm(g, axis=1, keepdims=True) + GRAD_NORM_EPS
+        g /= np.linalg.norm(g, axis=1, keepdims=True) + GRAD_NORM_EPS
         if not fixed and len(active) > 1:
             np.testing.assert_allclose(alpha[active], frank_wolfe_solve(g @ g.T).values,
                                        rtol=1e-9, atol=1e-12)
@@ -517,10 +504,10 @@ class TestGoldenResults:
         assert result.fw_calls == 28
         np.testing.assert_allclose(
             result.record.objective_values,
-            [38.115462338492065, 7.153118682886782e-05, 0.4386950270799586], rtol=1e-10)
+            [38.11546182329183, 7.153115319072087e-05, 0.438694982020334], rtol=1e-10)
         np.testing.assert_allclose(
             np.mean([alpha for _, _, alpha in result.trace.entries], axis=0),
-            [0.35553461409544546, 0.28419485691560237, 0.3602705289889522], rtol=1e-10)
+            [0.35553347401877744, 0.28422527311844875, 0.3602412528627739], rtol=1e-10)
         row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
         np.testing.assert_allclose(
             [row["recall"], row["ndcg"], row["disparity_i"]],
