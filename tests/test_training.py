@@ -120,6 +120,40 @@ class TestSingleObjective:
         baseline = train_round(synthetic_dataset, synthetic_masks, untrained)
         assert result.val_recall >= baseline.val_recall
 
+    def test_zero_weight_fairness_matches_bpr_only(self, synthetic_dataset,
+                                                   synthetic_masks, pool):
+        # with weight 0 on fairness, a batch's step is BPR alone's step scaled
+        # to unit length (a pair steps along unit-length gradients)
+        from moofair.model import attach_negatives, init_model
+        from moofair.training import (GRAD_NORM_EPS, _combine_gradients,
+                                      _objective_results, _round_streams)
+
+        def step(config):
+            init_gen, batch_gen, ctx_gen = _round_streams(config.seed, 0)
+            model = init_model(synthetic_dataset.num_users, synthetic_dataset.num_items,
+                               config.dim, config.reg, init_gen)
+            users, items = synthetic_dataset.split_pairs(0)
+            batch = attach_negatives(synthetic_dataset, batch_gen, users[:64], items[:64])
+            results = _objective_results(model, synthetic_dataset, synthetic_masks,
+                                         config, batch, ctx_gen, pool)
+            alpha, rows, direction, fw_used = _combine_gradients(results, config)
+            dense = np.zeros((model.num_users + model.num_items, model.dim))
+            dense[rows] = direction
+            return alpha, dense, fw_used, results[1:]
+
+        _, bpr_only, _, _ = step(TrainConfig(objectives=("bpr",), **TINY))
+        alpha, zero_fair, fw_used, (fair,) = step(
+            TrainConfig(objectives=("bpr", "gender"), fixed_weights=(1.0, 0.0), **TINY))
+        assert fair is not None and np.linalg.norm(fair.grad) > 0.0
+        np.testing.assert_array_equal(alpha, [1.0, 0.0])
+        assert not fw_used
+        np.testing.assert_allclose(
+            zero_fair, bpr_only / (np.linalg.norm(bpr_only) + GRAD_NORM_EPS),
+            rtol=1e-12, atol=1e-15)
+        result = train_round(synthetic_dataset, synthetic_masks, TrainConfig(
+            objectives=("bpr", "gender"), fixed_weights=(1.0, 0.0), **TINY))
+        assert result.fw_calls == 0
+
 
 class TestMultiObjective:
     def test_alpha_on_simplex_and_bounded_by_diag(self, synthetic_dataset,
@@ -381,10 +415,10 @@ class TestGridSearch:
         assert "error: grid: catalog too small" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_full_weight_on_bpr_ignores_the_other_objective(self, synthetic_dataset,
-                                                            synthetic_masks):
-        # a grid point of `moofair grid` at weight 1 on bpr steps along the
-        # unit-length BPR gradient, whichever objective has weight 0
+    def test_full_weight_on_bpr_equals_baseline(self, synthetic_dataset, synthetic_masks):
+        # a grid point of `moofair grid` at weight 1 on bpr trains like the
+        # BPR baseline of a pair, the unit-length BPR gradient, whichever
+        # objective has weight 0
         gender, popularity = (
             train_round(synthetic_dataset, synthetic_masks,
                         TrainConfig(objectives=("bpr", other), fixed_weights=(1.0, 0.0),
