@@ -1,7 +1,8 @@
 """Command-line front door: prepare, train, eval, grid.
 
-Heavy imports happen after thread setup so MOOFAIR_THREADS can cap the BLAS
-worker pools; keep this module free of numpy imports at load time.
+Each command imports what it needs when it runs, so ``moofair --help`` and
+usage errors answer without loading numpy; keep this module free of numpy
+imports at load time.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ class OutputLock:
         with contextlib.suppress(FileNotFoundError):
             os.remove(self.path)
         return False
-
-
-def _setup_threads() -> None:
-    limit = os.environ.get("MOOFAIR_THREADS")
-    if not limit:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, limit)
 
 
 def _require_dir(path: str, what: str) -> str:
@@ -340,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_threads()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -57,7 +57,8 @@ class DataFormatError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """No interactions survive ingestion or filtering."""
+    """No interactions survive ingestion or filtering, or none are in the
+    split an operation needs."""
 
 
 @dataclass
@@ -110,7 +111,6 @@ class InteractionDataset:
     user_ids: np.ndarray
     item_ids: np.ndarray
     _train_positives: tuple | None = field(default=None, repr=False)
-    _train_complements: list | None = field(default=None, repr=False)
     _train_membership: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -153,19 +153,17 @@ class InteractionDataset:
         return self._train_membership
 
     def train_complement_lists(self) -> list:
-        """Per-user sorted arrays of items that are not train positives
-        (cached). Training does not use them; the benchmark's traced run
-        still wraps this method."""
-        if self._train_complements is None:
-            catalog = np.arange(self.num_items, dtype=np.int64)
-            keep = np.ones(self.num_items, dtype=bool)
-            complements = []
-            for positives in self.train_positive_lists():
-                keep[positives] = False
-                complements.append(catalog[keep])
-                keep[positives] = True
-            self._train_complements = complements
-        return self._train_complements
+        """Per-user sorted arrays of items that are not train positives.
+        Training does not use them; the benchmark's traced run still wraps
+        this method."""
+        catalog = np.arange(self.num_items, dtype=np.int64)
+        keep = np.ones(self.num_items, dtype=bool)
+        complements = []
+        for positives in self.train_positive_lists():
+            keep[positives] = False
+            complements.append(catalog[keep])
+            keep[positives] = True
+        return complements
 
 
 @dataclass
@@ -491,9 +489,9 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
     return masks
 
 
-def popularity_mask(dataset: InteractionDataset,
-                    groups: int = POPULARITY_GROUPS) -> np.ndarray:
-    """Partition items into equal-size popularity groups by train-split counts.
+def popularity_mask(dataset: InteractionDataset) -> np.ndarray:
+    """Partition items into ``POPULARITY_GROUPS`` equal-size popularity groups
+    by train-split counts.
 
     Row 0 holds the most popular items (label 5 of 5); sizes differ by at
     most one, with the larger groups at the popular end.
@@ -501,10 +499,10 @@ def popularity_mask(dataset: InteractionDataset,
     counts = np.bincount(dataset.items[dataset.split == TRAIN],
                          minlength=dataset.num_items)
     order = np.lexsort((np.arange(dataset.num_items), -counts))
-    base, extra = divmod(dataset.num_items, groups)
-    sizes = base + (np.arange(groups) < extra)
-    mask = np.zeros((groups, dataset.num_items), dtype=np.int8)
-    mask[np.repeat(np.arange(groups), sizes), order] = 1
+    base, extra = divmod(dataset.num_items, POPULARITY_GROUPS)
+    sizes = base + (np.arange(POPULARITY_GROUPS) < extra)
+    mask = np.zeros((POPULARITY_GROUPS, dataset.num_items), dtype=np.int8)
+    mask[np.repeat(np.arange(POPULARITY_GROUPS), sizes), order] = 1
     return mask
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TEST, GroupMaskSet, InteractionDataset
+from .data import TEST, EmptyDatasetError, GroupMaskSet, InteractionDataset
 from .model import FactorModel
 from .numerics import run_starts, sorted_distinct
 from .objectives import exposure_disparity, group_disparity
@@ -133,12 +133,15 @@ def build_recommendations(model: FactorModel, dataset: InteractionDataset,
                           k: int) -> RecommendationRun:
     """Rank the catalog per user and keep the top k unseen items.
 
-    Users without test positives are excluded from evaluation. Ties are broken
-    by item id so reruns are byte-stable.
+    Users without test positives are excluded from evaluation;
+    ``EmptyDatasetError`` when that leaves none. Ties are broken by item id so
+    reruns are byte-stable.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     run, top = rank_split(model, dataset, k, TEST)
+    if run.user_ids.shape[0] == 0:
+        raise EmptyDatasetError("no user has test positives to evaluate")
     if top.shape[1] < k or np.any(top == -np.inf):
         raise CatalogTooSmallError(f"catalog too small to recommend {k} unseen items")
     return run
@@ -189,12 +192,13 @@ def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
     """Producer-side disparity: the training loss ``exposure_disparity`` on
     hard exposures.
 
-    Each recommended slot contributes patience**position to every group of
-    its item; the normalized distribution is compared to the flat target.
+    The slot at 0-based position r contributes patience**r to every group of
+    its item, as the smooth exposure of training; the normalized distribution
+    is compared to the flat target.
     """
     if not 0.0 < patience < 1.0:
         raise ValueError(f"patience must be in (0, 1), got {patience}")
-    slot_exposure = np.power(patience, np.arange(1, run.k + 1, dtype=np.float64))
+    slot_exposure = np.power(patience, np.arange(run.k, dtype=np.float64))
     result = exposure_disparity((item_group_mask[:, run.lists] @ slot_exposure).sum(axis=1))
     if result is None:
         raise ValueError("no recommended item belongs to any group")

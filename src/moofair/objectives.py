@@ -12,10 +12,10 @@ normalized exposure distribution is pulled toward the flat distribution
 The hyperparameters of both smooth-ranking chains are ``TrainConfig``
 fields (``training.py``), which validates them: ``ndcg_k`` and ``steepness``
 for the sigmoid rank approximation of Qin, Liu & Li (IRJ 2010) with soft
-top-k cutoffs on the consumer side; ``temperature``, ``exposure_patience``
-and ``rank_offset`` for the temperature ranks and position-biased exposure
-of Singh & Joachims (KDD 2018) on the producer side, whose equal-exposure
-notion sets the flat target.
+top-k cutoffs on the consumer side; ``temperature`` and ``exposure_patience``
+for the temperature ranks and position-biased exposure of Singh & Joachims
+(KDD 2018) on the producer side, whose equal-exposure notion sets the flat
+target.
 
 Every objective returns its scalar loss together with its analytic gradient
 over the parameter rows it touches (``model.ObjectiveGradient``): the batch's
@@ -415,7 +415,8 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     Probabilities are the softmax of the Gumbel-perturbed candidate scores,
     padding scored -inf. A relevant item's smooth 0-based rank is
     sum_{j != i} sigmoid(-(p_i - p_j) / temperature) over the row's
-    candidates, and its exposure is exposure_patience ** (rank + rank_offset).
+    candidates, and its exposure is exposure_patience ** rank, as evaluation's
+    slot at 0-based position rank (``metrics.disparity_item``).
     The pair chain runs on blocks of rows of at most ``PAIR_BLOCK`` pairs,
     each written in place into its rows of the slope.
     """
@@ -443,8 +444,7 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
         pair *= ~pad[block, None, :]  # padding columns are no candidates
         ranks[block] = pair.sum(axis=2) - 0.5  # remove the j == i term
         slope_sums[block] = _rank_slope(pair).sum(axis=2)
-    expo = np.where(relevant, np.power(config.exposure_patience, ranks + config.rank_offset),
-                    0.0)
+    expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)
     relevant_items = ctx.items[at[:, :n_rel][relevant]]
     return at, relevant, relevant_items, probs, expo, slope, slope_sums
 

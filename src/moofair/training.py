@@ -64,7 +64,7 @@ FIELD_RANGES = (
     (("learning_rate", "temperature", "steepness"), "> 0", lambda v: v > 0),
     (("batch_size", "dim", "epochs_max", "eval_every", "early_stop_patience",
       "ndcg_k", "n_r_cap", "rounds", "eval_k"), ">= 1", lambda v: v >= 1),
-    (("reg", "rank_offset", "candidate_negatives", "seed"), ">= 0", lambda v: v >= 0),
+    (("reg", "candidate_negatives", "seed"), ">= 0", lambda v: v >= 0),
     (("exposure_patience",), "in (0, 1)", lambda v: 0 < v < 1),
 )
 
@@ -79,8 +79,8 @@ class TrainConfig:
     a batch); a lone objective's gradient is left as it is. ``fixed_weights``,
     one per objective on the simplex, selects fixed-weight training; None
     (the default) trains with MGDA weights. ``ndcg_k``, ``steepness``,
-    ``temperature``, ``exposure_patience`` and ``rank_offset`` shape the
-    smooth-ranking chains of the fairness objectives (``objectives.py``).
+    ``temperature`` and ``exposure_patience`` shape the smooth-ranking chains
+    of the fairness objectives (``objectives.py``).
     """
 
     objectives: tuple = ("bpr",)
@@ -95,7 +95,6 @@ class TrainConfig:
     temperature: float = 1e-5
     ndcg_k: int = 50
     steepness: float = 1.0
-    rank_offset: float = 1.0
     n_r_cap: int = 10
     candidate_negatives: int = 200
     seed: int = 0

@@ -88,7 +88,6 @@ FIELD_BOUNDS = (
     ("rounds", 0, 1),
     ("eval_k", 0, 1),
     ("reg", -1e-12, 0.0),
-    ("rank_offset", -1e-12, 0.0),
     ("candidate_negatives", -1, 0),
     ("seed", -1, 0),
     ("exposure_patience", 0.0, 1e-12),

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from moofair.data import load_bundle, save_bundle
+from moofair.data import TEST, InteractionDataset, load_bundle, save_bundle
 from moofair.metrics import build_recommendations, disparity_item, disparity_user
-from moofair.model import load_checkpoint
+from moofair.model import FactorModel, load_checkpoint, save_checkpoint
 from moofair.training import TrainConfig, train_round
 from conftest import FIELD_BOUNDS, GENRES, make_raw
 
@@ -408,9 +408,47 @@ class TestGrid:
         assert not (tmp_path / "g").exists()
 
 
+class TestNoTestRows:
+    """A bundle without TEST rows loads, but nothing in it can be evaluated."""
+
+    @pytest.fixture()
+    def untested(self, synthetic_dataset, synthetic_masks, tmp_path):
+        kept = synthetic_dataset.split != TEST
+        dataset = InteractionDataset(
+            synthetic_dataset.num_users, synthetic_dataset.num_items,
+            synthetic_dataset.users[kept], synthetic_dataset.items[kept],
+            synthetic_dataset.timestamps[kept], synthetic_dataset.split[kept],
+            synthetic_dataset.user_ids, synthetic_dataset.item_ids)
+        bundle = tmp_path / "bundle"
+        save_bundle(str(bundle), dataset, synthetic_masks)
+        checkpoint = tmp_path / "checkpoint"
+        save_checkpoint(FactorModel(np.zeros((dataset.num_users, 2)),
+                                    np.zeros((dataset.num_items, 2))), str(checkpoint))
+        return bundle, checkpoint
+
+    def test_eval_exits_2(self, untested, tmp_path, capsys):
+        bundle, checkpoint = untested
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(checkpoint),
+                     "--out", str(out), "--k", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no user has test positives to evaluate\n"
+        assert not out.exists()
+
+    def test_grid_exits_2_before_training(self, untested, tmp_path, capsys):
+        bundle, _ = untested
+        out = tmp_path / "g"
+        code = main(["grid", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--grid", "0.5",
+                     "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no user has test positives to evaluate\n"
+        assert not out.exists()
+
+
 class TestPackage:
     def test_cli_import_loads_no_numpy_and_submodules_import(self):
-        # MOOFAIR_THREADS caps the BLAS pools only if numpy loads after main starts
+        # commands import numpy when they run, so --help and usage errors stay fast
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -20,6 +20,7 @@ from moofair.objectives import (
     build_consumer_context,
     build_producer_context,
     consumer_fairness_grad,
+    exposure_disparity,
     fairness_grad,
     group_disparity,
     producer_fairness_grad,
@@ -223,13 +224,12 @@ def producer_loss(model, ctx, mask, config):
 
 class TestProducerLoss:
     def hand_instance(self):
-        # one user, two relevant items with distinct scores so the smooth
-        # ranks are effectively hard (0, 1); offset 1 makes exposures
-        # (0.5, 0.25)
+        # one user, two relevant items with distinct scores: the smooth ranks
+        # are effectively hard (0, 1) and the exposures (1, 0.5)
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5)
         return model, ctx, mask, config
 
     def test_hand_computed_pipeline(self):
@@ -243,14 +243,14 @@ class TestProducerLoss:
         model = FactorModel(np.array([[1.0]]), np.array([[1.5], [1.5]]))
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.eye(2, dtype=np.int8)
-        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5)
         assert producer_loss(model, ctx, mask, config) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_exposure_in_one_group(self):
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
         ctx = producer_context_for([[0, 1]], [2])
         mask = np.array([[1, 1], [0, 0]], dtype=np.int8)
-        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5)
         loss = producer_loss(model, ctx, mask, config)
         assert loss == pytest.approx(0.5)
 
@@ -259,12 +259,26 @@ class TestProducerLoss:
         ctx = producer_context_for([[0, 1]], [2])
         # item 0 belongs to both groups: routed sums exceed its own exposure
         mask = np.array([[1, 1], [1, 0]], dtype=np.int8)
-        config = TrainConfig(temperature=1e-6, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=1e-6, exposure_patience=0.5)
         loss = producer_loss(model, ctx, mask, config)
-        raw = np.array([0.5 + 0.25, 0.5])
+        raw = np.array([1.0 + 0.5, 1.0])
         eps = raw / raw.sum()
         expected = float(np.sum((eps - 0.5) ** 2))
         assert loss == pytest.approx(expected, abs=1e-9)
+
+    @given(raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=2,
+                        max_size=8).filter(any),
+           scale=st.floats(1e-3, 1e3))
+    def test_scale_invariant(self, raw, scale):
+        # a common factor in every group's exposure cancels in the
+        # normalization: same loss, gradient divided by the factor
+        raw = np.asarray(raw)
+        loss, grad = exposure_disparity(raw)
+        scaled_loss, scaled_grad = exposure_disparity(scale * raw)
+        assert scaled_loss == pytest.approx(loss, rel=1e-12, abs=1e-15)
+        # the gradient is (2 / sum(raw)) times a difference of values in [-1, 1]
+        np.testing.assert_allclose(scaled_grad * scale, grad, rtol=1e-9,
+                                   atol=1e-12 / raw.sum())
 
     def test_empty_batch_skipped(self, caplog):
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
@@ -594,8 +608,7 @@ def one_block_producer_forward(model, ctx, config):
     pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
     pair *= ~pad[:, None, :]
     ranks = pair.sum(axis=2) - 0.5
-    expo = np.where(relevant, np.power(config.exposure_patience, ranks + config.rank_offset),
-                    0.0)
+    expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)
     slope = objectives._rank_slope(pair)
     relevant_items = ctx.items[at[:, :n_rel][relevant]]
     return at, relevant, relevant_items, probs, expo, slope, slope.sum(axis=2)
@@ -610,7 +623,7 @@ class TestBlockedProducerChain:
     def test_bitwise_equal_to_one_block(self, monkeypatch, seed, pair_block):
         monkeypatch.setattr(objectives, "PAIR_BLOCK", pair_block)
         model, ctx, _ = ragged_producer_world(seed, num_users=40)
-        config = TrainConfig(temperature=0.05, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=0.05, exposure_patience=0.5)
         reference = one_block_producer_forward(model, ctx, config)
         if pair_block == 100:
             # several rows per block, and several blocks
@@ -628,7 +641,7 @@ class TestProducerGradient:
         # padding columns score -inf and are left out of the pair sums, so
         # each row's exposures equal those of the row run alone
         model, ctx, _ = ragged_producer_world(seed)
-        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5)
         _, relevant, _, probs, expo, _, _ = _producer_forward(model, ctx, config)
         rows = np.flatnonzero(ctx.counts)
         starts = np.cumsum(ctx.widths) - ctx.widths
@@ -645,14 +658,14 @@ class TestProducerGradient:
 
     def test_ragged_rows_match_finite_differences(self):
         model, ctx, item_mask = ragged_producer_world(3)
-        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5)
         result = producer_grad(model, ctx, item_mask, config)
         assert finite_difference_error(
             model, result, lambda probe: producer_grad(probe, ctx, item_mask, config).loss) <= 1e-4
 
     def test_matches_finite_differences(self):
         model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
-        config = TrainConfig(temperature=0.25, exposure_patience=0.5, rank_offset=1.0)
+        config = TrainConfig(temperature=0.25, exposure_patience=0.5)
         result = producer_grad(model, producer, item_mask, config)
 
         def loss_of(probe):

@@ -5,7 +5,7 @@ positives among its candidates, r_p = 0.5 + sum_j sigmoid(steepness (s_j - s_p))
 (Qin, Liu & Li, IRJ 2010), and its smooth NDCG rows. Producer side:
 ``_producer_forward``'s sampling probabilities, 0-based temperature ranks
 r_i = sum_{j != i} sigmoid(-(p_i - p_j) / temperature) and position-biased
-exposure patience ** (r_i + rank_offset) (Singh & Joachims, KDD 2018).
+exposure patience ** r_i (Singh & Joachims, KDD 2018).
 
 Scores are set directly: one user with embedding 1 and one-dimensional item
 embeddings equal to the wanted scores.
@@ -14,13 +14,15 @@ embeddings equal to the wanted scores.
 import numpy as np
 import pytest
 
-from moofair.metrics import top_k_items
+from moofair import metrics
+from moofair.metrics import RecommendationRun, top_k_items
 from moofair.model import FactorModel
 from moofair.numerics import sample_gumbel, sigmoid
 from moofair.objectives import (
     _consumer_forward,
     _producer_forward,
     build_producer_context,
+    exposure_disparity,
 )
 from moofair.training import TrainConfig
 from conftest import flat_context
@@ -49,15 +51,13 @@ def smooth_ranks(scores, steepness=1.0):
     return consumer_forward(scores, steepness)[1]
 
 
-def producer_bucket(scores, temperature=1e-5, patience=0.5, rank_offset=1.0,
-                    relevant=None, noise=None):
+def producer_bucket(scores, temperature=1e-5, patience=0.5, relevant=None, noise=None):
     """(probabilities, exposures) of the one user's candidates; by default
     every candidate is relevant and the noise is zero."""
     n = len(scores)
     relevant = n if relevant is None else relevant
     noise = np.zeros(n) if noise is None else noise
-    config = TrainConfig(temperature=temperature, exposure_patience=patience,
-                         rank_offset=rank_offset)
+    config = TrainConfig(temperature=temperature, exposure_patience=patience)
     forward = _producer_forward(one_user_model(scores), one_row(n, relevant, noise), config)
     probs, expo = forward[3], forward[4]
     return probs[0], expo[0]
@@ -69,8 +69,8 @@ def probs_of(logits):
 
 def temperature_ranks(probs, temperature):
     """0-based producer ranks of items sampled with ``probs``, read back from
-    their exposure (patience 1/2, no offset)."""
-    _, expo = producer_bucket(np.log(probs), temperature, rank_offset=0.0)
+    their exposure (patience 1/2)."""
+    _, expo = producer_bucket(np.log(probs), temperature)
     return -np.log2(expo)
 
 
@@ -97,7 +97,6 @@ class TestSmoothRankConfig:
             {"temperature": -1.0},
             {"exposure_patience": 0.0},
             {"exposure_patience": 1.0},
-            {"rank_offset": -0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -237,10 +236,10 @@ class TestTemperatureSmoothRank:
     def test_all_equal(self):
         for n in (1, 3, 6):
             _, expo = producer_bucket(np.zeros(n), temperature=0.1)
-            np.testing.assert_array_equal(expo, np.full(n, 0.5 ** ((n - 1) / 2.0 + 1.0)))
+            np.testing.assert_array_equal(expo, np.full(n, 0.5 ** ((n - 1) / 2.0)))
 
     def test_hard_zero_based_limit(self):
-        _, expo = producer_bucket([100.0, -100.0], temperature=1e-6, rank_offset=0.0)
+        _, expo = producer_bucket([100.0, -100.0], temperature=1e-6)
         np.testing.assert_array_equal(expo, [0.5 ** 0.0, 0.5 ** 1.0])
 
     def test_known_value(self):
@@ -261,18 +260,25 @@ class TestTemperatureSmoothRank:
 class TestExposure:
     def test_hard_ranks(self):
         _, expo = producer_bucket([2.0, 1.0], temperature=1e-6)
-        np.testing.assert_array_equal(expo, [0.5, 0.25])
+        np.testing.assert_array_equal(expo, [1.0, 0.5])
 
     def test_patience_near_one(self):
         _, expo = producer_bucket(np.linspace(3.0, -3.0, 20), temperature=1e-6,
                                   patience=1.0 - 1e-12)
         np.testing.assert_allclose(expo, 1.0, atol=1e-9)
 
-    def test_offset_reconciles_conventions(self):
-        # 0-based smooth ranks with offset 1 must match 1-based hard ranks
+    def test_matches_evaluation_slot_exposure(self, monkeypatch):
+        # training and evaluation share one convention: an item the smooth
+        # ranks place at hard position r gets the exposure of top-k slot r
         scores = np.array([0.2, 1.5, -0.7, 0.9])
-        _, expo = producer_bucket(scores, temperature=1e-6, rank_offset=1.0)
-        np.testing.assert_array_equal(expo, np.power(0.5, hard_ranks(scores)))
+        _, expo = producer_bucket(scores, temperature=1e-6)
+        routed = []
+        monkeypatch.setattr(metrics, "exposure_disparity",
+                            lambda raw: routed.append(raw) or exposure_disparity(raw))
+        run = RecommendationRun(4, np.array([0]), np.argsort(-scores)[None, :],
+                                [np.array([0])])
+        metrics.disparity_item(run, np.eye(4, dtype=np.int8), 0.5)
+        np.testing.assert_array_equal(expo, routed[0])
 
     def test_matrix_input(self):
         # one block stacks the users: exposures per (user, relevant item)
@@ -281,7 +287,7 @@ class TestExposure:
         ctx = flat_context([np.arange(4), [1, 0, 2, 3]], [2, 2],
                            noise=[np.zeros(4), np.zeros(4)])
         forward = _producer_forward(model, ctx, TrainConfig(temperature=1e-6))
-        np.testing.assert_array_equal(forward[4], [[0.5, 0.25], [0.125, 0.0625]])
+        np.testing.assert_array_equal(forward[4], [[1.0, 0.5], [0.25, 0.125]])
 
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError, match="exposure_patience"):

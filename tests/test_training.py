@@ -266,6 +266,41 @@ class TestSharedForwards:
         assert calls == {"_consumer_forward": 1, "_producer_forward": 1}
 
 
+class TestSmoothRankFields:
+    """Each smooth-ranking field, moved off its default, changes its family's
+    one-batch loss or gradient: a field that cancels out is no setting."""
+
+    @pytest.mark.parametrize("name, value, objective", [
+        ("ndcg_k", 3, "gender"),
+        ("steepness", 5.0, "gender"),
+        ("candidate_negatives", 4, "gender"),
+        ("temperature", 0.1, "popularity"),
+        ("exposure_patience", 0.8, "popularity"),
+        ("n_r_cap", 3, "popularity"),
+        ("candidate_negatives", 4, "popularity"),
+    ])
+    def test_moved_field_changes_result(self, synthetic_dataset, synthetic_masks, pool,
+                                        name, value, objective):
+        from moofair.model import attach_negatives, init_model
+        from moofair.training import _objective_results
+
+        def one_batch(**moved):
+            config = TrainConfig(objectives=("bpr", objective), **moved)
+            gen = np.random.default_rng(0)
+            model = init_model(synthetic_dataset.num_users, synthetic_dataset.num_items,
+                               config.dim, config.reg, gen, init_std=1.0)
+            users, items = synthetic_dataset.split_pairs(TRAIN)
+            batch = attach_negatives(synthetic_dataset, gen, users[:64], items[:64])
+            return _objective_results(model, synthetic_dataset, synthetic_masks, config,
+                                      batch, np.random.default_rng(5), pool)[1]
+
+        base, moved = one_batch(), one_batch(**{name: value})
+        assert base.loss != pytest.approx(moved.loss, rel=1e-9) or not (
+            np.array_equal(base.rows, moved.rows)
+            and np.allclose(moved.grad, base.grad, rtol=1e-9,
+                            atol=1e-9 * np.abs(base.grad).max()))
+
+
 class TestThreadedStep:
     OBJECTIVES = ("bpr", "gender", "popularity")
 
