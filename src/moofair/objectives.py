@@ -36,10 +36,11 @@ summed into ranks and freed; the backward rebuilds them only where the rank
 gradient is nonzero. The soft top-k cutoffs, (positives x k) per user, are
 not kept either: the backward recomputes them from the ranks, bitwise equal
 (``_cutoffs``), so a kept forward holds O(entries + positives) memory, not
-k times that, while the other family runs beside it (``training.py``). The
-producer runs its pair chain on row blocks of at most ``PAIR_BLOCK`` pairs
-too, writing each block's rank slope in place into the one slope array its
-backward reads.
+k times that. A block writes only its own rows and entries, so both threads
+of a training step share the blocks (``_on_both_threads``, ``training.py``)
+with results independent of which thread ran which. The producer runs its
+pair chain on row blocks of at most ``PAIR_BLOCK`` pairs too, writing each
+block's rank slope in place into the one slope array its backward reads.
 """
 
 from __future__ import annotations
@@ -217,6 +218,25 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
             np.concatenate([user_grad, item_grad]))
 
 
+def _on_both_threads(fn, items, pool) -> None:
+    """Call ``fn`` on each item of the sequence ``items`` from one iterator
+    drained by this thread and by a task on ``pool`` (serially when None);
+    no two calls may write the same data. Only a thread outside ``pool`` may
+    pass it: a worker would wait on the drain it queued and deadlock."""
+    todo = iter(items)
+
+    def drain():
+        for item in todo:
+            fn(item)
+
+    helper = None if pool is None else pool.submit(drain)
+    try:
+        drain()
+    finally:
+        if helper is not None:
+            helper.result()
+
+
 def _rank_slope(pair: np.ndarray) -> np.ndarray:
     """In place: the rank slope pair * (1 - pair) of (rows, P, C) pairwise
     sigmoids, with the constant j == p terms zeroed."""
@@ -291,7 +311,7 @@ def _cutoffs(ranks: np.ndarray, ks: np.ndarray, steepness: float) -> np.ndarray:
 
 
 def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
-                      steepness: float):
+                      steepness: float, pool=None):
     """Smooth NDCG@k rows (k = 1..k_max) of the context users plus, per block
     of users, the intermediates the backward of every consumer objective
     reuses.
@@ -304,10 +324,11 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     Users with positives are sorted by positive count and cut into blocks of
     at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
     pair matrix outlives its block, and neither do the (B, P, k) cutoffs: the
-    backward recomputes them from the ranks. A block holds its rows, the
-    ``_padded`` entry positions (B, C), the scaled scores (B, C) padded with
-    -inf, the ranks (B, P), the discounts (B, P), zero on padding positives,
-    and the ideal DCG rows (B, k).
+    backward recomputes them from the ranks. The blocks are planned, then run
+    largest first on both threads (``_on_both_threads``). A block holds its
+    rows, the ``_padded`` entry positions (B, C), the scaled scores (B, C)
+    padded with -inf, the ranks (B, P), the discounts (B, P), zero on
+    padding positives, and the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
@@ -319,7 +340,7 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     order = order[np.argsort(ctx.counts[order], kind="stable")]
     n_pos, widths = ctx.counts[order], ctx.widths[order]
     scaled_entries = np.append(steepness * _entry_scores(model, ctx), -np.inf)
-    blocks = []
+    spans = []
     start = 0
     while start < order.shape[0]:
         # padded size: rows x the last row's positive count x the widest row
@@ -327,7 +348,12 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         cost = (np.arange(1, order.shape[0] - start + 1) * n_pos[start:]
                 * np.maximum.accumulate(widths[start:]))
         stop = start + max(1, int(np.searchsorted(cost, PAIR_BLOCK, side="right")))
-        rows, counts = order[start:stop], n_pos[start:stop]
+        spans.append(slice(start, stop))
+        start = stop
+    blocks = [None] * len(spans)
+
+    def run(i):
+        rows, counts = order[spans[i]], n_pos[spans[i]]
         at, _ = _padded(ctx, rows)
         scaled = scaled_entries[at]
         n_max = int(counts[-1])
@@ -336,14 +362,16 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
         g_matrix[rows] = np.einsum("bpk,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
-        blocks.append((rows, at, scaled, ranks, disc, idcg))
-        start = stop
+        blocks[i] = (rows, at, scaled, ranks, disc, idcg)
+
+    _on_both_threads(run, range(len(spans))[::-1], pool)
     return g_matrix, blocks
 
 
 def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                            group_masks: np.ndarray, config: TrainConfig,
-                           objective_id: str, forward) -> ObjectiveGradient | None:
+                           objective_id: str, forward,
+                           pool=None) -> ObjectiveGradient | None:
     """Analytic gradient of a consumer-side objective over the rows it touches.
 
     Backpropagates ``group_disparity`` of the smooth NDCG rows (users without
@@ -352,8 +380,8 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     shared ``_consumer_forward`` result. A block's cutoffs are recomputed from
     its ranks only when its rows' dL/dG is nonzero, and its pairs rebuilt
     only when its rank gradient is nonzero; when dL/dG is zero the zero
-    gradient returns at once. None (with a warning) when fewer than two user
-    groups are in the batch.
+    gradient returns at once. The blocks run largest first on both threads.
+    None (with a warning) when fewer than two user groups are in the batch.
     """
     g_matrix, blocks = forward
     result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
@@ -369,19 +397,23 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     steepness = config.steepness
     ks = np.arange(1, g_matrix.shape[1] + 1, dtype=np.float64)
     d_entries = np.zeros(ctx.items.shape[0] + 1)
-    for rows, at, scaled, ranks, disc, idcg in blocks:
+
+    def run(block):
+        rows, at, scaled, ranks, disc, idcg = block
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # the discount slope -disc^2 / ((r_p + 1) ln 2)
         coeff = d_g[rows] / idcg  # (B, K)
         if not np.any(coeff):
-            continue
+            return
         trunc = _cutoffs(ranks, ks, steepness)
         d_ranks = (-steepness * np.einsum("bpk,bk->bp", trunc * (1.0 - trunc), coeff) * disc
                    - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
         if not np.any(d_ranks):
-            continue
+            return
         slope = _rank_slope(_pair_sigmoids(scaled, ranks.shape[1]))
         d_entries[at] = _rank_backward(d_ranks, slope, slope.sum(axis=2), steepness)
+
+    _on_both_threads(run, blocks[::-1], pool)
     return ObjectiveGradient(objective_id, loss, *_embedding_grad(model, ctx, d_entries))
 
 
@@ -501,14 +533,15 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
                   consumer_ctx: CandidateContext | None = None,
                   producer_ctx: CandidateContext | None = None,
                   config: TrainConfig | None = None,
-                  forwards: dict | None = None) -> ObjectiveGradient | None:
+                  forwards: dict | None = None, pool=None) -> ObjectiveGradient | None:
     """Loss and gradient of any configured objective on the current batch.
 
     Returns None when the objective is skipped for the batch (degenerate
     group composition). ``forwards`` holds the smooth-ranking forward each
     objective family shares within a batch: the family's first objective
     fills it and the others reuse it, so one dict must only be passed to
-    calls on the same model state, contexts and config.
+    calls on the same model state, contexts and config. A consumer
+    objective shares its blocks with ``pool``'s worker (``_on_both_threads``).
     """
     if objective_id == "bpr":
         if triplet_batch is None:
@@ -522,10 +555,10 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
         mask = _objective_mask(masks, objective_id)
         if "consumer" not in forwards:
             forwards["consumer"] = _consumer_forward(model, consumer_ctx, config.ndcg_k,
-                                                     config.steepness)
+                                                     config.steepness, pool)
         return consumer_fairness_grad(model, consumer_ctx,
                                       mask[:, consumer_ctx.users], config,
-                                      objective_id, forwards["consumer"])
+                                      objective_id, forwards["consumer"], pool)
     if objective_id in PRODUCER_OBJECTIVES:
         if producer_ctx is None or config is None:
             raise ValueError(f"{objective_id} objective requires a producer context")

@@ -13,15 +13,17 @@ the final model.
 A step uses two threads. The batch's contexts are drawn on the calling
 thread, in a fixed order from the round's context stream, so the draws do
 not depend on threading. Then one worker, the round's single-thread pool,
-runs the consumer family (the costliest) while the calling thread runs BPR
-and the producer family; both read the same model, and the worker is joined
-before the gradients are combined. A worker exception re-raises in the
-caller, and the worker ends with the round. For the round OpenBLAS is held
-to one thread (``numerics.one_blas_thread``): a multithreaded BLAS call
-leaves its workers spinning on the second core, where they would take the
-time the two families need. Only BLAS reduction order changes, so results
-agree to roundoff, and one BLAS thread alone measured no slower at the
-benchmark's ML-100k and ML-1M shapes.
+runs BPR and the producer family while the calling thread runs the consumer
+family (the costliest), whose row blocks the worker then shares: a block
+writes only its own rows, so results do not depend on which thread ran it.
+Both threads read the same model, and the worker is joined before the
+gradients are combined. A worker exception re-raises in the caller, and the
+worker ends with the round. For the round OpenBLAS is held to one thread
+(``numerics.one_blas_thread``): a multithreaded BLAS call leaves its
+workers spinning on the second core, where they would take the time the
+two families need. Only BLAS reduction order changes, so results agree to
+roundoff, and one BLAS thread alone measured no slower at the benchmark's
+ML-100k and ML-1M shapes.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ GRAD_NORM_EPS = 1e-12
 ZERO_GRAD_TOL = 1e-10
 FINAL_EVAL_BATCHES = 10
 
-# Allowed range of each numeric TrainConfig field: (fields, bound, test).
+# Allowed range of each numeric TrainConfig field: (fields, bound, test). Each
+# must also be finite, tested by comparison so that ints of any size pass.
 FIELD_RANGES = (
     (("learning_rate", "temperature", "steepness"), "> 0", lambda v: v > 0),
     (("batch_size", "dim", "epochs_max", "eval_every", "early_stop_patience",
@@ -115,8 +118,8 @@ class TrainConfig:
         for names, bound, within in FIELD_RANGES:
             for name in names:
                 value = getattr(self, name)
-                if not within(value):
-                    raise ValueError(f"{name} must be {bound}, got {value!r}")
+                if not (-math.inf < value < math.inf and within(value)):
+                    raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
         if self.fixed_weights is not None:
             weights = tuple(float(w) for w in self.fixed_weights)
             if len(weights) != len(objectives):
@@ -187,10 +190,11 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
     Contexts (candidate negatives, Gumbel noise) are drawn once per batch, on
     this thread, and shared within each objective family, and so is the
     family's smooth-ranking forward: its first objective computes it, the
-    others reuse it, and it is dropped when the family is done. The consumer
-    family runs on ``pool``'s worker while this thread runs BPR and the
-    producer family; the families read the same model and fill disjoint
-    results, and the worker is joined before return.
+    others reuse it, and it is dropped when the family is done. With a
+    consumer context, BPR and the producer family run on ``pool``'s worker
+    while this thread runs the consumer family, whose row blocks the worker
+    then shares; the families fill disjoint results, and the worker is
+    joined before return. Without one, everything runs on this thread.
     """
     batch_users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
     consumer_ctx = None
@@ -204,20 +208,23 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
                                               config.candidate_negatives, ctx_gen)
     results = [None] * config.num_objectives
 
-    def run(family):
+    def run(family, pool=None):  # the worker shares no blocks: it would deadlock
         forwards = {}
         for k, objective in enumerate(config.objectives):
             if objective in family:
                 results[k] = fairness_grad(
                     objective, model, masks, triplet_batch=batch,
                     consumer_ctx=consumer_ctx, producer_ctx=producer_ctx,
-                    config=config, forwards=forwards)
+                    config=config, forwards=forwards, pool=pool)
 
-    consumer = None if consumer_ctx is None else pool.submit(run, CONSUMER_OBJECTIVES)
-    run(("bpr",))
-    run(PRODUCER_OBJECTIVES)
-    if consumer is not None:
-        consumer.result()  # re-raises the worker's exception here
+    if consumer_ctx is None:
+        run(("bpr",) + PRODUCER_OBJECTIVES)
+        return results
+    others = pool.submit(run, ("bpr",) + PRODUCER_OBJECTIVES)
+    try:
+        run(CONSUMER_OBJECTIVES, pool)
+    finally:
+        others.result()  # re-raises the worker's exception here
     return results
 
 

@@ -503,7 +503,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "name, value",
         [(name, rejected) for name, rejected, _ in FIELD_BOUNDS]
-        + [("learning_rate", -1.0)],
+        + [("learning_rate", -1.0)]
+        # inf passed every range test, then training died with a traceback
+        + [(name, float("inf")) for name in ("learning_rate", "reg", "steepness",
+                                              "temperature")],
     )
     def test_out_of_range_value_exits_2_before_training(self, bundle, tmp_path,
                                                          capsys, name, value):

@@ -1,7 +1,9 @@
 import itertools
 import logging
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -567,6 +569,36 @@ def distinct_score_rows(draw):
     rows = draw(st.lists(st.lists(st.integers(-40, 40), min_size=2, max_size=10,
                                   unique=True), min_size=1, max_size=3))
     return rows, [draw(st.integers(1, len(row))) for row in rows]
+
+
+class TestOnBothThreads:
+    def test_every_item_runs_once_under_contention(self):
+        """Four callers, each sharing 50 rounds of 500 items with its own
+        one-worker pool (eight threads) at a 1 us switch interval: each item
+        runs exactly once, whichever thread takes it."""
+
+        def caller(_):
+            counts = []
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                for _ in range(50):
+                    seen = [0] * 500
+
+                    def run(i):
+                        seen[i] += 1
+
+                    objectives._on_both_threads(run, range(500)[::-1], pool)
+                    counts.append(seen)
+            return counts
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [callers.submit(caller, n) for n in range(4)]
+                counts = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(seen == [1] * 500 for rounds in counts for seen in rounds)
 
 
 class TestSmoothRankLimit:

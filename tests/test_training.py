@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,7 +44,7 @@ TINY = dict(
 
 @pytest.fixture
 def pool():
-    """The one-worker pool a training round runs its consumer family on."""
+    """The one-worker pool a training round shares each step with."""
     with ThreadPoolExecutor(max_workers=1) as executor:
         yield executor
 
@@ -95,6 +96,15 @@ class TestTrainConfig:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=float("nan"))
+
+    @pytest.mark.parametrize("name", ["learning_rate", "temperature", "steepness",
+                                      "reg", "exposure_patience"])
+    def test_infinity_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: float("inf")})
+
+    def test_huge_int_seed_accepted(self):
+        assert TrainConfig(seed=10 ** 400).seed == 10 ** 400
 
     def test_missing_mask_detected(self):
         config = TrainConfig(objectives=("bpr", "gender"))
@@ -312,16 +322,108 @@ class TestThreadedStep:
 
         def failing(*args, **kwargs):
             raised_on.append(threading.current_thread())
-            raise RuntimeError("consumer objective failed")
+            raise RuntimeError("producer objective failed")
 
-        monkeypatch.setattr(objectives, "consumer_fairness_grad", failing)
+        monkeypatch.setattr(objectives, "producer_fairness_grad", failing)
         threads_before = threading.active_count()
         config = TrainConfig(objectives=self.OBJECTIVES, **TINY)
-        with pytest.raises(RuntimeError, match="consumer objective failed"):
+        with pytest.raises(RuntimeError, match="producer objective failed"):
             train_round(synthetic_dataset, synthetic_masks, config)
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert blas_threads() == 2
         assert threading.active_count() == threads_before
+
+    def test_consumer_block_exception_on_worker_propagates(
+            self, synthetic_dataset, synthetic_masks, monkeypatch, blas_threads):
+        from moofair import objectives
+
+        pair_sigmoids = objectives._pair_sigmoids
+        taken = threading.Event()
+
+        def failing_on_worker(*args):
+            if threading.current_thread() is threading.main_thread():
+                taken.wait(timeout=10)  # hold the caller until the worker took a block
+                return pair_sigmoids(*args)
+            taken.set()
+            raise RuntimeError("consumer block failed")
+
+        monkeypatch.setattr(objectives, "PAIR_BLOCK", 100)
+        monkeypatch.setattr(objectives, "_pair_sigmoids", failing_on_worker)
+        threads_before = threading.active_count()
+        config = TrainConfig(objectives=self.OBJECTIVES, **TINY)
+        with pytest.raises(RuntimeError, match="consumer block failed"):
+            train_round(synthetic_dataset, synthetic_masks, config)
+        assert taken.is_set()
+        assert blas_threads() == 2
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("schedule", ["as_is", "worker_late", "caller_late"])
+    def test_shared_blocks_match_serial_families(self, synthetic_dataset, synthetic_masks,
+                                                 monkeypatch, pool, schedule):
+        """The consumer blocks give bit-identical results whichever thread
+        runs each of them, against every family run on one thread."""
+        from moofair import objectives
+        from moofair.model import attach_negatives, init_model
+        from moofair.numerics import one_blas_thread
+        from moofair.training import ZERO_GRAD_TOL, _objective_results
+
+        config = TrainConfig(objectives=("bpr", "gender", "age", "popularity"), **TINY)
+        gen = np.random.default_rng(0)
+        # unit scale: the consumer backward runs
+        model = init_model(synthetic_dataset.num_users, synthetic_dataset.num_items,
+                           config.dim, config.reg, gen, init_std=1.0)
+        users, items = synthetic_dataset.split_pairs(TRAIN)
+        idx = gen.permutation(users.shape[0])[:config.batch_size]
+        batch = attach_negatives(synthetic_dataset, gen, users[idx], items[idx])
+        monkeypatch.setattr(objectives, "PAIR_BLOCK", 100)  # many consumer blocks
+
+        def serial():
+            gen = np.random.default_rng(5)
+            users = np.unique(batch.users)
+            consumer = objectives.build_consumer_context(
+                synthetic_dataset, users, config.candidate_negatives, gen)
+            producer = objectives.build_producer_context(
+                synthetic_dataset, users, config.n_r_cap, config.candidate_negatives, gen)
+            forwards = {}
+            return [objectives.fairness_grad(o, model, synthetic_masks,
+                                             triplet_batch=batch, consumer_ctx=consumer,
+                                             producer_ctx=producer, config=config,
+                                             forwards=forwards)
+                    for o in config.objectives], len(forwards["consumer"][1])
+
+        with one_blas_thread():
+            expected, forward_blocks = serial()
+            block_threads = []
+            pair_sigmoids = objectives._pair_sigmoids
+            producer_forward = objectives._producer_forward
+
+            def recording(*args):
+                on_caller = threading.current_thread() is threading.main_thread()
+                block_threads.append(on_caller)
+                if on_caller and schedule == "caller_late":
+                    time.sleep(0.005)
+                return pair_sigmoids(*args)
+
+            def late_producer(*args):
+                time.sleep(0.2)
+                return producer_forward(*args)
+
+            monkeypatch.setattr(objectives, "_pair_sigmoids", recording)
+            if schedule == "worker_late":
+                monkeypatch.setattr(objectives, "_producer_forward", late_producer)
+            shared = _objective_results(model, synthetic_dataset, synthetic_masks,
+                                        config, batch, np.random.default_rng(5), pool)
+        assert forward_blocks > 10
+        if schedule == "worker_late":  # the worker sleeps through the forward
+            assert all(block_threads[:forward_blocks])
+        if schedule == "caller_late":
+            assert block_threads.count(False) > block_threads.count(True)
+        for result, fresh in zip(shared, expected):
+            assert result.objective_id == fresh.objective_id
+            assert np.linalg.norm(fresh.grad) > ZERO_GRAD_TOL
+            assert result.loss == fresh.loss
+            assert np.array_equal(result.rows, fresh.rows)
+            assert np.array_equal(result.grad, fresh.grad)
 
     def test_one_blas_thread_during_the_step(self, synthetic_dataset, synthetic_masks,
                                              monkeypatch, blas_threads):
