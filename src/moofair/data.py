@@ -99,7 +99,8 @@ class InteractionDataset:
 
     Ids are dense and 0-based; ``user_ids``/``item_ids`` give the original id
     of each dense index. Interactions are stored sorted by (user, timestamp,
-    item) with a split tag per row.
+    item) with a split tag per row. ``positives(split)`` holds a split's
+    distinct pairs in the one form that training and evaluation read.
     """
 
     num_users: int
@@ -110,7 +111,7 @@ class InteractionDataset:
     split: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
-    _train_positives: tuple | None = field(default=None, repr=False)
+    _positives: dict = field(default_factory=dict, repr=False)
     _train_membership: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -125,23 +126,17 @@ class InteractionDataset:
         mask = self.split == split
         return self.users[mask], self.items[mask]
 
-    def train_positives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Train-split positives in compressed rows (cached): user u's sorted,
-        de-duplicated int64 items are ``items[indptr[u]:indptr[u + 1]]``.
+    def positives(self, split: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct positives of ``split`` in compressed rows (cached per
+        split): user u's sorted int64 items are ``items[indptr[u]:indptr[u + 1]]``.
         One sort of the (user, item) pair codes; returns (indptr, items)."""
-        if self._train_positives is None:
-            users, items = self.split_pairs(TRAIN)
+        if split not in self._positives:
+            users, items = self.split_pairs(split)
             codes = sorted_distinct(users.astype(np.int64) * self.num_items + items)
             indptr = np.searchsorted(codes, np.arange(self.num_users + 1, dtype=np.int64)
                                      * self.num_items)
-            self._train_positives = indptr, codes % self.num_items
-        return self._train_positives
-
-    def train_positive_lists(self) -> list:
-        """Per-user sorted, de-duplicated int64 arrays of train-split items:
-        the rows of ``train_positives``."""
-        indptr, items = self.train_positives()
-        return np.split(items, indptr[1:-1])
+            self._positives[split] = indptr, codes % self.num_items
+        return self._positives[split]
 
     def train_membership(self) -> np.ndarray:
         """Boolean (num_users, num_items) matrix of train-split positives (cached)."""
@@ -158,8 +153,9 @@ class InteractionDataset:
         this method."""
         catalog = np.arange(self.num_items, dtype=np.int64)
         keep = np.ones(self.num_items, dtype=bool)
+        indptr, items = self.positives(TRAIN)
         complements = []
-        for positives in self.train_positive_lists():
+        for positives in np.split(items, indptr[1:-1]):
             keep[positives] = False
             complements.append(catalog[keep])
             keep[positives] = True
@@ -513,12 +509,13 @@ def popularity_mask(dataset: InteractionDataset) -> np.ndarray:
 BUNDLE_FILE = "bundle.npz"
 MASK_NAMES = ("gender", "age", "popularity", "genre")
 
-# bundle.npz entries: (dtype, dimensions, required)
+# bundle.npz entries: (dtype, dimensions, required); evaluation reads the
+# popularity mask, which save_bundle always writes
 BUNDLE_ARRAYS = {
     "users": ("int64", 1, True), "items": ("int64", 1, True),
     "timestamps": ("int64", 1, True), "split": ("int8", 1, True),
     "user_ids": ("int64", 1, True), "item_ids": ("int64", 1, True),
-    **{f"mask_{name}": ("int8", 2, False) for name in MASK_NAMES},
+    **{f"mask_{name}": ("int8", 2, name == "popularity") for name in MASK_NAMES},
     "genre_names": ("U", 1, False),  # unicode of any width
 }
 
@@ -616,7 +613,7 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
 def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
     """Read a bundle written by ``save_bundle``, checking that its arrays
     agree: equal lengths, split codes in {TRAIN, VAL, TEST}, dense ids inside
-    ``user_ids``/``item_ids`` and mask widths matching them."""
+    ``user_ids``/``item_ids``, mask widths matching them and entries in {0, 1}."""
     path = os.path.join(directory, BUNDLE_FILE)
     arrays = load_npz(path, BUNDLE_ARRAYS, "interactions.csv", "prepare")
     num_users, num_items = arrays["user_ids"].shape[0], arrays["item_ids"].shape[0]
@@ -639,6 +636,8 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
         if mask.shape[1] != width:
             raise DataFormatError(f"{path}: array 'mask_{name}' has {mask.shape[1]} "
                                   f"columns, expected {width}")
+        if mask.size and (mask.min() < 0 or mask.max() > 1):
+            raise DataFormatError(f"{path}: array 'mask_{name}' holds values outside {{0, 1}}")
         setattr(masks, name, mask)
     masks.genre_names = tuple(arrays.get("genre_names", np.array([])).tolist())
     if masks.genre is not None and len(masks.genre_names) != masks.genre.shape[0]:

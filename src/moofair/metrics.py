@@ -1,8 +1,8 @@
 """Evaluation harness: accuracy, fairness, and diversity of top-k lists.
 
 All metrics run on exact top-k lists from ``top_k_items``, with train and
-validation positives excluded from the candidates and test positives as the
-relevance sets. Smooth approximations are training-only.
+validation positives excluded from the candidates and the rows of
+``positives(TEST)`` as the relevant items. Smooth approximations are training-only.
 
 ``top_k_items`` scores users in blocks, each written into one buffer allocated
 per call, and sorts only the items of a row that score at least a bound no
@@ -20,7 +20,6 @@ import numpy as np
 
 from .data import TEST, EmptyDatasetError, GroupMaskSet, InteractionDataset
 from .model import FactorModel
-from .numerics import run_starts, sorted_distinct
 from .objectives import exposure_disparity, group_disparity
 
 METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
@@ -35,12 +34,15 @@ class CatalogTooSmallError(ValueError):
 
 @dataclass
 class RecommendationRun:
-    """Top-k lists for every evaluated user plus their relevance sets."""
+    """Top-k lists of the evaluated users (ascending ids) plus their relevant
+    items: row r's ``counts[r]`` items, ascending, follow the earlier rows' in
+    ``relevant`` (the nonempty rows of ``InteractionDataset.positives``)."""
 
     k: int
     user_ids: np.ndarray
     lists: np.ndarray
-    relevance: list
+    counts: np.ndarray
+    relevant: np.ndarray
 
     def __post_init__(self):
         if self.k < 1 or self.lists.shape != (self.user_ids.shape[0], self.k):
@@ -116,17 +118,13 @@ def top_k_items(model: FactorModel, users: np.ndarray, k: int,
 
 
 def rank_split(model: FactorModel, dataset: InteractionDataset, k: int, split: int):
-    """Run against the distinct ``split`` pairs, earlier splits' pairs excluded; its scores."""
-    users, items = dataset.split_pairs(split)
-    users, items = np.divmod(sorted_distinct(users * dataset.num_items + items),
-                             dataset.num_items)
-    starts = run_starts(users)
-    user_ids = users[starts]
+    """Run against ``dataset.positives(split)``, earlier splits' pairs excluded; its scores."""
+    indptr, items = dataset.positives(split)
+    counts = np.diff(indptr)
+    user_ids = np.flatnonzero(counts)
     seen = dataset.split < split
     lists, top = top_k_items(model, user_ids, k, dataset.users[seen], dataset.items[seen])
-    ends = np.append(starts[1:], users.shape[0])
-    relevance = [items[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return RecommendationRun(lists.shape[1], user_ids, lists, relevance), top
+    return RecommendationRun(lists.shape[1], user_ids, lists, counts[user_ids], items), top
 
 
 def build_recommendations(model: FactorModel, dataset: InteractionDataset,
@@ -148,14 +146,13 @@ def build_recommendations(model: FactorModel, dataset: InteractionDataset,
 
 
 def _hit_matrix(run: RecommendationRun) -> tuple[np.ndarray, np.ndarray]:
-    """1.0 where a listed item is relevant to its user; relevant items per user."""
-    counts = np.asarray([rel.shape[0] for rel in run.relevance], dtype=np.int64)
-    relevant = np.concatenate(run.relevance)
-    width = int(max(run.lists.max(initial=0), relevant.max(initial=0))) + 1
+    """1.0 where a listed item is relevant to its user; relevant items per
+    user. The relevant pairs' codes row * width + item ascend as they are."""
+    width = int(max(run.lists.max(initial=0), run.relevant.max(initial=0))) + 1
     listed = np.arange(run.lists.shape[0])[:, None] * width + run.lists
-    codes = np.sort(np.repeat(np.arange(counts.shape[0]), counts) * width + relevant)
+    codes = np.repeat(np.arange(run.counts.shape[0]), run.counts) * width + run.relevant
     found = np.minimum(np.searchsorted(codes, listed), codes.shape[0] - 1)
-    return (codes[found] == listed).astype(np.float64), counts
+    return (codes[found] == listed).astype(np.float64), run.counts
 
 
 def recall_at_k(run: RecommendationRun) -> float:

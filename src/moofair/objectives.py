@@ -29,10 +29,10 @@ objective adds only its mask-dependent part: ``group_disparity`` or
 A batch's candidate sets are flat (``CandidateContext``), drawn for all its
 users at once by one vectorised sampler (``_candidate_context``). Both
 kernels read them as padded (rows x candidates) blocks (``_padded``) with
-padding scored -inf, and share one rank backward (``_rank_backward``). The
-consumer cuts its users, sorted by positive count, into blocks whose pairwise
-sigmoids (ratio form, or ``numerics.sigmoid`` past ``RATIO_SPREAD``) are
-summed into ranks and freed; the backward rebuilds them only where the rank
+padding scored -inf, and share one pairwise sigmoid (``_pair_sigmoids``) and
+one rank backward (``_rank_backward``). The consumer cuts its users, sorted
+by positive count, into blocks whose pairwise sigmoids are summed into ranks
+and freed; the backward rebuilds them only where the rank
 gradient is nonzero. The soft top-k cutoffs, (positives x k) per user, are
 not kept either: the backward recomputes them from the ranks, bitwise equal
 (``_cutoffs``), so a kept forward holds O(entries + positives) memory, not
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import GroupMaskSet, InteractionDataset
+from .data import TRAIN, GroupMaskSet, InteractionDataset
 from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad, compact_ids
 from .numerics import sample_gumbel, sigmoid
 
@@ -122,7 +122,7 @@ def _candidate_context(dataset: InteractionDataset, users, gen: np.random.Genera
     """
     users = np.asarray(users, dtype=np.int64)
     n = dataset.num_items
-    indptr, train_items = dataset.train_positives()
+    indptr, train_items = dataset.positives(TRAIN)
     n_pos = indptr[users + 1] - indptr[users]
     free = n - n_pos
     quota = np.minimum(negatives, free)
@@ -282,25 +282,29 @@ def group_disparity(vectors: np.ndarray, group_rows):
     return loss, masks[present].T @ (d_means / counts[present, None])
 
 
-def _pair_sigmoids(scaled: np.ndarray, n_pos: int) -> np.ndarray:
-    """sigmoid(scaled[b, j] - scaled[b, p]) for the first ``n_pos`` columns p
-    and every column j of each row, shape (rows, n_pos, columns).
+def _pair_sigmoids(values: np.ndarray, n_pos: int, scale: float, out=None) -> np.ndarray:
+    """sigmoid(scale * (values[b, j] - values[b, p])) for the first ``n_pos``
+    columns p and every column j of each row, shape (rows, n_pos, columns), in
+    ``out`` when given.
 
     Padding is -inf: a padding column j gives 0 and a padding p gives finite
-    values. The ratio form E_j / (E_j + E_p), E = exp(scaled - row max), is
-    taken as 1 / (1 + E_p * (1 / E_j)): one exp per candidate and positive,
+    values. The ratio form E_j / (E_j + E_p), E = exp(scale * values - row max),
+    is taken as 1 / (1 + E_p * (1 / E_j)): one exp per candidate and positive,
     one multiply, add and reciprocal per pair. Past ``RATIO_SPREAD`` 1 / E_j
     can overflow, so such a block takes ``numerics.sigmoid`` of differences.
     """
+    scaled = scale * values
     top = scaled.max(axis=1, keepdims=True)
     low = np.where(np.isneginf(scaled), top, scaled).min(axis=1, keepdims=True)
     if np.max(top - low) > RATIO_SPREAD:
-        pos = scaled[:, :n_pos].copy()
+        pos = values[:, :n_pos].copy()
         pos[np.isneginf(pos)] = 0.0
-        return sigmoid(scaled[:, None, :] - pos[:, :, None])
+        out = np.subtract(values[:, None, :], pos[:, :, None], out=out)
+        out *= scale
+        return sigmoid(out, out=out)
     pos = np.exp(scaled[:, :n_pos] - top)
     pos[pos == 0.0] = 1.0
-    out = np.einsum("bp,bc->bpc", pos, np.exp(top - scaled))  # E_p / E_j
+    out = np.einsum("bp,bc->bpc", pos, np.exp(top - scaled), out=out)  # E_p / E_j
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -326,8 +330,8 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     pair matrix outlives its block, and neither do the (B, P, k) cutoffs: the
     backward recomputes them from the ranks. The blocks are planned, then run
     largest first on both threads (``_on_both_threads``). A block holds its
-    rows, the ``_padded`` entry positions (B, C), the scaled scores (B, C)
-    padded with -inf, the ranks (B, P), the discounts (B, P), zero on
+    rows, the ``_padded`` entry positions (B, C), the scores (B, C) padded
+    with -inf, the ranks (B, P), the discounts (B, P), zero on
     padding positives, and the ideal DCG rows (B, k).
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
@@ -339,7 +343,7 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
     order = order[np.argsort(ctx.counts[order], kind="stable")]
     n_pos, widths = ctx.counts[order], ctx.widths[order]
-    scaled_entries = np.append(steepness * _entry_scores(model, ctx), -np.inf)
+    entries = np.append(_entry_scores(model, ctx), -np.inf)
     spans = []
     start = 0
     while start < order.shape[0]:
@@ -355,14 +359,14 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     def run(i):
         rows, counts = order[spans[i]], n_pos[spans[i]]
         at, _ = _padded(ctx, rows)
-        scaled = scaled_entries[at]
+        scores = entries[at]
         n_max = int(counts[-1])
-        ranks = 0.5 + _pair_sigmoids(scaled, n_max).sum(axis=2)
+        ranks = 0.5 + _pair_sigmoids(scores, n_max, steepness).sum(axis=2)
         # padding positives get a zero discount, so they add nothing
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
         g_matrix[rows] = np.einsum("bpk,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
-        blocks[i] = (rows, at, scaled, ranks, disc, idcg)
+        blocks[i] = (rows, at, scores, ranks, disc, idcg)
 
     _on_both_threads(run, range(len(spans))[::-1], pool)
     return g_matrix, blocks
@@ -399,7 +403,7 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     d_entries = np.zeros(ctx.items.shape[0] + 1)
 
     def run(block):
-        rows, at, scaled, ranks, disc, idcg = block
+        rows, at, scores, ranks, disc, idcg = block
         # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
         # the discount slope -disc^2 / ((r_p + 1) ln 2)
         coeff = d_g[rows] / idcg  # (B, K)
@@ -410,7 +414,7 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                    - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
         if not np.any(d_ranks):
             return
-        slope = _rank_slope(_pair_sigmoids(scaled, ranks.shape[1]))
+        slope = _rank_slope(_pair_sigmoids(scores, ranks.shape[1], steepness))
         d_entries[at] = _rank_backward(d_ranks, slope, slope.sum(axis=2), steepness)
 
     _on_both_threads(run, blocks[::-1], pool)
@@ -446,11 +450,11 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
 
     Probabilities are the softmax of the Gumbel-perturbed candidate scores,
     padding scored -inf. A relevant item's smooth 0-based rank is
-    sum_{j != i} sigmoid(-(p_i - p_j) / temperature) over the row's
+    sum_{j != i} sigmoid((p_j - p_i) / temperature) over the row's
     candidates, and its exposure is exposure_patience ** rank, as evaluation's
     slot at 0-based position rank (``metrics.disparity_item``).
-    The pair chain runs on blocks of rows of at most ``PAIR_BLOCK`` pairs,
-    each written in place into its rows of the slope.
+    ``_pair_sigmoids`` of the probabilities runs on blocks of rows of at most
+    ``PAIR_BLOCK`` pairs, each written in place into its rows of the slope.
     """
     rows = np.flatnonzero(ctx.counts)
     if rows.shape[0] == 0:
@@ -462,18 +466,15 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     shifted -= shifted.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    neg_inv_tau = -1.0 / config.temperature
+    values = np.where(pad, -np.inf, probs)  # padding columns are no candidates
     slope = np.empty((rows.shape[0], n_rel, probs.shape[1]))
     ranks = np.empty((rows.shape[0], n_rel))
     slope_sums = np.empty_like(ranks)
     step = max(1, PAIR_BLOCK // slope[0].size)
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        pair = slope[block]
-        np.subtract(probs[block, :n_rel, None], probs[block, None, :], out=pair)
-        pair *= neg_inv_tau
-        sigmoid(pair, out=pair)
-        pair *= ~pad[block, None, :]  # padding columns are no candidates
+        pair = _pair_sigmoids(values[block], n_rel, 1.0 / config.temperature,
+                              out=slope[block])
         ranks[block] = pair.sum(axis=2) - 0.5  # remove the j == i term
         slope_sums[block] = _rank_slope(pair).sum(axis=2)
     expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moofair import numerics
-from moofair.data import RawRatings, build_masks, preprocess
+from moofair.data import TRAIN, RawRatings, build_masks, preprocess
 from moofair.model import FactorModel
 from moofair.numerics import as_vector
 from moofair.objectives import CandidateContext
@@ -109,6 +109,12 @@ def flat_context(candidates, counts, users=None, noise=None):
 def context_rows(ctx):
     """The per-row candidate arrays of a flat context."""
     return np.split(ctx.items, np.cumsum(ctx.widths)[:-1])
+
+
+def positive_lists(dataset, split=TRAIN):
+    """The per-user item arrays of ``dataset.positives(split)``."""
+    indptr, items = dataset.positives(split)
+    return np.split(items, indptr[1:-1])
 
 
 def derived_rng(seed, index):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from moofair.data import TEST, InteractionDataset, load_bundle, save_bundle
+from moofair.data import (BUNDLE_FILE, TEST, InteractionDataset, load_bundle, save_bundle,
+                          save_npz)
 from moofair.metrics import build_recommendations, disparity_item, disparity_user
 from moofair.model import FactorModel, load_checkpoint, save_checkpoint
 from moofair.training import TrainConfig, train_round
@@ -280,6 +281,28 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --k: catalog too small to recommend 5000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (None, "missing array 'mask_popularity'"),
+        (lambda mask: mask * 3, "array 'mask_popularity' holds values outside {0, 1}")],
+        ids=["missing", "tripled"])
+    def test_bad_popularity_mask_exits_2(self, bundle, checkpoint, tmp_path, capsys,
+                                         change, message):
+        with np.load(bundle / BUNDLE_FILE, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if change is None:
+            del arrays["mask_popularity"]
+        else:
+            arrays["mask_popularity"] = change(arrays["mask_popularity"])
+        broken = tmp_path / "bundle"
+        broken.mkdir()
+        save_npz(str(broken / BUNDLE_FILE), arrays)
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--bundle", str(broken), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_checkpoint_of_earlier_version_exits_2(self, bundle, tmp_path, capsys):

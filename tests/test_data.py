@@ -29,7 +29,7 @@ from moofair.data import (
     save_npz,
     write_csv,
 )
-from conftest import GENRES, make_raw
+from conftest import GENRES, make_raw, positive_lists
 
 
 def write_lines(path, lines):
@@ -616,11 +616,11 @@ class TestPopularityMask:
             np.testing.assert_array_equal(np.flatnonzero(mask[row]), [row])
 
 
-def set_based_train_lists(dataset):
-    """Per-user train items gathered in Python sets: the oracle of
-    ``train_positive_lists``."""
+def set_based_positives(dataset, split):
+    """Per-user ``split`` items gathered in Python sets: the oracle of
+    ``positives``."""
     sets = [set() for _ in range(dataset.num_users)]
-    users, items = dataset.split_pairs(TRAIN)
+    users, items = dataset.split_pairs(split)
     for u, i in zip(users, items):
         sets[u].add(int(i))
     return [np.array(sorted(s), dtype=np.int64) for s in sets]
@@ -629,11 +629,12 @@ def set_based_train_lists(dataset):
 class TestTrainLists:
     def repeated_pair_log(self):
         # user 0 has train pair (0, 3) twice, user 1 only a test item, user 3
-        # no interactions; rows are not sorted by user
-        users = np.array([2, 0, 0, 1, 0, 2, 0], dtype=np.int64)
-        items = np.array([4, 3, 1, 2, 3, 0, 2], dtype=np.int64)
-        split = np.array([VAL, TRAIN, TRAIN, TEST, TRAIN, TRAIN, TRAIN], dtype=np.int8)
-        return InteractionDataset(4, 5, users, items, np.arange(7, dtype=np.int64),
+        # no interactions; user 2 has val pair (2, 4) twice; rows are not
+        # sorted by user
+        users = np.array([2, 0, 0, 1, 0, 2, 0, 2], dtype=np.int64)
+        items = np.array([4, 3, 1, 2, 3, 0, 2, 4], dtype=np.int64)
+        split = np.array([VAL, TRAIN, TRAIN, TEST, TRAIN, TRAIN, TRAIN, VAL], dtype=np.int8)
+        return InteractionDataset(4, 5, users, items, np.arange(8, dtype=np.int64),
                                   split, np.arange(4, dtype=np.int64),
                                   np.arange(5, dtype=np.int64))
 
@@ -642,17 +643,21 @@ class TestTrainLists:
         dataset = {"repeated_pair": self.repeated_pair_log,
                    "counts": lambda: dataset_with_counts([10, 9, 3, 8, 1]),
                    "synthetic": lambda: synthetic_dataset}[which]()
-        lists = dataset.train_positive_lists()
-        oracle = set_based_train_lists(dataset)
-        assert len(lists) == len(oracle) == dataset.num_users
-        for got, want in zip(lists, oracle):
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        for split in (TRAIN, VAL, TEST):
+            indptr, items = dataset.positives(split)
+            assert indptr.shape == (dataset.num_users + 1,) and indptr[0] == 0
+            assert indptr.dtype == items.dtype == np.int64
+            assert dataset.positives(split)[1] is items  # cached
+            oracle = set_based_positives(dataset, split)
+            assert indptr[-1] == items.shape[0] == sum(len(row) for row in oracle)
+            for user, want in enumerate(oracle):
+                np.testing.assert_array_equal(items[indptr[user]:indptr[user + 1]], want)
 
     def test_repeated_pair_lists(self):
         dataset = self.repeated_pair_log()
-        lists = dataset.train_positive_lists()
-        assert [row.tolist() for row in lists] == [[1, 2, 3], [], [0], []]
+        assert [[row.tolist() for row in positive_lists(dataset, split)]
+                for split in (TRAIN, VAL, TEST)] == [
+            [[1, 2, 3], [], [0], []], [[], [], [4], []], [[], [2], [], []]]
         complements = dataset.train_complement_lists()
         assert [row.tolist() for row in complements] == [
             [0, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]]
@@ -830,6 +835,8 @@ class TestBundle:
         ("mask_gender", lambda a: a[:, :-1]),
         ("mask_genre", lambda a: a[:, 1:]),
         ("mask_popularity", lambda a: a[0]),
+        ("mask_popularity", None),  # evaluation reads it
+        ("mask_age", lambda a: a - 1),  # entries outside {0, 1}
         ("genre_names", lambda a: a[:-1]),
         ("users", lambda a: a.astype(np.float64)),
     ])

@@ -30,14 +30,22 @@ from moofair.training import _validation_recall
 
 
 def run_from(lists, relevance, k=None):
+    """Run of per-user ``lists`` and per-user relevant item lists, in the
+    run's form: each user's relevant items ascending, one after another."""
     lists = np.asarray(lists, dtype=np.int64)
     k = k or lists.shape[1]
     return RecommendationRun(
         k=k,
         user_ids=np.arange(lists.shape[0], dtype=np.int64),
         lists=lists,
-        relevance=[np.asarray(r, dtype=np.int64) for r in relevance],
+        counts=np.array([len(r) for r in relevance], dtype=np.int64),
+        relevant=np.concatenate([np.sort(np.asarray(r, dtype=np.int64)) for r in relevance]),
     )
+
+
+def relevance_rows(run):
+    """The per-user relevant item arrays of a run."""
+    return np.split(run.relevant, np.cumsum(run.counts)[:-1])
 
 
 class TestRecall:
@@ -117,7 +125,7 @@ class TestDisparityUser:
         got = disparity_user(run, synthetic_masks, "gender")
         # brute force: per-user NDCG vectors, group means, squared distance
         vectors = []
-        for row, rel in enumerate(run.relevance):
+        for row, rel in enumerate(relevance_rows(run)):
             v = []
             for k in range(1, 6):
                 hits = np.isin(run.lists[row][:k], rel)
@@ -362,9 +370,9 @@ def reference_build_recommendations(model, dataset, k):
     lists = order[:, :k]
     if np.any(np.take_along_axis(scores[user_ids], lists, axis=1) == -np.inf):
         raise ValueError(f"catalog too small to recommend {k} unseen items")
-    relevance = [np.asarray(sorted(relevance_by_user[int(u)]), dtype=np.int64)
-                 for u in user_ids]
-    return RecommendationRun(k, user_ids, lists, relevance)
+    relevance = [sorted(relevance_by_user[int(u)]) for u in user_ids]
+    return RecommendationRun(k, user_ids, lists, np.array([len(r) for r in relevance]),
+                             np.array([i for r in relevance for i in r], dtype=np.int64))
 
 
 def reference_validation_recall(model, dataset, k):
@@ -388,9 +396,10 @@ def reference_validation_recall(model, dataset, k):
 
 def reference_hit_matrix(run):
     hits = np.zeros((run.user_ids.shape[0], run.k), dtype=np.float64)
-    for row, rel in enumerate(run.relevance):
+    rows = relevance_rows(run)
+    for row, rel in enumerate(rows):
         hits[row] = np.isin(run.lists[row], rel)
-    return hits, np.asarray([rel.shape[0] for rel in run.relevance])
+    return hits, np.asarray([rel.shape[0] for rel in rows])
 
 
 def reference_disparity_item(run, item_group_mask, patience=0.5):
@@ -538,7 +547,7 @@ class TestRepeatedPairs:
     def test_evaluation_relevance(self):
         dataset, model = self.world(TEST)
         run = build_recommendations(model, dataset, 1)
-        assert [rel.tolist() for rel in run.relevance] == [[1], [1]]
+        assert run.counts.tolist() == [1, 1] and run.relevant.tolist() == [1, 1]
         assert recall_at_k(run) == 0.5
         assert ndcg_at_k(run) == 0.5
         run = build_recommendations(model, dataset, 2)

@@ -17,7 +17,7 @@ from moofair.model import (
 from moofair.data import TRAIN, DataFormatError, save_npz
 from moofair.metrics import top_k_items
 from moofair.numerics import sigmoid
-from conftest import dense_gradient, finite_difference_error
+from conftest import dense_gradient, finite_difference_error, positive_lists
 
 
 def tiny_model(user_rows, item_rows, reg=0.0):
@@ -197,10 +197,10 @@ class TestNegativeSampling:
         ds = synthetic_dataset
         # craft a user whose train positives cover all items but one
         target_user = 0
-        positives = set(ds.train_positive_lists()[target_user].tolist())
+        positives = set(positive_lists(ds)[target_user].tolist())
         missing = next(i for i in range(ds.num_items) if i not in positives)
         ds_patched = type(ds)(**{k: v for k, v in ds.__dict__.items()
-                                 if not k.startswith("_train")})
+                                 if not k.startswith("_")})
         membership = ds_patched.train_membership()
         membership[target_user, :] = True
         membership[target_user, missing] = False
@@ -213,7 +213,7 @@ class TestNegativeSampling:
 
         ds = synthetic_dataset
         ds_patched = type(ds)(**{k: v for k, v in ds.__dict__.items()
-                                 if not k.startswith("_train")})
+                                 if not k.startswith("_")})
         membership = ds_patched.train_membership()
         membership[1, :] = True
         with caplog.at_level(logging.WARNING):
@@ -237,14 +237,14 @@ class TestNegativeSampling:
         out = attach_negatives(synthetic_dataset, np.random.default_rng(4),
                                users, items)
         assert out.size == users.shape[0]
-        lists = synthetic_dataset.train_positive_lists()
+        lists = positive_lists(synthetic_dataset)
         for u, j in zip(out.users, out.neg_items):
             assert int(j) not in lists[u]
 
     def test_negatives_uniform_over_non_positives(self, synthetic_dataset):
         ds = synthetic_dataset
         user = 0
-        positives = set(ds.train_positive_lists()[user].tolist())
+        positives = set(positive_lists(ds)[user].tolist())
         complement = sorted(set(range(ds.num_items)) - positives)
         out = attach_negatives(ds, np.random.default_rng(5),
                                np.full(10**5, user), np.zeros(10**5, dtype=np.int64))

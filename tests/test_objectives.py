@@ -34,6 +34,7 @@ from conftest import (
     derived_rng,
     finite_difference_error,
     flat_context,
+    positive_lists,
 )
 
 
@@ -626,8 +627,8 @@ class TestSmoothRankLimit:
 
 
 def one_block_producer_forward(model, ctx, config):
-    """``_producer_forward`` with its pair chain run on all rows at once, the
-    form the blocked chain replaced, kept as its oracle."""
+    """``_producer_forward`` with its pair sigmoids run on all rows at once,
+    the form the blocked chain replaced, kept as its oracle."""
     rows = np.flatnonzero(ctx.counts)
     at, pad = objectives._padded(ctx, rows)
     relevant = np.arange(ctx.counts[rows].max()) < ctx.counts[rows, None]
@@ -636,9 +637,8 @@ def one_block_producer_forward(model, ctx, config):
     shifted -= shifted.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    inv_tau = 1.0 / config.temperature
-    pair = sigmoid(-inv_tau * (probs[:, :n_rel, None] - probs[:, None, :]))
-    pair *= ~pad[:, None, :]
+    pair = objectives._pair_sigmoids(np.where(pad, -np.inf, probs), n_rel,
+                                     1.0 / config.temperature)
     ranks = pair.sum(axis=2) - 0.5
     expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)
     slope = objectives._rank_slope(pair)
@@ -909,7 +909,7 @@ class TestContextBuilders:
         rng = np.random.default_rng(4)
         users = np.arange(5)
         ctx = build_consumer_context(synthetic_dataset, users, 7, rng)
-        lists = synthetic_dataset.train_positive_lists()
+        lists = positive_lists(synthetic_dataset)
         for row, u in enumerate(users):
             n_pos = int(ctx.counts[row])
             np.testing.assert_array_equal(context_rows(ctx)[row][:n_pos], lists[u])
@@ -934,7 +934,7 @@ class TestContextBuilders:
     def dataset(self, synthetic_dataset):
         # user 0 holds every item, user 1 all but three
         n = synthetic_dataset.num_items
-        kept = np.setdiff1d(np.arange(n), synthetic_dataset.train_positive_lists()[1])[3:]
+        kept = np.setdiff1d(np.arange(n), positive_lists(synthetic_dataset)[1])[3:]
         return with_train_positives(synthetic_dataset, [0] * n + [1] * kept.shape[0],
                                     np.concatenate([np.arange(n), kept]))
 
@@ -955,7 +955,7 @@ class TestContextBuilders:
         for field in ("users", "items", "widths", "counts", "noise"):
             assert np.array_equal(getattr(ctx, field), getattr(again, field))
         assert ctx.noise.shape == (ctx.items.shape if cap else (0,))
-        lists = dataset.train_positive_lists()
+        lists = positive_lists(dataset)
         catalog = np.arange(dataset.num_items)
         free = [dataset.num_items - lists[u].shape[0] for u in users]
         assert free[0] == 0 and free[1] == 3

@@ -276,7 +276,7 @@ class TestExposure:
         monkeypatch.setattr(metrics, "exposure_disparity",
                             lambda raw: routed.append(raw) or exposure_disparity(raw))
         run = RecommendationRun(4, np.array([0]), np.argsort(-scores)[None, :],
-                                [np.array([0])])
+                                np.array([1]), np.array([0]))
         metrics.disparity_item(run, np.eye(4, dtype=np.int8), 0.5)
         np.testing.assert_array_equal(expo, routed[0])
 

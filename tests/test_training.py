@@ -340,7 +340,9 @@ class TestThreadedStep:
         pair_sigmoids = objectives._pair_sigmoids
         taken = threading.Event()
 
-        def failing_on_worker(*args):
+        def failing_on_worker(*args, **kwargs):
+            if kwargs:  # a producer block, written into the slope
+                return pair_sigmoids(*args, **kwargs)
             if threading.current_thread() is threading.main_thread():
                 taken.wait(timeout=10)  # hold the caller until the worker took a block
                 return pair_sigmoids(*args)
@@ -397,7 +399,9 @@ class TestThreadedStep:
             pair_sigmoids = objectives._pair_sigmoids
             producer_forward = objectives._producer_forward
 
-            def recording(*args):
+            def recording(*args, **kwargs):
+                if kwargs:  # a producer block, written into the slope
+                    return pair_sigmoids(*args, **kwargs)
                 on_caller = threading.current_thread() is threading.main_thread()
                 block_threads.append(on_caller)
                 if on_caller and schedule == "caller_late":
