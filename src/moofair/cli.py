@@ -78,15 +78,22 @@ class OutputLock:
     replaced."""
 
     def __init__(self, directory: str):
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise CliError(f"output path is not a directory: {directory}") from None
         self.path = os.path.join(directory, LOCK_NAME)
 
     def _held(self) -> bool:
-        """False when the lock is gone or names a pid that no longer runs; a
-        lock being written, unreadable, or of another user's run is held."""
+        """False when the lock is gone or names a pid that no longer runs, or
+        this run's own pid: a killed run's pid is reused, as by PID 1 of a
+        restarted container. A lock being written, unreadable, or of another
+        user's run is held."""
         try:
             with open(self.path) as fh:
                 pid = int(fh.read())
+            if pid == os.getpid():
+                return False
             os.kill(pid, 0)
         except (ProcessLookupError, FileNotFoundError):
             return False
@@ -168,8 +175,9 @@ def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
 
 def _training_inputs(args, **flags):
     """TrainConfig from ``--config`` overridden by the flags given, and the
-    bundle it trains on; a bad value or a missing mask exits 2."""
-    from .data import load_bundle
+    bundle it trains on; a bad value, a missing mask or a bundle without
+    train rows exits 2."""
+    from .data import TRAIN, EmptyDatasetError, load_bundle
     from .training import TrainConfig
 
     _require_dir(args.bundle, "bundle directory")
@@ -182,6 +190,8 @@ def _training_inputs(args, **flags):
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid training configuration: {exc}") from None
     dataset, masks = load_bundle(args.bundle)
+    if TRAIN not in dataset.split:
+        raise EmptyDatasetError(f"bundle {args.bundle} has no train interactions")
     try:
         config.validate_masks(masks)
     except ValueError as exc:

@@ -256,12 +256,17 @@ def simpson_diversity(run: RecommendationRun, group_mask: np.ndarray) -> float:
 def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSet,
              k_values=(10, 20), patience: float = 0.5, label: str = "model",
              disparity_user_variant: str = "gender") -> list:
-    """All seven metrics at each requested list depth, one row per (model, k)."""
+    """All seven metrics at each requested list depth, one row per (model, k);
+    an undefined disparity_u or diversity is None."""
     rows = []
     # one ranking at the deepest k: a stable order's shallower lists are prefixes
     deepest = build_recommendations(model, dataset, max(k_values)) if k_values else None
     for k in k_values:
         run = replace(deepest, k=k, lists=deepest.lists[:, :k])
+        try:
+            diversity = simpson_diversity(run, masks.popularity)
+        except ValueError:  # fewer than two grouped slots: undefined, like disparity_u
+            diversity = None
         rows.append({
             "model": label,
             "k": int(k),
@@ -271,6 +276,6 @@ def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSe
             "disparity_i": disparity_item(run, masks.popularity, patience),
             "gini": gini_index(run, dataset.num_items),
             "popularity_rate": popularity_rate(run, masks.popularity),
-            "diversity": simpson_diversity(run, masks.popularity),
+            "diversity": diversity,
         })
     return rows

@@ -19,7 +19,7 @@ target.
 
 Every objective returns its scalar loss together with its analytic gradient
 over the parameter rows it touches (``model.ObjectiveGradient``): the batch's
-users and the items of its contexts. The gradients backpropagate through the
+users and items (every item, for fairness); they backpropagate through the
 whole smooth-ranking chain with the Gumbel noise held fixed. Each family has
 one smooth-ranking forward (``_consumer_forward``, ``_producer_forward``). It
 does not depend on the group masks, so it runs once per batch and each
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,8 +67,8 @@ PRODUCER_OBJECTIVES = ("popularity", "genre")
 LN2 = float(np.log(2.0))
 
 # Padded pairs (users x positives x candidates) per block of both pair
-# chains, and d-scores (users x touched items) per block of
-# ``_embedding_grad``: a block's arrays stay cache-sized.
+# chains, and d-scores (users x catalog) per block of ``_embedding_grad``:
+# a block's arrays stay cache-sized.
 PAIR_BLOCK = 2 ** 18
 # Largest scaled score spread of a block the ratio-form pairwise sigmoid
 # takes: exp(700) is finite and exp(-700) a normal float64.
@@ -93,14 +92,6 @@ class CandidateContext:
     widths: np.ndarray
     counts: np.ndarray
     noise: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-
-    @cached_property
-    def touched(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct items of the context, and each entry's flat
-        position in a (rows x those items) matrix; computed once for all the
-        objectives of a family (``_embedding_grad``)."""
-        items, cols = compact_ids(self.items)
-        return items, _entry_rows(self) * items.shape[0] + cols
 
 
 def _candidate_context(dataset: InteractionDataset, users, gen: np.random.Generator,
@@ -177,28 +168,29 @@ def _padded(ctx: CandidateContext, rows: np.ndarray):
     return np.where(pad, ctx.items.shape[0], starts[:, None] + cols), pad
 
 
-def _entry_rows(ctx: CandidateContext) -> np.ndarray:
-    return np.repeat(np.arange(ctx.users.shape[0]), ctx.widths)
+def _entry_positions(ctx: CandidateContext, n_items: int) -> np.ndarray:
+    """Each context entry's flat position in a (context rows x catalog) matrix."""
+    return np.repeat(np.arange(ctx.users.shape[0]) * n_items, ctx.widths) + ctx.items
 
 
 def _entry_scores(model: FactorModel, ctx: CandidateContext) -> np.ndarray:
     """Score of each context entry: its row's user against its item."""
-    return (model.user_embeddings[ctx.users] @ model.item_embeddings.T)[
-        _entry_rows(ctx), ctx.items]
+    return (model.user_embeddings[ctx.users] @ model.item_embeddings.T).ravel()[
+        _entry_positions(ctx, model.num_items)]
 
 
 def _embedding_grad(model: FactorModel, ctx: CandidateContext,
                     d_entries: np.ndarray):
-    """Gradient rows of the context users and of the items the context
-    touches, given d loss / d score of each context entry (plus the padding
-    slot, ignored): the chain through score = user . item as GEMMs over the
-    touched items only, on blocks of context rows whose (rows x touched
-    items) d-scores hold at most ``PAIR_BLOCK`` entries, so that a family's
-    backward stays small beside the other family's. Repeated users are
-    summed. Returns (rows, grad) as ``ObjectiveGradient`` holds them."""
-    items, flat = ctx.touched
-    n_rows, n_items = ctx.users.shape[0], items.shape[0]
-    item_embeddings = model.item_embeddings[items]
+    """Gradient rows of the context users and of every item, given d loss /
+    d score of each context entry (plus the padding slot, ignored): the chain
+    through score = user . item as GEMMs over the catalog, on blocks of
+    context rows whose (rows x catalog) d-scores hold at most ``PAIR_BLOCK``
+    entries, so that a family's backward stays small beside the other
+    family's. It spans the catalog: at the benchmark shapes a batch's
+    contexts touch every item. Repeated users are summed. Returns (rows,
+    grad) as ``ObjectiveGradient`` holds them."""
+    n_rows, n_items = ctx.users.shape[0], model.num_items
+    flat = _entry_positions(ctx, n_items)
     row_grad = np.empty((n_rows, model.dim))
     item_grad = np.zeros((n_items, model.dim))
     ends = np.cumsum(ctx.widths)
@@ -209,12 +201,12 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
         d_scores = np.zeros((stop - start, n_items))
         # flat positions: faster than a 2-D fancy index, and unique per row
         np.put(d_scores, flat[lo:hi] - start * n_items, d_entries[lo:hi])
-        row_grad[start:stop] = d_scores @ item_embeddings
+        row_grad[start:stop] = d_scores @ model.item_embeddings
         item_grad += d_scores.T @ model.user_embeddings[ctx.users[start:stop]]
     users, at = compact_ids(ctx.users)
     user_grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
                             row_grad.ravel(), users.shape[0] * model.dim).reshape(-1, model.dim)
-    return (np.concatenate([users, model.num_users + items]),
+    return (np.concatenate([users, model.num_users + np.arange(n_items)]),
             np.concatenate([user_grad, item_grad]))
 
 

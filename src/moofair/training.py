@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TRAIN, VAL, GroupMaskSet, InteractionDataset
+from .data import TRAIN, VAL, EmptyDatasetError, GroupMaskSet, InteractionDataset
 from .metrics import rank_split, recall_at_k
 from .model import FactorModel, attach_negatives, init_model
 from .numerics import one_blas_thread
@@ -309,7 +309,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
     train_users, train_items = dataset.split_pairs(TRAIN)
     n_pairs = train_users.shape[0]
     if n_pairs == 0:
-        raise ValueError("dataset has no train split")
+        raise EmptyDatasetError("dataset has no train split")
     n_batches = math.ceil(n_pairs / config.batch_size)
 
     trace = AlphaTrace(config.objectives)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from moofair.data import (BUNDLE_FILE, TEST, InteractionDataset, load_bundle, save_bundle,
-                          save_npz)
+from moofair.data import (BUNDLE_FILE, TEST, TRAIN, InteractionDataset, load_bundle,
+                          save_bundle, save_npz)
 from moofair.metrics import build_recommendations, disparity_item, disparity_user
 from moofair.model import FactorModel, load_checkpoint, save_checkpoint
 from moofair.training import TrainConfig, train_round
@@ -431,23 +431,27 @@ class TestGrid:
         assert not (tmp_path / "g").exists()
 
 
+def kept_rows_bundle(dataset, masks, kept, root):
+    """A bundle of the ``kept`` interaction rows of ``dataset`` under
+    ``root``, and a zero-embedding checkpoint of its shape."""
+    dataset = InteractionDataset(
+        dataset.num_users, dataset.num_items, dataset.users[kept], dataset.items[kept],
+        dataset.timestamps[kept], dataset.split[kept], dataset.user_ids, dataset.item_ids)
+    bundle = root / "bundle"
+    save_bundle(str(bundle), dataset, masks)
+    checkpoint = root / "checkpoint"
+    save_checkpoint(FactorModel(np.zeros((dataset.num_users, 2)),
+                                np.zeros((dataset.num_items, 2))), str(checkpoint))
+    return bundle, checkpoint
+
+
 class TestNoTestRows:
     """A bundle without TEST rows loads, but nothing in it can be evaluated."""
 
     @pytest.fixture()
     def untested(self, synthetic_dataset, synthetic_masks, tmp_path):
-        kept = synthetic_dataset.split != TEST
-        dataset = InteractionDataset(
-            synthetic_dataset.num_users, synthetic_dataset.num_items,
-            synthetic_dataset.users[kept], synthetic_dataset.items[kept],
-            synthetic_dataset.timestamps[kept], synthetic_dataset.split[kept],
-            synthetic_dataset.user_ids, synthetic_dataset.item_ids)
-        bundle = tmp_path / "bundle"
-        save_bundle(str(bundle), dataset, synthetic_masks)
-        checkpoint = tmp_path / "checkpoint"
-        save_checkpoint(FactorModel(np.zeros((dataset.num_users, 2)),
-                                    np.zeros((dataset.num_items, 2))), str(checkpoint))
-        return bundle, checkpoint
+        return kept_rows_bundle(synthetic_dataset, synthetic_masks,
+                                synthetic_dataset.split != TEST, tmp_path)
 
     def test_eval_exits_2(self, untested, tmp_path, capsys):
         bundle, checkpoint = untested
@@ -467,6 +471,52 @@ class TestNoTestRows:
         assert code == 2
         assert capsys.readouterr().err == "error: no user has test positives to evaluate\n"
         assert not out.exists()
+
+
+class TestNoTrainRows:
+    """A bundle without TRAIN rows loads, but nothing in it can be trained."""
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_exits_2_and_writes_nothing(self, synthetic_dataset, synthetic_masks,
+                                        tmp_path, capsys, command):
+        bundle, _ = kept_rows_bundle(synthetic_dataset, synthetic_masks,
+                                     synthetic_dataset.split != TRAIN, tmp_path)
+        out = tmp_path / "run"
+        code = main([command, "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr,popularity", "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bundle {bundle} has no train interactions\n"
+        assert not out.exists()
+
+
+def test_eval_of_one_slot_leaves_diversity_empty(synthetic_dataset, synthetic_masks,
+                                                 tmp_path):
+    # one test user at depth 1 fills one slot: Simpson diversity needs two
+    test_users = synthetic_dataset.users[synthetic_dataset.split == TEST]
+    kept = (synthetic_dataset.split != TEST) | (synthetic_dataset.users == test_users[0])
+    bundle, checkpoint = kept_rows_bundle(synthetic_dataset, synthetic_masks, kept, tmp_path)
+    out = tmp_path / "m.csv"
+    code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(checkpoint),
+                 "--out", str(out), "--k", "1"])
+    assert code == 0
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert row["diversity"] == "" and row["disparity_u"] == ""
+
+
+class TestOutputPathNotADirectory:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["prepare", "train", "grid"])
+    def test_exits_2(self, tsv_corpus, bundle, tmp_path, capsys, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "run" if under else blocker
+        args = {"prepare": ["--format", "generic_tsv", "--in", str(tsv_corpus)],
+                "train": ["--bundle", str(bundle), *TRAIN_ARGS],
+                "grid": ["--bundle", str(bundle), *TRAIN_ARGS, "--grid", "0.5"]}[command]
+        code = main([command, *args, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output path is not a directory: {out}\n"
+        assert blocker.read_text() == "not a directory"
 
 
 class TestPackage:
@@ -558,14 +608,31 @@ class TestLock:
         assert code == 1
 
     def test_live_pid_exits_1(self, bundle, tmp_path):
+        # the pid of another process that still runs
+        other = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            out = tmp_path / "run"
+            out.mkdir()
+            (out / ".moofair.lock").write_text(str(other.pid))
+            code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                         "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        finally:
+            other.kill()
+            other.wait(timeout=10)
+        assert code == 1
+        assert (out / ".moofair.lock").read_text() == str(other.pid)
+        assert not (out / "rounds.csv").exists()
+
+    def test_lock_naming_this_run_is_replaced(self, bundle, tmp_path):
+        # a killed run's pid reused by the next run, as PID 1 of a restarted container
         out = tmp_path / "run"
         out.mkdir()
         (out / ".moofair.lock").write_text(str(os.getpid()))
         code = main(["train", "--bundle", str(bundle), "--out", str(out),
                      "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
-        assert code == 1
-        assert (out / ".moofair.lock").read_text() == str(os.getpid())
-        assert not (out / "rounds.csv").exists()
+        assert code == 0
+        assert (out / "rounds.csv").exists()
+        assert not (out / ".moofair.lock").exists()
 
     def test_lock_of_a_finished_run_is_replaced(self, bundle, tmp_path):
         # the lock a killed run leaves names a pid that no longer runs
