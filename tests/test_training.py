@@ -688,6 +688,31 @@ class TestGoldenResults:
             [row["recall"], row["ndcg"], row["disparity_i"]],
             [0.5066666666666666, 0.5346096346664857, 0.013485952133194585], rtol=1e-10)
 
+    def test_five_objective_round(self, synthetic_dataset, synthetic_masks):
+        # two objectives per fairness family, so each family's shared forward
+        # serves a second objective; each of those takes part in training
+        from moofair.metrics import evaluate
+
+        config = TrainConfig(objectives=("bpr", "gender", "age", "popularity", "genre"),
+                             **{**TINY, "epochs_max": 4})
+        result = train_round(synthetic_dataset, synthetic_masks, config)
+        assert result.fw_calls == 28
+        np.testing.assert_allclose(
+            result.record.objective_values,
+            [38.121863482005644, 7.132990869568388e-05, 0.00015637195343184735,
+             0.4387877232220657, 0.21856259979467058], rtol=1e-10)
+        alphas = np.array([alpha for _, _, alpha in result.trace.entries])
+        np.testing.assert_allclose(
+            alphas.mean(axis=0),
+            [0.29458728610158397, 0.16144585929036073, 0.17176503627007808,
+             0.1902041777010543, 0.1819976406369229], rtol=1e-10)
+        assert alphas.shape[0] == 28
+        assert np.all(np.count_nonzero(alphas[:, 1:] > 0, axis=0) >= 20)
+        row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
+        np.testing.assert_allclose(
+            [row["recall"], row["ndcg"], row["disparity_i"]],
+            [0.5161111111111111, 0.5229154040816635, 0.0024997109492426867], rtol=1e-10)
+
 
 class TestStepMemory:
     def test_bpr_step_allocates_under_a_quarter_of_the_parameters(self, monkeypatch):
