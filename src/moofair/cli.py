@@ -183,7 +183,8 @@ def _training_inputs(args, **flags):
     _require_dir(args.bundle, "bundle directory")
     values = parse_config_file(args.config) if args.config else {}
     flags.update(rounds=args.rounds, seed=args.seed, epochs_max=args.epochs,
-                 objectives=tuple(args.objectives.split(",")) if args.objectives else None)
+                 objectives=_coerce("objectives", args.objectives, None)
+                 if args.objectives else None)
     values.update({k: v for k, v in flags.items() if v is not None})
     try:
         config = TrainConfig(**values)

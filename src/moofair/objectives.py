@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import TRAIN, GroupMaskSet, InteractionDataset
-from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad, compact_ids
+from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad
 from .numerics import sample_gumbel, sigmoid
 
 if TYPE_CHECKING:
@@ -84,7 +84,8 @@ class CandidateContext:
     producer side), ``counts[r]`` of them, then the sampled negatives.
     ``noise`` holds one frozen Gumbel draw per entry (producer side only).
     Users without train positives keep an empty prefix and take part in no
-    group.
+    group. A training step builds its contexts over the batch's distinct
+    users in ascending order, as ``_embedding_grad`` requires.
     """
 
     users: np.ndarray
@@ -187,12 +188,13 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
     context rows whose (rows x catalog) d-scores hold at most ``PAIR_BLOCK``
     entries, so that a family's backward stays small beside the other
     family's. It spans the catalog: at the benchmark shapes a batch's
-    contexts touch every item. Repeated users are summed. Returns (rows,
-    grad) as ``ObjectiveGradient`` holds them."""
+    contexts touch every item. The context users are distinct and ascending,
+    so each is one gradient row as it is. Returns (rows, grad) as
+    ``ObjectiveGradient`` holds them."""
     n_rows, n_items = ctx.users.shape[0], model.num_items
     flat = _entry_positions(ctx, n_items)
-    row_grad = np.empty((n_rows, model.dim))
-    item_grad = np.zeros((n_items, model.dim))
+    grad = np.zeros((n_rows + n_items, model.dim))
+    row_grad, item_grad = grad[:n_rows], grad[n_rows:]
     ends = np.cumsum(ctx.widths)
     step = max(1, PAIR_BLOCK // max(n_items, 1))
     for start in range(0, n_rows, step):
@@ -203,11 +205,7 @@ def _embedding_grad(model: FactorModel, ctx: CandidateContext,
         np.put(d_scores, flat[lo:hi] - start * n_items, d_entries[lo:hi])
         row_grad[start:stop] = d_scores @ model.item_embeddings
         item_grad += d_scores.T @ model.user_embeddings[ctx.users[start:stop]]
-    users, at = compact_ids(ctx.users)
-    user_grad = np.bincount((at[:, None] * model.dim + np.arange(model.dim)).ravel(),
-                            row_grad.ravel(), users.shape[0] * model.dim).reshape(-1, model.dim)
-    return (np.concatenate([users, model.num_users + np.arange(n_items)]),
-            np.concatenate([user_grad, item_grad]))
+    return np.concatenate([ctx.users, model.num_users + np.arange(n_items)]), grad
 
 
 def _on_both_threads(fn, items, pool) -> None:
@@ -328,8 +326,6 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
-    if order.shape[0] == 0:
-        return g_matrix, []
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     # ideal DCG@k with n relevant items is ideal_cum[min(k, n) - 1]
     ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
@@ -514,50 +510,35 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _objective_mask(masks: GroupMaskSet, objective_id: str) -> np.ndarray:
-    mask = masks.mask_for(objective_id)
-    if mask is None:
-        raise ValueError(f"{objective_id} objective requires the {objective_id} mask")
-    return mask
-
-
-def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet,
-                  *, triplet_batch: TripletBatch | None = None,
-                  consumer_ctx: CandidateContext | None = None,
-                  producer_ctx: CandidateContext | None = None,
-                  config: TrainConfig | None = None,
-                  forwards: dict | None = None, pool=None) -> ObjectiveGradient | None:
+def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet, *,
+                  triplet_batch: TripletBatch, consumer_ctx: CandidateContext | None,
+                  producer_ctx: CandidateContext | None, config: TrainConfig,
+                  forwards: dict, pool) -> ObjectiveGradient | None:
     """Loss and gradient of any configured objective on the current batch.
 
     Returns None when the objective is skipped for the batch (degenerate
-    group composition). ``forwards`` holds the smooth-ranking forward each
+    group composition). A family's context is None when none of its
+    objectives is configured; each holds the batch's distinct users in
+    ascending order. ``forwards`` holds the smooth-ranking forward each
     objective family shares within a batch: the family's first objective
     fills it and the others reuse it, so one dict must only be passed to
     calls on the same model state, contexts and config. A consumer
-    objective shares its blocks with ``pool``'s worker (``_on_both_threads``).
+    objective shares its blocks with ``pool``'s worker (``_on_both_threads``;
+    serially when None). ``masks`` must hold every configured objective's
+    mask (``TrainConfig.validate_masks``).
     """
     if objective_id == "bpr":
-        if triplet_batch is None:
-            raise ValueError("bpr objective requires a triplet batch")
         return bpr_grad(model, triplet_batch)
-    if forwards is None:
-        forwards = {}
     if objective_id in CONSUMER_OBJECTIVES:
-        if consumer_ctx is None or config is None:
-            raise ValueError(f"{objective_id} objective requires a consumer context")
-        mask = _objective_mask(masks, objective_id)
         if "consumer" not in forwards:
             forwards["consumer"] = _consumer_forward(model, consumer_ctx, config.ndcg_k,
                                                      config.steepness, pool)
         return consumer_fairness_grad(model, consumer_ctx,
-                                      mask[:, consumer_ctx.users], config,
-                                      objective_id, forwards["consumer"], pool)
+                                      masks.mask_for(objective_id)[:, consumer_ctx.users],
+                                      config, objective_id, forwards["consumer"], pool)
     if objective_id in PRODUCER_OBJECTIVES:
-        if producer_ctx is None or config is None:
-            raise ValueError(f"{objective_id} objective requires a producer context")
-        mask = _objective_mask(masks, objective_id)
         if "producer" not in forwards:
             forwards["producer"] = _producer_forward(model, producer_ctx, config)
-        return producer_fairness_grad(model, producer_ctx, mask, config,
-                                      objective_id, forwards["producer"])
+        return producer_fairness_grad(model, producer_ctx, masks.mask_for(objective_id),
+                                      config, objective_id, forwards["producer"])
     raise ValueError(f"unknown objective {objective_id!r}")

@@ -558,6 +558,21 @@ class TestConfigFile:
         meta = (out / "round_1" / "metadata.txt").read_text()
         assert "seed = 7" in meta
 
+    # the flag split on "," alone, so " popularity" and "" were unknown objectives
+    @pytest.mark.parametrize("listed", ["bpr, popularity", "bpr,popularity,"])
+    def test_objectives_flag_parsed_like_the_key(self, bundle, tiny_config, tmp_path,
+                                                 listed):
+        keyed = tmp_path / "objectives.cfg"
+        keyed.write_text(tiny_config.read_text() + f"objectives = {listed}\n")
+        for name, args in (("key", ["--config", str(keyed)]),
+                           ("flag", ["--config", str(tiny_config), "--objectives", listed])):
+            out = tmp_path / name
+            code = main(["train", "--bundle", str(bundle), "--out", str(out), *args,
+                         "--rounds", "1", "--epochs", "1"])
+            assert code == 0, name
+            header = (out / "alpha_trace_round_1.csv").read_text().splitlines()[0]
+            assert header == "epoch,batch,alpha_bpr,alpha_popularity", name
+
 
     def test_keys_are_the_train_config_fields(self, tmp_path):
         config = TrainConfig(objectives=("bpr", "gender"), fixed_weights=(0.25, 0.75),

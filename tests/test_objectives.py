@@ -757,8 +757,9 @@ def dense_embedding_grad(model, ctx, d_entries):
 @st.composite
 def sparse_worlds(draw):
     """A small random model, triplet batch, consumer and producer contexts
-    (repeated users, users without positives, items no context touches) and
-    group masks under which no objective is skipped."""
+    (distinct users in ascending order, as a training step builds them; users
+    without positives; items no context touches) and group masks under which
+    no objective is skipped."""
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     num_users, num_items = draw(st.integers(2, 6)), draw(st.integers(4, 14))
     dim = draw(st.integers(1, 4))
@@ -767,7 +768,7 @@ def sparse_worlds(draw):
     n = draw(st.integers(1, 8))
     batch = TripletBatch(gen.integers(num_users, size=n), gen.integers(num_items, size=n),
                          gen.integers(num_items, size=n))
-    users = np.concatenate([[0, 1], gen.integers(num_users, size=draw(st.integers(0, 3)))])
+    users = np.concatenate([[0, 1], 2 + np.flatnonzero(gen.random(num_users - 2) < 0.5)])
     candidates, counts, noise = [], [], []
     for row in range(users.shape[0]):
         width = int(gen.integers(1, num_items // 2 + 1))
@@ -808,7 +809,7 @@ class TestSparseGradientContract:
         with mock.patch.object(objectives, "_embedding_grad", recording):
             result = fairness_grad(objective, model, masks, triplet_batch=batch,
                                    consumer_ctx=consumer, producer_ctx=producer,
-                                   config=config)
+                                   config=config, forwards={}, pool=None)
         rows = result.rows
         assert rows.dtype == np.int64
         assert np.all(np.diff(rows) > 0)
@@ -844,15 +845,18 @@ class TestSparseGradientContract:
 
 
 class TestDispatcher:
-    def test_bpr_requires_batch(self, synthetic_masks):
-        model = FactorModel(np.ones((1, 1)), np.ones((1, 1)))
-        with pytest.raises(ValueError, match="triplet batch"):
-            fairness_grad("bpr", model, synthetic_masks)
+    @staticmethod
+    def call(objective, model, masks, consumer_ctx=None, producer_ctx=None,
+             config=TrainConfig()):
+        """``fairness_grad`` as a training step calls it, on a fresh forward."""
+        return fairness_grad(objective, model, masks, triplet_batch=None,
+                             consumer_ctx=consumer_ctx, producer_ctx=producer_ctx,
+                             config=config, forwards={}, pool=None)
 
     def test_unknown_objective(self, synthetic_masks):
         model = FactorModel(np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError, match="unknown objective"):
-            fairness_grad("novelty", model, synthetic_masks)
+            self.call("novelty", model, synthetic_masks)
 
     def test_consumer_dispatch(self, synthetic_dataset, synthetic_masks):
         rng = np.random.default_rng(1)
@@ -860,8 +864,8 @@ class TestDispatcher:
                            synthetic_dataset.num_items, 2, 0.0, rng)
         ctx = build_consumer_context(synthetic_dataset, np.arange(6), 5,
                                      derived_rng(1, 2))
-        out = fairness_grad("gender", model, synthetic_masks, consumer_ctx=ctx,
-                            config=TrainConfig(ndcg_k=3, candidate_negatives=5))
+        out = self.call("gender", model, synthetic_masks, consumer_ctx=ctx,
+                        config=TrainConfig(ndcg_k=3, candidate_negatives=5))
         assert out.objective_id == "gender"
         assert out.grad.shape == (out.rows.shape[0], model.dim)
 
@@ -871,22 +875,9 @@ class TestDispatcher:
                            synthetic_dataset.num_items, 2, 0.0, rng)
         ctx = build_producer_context(synthetic_dataset, np.arange(6), 5, 8,
                                      derived_rng(2, 3))
-        out = fairness_grad("popularity", model, synthetic_masks,
-                            producer_ctx=ctx,
-                            config=TrainConfig(temperature=0.1))
+        out = self.call("popularity", model, synthetic_masks, producer_ctx=ctx,
+                        config=TrainConfig(temperature=0.1))
         assert out.objective_id == "popularity"
-
-    def test_missing_mask_rejected(self, synthetic_dataset):
-        from moofair.data import GroupMaskSet
-
-        rng = np.random.default_rng(3)
-        model = init_model(synthetic_dataset.num_users,
-                           synthetic_dataset.num_items, 2, 0.0, rng)
-        ctx = build_consumer_context(synthetic_dataset, np.arange(4), 4,
-                                     derived_rng(3, 1))
-        with pytest.raises(ValueError, match="gender mask"):
-            fairness_grad("gender", model, GroupMaskSet(), consumer_ctx=ctx,
-                          config=TrainConfig(ndcg_k=2, candidate_negatives=4))
 
 
 def with_train_positives(dataset, users, items):

@@ -111,6 +111,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="gender"):
             config.validate_masks(GroupMaskSet())
 
+    def test_missing_mask_rejected_before_any_batch(self, synthetic_dataset,
+                                                    synthetic_masks, monkeypatch):
+        from moofair import training
+
+        batches = []
+        monkeypatch.setattr(training, "attach_negatives", lambda *args: batches.append(args))
+        masks = GroupMaskSet(**{name: synthetic_masks.mask_for(name)
+                                for name in ("age", "popularity", "genre")})
+        config = TrainConfig(objectives=("bpr", "gender", "popularity"), **TINY)
+        with pytest.raises(ValueError, match=r"\['gender'\]"):
+            train_round(synthetic_dataset, masks, config)
+        assert batches == []
+
 
 class TestSingleObjective:
     def test_alpha_is_always_one(self, synthetic_dataset, synthetic_masks):
@@ -248,13 +261,29 @@ class TestSharedForwards:
         for objective, result in zip(config.objectives, shared):
             fresh = fairness_grad(objective, model, synthetic_masks,
                                   triplet_batch=batch, consumer_ctx=consumer,
-                                  producer_ctx=producer, config=config)
+                                  producer_ctx=producer, config=config,
+                                  forwards={}, pool=None)
             assert result.objective_id == objective
             assert np.linalg.norm(fresh.grad) > ZERO_GRAD_TOL
             assert result.loss == pytest.approx(fresh.loss, rel=1e-10, abs=1e-10)
             np.testing.assert_array_equal(result.rows, fresh.rows)
             np.testing.assert_allclose(result.grad, fresh.grad, rtol=1e-10,
                                        atol=1e-10)
+
+    def test_fairness_rows_are_batch_users_then_catalog(self, synthetic_dataset,
+                                                        synthetic_masks, pool):
+        # the contexts hold each batch user once, ascending, so every
+        # fairness gradient has one row per distinct batch user
+        from moofair.training import _objective_results
+
+        config, model, batch = self.batch_world(synthetic_dataset)
+        users = np.unique(batch.users)
+        assert users.shape[0] < batch.users.shape[0]  # the batch repeats users
+        results = _objective_results(model, synthetic_dataset, synthetic_masks,
+                                     config, batch, np.random.default_rng(5), pool)
+        expected = np.concatenate([users, model.num_users + np.arange(model.num_items)])
+        for result in results[1:]:
+            np.testing.assert_array_equal(result.rows, expected)
 
     def test_each_family_forward_runs_once_per_batch(self, synthetic_dataset,
                                                      synthetic_masks,
@@ -390,7 +419,7 @@ class TestThreadedStep:
             return [objectives.fairness_grad(o, model, synthetic_masks,
                                              triplet_batch=batch, consumer_ctx=consumer,
                                              producer_ctx=producer, config=config,
-                                             forwards=forwards)
+                                             forwards=forwards, pool=None)
                     for o in config.objectives], len(forwards["consumer"][1])
 
         with one_blas_thread():
