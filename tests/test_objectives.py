@@ -843,6 +843,16 @@ class TestSparseGradientContract:
                                        dense_embedding_grad(model, ctx, d_entries),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("users", [[1, 1], [1, 0]])
+    def test_repeated_or_unsorted_context_users_rejected(self, users):
+        # _embedding_grad keeps one row per context user, so a context built
+        # over anything but distinct ascending users fails loudly
+        model = init_model(2, 4, 2, 0.0, np.random.default_rng(0), init_std=0.7)
+        ctx = flat_context([[0, 1], [2, 3]], [1, 1], users=users)
+        with pytest.raises(ValueError, match="sorted, unique row id"):
+            ObjectiveGradient("gender", 0.0,
+                              *objectives._embedding_grad(model, ctx, np.ones(5)))
+
 
 class TestDispatcher:
     @staticmethod
