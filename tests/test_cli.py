@@ -558,7 +558,7 @@ class TestConfigFile:
         meta = (out / "round_1" / "metadata.txt").read_text()
         assert "seed = 7" in meta
 
-    # the flag split on "," alone, so " popularity" and "" were unknown objectives
+    # a space after a comma, and a trailing comma, as the config key accepts them
     @pytest.mark.parametrize("listed", ["bpr, popularity", "bpr,popularity,"])
     def test_objectives_flag_parsed_like_the_key(self, bundle, tiny_config, tmp_path,
                                                  listed):
