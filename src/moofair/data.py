@@ -139,12 +139,17 @@ class InteractionDataset:
         return self._positives[split]
 
     def train_membership(self) -> np.ndarray:
-        """Boolean (num_users, num_items) matrix of train-split positives (cached)."""
+        """Train-split positives as a bitset (cached): uint8 (num_users,
+        ceil(num_items / 8)) in ``np.packbits`` order, so item i of user u is
+        bit ``128 >> i % 8`` of byte [u, i // 8]; the padding bits are 0."""
         if self._train_membership is None:
-            matrix = np.zeros((self.num_users, self.num_items), dtype=bool)
-            mask = self.split == TRAIN
-            matrix[self.users[mask], self.items[mask]] = True
-            self._train_membership = matrix
+            users, items = self.split_pairs(TRAIN)
+            width = (self.num_items + 7) // 8
+            packed = np.zeros((self.num_users, width), dtype=np.uint8)
+            # OR, not assignment: pairs share bytes, and a repeated pair sets its bit twice
+            np.bitwise_or.at(packed.reshape(-1), users * width + (items >> 3),
+                             (128 >> (items & 7)).astype(np.uint8))
+            self._train_membership = packed
         return self._train_membership
 
     def train_complement_lists(self) -> list:

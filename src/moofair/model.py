@@ -190,15 +190,18 @@ def attach_negatives(dataset: InteractionDataset, rng: np.random.Generator,
     users = np.asarray(users, dtype=np.int64)
     pos_items = np.asarray(pos_items, dtype=np.int64)
     neg = rng.integers(dataset.num_items, size=users.shape[0])
-    bad = membership[users, neg]
+    bad = membership[users, neg >> 3] & (128 >> (neg & 7)) > 0  # each pair's packed bit
     # a saturated user's draw is always rejected, so only rejected rows need the test
-    saturated = np.flatnonzero(bad)[membership[users[bad]].all(axis=1)]
-    for u in np.unique(users[saturated]):
-        logger.warning("user %d has no unobserved items; skipping", u)
-    users, pos_items, neg, bad = (np.delete(a, saturated) for a in (users, pos_items, neg, bad))
+    full = np.packbits(np.ones(dataset.num_items, dtype=bool))
+    saturated = np.flatnonzero(bad)[(membership[users[bad]] == full).all(axis=1)]
+    if saturated.size:
+        for u in np.unique(users[saturated]):
+            logger.warning("user %d has no unobserved items; skipping", u)
+        users, pos_items, neg, bad = (np.delete(a, saturated)
+                                      for a in (users, pos_items, neg, bad))
     while np.any(bad):
         neg[bad] = rng.integers(dataset.num_items, size=int(bad.sum()))
-        bad = membership[users, neg]
+        bad = membership[users, neg >> 3] & (128 >> (neg & 7)) > 0
     return TripletBatch(users, pos_items, neg)
 
 

@@ -120,7 +120,7 @@ def _candidate_context(dataset: InteractionDataset, users, gen: np.random.Genera
     quota = np.minimum(negatives, free)
     flip = 2 * quota > free
     goal = n_pos + np.where(flip, free - quota, quota)
-    positive = dataset.train_membership()[users]
+    positive = np.unpackbits(dataset.train_membership()[users], axis=1, count=n).view(bool)
     held = positive.copy()
     rows, short = np.arange(users.shape[0]), goal - n_pos
     while np.any(short):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moofair import numerics
-from moofair.data import TRAIN, RawRatings, build_masks, preprocess
+from moofair.data import TRAIN, InteractionDataset, RawRatings, build_masks, preprocess
 from moofair.model import FactorModel
 from moofair.numerics import as_vector
 from moofair.objectives import CandidateContext
@@ -115,6 +115,17 @@ def positive_lists(dataset, split=TRAIN):
     """The per-user item arrays of ``dataset.positives(split)``."""
     indptr, items = dataset.positives(split)
     return np.split(items, indptr[1:-1])
+
+
+def with_train_positives(dataset, users, items):
+    """``dataset`` plus train interactions (users[i], items[i])."""
+    users = np.concatenate([dataset.users, np.asarray(users, dtype=dataset.users.dtype)])
+    items = np.concatenate([dataset.items, np.asarray(items, dtype=dataset.items.dtype)])
+    return InteractionDataset(dataset.num_users, dataset.num_items, users, items,
+                              np.zeros_like(users), np.concatenate([
+                                  dataset.split, np.full(users.shape[0] - dataset.split.shape[0],
+                                                         TRAIN, dtype=dataset.split.dtype)]),
+                              dataset.user_ids, dataset.item_ids)
 
 
 def derived_rng(seed, index):

@@ -29,6 +29,8 @@ from moofair.data import (
     save_npz,
     write_csv,
 )
+from moofair.model import attach_negatives
+from moofair.objectives import build_consumer_context
 from conftest import GENRES, make_raw, positive_lists
 
 
@@ -661,6 +663,62 @@ class TestTrainLists:
         complements = dataset.train_complement_lists()
         assert [row.tolist() for row in complements] == [
             [0, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4], [0, 1, 2, 3, 4]]
+
+
+def dense_train_reference(dataset):
+    """The (users x items) bool table of ``split_pairs(TRAIN)``."""
+    dense = np.zeros((dataset.num_users, dataset.num_items), dtype=bool)
+    dense[dataset.split_pairs(TRAIN)] = True
+    return dense
+
+
+class TestTrainMembership:
+    @settings(max_examples=150, deadline=None)
+    @given(num_users=st.integers(1, 5), num_items=st.integers(1, 20), full=st.booleans(),
+           rows=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                                   st.sampled_from((TRAIN, TRAIN, VAL, TEST))), max_size=60))
+    # user 0 holds the catalog, user 1 no train item, user 2 all but item 8,
+    # whose byte is one bit short of user 0's
+    @example(num_users=3, num_items=9, full=True,
+             rows=[(1, 0, TEST)] + [(2, i, TRAIN) for i in range(8)])
+    def test_packed_rows_match_dense_reference(self, num_users, num_items, full, rows):
+        if full:  # user 0 holds the whole catalog
+            rows = rows + [(0, i, TRAIN) for i in range(num_items)]
+        users, items, split = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        dataset = InteractionDataset(num_users, num_items, users % num_users,
+                                     items % num_items, np.arange(users.shape[0]),
+                                     split.astype(np.int8), np.arange(num_users),
+                                     np.arange(num_items))
+        reference = dense_train_reference(dataset)
+
+        packed = dataset.train_membership()
+        assert packed.dtype == np.uint8 and packed.shape == (num_users, (num_items + 7) // 8)
+        assert dataset.train_membership() is packed  # cached
+        bits = np.unpackbits(packed, axis=1).astype(bool)
+        np.testing.assert_array_equal(bits[:, :num_items], reference)
+        assert not bits[:, num_items:].any()  # padding bits are 0
+
+        # with a quota of the whole catalog every row takes its complement,
+        # which comes from the rows _candidate_context unpacks
+        everyone = np.arange(num_users)
+        ctx = build_consumer_context(dataset, everyone, num_items, np.random.default_rng(0))
+        for row, entries in zip(reference, np.split(ctx.items, np.cumsum(ctx.widths)[:-1])):
+            np.testing.assert_array_equal(entries, np.concatenate(
+                [np.flatnonzero(row), np.flatnonzero(~row)]))
+
+        # the sampler's packed lookups never return a train positive, and
+        # only users holding the whole catalog are dropped
+        batch = attach_negatives(dataset, np.random.default_rng(1), np.repeat(everyone, 4),
+                                 np.zeros(4 * num_users, dtype=np.int64))
+        assert not reference[batch.users, batch.neg_items].any()
+        np.testing.assert_array_equal(np.unique(batch.users),
+                                      np.flatnonzero(~reference.all(axis=1)))
+
+    def test_footprint_one_bit_per_pair(self, synthetic_dataset):
+        for dataset in (synthetic_dataset, dataset_with_counts([3] * 3706)):
+            packed = dataset.train_membership()
+            assert packed.dtype == np.uint8
+            assert packed.nbytes == dataset.num_users * ((dataset.num_items + 7) // 8)
 
 
 class TestBuildMasks:

@@ -17,7 +17,8 @@ from moofair.model import (
 from moofair.data import TRAIN, DataFormatError, save_npz
 from moofair.metrics import top_k_items
 from moofair.numerics import sigmoid
-from conftest import dense_gradient, finite_difference_error, positive_lists
+from conftest import (dense_gradient, finite_difference_error, positive_lists,
+                      with_train_positives)
 
 
 def tiny_model(user_rows, item_rows, reg=0.0):
@@ -199,12 +200,9 @@ class TestNegativeSampling:
         target_user = 0
         positives = set(positive_lists(ds)[target_user].tolist())
         missing = next(i for i in range(ds.num_items) if i not in positives)
-        ds_patched = type(ds)(**{k: v for k, v in ds.__dict__.items()
-                                 if not k.startswith("_")})
-        membership = ds_patched.train_membership()
-        membership[target_user, :] = True
-        membership[target_user, missing] = False
-        out = attach_negatives(ds_patched, np.random.default_rng(0),
+        ds_full = with_train_positives(ds, [target_user] * (ds.num_items - 1),
+                                       np.delete(np.arange(ds.num_items), missing))
+        out = attach_negatives(ds_full, np.random.default_rng(0),
                                np.array([target_user]), np.array([0]))
         assert out.neg_items[0] == missing
 
@@ -212,12 +210,10 @@ class TestNegativeSampling:
         import logging
 
         ds = synthetic_dataset
-        ds_patched = type(ds)(**{k: v for k, v in ds.__dict__.items()
-                                 if not k.startswith("_")})
-        membership = ds_patched.train_membership()
-        membership[1, :] = True
+        # user 1's train positives cover the whole catalog
+        ds_full = with_train_positives(ds, [1] * ds.num_items, np.arange(ds.num_items))
         with caplog.at_level(logging.WARNING):
-            out = attach_negatives(ds_patched, np.random.default_rng(0),
+            out = attach_negatives(ds_full, np.random.default_rng(0),
                                    np.array([1, 2]), np.array([0, 0]))
         assert "no unobserved items" in caplog.text
         assert out.size == 1

@@ -35,6 +35,7 @@ from conftest import (
     finite_difference_error,
     flat_context,
     positive_lists,
+    with_train_positives,
 )
 
 
@@ -888,17 +889,6 @@ class TestDispatcher:
         out = self.call("popularity", model, synthetic_masks, producer_ctx=ctx,
                         config=TrainConfig(temperature=0.1))
         assert out.objective_id == "popularity"
-
-
-def with_train_positives(dataset, users, items):
-    """``dataset`` plus train interactions (users[i], items[i])."""
-    users = np.concatenate([dataset.users, np.asarray(users, dtype=dataset.users.dtype)])
-    items = np.concatenate([dataset.items, np.asarray(items, dtype=dataset.items.dtype)])
-    return InteractionDataset(dataset.num_users, dataset.num_items, users, items,
-                              np.zeros_like(users), np.concatenate([
-                                  dataset.split, np.full(users.shape[0] - dataset.split.shape[0],
-                                                         TRAIN, dtype=dataset.split.dtype)]),
-                              dataset.user_ids, dataset.item_ids)
 
 
 class TestContextBuilders:
