@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import logging
 import os
 import sys
 from dataclasses import fields, replace
-
-logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".moofair.lock"
 # weights on bpr that ``moofair grid`` trains by default
@@ -73,9 +72,10 @@ def parse_config_file(path: str) -> dict:
 
 
 class OutputLock:
-    """Exclusive-creation lock file guarding an output directory. It holds
-    the pid of its run; a lock whose pid no longer runs (a killed run) is
-    replaced."""
+    """A kernel lock (``flock``, so POSIX only) on a file in an output
+    directory. The file holds its run's pid for people to read. The kernel
+    drops the lock when the run's process ends, however it ends, so the file
+    a killed run leaves blocks no later run. A clean exit removes the file."""
 
     def __init__(self, directory: str):
         try:
@@ -84,41 +84,36 @@ class OutputLock:
             raise CliError(f"output path is not a directory: {directory}") from None
         self.path = os.path.join(directory, LOCK_NAME)
 
-    def _held(self) -> bool:
-        """False when the lock is gone or names a pid that no longer runs, or
-        this run's own pid: a killed run's pid is reused, as by PID 1 of a
-        restarted container. A lock being written, unreadable, or of another
-        user's run is held."""
-        try:
-            with open(self.path) as fh:
-                pid = int(fh.read())
-            if pid == os.getpid():
-                return False
-            os.kill(pid, 0)
-        except (ProcessLookupError, FileNotFoundError):
-            return False
-        except (ValueError, OverflowError, PermissionError):
-            pass
-        return True
-
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self._held():
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
                 raise CliError(
                     f"output directory is locked by another run: {self.path}", code=1
                 ) from None
-            logger.warning("replacing the lock of a run that no longer runs: %s", self.path)
-            self.__exit__()
-            return self.__enter__()
+            except OSError as exc:
+                os.close(fd)
+                raise CliError(f"cannot lock {self.path}: {exc}") from None
+            # a file its holder removed after this run opened it is unlinked,
+            # and locking it excludes no one: open the path again
+            with contextlib.suppress(FileNotFoundError):
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    break
+            os.close(fd)
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        self.fd = fd
         return self
 
     def __exit__(self, *exc_info):
+        # removed before it is unlocked: a run that locks it later finds the
+        # path changed and opens it anew
         with contextlib.suppress(FileNotFoundError):
             os.remove(self.path)
+        os.close(self.fd)
         return False
 
 

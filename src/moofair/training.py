@@ -298,8 +298,8 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
 
     Every epoch visits all train (user, positive) pairs in a fresh random
     order, one negative sampled per pair. Validation recall is checked every
-    ``eval_every`` epochs and training stops after ``early_stop_patience``
-    evaluations without improvement.
+    ``eval_every`` epochs and after the last one, and training stops after
+    ``early_stop_patience`` evaluations without improvement.
     """
     config.validate_masks(masks)
     init_gen, batch_gen, ctx_gen = _round_streams(config.seed, round_index)
@@ -315,8 +315,6 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
     trace = AlphaTrace(config.objectives)
     fw_calls = 0
     best_recall = -np.inf
-    best_params = None  # flat snapshot of the best-validation model
-    best_epoch = 0
     stale_evals = 0
 
     with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
@@ -334,7 +332,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                 fw_calls += int(fw_used)
                 trace.append(epoch, b, alpha)
                 model.params[rows] -= config.learning_rate * direction
-            if epoch % config.eval_every == 0:
+            if epoch % config.eval_every == 0 or epoch == config.epochs_max:
                 recall = _validation_recall(model, dataset, config.eval_k)
                 if recall > best_recall:
                     best_recall = recall
@@ -347,12 +345,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                     logger.info("round %d: early stop at epoch %d", round_index, epoch)
                     break
 
-        if best_params is None:  # never evaluated: keep the final state
-            best_recall = _validation_recall(model, dataset, config.eval_k)
-            best_epoch = config.epochs_max
-        else:
-            model.set_flat(best_params)
-
+        model.set_flat(best_params)  # the last epoch validates, so it is set
         values = _final_objective_values(model, dataset, masks, config, eval_gen,
                                          pool)
     record = SolutionRecord(round_id=round_index + 1, objective_values=values)

@@ -614,16 +614,47 @@ class TestConfigFile:
 
 
 class TestLock:
+    # holds a kernel lock on the file it is given, writes its pid there and
+    # says so on stdout, then sleeps until killed
+    HOLDER = ("import fcntl, os, sys, time\n"
+              "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)\n"
+              "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+              "os.write(fd, str(os.getpid()).encode())\n"
+              "print('locked', flush=True)\n"
+              "time.sleep(60)\n")
+
     def test_concurrent_guard(self, bundle, tmp_path):
+        from moofair.cli import OutputLock
+
         out = tmp_path / "run"
-        out.mkdir()
-        (out / ".moofair.lock").touch()
-        code = main(["train", "--bundle", str(bundle), "--out", str(out),
-                     "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        with OutputLock(str(out)):
+            code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                         "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+            assert (out / ".moofair.lock").read_text() == str(os.getpid())
         assert code == 1
+        assert not (out / "rounds.csv").exists()
 
     def test_live_pid_exits_1(self, bundle, tmp_path):
-        # the pid of another process that still runs
+        # another process holds the lock
+        out = tmp_path / "run"
+        out.mkdir()
+        holder = subprocess.Popen([sys.executable, "-c", self.HOLDER,
+                                   str(out / ".moofair.lock")],
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                         "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+            assert (out / ".moofair.lock").read_text() == str(holder.pid)
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        assert code == 1
+        assert not (out / "rounds.csv").exists()
+
+    def test_file_of_a_live_pid_without_the_lock_is_replaced(self, bundle, tmp_path):
+        # a killed run's pid reused by a process that holds no lock
         other = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
         try:
             out = tmp_path / "run"
@@ -634,8 +665,52 @@ class TestLock:
         finally:
             other.kill()
             other.wait(timeout=10)
-        assert code == 1
-        assert (out / ".moofair.lock").read_text() == str(other.pid)
+        assert code == 0
+        assert (out / "rounds.csv").exists()
+        assert not (out / ".moofair.lock").exists()
+
+    def test_file_replaced_before_locking_is_opened_again(self, tmp_path, monkeypatch):
+        # the lock's holder removes its file and another run makes a new one
+        # between this run's open and its flock
+        import fcntl
+
+        from moofair.cli import OutputLock
+
+        path = tmp_path / ".moofair.lock"
+        flock = fcntl.flock
+        calls = []
+
+        def replaced_first(fd, operation):
+            if not calls:
+                path.unlink()
+                path.write_text("")
+            calls.append(fd)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", replaced_first)
+        with OutputLock(str(tmp_path)) as lock:
+            assert len(calls) == 2
+            assert os.path.samestat(os.fstat(lock.fd), os.stat(path))
+            assert path.read_text() == str(os.getpid())
+            with pytest.raises(CliError) as blocked, OutputLock(str(tmp_path)):
+                pass
+            assert blocked.value.code == 1
+        assert not path.exists()
+
+    def test_filesystem_without_locks_exits_2(self, bundle, tmp_path, monkeypatch,
+                                              capsys):
+        import errno
+        import fcntl
+
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out),
+                     "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
+        assert code == 2
+        assert f"cannot lock {out / '.moofair.lock'}" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
     def test_lock_naming_this_run_is_replaced(self, bundle, tmp_path):

@@ -5,7 +5,8 @@ Reads the syntax tree of each module under ``src/moofair`` and fails on a
 call that opens a file for writing anywhere else: builtin ``open`` with a
 mode other than reading, ``os.open``, a ``Path.write_*``, or a numpy saver
 handed a path instead of a file ``atomic_open`` yielded. The lock file is the
-one exception: it must be created exclusively, which a rename cannot do.
+one exception: it is opened in place to hold a kernel lock, and a rename
+would swap the locked file for another.
 """
 
 import ast

@@ -143,6 +143,26 @@ class TestSingleObjective:
         baseline = train_round(synthetic_dataset, synthetic_masks, untrained)
         assert result.val_recall >= baseline.val_recall
 
+    def test_last_epoch_is_validated(self, synthetic_dataset, synthetic_masks,
+                                     monkeypatch):
+        # epoch 3 is no multiple of eval_every but the last: with a recall
+        # that rises at every check, its model is the one returned
+        from moofair import training
+
+        checked = []
+
+        def rising(model, dataset, k):
+            checked.append(model.flatten())
+            return float(len(checked))
+
+        monkeypatch.setattr(training, "_validation_recall", rising)
+        config = TrainConfig(objectives=("bpr",), **{**TINY, "epochs_max": 3,
+                                                     "eval_every": 2})
+        result = train_round(synthetic_dataset, synthetic_masks, config)
+        assert result.best_epoch == 3
+        assert result.val_recall == len(checked) == 2
+        np.testing.assert_array_equal(result.model.flatten(), checked[-1])
+
     def test_zero_weight_fairness_matches_bpr_only(self, synthetic_dataset,
                                                    synthetic_masks, pool):
         # with weight 0 on fairness, a batch's step is BPR alone's step scaled
