@@ -1,5 +1,6 @@
-"""Dense float64 linear algebra, random sampling, integer sets and the BLAS
-thread count, shared by all modules."""
+"""Dense float64 linear algebra, a logistic function that keeps float32
+input in float32, random sampling, integer sets and the BLAS thread count,
+shared by all modules."""
 
 from __future__ import annotations
 
@@ -43,11 +44,17 @@ def sigmoid(x, out=None):
 
     The half-tanh form 0.5*(1+tanh(x/2)) equals 1/(1+exp(-x)), never
     overflows (tanh saturates to +-1 on its own, infinities included), and
-    keeps the symmetry sigmoid(x) + sigmoid(-x) == 1 to float64 roundoff. It
-    is computed in one output buffer, without temporaries: ``out`` when
-    given (``x`` itself is allowed), else a new array.
+    keeps the symmetry sigmoid(x) + sigmoid(-x) == 1 to roundoff. float32
+    input is computed and returned in float32 (the pair chains of
+    ``objectives.py``), anything else in float64. Its absolute error is a few
+    units of roundoff of that dtype, so far in the tails the relative error
+    grows, and the result is exactly 0 below about -20 in float32 and -38 in
+    float64. It is computed in one output buffer, without temporaries:
+    ``out`` when given (``x`` itself is allowed), else a new array.
     """
-    z = np.asarray(x, dtype=np.float64)
+    z = np.asarray(x)
+    if z.dtype != np.float32:
+        z = z.astype(np.float64, copy=False)
     out = np.multiply(z, 0.5, out=np.empty_like(z) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0

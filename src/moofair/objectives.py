@@ -41,6 +41,22 @@ of a training step share the blocks (``_on_both_threads``, ``training.py``)
 with results independent of which thread ran which. The producer runs its
 pair chain on row blocks of at most ``PAIR_BLOCK`` pairs too, writing each
 block's rank slope in place into the one slope array its backward reads.
+
+Precision: the arrays with one element per pair or per (positive, k) are
+``CHAIN_DTYPE``, float32: the pair differences, pair sigmoids
+(``_pair_sigmoids``), rank slopes (``_rank_slope``) and soft top-k cutoffs
+(``_cutoffs``). Each element is within a few float32 units of roundoff,
+relative in the ratio form of the pair sigmoids and absolute in their
+half-tanh form, the slopes and the cutoffs, so far in a tail an element
+keeps few digits or none. Every sum over them (ranks, slope row sums, NDCG
+rows, d loss / d rank, d loss / d score) is taken in float64, the
+mixed-precision pattern of Micikevicius et al. (ICLR 2018), and the scores,
+probabilities, losses, ``d_entries``, ``_embedding_grad`` and every returned
+gradient are float64. On a trained model the losses are within 1e-6 of the
+float64 chains relative, the consumer gradients within 1e-5 and the
+producer ones within 1e-6 in the ratio form and 5e-4 in the half-tanh form
+(``tests/test_objectives.py``, ``TestFloat32Chain``). Setting
+``CHAIN_DTYPE`` to float64 runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -70,9 +86,10 @@ LN2 = float(np.log(2.0))
 # chains, and d-scores (users x catalog) per block of ``_embedding_grad``:
 # a block's arrays stay cache-sized.
 PAIR_BLOCK = 2 ** 18
-# Largest scaled score spread of a block the ratio-form pairwise sigmoid
-# takes: exp(700) is finite and exp(-700) a normal float64.
-RATIO_SPREAD = 700.0
+# dtype of the per-pair arrays of both chains: pair differences, pair
+# sigmoids, rank slopes and soft top-k cutoffs. Their sums, the losses and
+# every gradient are float64.
+CHAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -229,20 +246,30 @@ def _on_both_threads(fn, items, pool) -> None:
 
 def _rank_slope(pair: np.ndarray) -> np.ndarray:
     """In place: the rank slope pair * (1 - pair) of (rows, P, C) pairwise
-    sigmoids, with the constant j == p terms zeroed."""
+    sigmoids, with the constant j == p terms zeroed. Where a pair is near 1,
+    1 - pair cancels: the slope keeps the pair's absolute error, a few units
+    of roundoff, so a slope far in the tail has few correct digits."""
     pair *= 1.0 - pair
     diag = np.arange(pair.shape[1])
     pair[:, diag, diag] = 0.0
     return pair
 
 
+def _row_sums(pairs: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of (rows, P, C) ``CHAIN_DTYPE`` pairs, taken in
+    float64; each row's sum depends only on that row."""
+    return pairs.sum(axis=2, dtype=np.float64)
+
+
 def _rank_backward(d_ranks: np.ndarray, slope: np.ndarray, slope_sums: np.ndarray,
                    scale: float) -> np.ndarray:
     """d loss / d scores (rows, C) of smooth ranks
     r_p = const + sum_{j != p} sigmoid(scale * (s_j - s_p)) of the first P
-    columns, given d loss / d r (rows, P), the ``_rank_slope`` and its row
-    sums."""
-    out = np.matmul(d_ranks[:, None, :], slope)[:, 0, :]
+    columns, given d loss / d r (rows, P), the ``CHAIN_DTYPE``
+    ``_rank_slope`` and its float64 row sums. The sums over p and the result
+    are float64, so each d score carries only the slope's own error: a few
+    units of its roundoff per term, absolute, weighted by d loss / d r."""
+    out = np.einsum("bp,bpc->bc", d_ranks, slope)
     out[:, :d_ranks.shape[1]] -= d_ranks * slope_sums
     out *= scale
     return out
@@ -272,36 +299,69 @@ def group_disparity(vectors: np.ndarray, group_rows):
     return loss, masks[present].T @ (d_means / counts[present, None])
 
 
+def _ratio_spread(dtype) -> float:
+    """Largest scaled score spread of a row that the ratio form of
+    ``_pair_sigmoids`` takes in ``dtype``: exp(-spread) is a normal number and
+    exp(spread) is finite (87 in float32, 708 in float64)."""
+    return float(np.floor(-np.log(np.finfo(dtype).tiny)))
+
+
 def _pair_sigmoids(values: np.ndarray, n_pos: int, scale: float, out=None) -> np.ndarray:
     """sigmoid(scale * (values[b, j] - values[b, p])) for the first ``n_pos``
-    columns p and every column j of each row, shape (rows, n_pos, columns), in
-    ``out`` when given.
+    columns p and every column j of each float64 row, shape (rows, n_pos,
+    columns), ``CHAIN_DTYPE``, in ``out`` when given.
 
     Padding is -inf: a padding column j gives 0 and a padding p gives finite
     values. The ratio form E_j / (E_j + E_p), E = exp(scale * values - row max),
-    is taken as 1 / (1 + E_p * (1 / E_j)): one exp per candidate and positive,
-    one multiply, add and reciprocal per pair. Past ``RATIO_SPREAD`` 1 / E_j
-    can overflow, so such a block takes ``numerics.sigmoid`` of differences.
+    is taken as 1 / (1 + E_p * (1 / E_j)): one exp per candidate and positive
+    (in float64, then rounded), one multiply, add and reciprocal per pair, so
+    each pair is within a few units of roundoff, relative. Past
+    ``_ratio_spread`` 1 / E_j can overflow, so such a row takes
+    ``numerics.sigmoid`` of scale times the differences of its values
+    rounded to ``CHAIN_DTYPE``. That form's error is absolute: a few units of
+    roundoff, plus up to a quarter of scale times the rounding error of the
+    two values (on a near tie of producer probabilities of 0.01 at
+    temperature 1e-5, about 2e-5). A pair far in the lower tail keeps few
+    digits, and is 0 below about -20 in float32. Each row takes its own form,
+    so its pairs do not depend on the other rows of its block.
     """
+    if out is None:
+        out = np.empty((values.shape[0], n_pos, values.shape[1]), CHAIN_DTYPE)
     scaled = scale * values
     top = scaled.max(axis=1, keepdims=True)
     low = np.where(np.isneginf(scaled), top, scaled).min(axis=1, keepdims=True)
-    if np.max(top - low) > RATIO_SPREAD:
+    wide = (top - low)[:, 0] > _ratio_spread(out.dtype)
+    if wide.any() and not wide.all():  # both forms: each row set on its own
+        for rows in (wide, ~wide):
+            out[rows] = _pair_sigmoids(values[rows], n_pos, scale)
+        return out
+    if wide.any():
+        values = values.astype(out.dtype)
         pos = values[:, :n_pos].copy()
         pos[np.isneginf(pos)] = 0.0
-        out = np.subtract(values[:, None, :], pos[:, :, None], out=out)
+        np.subtract(values[:, None, :], pos[:, :, None], out=out)
         out *= scale
         return sigmoid(out, out=out)
-    pos = np.exp(scaled[:, :n_pos] - top)
-    pos[pos == 0.0] = 1.0
-    out = np.einsum("bp,bc->bpc", pos, np.exp(top - scaled), out=out)  # E_p / E_j
+    pos = np.exp(scaled[:, :n_pos] - top).astype(out.dtype, copy=False)
+    pos[pos == 0.0] = 1.0  # padding positives
+    inv = np.exp(top - scaled).astype(out.dtype, copy=False)
+    np.einsum("bp,bc->bpc", pos, inv, out=out)  # E_p / E_j
     out += 1.0
     return np.reciprocal(out, out=out)
 
 
 def _cutoffs(ranks: np.ndarray, ks: np.ndarray, steepness: float) -> np.ndarray:
-    """Soft top-k cutoffs sigmoid(steepness * (k + 0.5 - rank)), (B, P, K)."""
-    return sigmoid(steepness * (ks + 0.5 - ranks[:, :, None]))
+    """Soft top-k cutoffs sigmoid(steepness * (k + 0.5 - rank)) of (B, P)
+    ranks, laid out (K, B, P) so that each k is one contiguous slab,
+    ``CHAIN_DTYPE``. The argument is built in the one output buffer from
+    k + 0.5 and the ranks rounded to ``CHAIN_DTYPE`` (within half a unit of
+    roundoff of the rank), then scaled and passed through
+    ``numerics.sigmoid`` there."""
+    out = np.subtract((ks + 0.5).astype(CHAIN_DTYPE)[:, None, None],
+                      ranks.astype(CHAIN_DTYPE),
+                      out=np.empty(ks.shape + ranks.shape, CHAIN_DTYPE))
+    out *= steepness
+    return sigmoid(out, out=out)
 
 
 def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
@@ -349,11 +409,11 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         at, _ = _padded(ctx, rows)
         scores = entries[at]
         n_max = int(counts[-1])
-        ranks = 0.5 + _pair_sigmoids(scores, n_max, steepness).sum(axis=2)
+        ranks = 0.5 + _row_sums(_pair_sigmoids(scores, n_max, steepness))
         # padding positives get a zero discount, so they add nothing
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
         idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
-        g_matrix[rows] = np.einsum("bpk,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
+        g_matrix[rows] = np.einsum("kbp,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
         blocks[i] = (rows, at, scores, ranks, disc, idcg)
 
     _on_both_threads(run, range(len(spans))[::-1], pool)
@@ -392,18 +452,22 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
 
     def run(block):
         rows, at, scores, ranks, disc, idcg = block
-        # d dcg_k / d r_p: soft-cutoff slope times discount, plus cutoff times
-        # the discount slope -disc^2 / ((r_p + 1) ln 2)
         coeff = d_g[rows] / idcg  # (B, K)
         if not np.any(coeff):
             return
-        trunc = _cutoffs(ranks, ks, steepness)
-        d_ranks = (-steepness * np.einsum("bpk,bk->bp", trunc * (1.0 - trunc), coeff) * disc
-                   - np.einsum("bpk,bk->bp", trunc, coeff) * disc ** 2 / ((ranks + 1.0) * LN2))
+        # d dcg_k / d r_p = cut * (-steepness * disc * (1 - cut) + disc slope),
+        # the soft-cutoff slope times the discount plus the cutoff times the
+        # discount slope -disc^2 / ((r_p + 1) ln 2), in (K, B, P)
+        cut = _cutoffs(ranks, ks, steepness)
+        d_dcg = np.subtract(1.0, cut)
+        d_dcg *= (-steepness * disc).astype(CHAIN_DTYPE)
+        d_dcg += (-disc ** 2 / ((ranks + 1.0) * LN2)).astype(CHAIN_DTYPE)
+        d_dcg *= cut
+        d_ranks = np.einsum("kbp,bk->bp", d_dcg, coeff)
         if not np.any(d_ranks):
             return
         slope = _rank_slope(_pair_sigmoids(scores, ranks.shape[1], steepness))
-        d_entries[at] = _rank_backward(d_ranks, slope, slope.sum(axis=2), steepness)
+        d_entries[at] = _rank_backward(d_ranks, slope, _row_sums(slope), steepness)
 
     _on_both_threads(run, blocks[::-1], pool)
     return ObjectiveGradient(objective_id, loss, *_embedding_grad(model, ctx, d_entries))
@@ -432,8 +496,9 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     one ``_padded`` block of the rows with relevant items: the block's entry
     positions, its relevant-position mask (B, R) and the relevant items in
     that mask's order, the sampling probabilities (B, C), the
-    relevant-item exposure (B, R), zero on padding, and the rank slope
-    pair*(1-pair) with the constant j == i terms zeroed (plus its row sums).
+    relevant-item exposure (B, R), zero on padding, and the ``CHAIN_DTYPE``
+    rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
+    float64 row sums).
     Independent of the item group masks; None when no row has relevant items.
 
     Probabilities are the softmax of the Gumbel-perturbed candidate scores,
@@ -455,7 +520,7 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     values = np.where(pad, -np.inf, probs)  # padding columns are no candidates
-    slope = np.empty((rows.shape[0], n_rel, probs.shape[1]))
+    slope = np.empty((rows.shape[0], n_rel, probs.shape[1]), CHAIN_DTYPE)
     ranks = np.empty((rows.shape[0], n_rel))
     slope_sums = np.empty_like(ranks)
     step = max(1, PAIR_BLOCK // slope[0].size)
@@ -463,8 +528,8 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
         block = slice(start, start + step)
         pair = _pair_sigmoids(values[block], n_rel, 1.0 / config.temperature,
                               out=slope[block])
-        ranks[block] = pair.sum(axis=2) - 0.5  # remove the j == i term
-        slope_sums[block] = _rank_slope(pair).sum(axis=2)
+        ranks[block] = _row_sums(pair) - 0.5  # remove the j == i term
+        slope_sums[block] = _row_sums(_rank_slope(pair))
     expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)
     relevant_items = ctx.items[at[:, :n_rel][relevant]]
     return at, relevant, relevant_items, probs, expo, slope, slope_sums

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moofair import numerics
+from moofair import numerics, objectives
 from moofair.data import TRAIN, InteractionDataset, RawRatings, build_masks, preprocess
 from moofair.model import FactorModel
 from moofair.numerics import as_vector
@@ -202,3 +202,10 @@ def blas_threads():
     set_(2)
     yield get
     set_(before)
+
+
+@pytest.fixture
+def float64_chain(monkeypatch):
+    """The pair chains of ``objectives`` in float64 (``CHAIN_DTYPE``), for a
+    test that pins values or finite differences to float64 roundoff."""
+    monkeypatch.setattr(objectives, "CHAIN_DTYPE", np.float64)

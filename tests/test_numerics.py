@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -85,6 +87,34 @@ class TestSigmoid:
         assert sigmoid(1e308) == 1.0
         assert sigmoid(-1e308) == 0.0
         assert np.isfinite(sigmoid(np.array([-1e308, 1e308]))).all()
+
+
+class TestSigmoidFloat32:
+    """float32 input stays float32: the pair chains of ``objectives``."""
+
+    def test_returns_float32(self):
+        x = np.linspace(-5.0, 5.0, 11, dtype=np.float32)
+        assert sigmoid(x).dtype == np.float32
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        assert sigmoid(x.astype(np.float16)).dtype == np.float64
+
+    def test_extremes_saturate_exactly_without_warnings(self):
+        x = np.array([np.inf, 1e4, -1e4, -np.inf], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sigmoid(x)
+        assert y.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_symmetry_to_float32_roundoff(self):
+        x = np.random.default_rng(3).uniform(-40.0, 40.0, 100000).astype(np.float32)
+        total = sigmoid(x).astype(np.float64) + sigmoid(-x)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=np.finfo(np.float32).eps)
+
+    def test_matches_float64_to_float32_roundoff(self):
+        x = np.linspace(-30.0, 30.0, 60001).astype(np.float32)
+        np.testing.assert_allclose(sigmoid(x), sigmoid(x.astype(np.float64)), rtol=0,
+                                   atol=np.finfo(np.float32).eps)
 
 
 class TestSoftmax:

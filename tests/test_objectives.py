@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -27,7 +28,7 @@ from moofair.objectives import (
     group_disparity,
     producer_fairness_grad,
 )
-from moofair.training import TrainConfig
+from moofair.training import TrainConfig, train_round
 from conftest import (
     context_rows,
     dense_gradient,
@@ -37,6 +38,7 @@ from conftest import (
     positive_lists,
     with_train_positives,
 )
+from test_training import TINY
 
 
 def consumer_group_fairness(vectors):
@@ -330,6 +332,7 @@ def make_gradient_world(seed=0, num_users=3, num_items=5, dim=2):
 
 
 class TestConsumerGradient:
+    @pytest.mark.usefixtures("float64_chain")
     def test_matches_finite_differences(self):
         model, consumer, _, gender_mask, _, _ = make_gradient_world()
         config = TrainConfig(ndcg_k=3, steepness=2.0)
@@ -341,6 +344,7 @@ class TestConsumerGradient:
         assert result.loss == pytest.approx(loss_of(model), rel=1e-12)
         assert finite_difference_error(model, result, loss_of) <= 1e-4
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_age_gradient_matches_finite_differences(self):
         model, consumer, _, _, age_mask, _ = make_gradient_world(seed=7)
         config = TrainConfig(ndcg_k=2, steepness=1.5)
@@ -454,8 +458,11 @@ def blocked_ranks(blocks):
 
 class TestBlockedConsumerKernel:
     """The blocked kernel against the per-user reference: ragged contexts,
-    blocks split mid-batch, and a steepness of 1e6 that takes the fallback."""
+    blocks split mid-batch, and a steepness of 1e6 that takes the fallback.
+    The reference sums float64 pairs, so the kernel runs its chain in float64
+    for it (``TestFloat32Chain`` bounds the float32 chain)."""
 
+    @pytest.mark.usefixtures("float64_chain")
     @pytest.mark.parametrize("steepness", [0.1, 1.0, 50.0, 1e6])
     @pytest.mark.parametrize("pair_block", [objectives.PAIR_BLOCK, 3000, 1])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -493,24 +500,29 @@ class TestBlockedConsumerKernel:
         assert [block[0].shape[0] for block in blocks] == [1, 5, 5]
 
     def test_ratio_form_at_the_spread_limit(self, monkeypatch):
-        # scaled spread exactly RATIO_SPREAD: the ratio form, no fallback,
-        # against an exactly summed sign-split logistic
-        gen = np.random.default_rng(5)
-        half = objectives.RATIO_SPREAD / 2
-        scores = gen.permutation(np.concatenate([[-half, half],
-                                                 gen.uniform(-half, half, 48)]))
+        # scaled spread exactly each dtype's own bound: the ratio form, no
+        # fallback, against an exactly summed sign-split logistic. float64
+        # pairs are good to 1e-13 here, where exp's argument carries roundoff
+        # of the spread; float32 pairs to a few units of their roundoff.
         shapes = []
         monkeypatch.setattr(objectives, "sigmoid",
-                            lambda x: shapes.append(np.shape(x)) or sigmoid(x))
-        ctx = flat_context([np.arange(50)], [50])
-        _, blocks = _consumer_forward(one_user_model(scores), ctx, 3, 1.0)
-        assert (1, 50, 50) not in shapes  # the cutoffs are (1, 50, 3)
+                            lambda x, out=None: shapes.append(np.shape(x))
+                            or sigmoid(x, out=out))
 
         def logistic(x):
             return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
 
-        expected = [0.5 + math.fsum(logistic(s - p) for s in scores) for p in scores]
-        np.testing.assert_allclose(blocks[0][3][0], expected, rtol=1e-13)
+        for dtype, rtol in ((np.float64, 1e-13), (np.float32, 4 * np.finfo(np.float32).eps)):
+            monkeypatch.setattr(objectives, "CHAIN_DTYPE", dtype)
+            gen = np.random.default_rng(5)
+            half = objectives._ratio_spread(dtype) / 2
+            scores = gen.permutation(np.concatenate([[-half, half],
+                                                     gen.uniform(-half, half, 48)]))
+            ctx = flat_context([np.arange(50)], [50])
+            _, blocks = _consumer_forward(one_user_model(scores), ctx, 3, 1.0)
+            assert (1, 50, 50) not in shapes  # the cutoffs are (3, 1, 50)
+            expected = [0.5 + math.fsum(logistic(s - p) for s in scores) for p in scores]
+            np.testing.assert_allclose(blocks[0][3][0], expected, rtol=rtol)
 
     def test_forward_keeps_no_pair_matrix(self):
         # 4.8M pairs; the per-user kernel kept all of them (38 MB)
@@ -606,7 +618,7 @@ class TestOnBothThreads:
 class TestSmoothRankLimit:
     """Each positive's smooth rank approaches 1 + (number of candidates
     scoring higher) as the steepness grows. Score spreads times steepness
-    past ``RATIO_SPREAD`` take the ``numerics.sigmoid`` fallback."""
+    past ``_ratio_spread`` take the ``numerics.sigmoid`` fallback."""
 
     @settings(max_examples=60, deadline=None)
     @given(world=distinct_score_rows(), steepness=st.floats(1e2, 1e6))
@@ -627,6 +639,120 @@ class TestSmoothRankLimit:
             assert np.all(np.abs(ranks[row][:n] - hard) <= bound)
 
 
+@pytest.fixture(scope="module")
+def trained_world(synthetic_dataset, synthetic_masks):
+    """A TINY five-objective model trained at learning rate 5, and consumer
+    and producer contexts over every user."""
+    config = TrainConfig(objectives=objectives.OBJECTIVE_IDS,
+                         **{**TINY, "learning_rate": 5.0})
+    model = train_round(synthetic_dataset, synthetic_masks, config).model
+    users = np.arange(synthetic_dataset.num_users)
+    consumer = build_consumer_context(synthetic_dataset, users, config.candidate_negatives,
+                                      derived_rng(0, 1))
+    producer = build_producer_context(synthetic_dataset, users, config.n_r_cap,
+                                      config.candidate_negatives, derived_rng(0, 2))
+    return model, consumer, producer, synthetic_masks, config
+
+
+def row_spreads(values, ctx):
+    """Each context row's spread (max - min) of the per-entry ``values``."""
+    ends = np.cumsum(ctx.widths)
+    return np.array([np.ptp(values[end - width:end]) for end, width in zip(ends, ctx.widths)])
+
+
+def producer_wide_rows(model, ctx, config):
+    """Per row of the producer chain, whether it takes the half-tanh form in
+    float32: the spread of its probabilities (padding left out) over the
+    temperature exceeds the float32 ratio spread."""
+    at, _, _, probs, *_ = _producer_forward(model, ctx, config)
+    finite = np.where(at == ctx.items.shape[0], np.nan, probs)
+    spread = (np.nanmax(finite, axis=1) - np.nanmin(finite, axis=1)) / config.temperature
+    return spread > objectives._ratio_spread(np.float32)
+
+
+class TestFloat32Chain:
+    """The float32 pair chains (the default ``CHAIN_DTYPE``) against float64
+    on a trained model. Bounds, relative to the float64 value: each loss
+    within 1e-6; the gradients of gender and age within 1e-5, of popularity
+    and genre within 1e-6 in the ratio form and within 5e-4 in the half-tanh
+    form, whose absolute error in the far tails is most of the producer
+    gradient at temperature 1e-5 (measured on this model: at most 6.2e-7,
+    4.9e-8 and 3.6e-5, losses 2e-7)."""
+
+    GRAD_BOUNDS = {"gender": 1e-5, "age": 1e-5}
+
+    # steepness 1 and temperature 0.05: every row in the ratio form at both
+    # dtypes. Steepness 10: one consumer row past the float32 spread, so it
+    # takes the half-tanh form in float32 and the ratio form in float64.
+    # Temperature 1e-5 (the default): every producer row in the half-tanh form.
+    @pytest.mark.parametrize("steepness, temperature, producer_bound",
+                             [(1.0, 0.05, 1e-6), (10.0, 1e-5, 5e-4)])
+    def test_gradients_and_losses_match_float64(self, monkeypatch, trained_world,
+                                                steepness, temperature, producer_bound):
+        model, consumer, producer, masks, config = trained_world
+        config = dataclasses.replace(config, steepness=steepness, temperature=temperature)
+        scaled = steepness * row_spreads(objectives._entry_scores(model, consumer), consumer)
+        wide = scaled > objectives._ratio_spread(np.float32)
+        assert wide.any() == (steepness == 10.0)
+        assert np.all(scaled <= objectives._ratio_spread(np.float64))
+        assert np.all(producer_wide_rows(model, producer, config)) == (temperature == 1e-5)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            monkeypatch.setattr(objectives, "CHAIN_DTYPE", dtype)
+            results[dtype] = {
+                objective: fairness_grad(objective, model, masks, triplet_batch=None,
+                                         consumer_ctx=consumer, producer_ctx=producer,
+                                         config=config, forwards={}, pool=None)
+                for objective in objectives.OBJECTIVE_IDS[1:]}
+        for objective, exact in results[np.float64].items():
+            got = results[np.float32][objective]
+            assert got.loss == pytest.approx(exact.loss, rel=1e-6, abs=0)
+            reference = dense_gradient(model, exact)
+            error = np.linalg.norm(dense_gradient(model, got) - reference)
+            bound = self.GRAD_BOUNDS.get(objective, producer_bound)
+            assert np.linalg.norm(reference) > 0
+            assert error <= bound * np.linalg.norm(reference), objective
+
+    def test_saturated_pairs_keep_an_absolute_slope_error(self, monkeypatch):
+        # pair arguments up to +-40 in both forms: where a pair is near 1,
+        # pair * (1 - pair) cancels, so the float32 slope is off by up to a
+        # few float32 units of roundoff absolute (and is 0 where float64
+        # keeps a slope below that), not relative
+        scores = np.linspace(-20.0, 20.0, 161)
+        for scale in (1.0, 3.0):  # spread 40 (ratio form) and 120 (half-tanh)
+            slopes, grads = {}, {}
+            for dtype in (np.float64, np.float32):
+                monkeypatch.setattr(objectives, "CHAIN_DTYPE", dtype)
+                slopes[dtype] = objectives._rank_slope(
+                    objectives._pair_sigmoids(scores[None, :], 161, scale))
+                d_ranks = np.linspace(-1.0, 1.0, 161)[None, :]
+                grads[dtype] = objectives._rank_backward(
+                    d_ranks, slopes[dtype], objectives._row_sums(slopes[dtype]), scale)
+            exact = slopes[np.float64]
+            error = np.abs(slopes[np.float32] - exact)
+            assert error.max() <= 4 * np.finfo(np.float32).eps
+            tail = (exact > 0) & (exact < 1e-6)
+            assert np.any(error[tail] > 1e-3 * exact[tail])  # relative precision is lost
+            # a few units of float32 roundoff per d score (measured: 2.1)
+            bound = 8 * np.finfo(np.float32).eps * scale
+            assert np.abs(grads[np.float32] - grads[np.float64]).max() <= bound
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cutoffs_are_the_sigmoid_of_the_rounded_argument(self, monkeypatch, dtype):
+        # (K, B, P): at float64 bitwise what sigmoid(steepness * (k + 0.5 -
+        # rank)) gives; at float32 the same with ranks rounded to float32
+        monkeypatch.setattr(objectives, "CHAIN_DTYPE", dtype)
+        ranks = np.random.default_rng(4).uniform(1.0, 60.0, (3, 7))
+        ks = np.arange(1, 51, dtype=np.float64)
+        got = objectives._cutoffs(ranks, ks, 1.7)
+        arg = (ks + 0.5).astype(dtype)[:, None, None] - ranks.astype(dtype)
+        assert got.dtype == dtype and got.shape == (50, 3, 7)
+        assert np.array_equal(got, sigmoid(dtype(1.7) * arg))
+        if dtype == np.float64:
+            assert np.array_equal(got, sigmoid(1.7 * (ks + 0.5 - ranks[:, :, None]))
+                                  .transpose(2, 0, 1))
+
+
 def one_block_producer_forward(model, ctx, config):
     """``_producer_forward`` with its pair sigmoids run on all rows at once,
     the form the blocked chain replaced, kept as its oracle."""
@@ -640,32 +766,41 @@ def one_block_producer_forward(model, ctx, config):
     probs /= probs.sum(axis=1, keepdims=True)
     pair = objectives._pair_sigmoids(np.where(pad, -np.inf, probs), n_rel,
                                      1.0 / config.temperature)
-    ranks = pair.sum(axis=2) - 0.5
+    ranks = pair.sum(axis=2, dtype=np.float64) - 0.5
     expo = np.where(relevant, np.power(config.exposure_patience, ranks), 0.0)
     slope = objectives._rank_slope(pair)
     relevant_items = ctx.items[at[:, :n_rel][relevant]]
-    return at, relevant, relevant_items, probs, expo, slope, slope.sum(axis=2)
+    return (at, relevant, relevant_items, probs, expo, slope,
+            slope.sum(axis=2, dtype=np.float64))
 
 
 class TestBlockedProducerChain:
     """The pair chain in row blocks does the same elementwise arithmetic and
-    the same per-row sums as one block, so every output is bitwise equal."""
+    the same per-row sums as one block, so every output is bitwise equal. Each
+    row takes its own form of the pair sigmoids: at temperature 0.05 every
+    row takes the ratio form, at 0.01 the rows split between the two forms,
+    and at 1e-5 (the default) every row takes the half-tanh form."""
 
     @pytest.mark.parametrize("pair_block", [objectives.PAIR_BLOCK, 100, 1])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_one_block(self, monkeypatch, seed, pair_block):
         monkeypatch.setattr(objectives, "PAIR_BLOCK", pair_block)
         model, ctx, _ = ragged_producer_world(seed, num_users=40)
-        config = TrainConfig(temperature=0.05, exposure_patience=0.5)
-        reference = one_block_producer_forward(model, ctx, config)
-        if pair_block == 100:
-            # several rows per block, and several blocks
-            rows_per_block = 100 // reference[5][0].size
-            assert 1 < rows_per_block < reference[5].shape[0] // 2
-        for got, expected in zip(_producer_forward(model, ctx, config), reference,
-                                 strict=True):
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
+        for temperature in (0.05, 0.01, 1e-5):
+            config = TrainConfig(temperature=temperature, exposure_patience=0.5)
+            reference = one_block_producer_forward(model, ctx, config)
+            assert reference[5].dtype == objectives.CHAIN_DTYPE == np.float32
+            wide = producer_wide_rows(model, ctx, config)
+            assert {0.05: not wide.any(), 0.01: 0 < wide.sum() < wide.size,
+                    1e-5: wide.all()}[temperature]
+            if pair_block == 100:
+                # several rows per block, and several blocks
+                rows_per_block = 100 // reference[5][0].size
+                assert 1 < rows_per_block < reference[5].shape[0] // 2
+            for got, expected in zip(_producer_forward(model, ctx, config), reference,
+                                     strict=True):
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
 
 
 class TestProducerGradient:
@@ -689,6 +824,7 @@ class TestProducerGradient:
             np.testing.assert_array_equal(expo[b, ctx.counts[r]:], 0.0)
             assert relevant[b].sum() == ctx.counts[r]
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_ragged_rows_match_finite_differences(self):
         model, ctx, item_mask = ragged_producer_world(3)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5)
@@ -696,6 +832,7 @@ class TestProducerGradient:
         assert finite_difference_error(
             model, result, lambda probe: producer_grad(probe, ctx, item_mask, config).loss) <= 1e-4
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_matches_finite_differences(self):
         model, _, producer, _, _, item_mask = make_gradient_world(seed=5)
         config = TrainConfig(temperature=0.25, exposure_patience=0.5)

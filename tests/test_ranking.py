@@ -119,6 +119,7 @@ class TestPairwiseSmoothRank:
             ranks = smooth_ranks(np.zeros(n))
             np.testing.assert_allclose(ranks, (n + 1) / 2.0)
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_rank_sum_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -174,6 +175,7 @@ class TestSmoothDcg:
         assert g[0, 2] == pytest.approx(1.5 / (1.0 + 1.0 / np.log2(3.0)), abs=1e-12)
 
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_soft_cutoff_known_value(self):
         # a lone positive has rank 0.5 + sigmoid(0) = 1 and discount 1, so
         # NDCG@k is its cutoff sigmoid(steepness * (k + 0.5 - 1))
@@ -242,11 +244,13 @@ class TestTemperatureSmoothRank:
         _, expo = producer_bucket([100.0, -100.0], temperature=1e-6)
         np.testing.assert_array_equal(expo, [0.5 ** 0.0, 0.5 ** 1.0])
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_known_value(self):
         ranks = temperature_ranks([0.6, 0.4], 0.2)
         assert ranks[0] == pytest.approx(1.0 / (1.0 + np.e), abs=1e-12)
         assert ranks[1] == pytest.approx(np.e / (1.0 + np.e), abs=1e-12)
 
+    @pytest.mark.usefixtures("float64_chain")
     def test_rank_sum_invariant(self):
         rng = np.random.default_rng(6)
         for _ in range(200):

@@ -728,10 +728,10 @@ class TestGoldenResults:
         assert result.fw_calls == 28
         np.testing.assert_allclose(
             result.record.objective_values,
-            [38.11546182329183, 7.153115319072087e-05, 0.438694982020334], rtol=1e-10)
+            [38.115461824929426, 7.153137482365455e-05, 0.43869498094517895], rtol=1e-10)
         np.testing.assert_allclose(
             np.mean([alpha for _, _, alpha in result.trace.entries], axis=0),
-            [0.35553347401877744, 0.28422527311844875, 0.3602412528627739], rtol=1e-10)
+            [0.35553348844026106, 0.28422526735991377, 0.3602412441998251], rtol=1e-10)
         row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
         np.testing.assert_allclose(
             [row["recall"], row["ndcg"], row["disparity_i"]],
@@ -748,13 +748,13 @@ class TestGoldenResults:
         assert result.fw_calls == 28
         np.testing.assert_allclose(
             result.record.objective_values,
-            [38.121863482005644, 7.132990869568388e-05, 0.00015637195343184735,
-             0.4387877232220657, 0.21856259979467058], rtol=1e-10)
+            [38.12186348528361, 7.133018077197562e-05, 0.00015637247813114858,
+             0.4387877226889452, 0.21856260031178162], rtol=1e-10)
         alphas = np.array([alpha for _, _, alpha in result.trace.entries])
         np.testing.assert_allclose(
             alphas.mean(axis=0),
-            [0.29458728610158397, 0.16144585929036073, 0.17176503627007808,
-             0.1902041777010543, 0.1819976406369229], rtol=1e-10)
+            [0.29458729431988023, 0.161445878942824, 0.17176502164520233,
+             0.19020416398303902, 0.18199764110905445], rtol=1e-10)
         assert alphas.shape[0] == 28
         assert np.all(np.count_nonzero(alphas[:, 1:] > 0, axis=0) >= 20)
         row, = evaluate(result.model, synthetic_dataset, synthetic_masks, k_values=(5,))
