@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import sorted_distinct
+from .numerics import run_starts, sorted_distinct
 
 logger = logging.getLogger(__name__)
 
@@ -65,10 +65,14 @@ class EmptyDatasetError(ValueError):
 class RawRatings:
     """Parsed rating records plus whatever attribute tables the format provides.
 
-    ``user_gender``/``user_age`` map original user ids to attribute values
-    (missing/unparsable values are simply absent); they are None when the
-    format supplies no user attribute file at all. ``item_genres`` maps
-    original item ids to tuples of indices into ``genre_names``.
+    ``users``, ``items`` and ``timestamps`` are int64 and ``ratings`` float64.
+    As ``ingest`` builds them, each is one contiguous array of exactly the
+    records parsed, 32 bytes per record in all: the only copy of the log that
+    set-up holds. ``user_gender``/``user_age`` map original user ids to
+    attribute values (missing/unparsable values are simply absent); they are
+    None when the format supplies no user attribute file at all.
+    ``item_genres`` maps original item ids to tuples of indices into
+    ``genre_names``.
     """
 
     users: np.ndarray
@@ -190,27 +194,63 @@ class GroupMaskSet:
 # ingestion
 # ---------------------------------------------------------------------------
 
-READ_BLOCK = 1 << 20  # characters of a rating log converted to tabs at once
+READ_BLOCK = 1 << 18  # characters of a rating log converted to tabs at once
+PARSE_ROWS = 1 << 16  # rating lines parsed per np.loadtxt call
 
 # the four leading fields of a rating line; the timestamp is read as a float
 # and truncated toward zero, so "1.5e9" is a valid timestamp
 RATING_FIELDS = np.dtype([("user", np.int64), ("item", np.int64),
                           ("rating", np.float64), ("timestamp", np.float64)])
+# the dtypes of the four arrays that hold the parsed log
+RAW_DTYPES = (np.int64, np.int64, np.float64, np.int64)
 
 
-def _load_rating_lines(source) -> np.ndarray:
-    """Records of tab-separated rating lines (an iterable of lines) in one
-    vectorised pass; ValueError on a line that does not parse or a timestamp
-    that is not a finite 64-bit integer."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        rows = np.loadtxt(source, dtype=RATING_FIELDS, delimiter="\t",
-                          usecols=(0, 1, 2, 3), comments=None, ndmin=1)
-    stamps = rows["timestamp"]
-    bad = ~((stamps >= -2.0 ** 63) & (stamps < 2.0 ** 63))  # NaN fails both
-    if np.any(bad):
-        raise ValueError(f"timestamp {stamps[bad][0]} is not a finite 64-bit integer")
-    return rows
+def _line_bound(path: str) -> int:
+    """An upper bound on the lines that text mode reads from ``path``, which
+    end at "\\n", "\\r\\n" or "\\r": one per "\\n" or "\\r" byte (each is
+    one byte in UTF-8 and latin-1, and no other character holds it), plus an
+    unterminated last line."""
+    count = 1
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(READ_BLOCK), b""):
+            codes = np.frombuffer(block, dtype=np.uint8)
+            count += np.count_nonzero(codes == ord("\n")) + np.count_nonzero(codes == ord("\r"))
+    return count
+
+
+def _load_rating_lines(source, count: int) -> tuple:
+    """(users, items, ratings, timestamps) of at most ``count`` tab-separated
+    rating lines (an iterable of lines): ``np.loadtxt`` parses
+    ``PARSE_ROWS`` lines at a time into four arrays of ``count`` rows, which
+    are then cut to the rows parsed. ValueError on a line that does not parse
+    or a timestamp that is not a finite 64-bit integer.
+
+    Four arrays, not one record array: a quarter-size block fits more often
+    into free space that a fragmented heap already holds, where one block of
+    32 bytes per record (30 MiB at ML-1M shape) was often mapped anew on top
+    of it."""
+    fields = tuple(np.empty(count, dtype=dtype) for dtype in RAW_DTYPES)
+    lines, done = iter(source), 0
+    while True:
+        with warnings.catch_warnings():
+            # an empty block, or blank lines, which max_rows does not count
+            warnings.filterwarnings("ignore",
+                                    "(loadtxt: input|Input line [0-9]+) contained no data")
+            rows = np.loadtxt(lines, dtype=RATING_FIELDS, delimiter="\t",
+                              usecols=(0, 1, 2, 3), comments=None, ndmin=1,
+                              max_rows=PARSE_ROWS)
+        stamps = rows["timestamp"]
+        bad = ~((stamps >= -2.0 ** 63) & (stamps < 2.0 ** 63))  # NaN fails both
+        if np.any(bad):
+            raise ValueError(f"timestamp {stamps[bad][0]} is not a finite 64-bit integer")
+        for field, name in zip(fields, RATING_FIELDS.names):
+            field[done:done + rows.shape[0]] = rows[name]  # timestamps truncate toward 0
+        done += rows.shape[0]
+        if rows.shape[0] < PARSE_ROWS:
+            break
+    for field in fields:
+        field.resize(done, refcheck=False)  # in place: no view of it exists yet
+    return fields
 
 
 def _tab_lines(fh, sep: str):
@@ -231,12 +271,12 @@ def _parse_ratings_file(path: str, sep: str, encoding: str) -> tuple:
     """(users, items, ratings, timestamps) of a rating log with one
     ``sep``-separated record per non-empty line; fields past the fourth are
     ignored."""
+    count = _line_bound(path)
     try:
         with open(path, encoding=encoding) as fh:
-            rows = _load_rating_lines(_tab_lines(fh, sep))
+            return _load_rating_lines(_tab_lines(fh, sep), count)
     except ValueError as exc:
         raise _first_bad_line_error(path, sep, encoding, exc) from None
-    return rows["user"], rows["item"], rows["rating"], rows["timestamp"].astype(np.int64)
 
 
 def _first_bad_line_error(path: str, sep: str, encoding: str,
@@ -250,13 +290,13 @@ def _first_bad_line_error(path: str, sep: str, encoding: str,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _load_rating_lines(lines[lo:mid])
+            _load_rating_lines(lines[lo:mid], mid - lo)
             lo = mid
         except ValueError:
             hi = mid
     where = path
     try:
-        _load_rating_lines(lines[lo:hi])
+        _load_rating_lines(lines[lo:hi], hi - lo)
     except ValueError as line_exc:
         exc, where = line_exc, f"{path}:{lo + 1}"
     return DataFormatError(f"{where}: {re.sub(r' at row [0-9]+', '', str(exc))}")
@@ -329,11 +369,15 @@ def ingest(path: str, fmt: str) -> RawRatings:
         (``user gender age``) and items.tsv (``item genre|genre|...``)
         alongside.
 
-    The rating log is parsed in one vectorised ``np.loadtxt`` pass: a
+    The rating log is parsed by vectorised ``np.loadtxt`` calls: a
     tab-separated log (ml100k, generic_tsv) is read straight from the open
     file, and only the '::' log of ml1m passes through ``_tab_lines``, which
-    replaces its separator a block at a time. A malformed line is a
-    DataFormatError naming ``file:line``. Attribute files that are absent set the corresponding
+    replaces its separator a block at a time. A count of the file's line ends
+    sizes the four ``RawRatings`` arrays, and ``np.loadtxt`` fills them
+    ``PARSE_ROWS`` lines at a time (timestamps parsed as float64 and cast to
+    int64), so set-up holds this one copy of the log, 32 bytes per record,
+    plus one block of parsed lines. A malformed line is a DataFormatError
+    naming ``file:line``. Attribute files that are absent set the corresponding
     tables to None; fairness objectives that need them become unavailable
     downstream.
     """
@@ -367,6 +411,20 @@ def ingest(path: str, fmt: str) -> RawRatings:
 # preprocessing
 # ---------------------------------------------------------------------------
 
+def _dense_codes(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct values of ``ids``, the count of each, and the index of
+    each id among the values, in the narrowest unsigned dtype), from one
+    argsort: its permutation scatters the run number of each sorted id back
+    to the id's position. Sorts ``ids`` in place."""
+    order = np.argsort(ids)
+    ids.sort()
+    starts = run_starts(ids)
+    values, counts = ids[starts], np.diff(starts, append=ids.shape[0])
+    codes = np.empty(ids.shape[0], dtype=np.min_scalar_type(max(values.shape[0] - 1, 0)))
+    codes[order] = np.repeat(np.arange(values.shape[0], dtype=codes.dtype), counts)
+    return values, counts, codes
+
+
 def preprocess(raw: RawRatings) -> InteractionDataset:
     """Filter to implicit positives, remap ids densely, split chronologically.
 
@@ -376,30 +434,34 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     70% train / 10% val / remainder test, with train and val counts floored so
     the test split is never empty for users at the size threshold.
 
-    Each filter counts its id column with one ``np.unique`` and narrows one
-    mask of surviving records; dense ids number the surviving ids in sorted
-    order by a cumulative sum over the kept codes. Rows are ordered by an
-    argsort of the timestamps, then a stable (radix) argsort of the dense users
-    in their narrowest unsigned dtype, then by (item, record) within runs of
-    equal (user, timestamp): the order of a stable lexsort.
+    The raw arrays are only read, each through one mask of the records that
+    survive so far. Each filter compacts its id column with ``_dense_codes``
+    (one argsort and one in-place sort of the gathered column), which gives
+    the distinct ids, their counts and each record's code in the narrowest
+    unsigned dtype. Dense ids number the surviving ids in sorted order by a
+    cumulative sum over the kept codes, and stay narrow until the rows are
+    ordered. Rows are ordered by an argsort of the timestamps, then a stable
+    (radix) argsort of the dense users, then by item within runs of equal
+    (user, timestamp): the order of a lexsort. Each intermediate is dropped
+    once used, so beside the raw arrays preprocessing holds at most about 28
+    bytes per positive record (plus a 1-byte mask per record while
+    filtering); the dataset it returns holds 25 (int64 users, items and
+    timestamps, int8 split).
     """
     kept = raw.ratings >= POSITIVE_RATING  # the records that survive so far
-    item_vals, item_codes, counts = np.unique(raw.items[kept], return_inverse=True,
-                                              return_counts=True)
+    item_vals, counts, item_codes = _dense_codes(raw.items[kept])
     keep = (counts >= MIN_ITEM_RATINGS)[item_codes]
     kept[kept] = keep
     item_codes = item_codes[keep]
-    user_vals, user_codes, counts = np.unique(raw.users[kept], return_inverse=True,
-                                              return_counts=True)
+    user_vals, counts, user_codes = _dense_codes(raw.users[kept])
     user_kept = counts >= MIN_USER_RATINGS
     keep = user_kept[user_codes]
     kept[kept] = keep
-    user_codes, item_codes = user_codes[keep], item_codes[keep]
+    user_codes = user_codes[keep]
+    item_codes = item_codes[keep]
     del keep
     if user_codes.shape[0] == 0:
         raise EmptyDatasetError("no interactions remain after filtering")
-    stamps = raw.timestamps[kept]
-    del kept
 
     # dense id = position among the sorted surviving original ids
     user_ids = user_vals[user_kept]
@@ -409,20 +471,26 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     present = np.zeros(item_vals.shape[0], dtype=bool)
     present[item_codes] = True
     item_ids = item_vals[present]
-    items = (np.cumsum(present) - 1)[item_codes]
+    items = (np.cumsum(present) - 1).astype(
+        np.min_scalar_type(item_ids.shape[0] - 1))[item_codes]
     del item_codes
 
+    stamps = raw.timestamps[kept]
+    del kept
     order = np.argsort(stamps)
-    order = order[np.argsort(users[order], kind="stable")]
-    users, items, stamps = users[order], items[order], stamps[order]
-    # the rows in runs of two or more equal (user, timestamp), re-sorted by
-    # (item, record) within their run
+    stamps = stamps[order]
+    users, items = users[order], items[order]
+    order = np.argsort(users, kind="stable")
+    stamps = stamps[order]
+    users, items = users[order], items[order]
+    del order
+    # runs of two or more equal (user, timestamp) rows, re-sorted by item;
+    # rows that also share the item are equal in every column
     starts = np.insert((users[1:] != users[:-1]) | (stamps[1:] != stamps[:-1]), 0, True)
     at = np.flatnonzero(~(starts & np.append(starts[1:], True)))
-    order = order[at]
-    items[at] = items[at][np.lexsort((order, items[at], np.cumsum(starts[at])))]
-    del order, starts, at
-    users = users.astype(np.int64)
+    items[at] = items[at][np.lexsort((items[at], np.cumsum(starts[at])))]
+    del starts, at
+    users, items = users.astype(np.int64), items.astype(np.int64)
 
     # each user's rows run train, then val, then test
     counts = counts[user_kept]

@@ -95,24 +95,18 @@ class TestIngestGeneric:
             ingest(str(path), "generic_tsv")
 
     def test_matches_line_by_line_oracle(self, tmp_path):
-        gen = np.random.default_rng(8)
-        lines = []
-        for k in range(400):
-            fields = [str(gen.integers(1, 50)), str(gen.integers(1, 90)),
-                      f"{gen.integers(1, 6)}", str(10**9 + int(gen.integers(0, 10**6)))]
-            if k % 7 == 0:
-                fields[3] = f"{float(fields[3]) + 0.75:.6e}"  # float timestamps truncate
-            if k % 11 == 0:
-                fields.append("extra")
-            lines.append("\t".join(fields))
-            if k % 13 == 0:
-                lines.append("")
+        assert_matches_line_by_line_oracle(tmp_path)
+
+    # one row per np.loadtxt call, blocks that start on blank lines, and a
+    # block that ends with the file's last row
+    @pytest.mark.parametrize("parse_rows", [1, 7, 400])
+    def test_rows_parsed_in_blocks_match_the_oracle(self, tmp_path, monkeypatch, parse_rows):
+        monkeypatch.setattr(data, "PARSE_ROWS", parse_rows)
+        lines = assert_matches_line_by_line_oracle(tmp_path)
+        lines[300] = "1\t2\tbroken\t3"
         write_lines(tmp_path / "ratings.tsv", lines)
-        raw = ingest(str(tmp_path / "ratings.tsv"), "generic_tsv")
-        expected = line_by_line_ratings(str(tmp_path / "ratings.tsv"), "\t")
-        for got, want in zip((raw.users, raw.items, raw.ratings, raw.timestamps), expected):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        with pytest.raises(DataFormatError, match=r"ratings\.tsv:301: "):
+            ingest(str(tmp_path / "ratings.tsv"), "generic_tsv")
 
     def test_attribute_files_picked_up(self, tmp_path):
         write_lines(tmp_path / "ratings.tsv", ["1\t1\t5\t10", "2\t1\t4\t20"])
@@ -141,19 +135,21 @@ class TestIngestGeneric:
         ratings = ["1\t10\t5\t100", "1\t11\t3\t2.5e2", "", "2\t10\t4\t150\textra",
                    "-3\t12\t4.5\t-7"]
         raws = []
-        for ending in ("\n", "\r\n"):
-            directory = tmp_path / ("crlf" if ending == "\r\n" else "lf")
+        # text mode also ends a line at a lone "\r"
+        for ending, label in (("\n", "lf"), ("\r\n", "crlf"), ("\r", "cr")):
+            directory = tmp_path / label
             directory.mkdir()
             for name, lines in zip(names, (ratings, users)):
                 (directory / name).write_bytes((ending.join(lines) + ending).encode())
             raws.append(ingest(str(directory), fmt))
-        lf, crlf = raws
-        for name in ("users", "items", "ratings", "timestamps"):
-            a, b = getattr(lf, name), getattr(crlf, name)
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b)
+        lf = raws[0]
+        for other in raws[1:]:
+            for name in ("users", "items", "ratings", "timestamps"):
+                a, b = getattr(lf, name), getattr(other, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b)
+            assert (lf.user_gender, lf.user_age) == (other.user_gender, other.user_age)
         assert lf.num_records == 4
-        assert (lf.user_gender, lf.user_age) == (crlf.user_gender, crlf.user_age)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
@@ -238,6 +234,30 @@ class TestIngestMovieLens:
                                              "", "abc::Bad Id (1976)::Comedy"])
         with pytest.raises(DataFormatError, match=r"movies\.dat:3:"):
             ingest(str(tmp_path), "ml1m")
+
+
+def assert_matches_line_by_line_oracle(tmp_path):
+    """Ingest a 400-record log with blank lines, float timestamps and extra
+    fields, check it against ``line_by_line_ratings``; returns its lines."""
+    gen = np.random.default_rng(8)
+    lines = []
+    for k in range(400):
+        fields = [str(gen.integers(1, 50)), str(gen.integers(1, 90)),
+                  f"{gen.integers(1, 6)}", str(10**9 + int(gen.integers(0, 10**6)))]
+        if k % 7 == 0:
+            fields[3] = f"{float(fields[3]) + 0.75:.6e}"  # float timestamps truncate
+        if k % 11 == 0:
+            fields.append("extra")
+        lines.append("\t".join(fields))
+        if k % 13 == 0:
+            lines.append("")
+    write_lines(tmp_path / "ratings.tsv", lines)
+    raw = ingest(str(tmp_path / "ratings.tsv"), "generic_tsv")
+    expected = line_by_line_ratings(str(tmp_path / "ratings.tsv"), "\t")
+    for got, want in zip((raw.users, raw.items, raw.ratings, raw.timestamps), expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    return lines
 
 
 def line_by_line_ratings(path, sep):
@@ -569,6 +589,28 @@ class TestPreprocessAgainstOracle:
         assert traced_peak(lambda: preprocess(raw)) <= reference
 
 
+class TestSetUpMemory:
+    # traced bytes per record of ingest + preprocess on the log below: the
+    # single parsed copy gives 48.5, where a second int64 timestamp array and
+    # np.unique's temporaries gave 74.9
+    PEAK_BYTES_PER_RECORD = 60
+
+    def test_ingest_and_preprocess_hold_one_copy_of_the_log(self, tmp_path):
+        # ML-1M-like: 500 000 ratings, 58% of them >= 4, no attribute files.
+        # Above about 300 000 records preprocess, not the fixed-size blocks
+        # that ingest parses, sets the peak.
+        n = 500_000
+        gen = np.random.default_rng(0)
+        columns = (gen.integers(1, 3001, n), gen.integers(1, 2001, n),
+                   gen.choice(5, n, p=[0.06, 0.11, 0.25, 0.35, 0.23]) + 1,
+                   978_300_000 + gen.integers(0, 10**8, n))
+        write_lines(tmp_path / "ratings.dat",
+                    ["::".join(map(str, record)) for record in zip(*map(list, columns))])
+        del columns
+        peak = traced_peak(lambda: preprocess(ingest(str(tmp_path), "ml1m")))
+        assert peak <= self.PEAK_BYTES_PER_RECORD * n, peak / n
+
+
 def dataset_with_counts(counts):
     """Train-split-only dataset where item k appears counts[k] times."""
     users, items = [], []
@@ -681,6 +723,10 @@ class TestTrainMembership:
     # whose byte is one bit short of user 0's
     @example(num_users=3, num_items=9, full=True,
              rows=[(1, 0, TEST)] + [(2, i, TRAIN) for i in range(8)])
+    # a catalog past 255 items, where the sampler counts held items in uint16:
+    # user 2 holds 250 and draws 20 more, so its count passes 255
+    @example(num_users=3, num_items=300, full=True,
+             rows=[(1, 0, TEST)] + [(2, i, TRAIN) for i in range(250)])
     def test_packed_rows_match_dense_reference(self, num_users, num_items, full, rows):
         if full:  # user 0 holds the whole catalog
             rows = rows + [(0, i, TRAIN) for i in range(num_items)]
@@ -705,6 +751,17 @@ class TestTrainMembership:
         for row, entries in zip(reference, np.split(ctx.items, np.cumsum(ctx.widths)[:-1])):
             np.testing.assert_array_equal(entries, np.concatenate(
                 [np.flatnonzero(row), np.flatnonzero(~row)]))
+
+        # a quota of a fifteenth of the catalog makes rows draw: each holds its
+        # positives, then min(quota, free) distinct non-positives, ascending
+        quota = max(1, num_items // 15)
+        ctx = build_consumer_context(dataset, everyone, quota, np.random.default_rng(2))
+        for row, entries in zip(reference, np.split(ctx.items, np.cumsum(ctx.widths)[:-1])):
+            n_pos = int(row.sum())
+            np.testing.assert_array_equal(entries[:n_pos], np.flatnonzero(row))
+            negatives = entries[n_pos:]
+            assert negatives.shape[0] == min(quota, num_items - n_pos)
+            assert np.all(np.diff(negatives) > 0) and not row[negatives].any()
 
         # the sampler's packed lookups never return a train positive, and
         # only users holding the whole catalog are dropped
