@@ -186,7 +186,7 @@ def _training_inputs(args, **flags):
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid training configuration: {exc}") from None
     dataset, masks = load_bundle(args.bundle)
-    if TRAIN not in dataset.split:
+    if dataset.split_pairs(TRAIN)[1].size == 0:
         raise EmptyDatasetError(f"bundle {args.bundle} has no train interactions")
     try:
         config.validate_masks(masks)

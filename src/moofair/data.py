@@ -33,7 +33,6 @@ VAL_FRACTION = 0.1
 POPULARITY_GROUPS = 5
 
 TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_NAMES = ("train", "val", "test")
 
 # Upper bounds (inclusive) of the seven age brackets; the last is open-ended.
 AGE_UPPER_BOUNDS = (17, 24, 34, 44, 49, 55)
@@ -102,17 +101,17 @@ class InteractionDataset:
     """Filtered implicit-feedback interactions with per-user chronological splits.
 
     Ids are dense and 0-based; ``user_ids``/``item_ids`` give the original id
-    of each dense index. Interactions are stored sorted by (user, timestamp,
-    item) with a split tag per row. ``positives(split)`` holds a split's
-    distinct pairs in the one form that training and evaluation read.
+    of each dense index. User u's split-s items, in time order, are
+    ``items[indptr[3u + s]:indptr[3u + s + 1]]``: 8 bytes per interaction and
+    24 per user, all int64. Only this module reads that layout;
+    ``positives(split)`` holds a split's distinct pairs in the one form that
+    training and evaluation read.
     """
 
     num_users: int
     num_items: int
-    users: np.ndarray
     items: np.ndarray
-    timestamps: np.ndarray
-    split: np.ndarray
+    indptr: np.ndarray
     user_ids: np.ndarray
     item_ids: np.ndarray
     _positives: dict = field(default_factory=dict, repr=False)
@@ -120,15 +119,21 @@ class InteractionDataset:
 
     @property
     def num_interactions(self) -> int:
-        return self.users.shape[0]
+        return self.items.shape[0]
 
     @property
     def density(self) -> float:
         return self.num_interactions / float(self.num_users * self.num_items)
 
-    def split_pairs(self, split: int) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.split == split
-        return self.users[mask], self.items[mask]
+    def split_pairs(self, split: int, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(users, items) of ``split``, or of splits ``split`` to ``stop - 1``,
+        user by user in storage order. The rows are picked by a mask of 1 byte
+        per row, where int64 positions would take 8."""
+        sizes = np.diff(self.indptr).reshape(self.num_users, 3)
+        picked = np.zeros(3, dtype=bool)
+        picked[split:split + 1 if stop is None else stop] = True
+        return (np.repeat(np.arange(self.num_users), sizes[:, picked].sum(axis=1)),
+                self.items[np.repeat(np.tile(picked, self.num_users), sizes.ravel())])
 
     def positives(self, split: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct positives of ``split`` in compressed rows (cached per
@@ -430,7 +435,7 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
 
     Ratings >= 4 become positive feedback. Items with fewer than 5 remaining
     ratings are dropped first, then users with fewer than 10 (single pass, in
-    that order). Per user, interactions sorted by (timestamp, item) are tagged
+    that order). Per user, interactions sorted by (timestamp, item) are split
     70% train / 10% val / remainder test, with train and val counts floored so
     the test split is never empty for users at the size threshold.
 
@@ -445,8 +450,8 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     (user, timestamp): the order of a lexsort. Each intermediate is dropped
     once used, so beside the raw arrays preprocessing holds at most about 28
     bytes per positive record (plus a 1-byte mask per record while
-    filtering); the dataset it returns holds 25 (int64 users, items and
-    timestamps, int8 split).
+    filtering). Users and timestamps are dropped once the rows are in order:
+    the dataset holds 8 bytes per interaction and 24 per user (its offsets).
     """
     kept = raw.ratings >= POSITIVE_RATING  # the records that survive so far
     item_vals, counts, item_codes = _dense_codes(raw.items[kept])
@@ -487,25 +492,21 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
     # runs of two or more equal (user, timestamp) rows, re-sorted by item;
     # rows that also share the item are equal in every column
     starts = np.insert((users[1:] != users[:-1]) | (stamps[1:] != stamps[:-1]), 0, True)
+    del users, stamps
     at = np.flatnonzero(~(starts & np.append(starts[1:], True)))
     items[at] = items[at][np.lexsort((items[at], np.cumsum(starts[at])))]
     del starts, at
-    users, items = users.astype(np.int64), items.astype(np.int64)
 
     # each user's rows run train, then val, then test
     counts = counts[user_kept]
     n_train = np.floor(TRAIN_FRACTION * counts).astype(np.int64)
     n_val = np.floor(VAL_FRACTION * counts).astype(np.int64)
-    split = np.repeat(np.tile(np.array([TRAIN, VAL, TEST], dtype=np.int8), counts.shape[0]),
-                      np.stack([n_train, n_val, counts - n_train - n_val], axis=1).ravel())
-
+    indptr = np.cumsum(np.stack([n_train, n_val, counts - n_train - n_val], axis=1))
     return InteractionDataset(
         num_users=user_ids.shape[0],
         num_items=item_ids.shape[0],
-        users=users,
-        items=items,
-        timestamps=stamps,
-        split=split,
+        items=items.astype(np.int64),
+        indptr=np.insert(indptr, 0, 0),
         user_ids=user_ids,
         item_ids=item_ids,
     )
@@ -565,8 +566,7 @@ def popularity_mask(dataset: InteractionDataset) -> np.ndarray:
     Row 0 holds the most popular items (label 5 of 5); sizes differ by at
     most one, with the larger groups at the popular end.
     """
-    counts = np.bincount(dataset.items[dataset.split == TRAIN],
-                         minlength=dataset.num_items)
+    counts = np.bincount(dataset.split_pairs(TRAIN)[1], minlength=dataset.num_items)
     order = np.lexsort((np.arange(dataset.num_items), -counts))
     base, extra = divmod(dataset.num_items, POPULARITY_GROUPS)
     sizes = base + (np.arange(POPULARITY_GROUPS) < extra)
@@ -585,8 +585,7 @@ MASK_NAMES = ("gender", "age", "popularity", "genre")
 # bundle.npz entries: (dtype, dimensions, required); evaluation reads the
 # popularity mask, which save_bundle always writes
 BUNDLE_ARRAYS = {
-    "users": ("int64", 1, True), "items": ("int64", 1, True),
-    "timestamps": ("int64", 1, True), "split": ("int8", 1, True),
+    "items": ("int64", 1, True), "indptr": ("int64", 1, True),
     "user_ids": ("int64", 1, True), "item_ids": ("int64", 1, True),
     **{f"mask_{name}": ("int8", 2, name == "popularity") for name in MASK_NAMES},
     "genre_names": ("U", 1, False),  # unicode of any width
@@ -661,14 +660,13 @@ def load_npz(path: str, spec: dict, legacy_file: str, command: str) -> dict:
 def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet) -> None:
     """Write the preprocessed dataset and masks to ``directory``.
 
-    ``bundle.npz`` holds the interaction arrays (split as int8 codes TRAIN,
-    VAL, TEST), ``user_ids``/``item_ids``, each available mask as
-    ``mask_<name>`` and ``genre_names``; ``stats.txt`` is a human-readable
-    summary. Each file is written atomically.
+    ``bundle.npz`` holds the dataset's ``items`` and ``indptr``,
+    ``user_ids``/``item_ids``, each available mask as ``mask_<name>`` and
+    ``genre_names``; ``stats.txt`` is a human-readable summary. Each file is
+    written atomically.
     """
     os.makedirs(directory, exist_ok=True)
-    arrays = {"users": dataset.users, "items": dataset.items,
-              "timestamps": dataset.timestamps, "split": dataset.split,
+    arrays = {"items": dataset.items, "indptr": dataset.indptr,
               "user_ids": dataset.user_ids, "item_ids": dataset.item_ids}
     for name in MASK_NAMES:
         if masks.mask_for(name) is not None:
@@ -685,21 +683,19 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
 
 def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
     """Read a bundle written by ``save_bundle``, checking that its arrays
-    agree: equal lengths, split codes in {TRAIN, VAL, TEST}, dense ids inside
-    ``user_ids``/``item_ids``, mask widths matching them and entries in {0, 1}."""
+    agree: ``indptr`` is 3 * len(user_ids) + 1 offsets rising from 0 to
+    len(items), items are inside ``item_ids``, and mask widths match the ids
+    with entries in {0, 1}."""
     path = os.path.join(directory, BUNDLE_FILE)
     arrays = load_npz(path, BUNDLE_ARRAYS, "interactions.csv", "prepare")
     num_users, num_items = arrays["user_ids"].shape[0], arrays["item_ids"].shape[0]
-    count = arrays["users"].shape[0]
-    for key, limit in (("users", num_users), ("items", num_items),
-                       ("timestamps", None), ("split", len(SPLIT_NAMES))):
-        values = arrays[key]
-        if values.shape[0] != count:
-            raise DataFormatError(f"{path}: array {key!r} has {values.shape[0]} "
-                                  f"entries, 'users' has {count}")
-        if limit is not None and count and (values.min() < 0 or values.max() >= limit):
-            raise DataFormatError(f"{path}: array {key!r} holds values outside "
-                                  f"[0, {limit})")
+    items, indptr = arrays["items"], arrays["indptr"]
+    if (indptr.shape[0] != 3 * num_users + 1 or indptr[0] != 0
+            or np.any(indptr[1:] < indptr[:-1]) or indptr[-1] != items.shape[0]):
+        raise DataFormatError(f"{path}: array 'indptr' is not {3 * num_users + 1} non-decreasing "
+                              f"offsets from 0 to len('items') = {items.shape[0]}")
+    if items.size and (items.min() < 0 or items.max() >= num_items):
+        raise DataFormatError(f"{path}: array 'items' holds values outside [0, {num_items})")
     masks = GroupMaskSet()
     for name in MASK_NAMES:
         mask = arrays.get(f"mask_{name}")
@@ -716,6 +712,6 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
     if masks.genre is not None and len(masks.genre_names) != masks.genre.shape[0]:
         raise DataFormatError(f"{path}: array 'genre_names' has {len(masks.genre_names)} "
                               f"names for {masks.genre.shape[0]} genre rows")
-    dataset = InteractionDataset(num_users, num_items, *(arrays[key] for key in (
-        "users", "items", "timestamps", "split", "user_ids", "item_ids")))
+    dataset = InteractionDataset(num_users, num_items, items, indptr,
+                                 arrays["user_ids"], arrays["item_ids"])
     return dataset, masks

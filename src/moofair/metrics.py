@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TEST, EmptyDatasetError, GroupMaskSet, InteractionDataset
+from .data import TEST, TRAIN, EmptyDatasetError, GroupMaskSet, InteractionDataset
 from .model import FactorModel
 from .objectives import exposure_disparity, group_disparity
 
@@ -122,8 +122,7 @@ def rank_split(model: FactorModel, dataset: InteractionDataset, k: int, split: i
     indptr, items = dataset.positives(split)
     counts = np.diff(indptr)
     user_ids = np.flatnonzero(counts)
-    seen = dataset.split < split
-    lists, top = top_k_items(model, user_ids, k, dataset.users[seen], dataset.items[seen])
+    lists, top = top_k_items(model, user_ids, k, *dataset.split_pairs(TRAIN, split))
     return RecommendationRun(lists.shape[1], user_ids, lists, counts[user_ids], items), top
 
 

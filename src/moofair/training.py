@@ -196,16 +196,15 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
     then shares; the families fill disjoint results, and the worker is
     joined before return. Without one, everything runs on this thread.
     """
-    batch_users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
-    consumer_ctx = None
-    producer_ctx = None
-    if any(o in CONSUMER_OBJECTIVES for o in config.objectives):
-        consumer_ctx = build_consumer_context(dataset, batch_users,
-                                              config.candidate_negatives, ctx_gen)
-    if any(o in PRODUCER_OBJECTIVES for o in config.objectives):
-        producer_ctx = build_producer_context(dataset, batch_users,
-                                              config.n_r_cap,
-                                              config.candidate_negatives, ctx_gen)
+    consumer_ctx = producer_ctx = None
+    if config.num_objectives > 1:  # a fairness family is configured (bpr comes first)
+        batch_users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
+        if any(o in CONSUMER_OBJECTIVES for o in config.objectives):
+            consumer_ctx = build_consumer_context(dataset, batch_users,
+                                                  config.candidate_negatives, ctx_gen)
+        if any(o in PRODUCER_OBJECTIVES for o in config.objectives):
+            producer_ctx = build_producer_context(dataset, batch_users, config.n_r_cap,
+                                                  config.candidate_negatives, ctx_gen)
     results = [None] * config.num_objectives
 
     def run(family, pool=None):  # the worker shares no blocks: it would deadlock

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moofair import numerics, objectives
-from moofair.data import TRAIN, InteractionDataset, RawRatings, build_masks, preprocess
+from moofair.data import TEST, TRAIN, VAL, InteractionDataset, RawRatings, build_masks, preprocess
 from moofair.model import FactorModel
 from moofair.numerics import as_vector
 from moofair.objectives import CandidateContext
@@ -117,15 +117,37 @@ def positive_lists(dataset, split=TRAIN):
     return np.split(items, indptr[1:-1])
 
 
+def tagged_dataset(num_users, num_items, users, items, split=TRAIN, user_ids=None,
+                   item_ids=None):
+    """The InteractionDataset of rows (users[r], items[r]) of split ``split``
+    (one split for all rows, or one per row), ids 0.. unless given. Rows are
+    ordered by (user, split) stably, so each user's rows of a split keep their
+    order, and the offsets are the counts of each (user, split) summed up."""
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    split = np.broadcast_to(np.asarray(split, dtype=np.int64), users.shape)
+    order = np.lexsort((split, users))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(3 * users + split,
+                                                        minlength=3 * num_users))])
+    return InteractionDataset(
+        num_users, num_items, items[order], indptr.astype(np.int64),
+        np.arange(num_users, dtype=np.int64) if user_ids is None else user_ids,
+        np.arange(num_items, dtype=np.int64) if item_ids is None else item_ids)
+
+
+def dataset_rows(dataset):
+    """(users, items, split) of every row of ``dataset``, in storage order."""
+    per_range = np.diff(dataset.indptr)
+    return (np.repeat(np.repeat(np.arange(dataset.num_users), 3), per_range), dataset.items,
+            np.repeat(np.tile([TRAIN, VAL, TEST], dataset.num_users), per_range))
+
+
 def with_train_positives(dataset, users, items):
     """``dataset`` plus train interactions (users[i], items[i])."""
-    users = np.concatenate([dataset.users, np.asarray(users, dtype=dataset.users.dtype)])
-    items = np.concatenate([dataset.items, np.asarray(items, dtype=dataset.items.dtype)])
-    return InteractionDataset(dataset.num_users, dataset.num_items, users, items,
-                              np.zeros_like(users), np.concatenate([
-                                  dataset.split, np.full(users.shape[0] - dataset.split.shape[0],
-                                                         TRAIN, dtype=dataset.split.dtype)]),
-                              dataset.user_ids, dataset.item_ids)
+    old_users, old_items, split = dataset_rows(dataset)
+    return tagged_dataset(dataset.num_users, dataset.num_items,
+                          np.concatenate([old_users, users]), np.concatenate([old_items, items]),
+                          np.concatenate([split, np.full(len(users), TRAIN)]),
+                          dataset.user_ids, dataset.item_ids)
 
 
 def derived_rng(seed, index):

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from moofair.cli import CliError, main, parse_config_file
-from moofair.data import (BUNDLE_FILE, TEST, TRAIN, InteractionDataset, load_bundle,
-                          save_bundle, save_npz)
+from moofair.data import BUNDLE_FILE, TEST, TRAIN, load_bundle, save_bundle, save_npz
 from moofair.metrics import build_recommendations, disparity_item, disparity_user
 from moofair.model import FactorModel, load_checkpoint, save_checkpoint
 from moofair.training import TrainConfig, train_round
-from conftest import FIELD_BOUNDS, GENRES, make_raw
+from conftest import FIELD_BOUNDS, GENRES, dataset_rows, make_raw, tagged_dataset
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +71,10 @@ class TestPrepare:
     def test_outputs_written(self, bundle):
         assert sorted(os.listdir(bundle)) == ["bundle.npz", "stats.txt"]
         with np.load(bundle / "bundle.npz", allow_pickle=False) as arrays:
-            assert {"users", "split", "mask_gender", "mask_popularity",
-                    "genre_names"} <= set(arrays.files)
-            assert arrays["split"].dtype == np.int8
+            assert set(arrays.files) == {"items", "indptr", "user_ids", "item_ids",
+                                         "mask_gender", "mask_age", "mask_popularity",
+                                         "mask_genre", "genre_names"}
+            assert arrays["indptr"].dtype == np.int64
             assert arrays["genre_names"].dtype.kind == "U"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
@@ -431,12 +431,14 @@ class TestGrid:
         assert not (tmp_path / "g").exists()
 
 
-def kept_rows_bundle(dataset, masks, kept, root):
-    """A bundle of the ``kept`` interaction rows of ``dataset`` under
-    ``root``, and a zero-embedding checkpoint of its shape."""
-    dataset = InteractionDataset(
-        dataset.num_users, dataset.num_items, dataset.users[kept], dataset.items[kept],
-        dataset.timestamps[kept], dataset.split[kept], dataset.user_ids, dataset.item_ids)
+def kept_rows_bundle(dataset, masks, keep, root):
+    """A bundle under ``root`` of the interaction rows of ``dataset`` for
+    which ``keep(users, split)`` is true, and a zero-embedding checkpoint of
+    its shape."""
+    users, items, split = dataset_rows(dataset)
+    kept = keep(users, split)
+    dataset = tagged_dataset(dataset.num_users, dataset.num_items, users[kept], items[kept],
+                             split[kept], dataset.user_ids, dataset.item_ids)
     bundle = root / "bundle"
     save_bundle(str(bundle), dataset, masks)
     checkpoint = root / "checkpoint"
@@ -451,7 +453,7 @@ class TestNoTestRows:
     @pytest.fixture()
     def untested(self, synthetic_dataset, synthetic_masks, tmp_path):
         return kept_rows_bundle(synthetic_dataset, synthetic_masks,
-                                synthetic_dataset.split != TEST, tmp_path)
+                                lambda users, split: split != TEST, tmp_path)
 
     def test_eval_exits_2(self, untested, tmp_path, capsys):
         bundle, checkpoint = untested
@@ -480,7 +482,7 @@ class TestNoTrainRows:
     def test_exits_2_and_writes_nothing(self, synthetic_dataset, synthetic_masks,
                                         tmp_path, capsys, command):
         bundle, _ = kept_rows_bundle(synthetic_dataset, synthetic_masks,
-                                     synthetic_dataset.split != TRAIN, tmp_path)
+                                     lambda users, split: split != TRAIN, tmp_path)
         out = tmp_path / "run"
         code = main([command, "--bundle", str(bundle), "--out", str(out),
                      "--objectives", "bpr,popularity", "--rounds", "1", "--epochs", "1"])
@@ -492,15 +494,37 @@ class TestNoTrainRows:
 def test_eval_of_one_slot_leaves_diversity_empty(synthetic_dataset, synthetic_masks,
                                                  tmp_path):
     # one test user at depth 1 fills one slot: Simpson diversity needs two
-    test_users = synthetic_dataset.users[synthetic_dataset.split == TEST]
-    kept = (synthetic_dataset.split != TEST) | (synthetic_dataset.users == test_users[0])
-    bundle, checkpoint = kept_rows_bundle(synthetic_dataset, synthetic_masks, kept, tmp_path)
+    bundle, checkpoint = kept_rows_bundle(
+        synthetic_dataset, synthetic_masks,
+        lambda users, split: (split != TEST) | (users == users[split == TEST][0]), tmp_path)
     out = tmp_path / "m.csv"
     code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(checkpoint),
                  "--out", str(out), "--k", "1"])
     assert code == 0
     [row] = csv.DictReader(out.read_text().splitlines())
     assert row["diversity"] == "" and row["disparity_u"] == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bundle_of_the_earlier_layout_exits_2(synthetic_dataset, synthetic_masks, tmp_path,
+                                              capsys, command):
+    # an earlier version stored a user, timestamp and split column per row
+    # and no offsets; such a bundle must be prepared again
+    bundle, checkpoint = kept_rows_bundle(synthetic_dataset, synthetic_masks,
+                                          lambda users, split: split >= 0, tmp_path)
+    path = bundle / BUNDLE_FILE
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files if name != "indptr"}
+    users, _, split = dataset_rows(synthetic_dataset)
+    arrays.update(users=users, timestamps=np.arange(users.shape[0]), split=split.astype(np.int8))
+    save_npz(str(path), arrays)
+    out = tmp_path / "out"
+    args = {"train": ["--out", str(out), "--rounds", "1", "--epochs", "1"],
+            "eval": ["--checkpoint", str(checkpoint), "--out", str(out / "m.csv")]}[command]
+    code = main([command, "--bundle", str(bundle), *args])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: missing array 'indptr'\n"
+    assert not out.exists()
 
 
 class TestOutputPathNotADirectory:

@@ -18,7 +18,6 @@ from moofair.data import (
     VAL,
     DataFormatError,
     EmptyDatasetError,
-    InteractionDataset,
     RawRatings,
     build_masks,
     ingest,
@@ -31,7 +30,7 @@ from moofair.data import (
 )
 from moofair.model import attach_negatives
 from moofair.objectives import build_consumer_context
-from conftest import GENRES, make_raw, positive_lists
+from conftest import GENRES, dataset_rows, make_raw, positive_lists, tagged_dataset
 
 
 def write_lines(path, lines):
@@ -346,7 +345,7 @@ class TestPreprocess:
 
     def test_filter_thresholds_hold(self, synthetic_raw, synthetic_dataset):
         ds = synthetic_dataset
-        user_counts = np.bincount(ds.users, minlength=ds.num_users)
+        user_counts = np.bincount(dataset_rows(ds)[0], minlength=ds.num_users)
         assert np.all(user_counts >= 10)
         # item counts as seen at filter time (before the user filter ran)
         positive = synthetic_raw.ratings >= 4
@@ -358,30 +357,35 @@ class TestPreprocess:
 
     def test_split_sizes(self, synthetic_dataset):
         ds = synthetic_dataset
+        users, _, split = dataset_rows(ds)
         for u in range(ds.num_users):
-            mask = ds.users == u
+            mask = users == u
             c = int(mask.sum())
-            tags = ds.split[mask]
+            tags = split[mask]
             assert int((tags == TRAIN).sum()) == int(np.floor(0.7 * c))
             assert int((tags == VAL).sum()) == int(np.floor(0.1 * c))
             assert int((tags == TEST).sum()) == c - int(np.floor(0.7 * c)) - int(np.floor(0.1 * c))
 
-    def test_split_chronologically_monotone(self, synthetic_dataset):
+    def test_split_chronologically_monotone(self, synthetic_raw, synthetic_dataset):
+        # each (user, item) pair of the synthetic log is rated once, so the
+        # raw log gives each row's timestamp
         ds = synthetic_dataset
+        stamp_of = dict(zip(zip(synthetic_raw.users.tolist(), synthetic_raw.items.tolist()),
+                            synthetic_raw.timestamps.tolist()))
+        assert len(stamp_of) == synthetic_raw.num_records
+        users, items, _ = dataset_rows(ds)
+        stamps = np.array([stamp_of[ds.user_ids[u], ds.item_ids[i]]
+                           for u, i in zip(users, items)])
         for u in range(ds.num_users):
-            mask = ds.users == u
-            stamps = ds.timestamps[mask]
-            tags = ds.split[mask]
-            for earlier, later in ((TRAIN, VAL), (VAL, TEST), (TRAIN, TEST)):
-                if np.any(tags == earlier) and np.any(tags == later):
-                    assert stamps[tags == earlier].max() <= stamps[tags == later].min()
+            # a user's rows run train, val, test: each split in time order,
+            # and none earlier than the split before it
+            assert np.all(np.diff(stamps[users == u]) >= 0)
 
     def test_deterministic(self, synthetic_raw):
         a = preprocess(synthetic_raw)
         b = preprocess(synthetic_raw)
-        assert np.array_equal(a.users, b.users)
         assert np.array_equal(a.items, b.items)
-        assert np.array_equal(a.split, b.split)
+        assert np.array_equal(a.indptr, b.indptr)
 
     def test_record_order_invariant(self, synthetic_raw):
         a = preprocess(synthetic_raw)
@@ -393,9 +397,16 @@ class TestPreprocess:
             timestamps=synthetic_raw.timestamps[perm],
         )
         b = preprocess(shuffled)
-        assert np.array_equal(a.users, b.users)
         assert np.array_equal(a.items, b.items)
-        assert np.array_equal(a.split, b.split)
+        assert np.array_equal(a.indptr, b.indptr)
+
+    def test_dataset_holds_8_bytes_per_interaction_and_24_per_user(self):
+        # every array the dataset holds but its id maps, plus the one closing
+        # offset; a user, timestamp and split column per row held 25 bytes
+        ds = preprocess(make_raw(seed=2))
+        held = sum(value.nbytes for name, value in vars(ds).items()
+                   if isinstance(value, np.ndarray) and name not in ("user_ids", "item_ids"))
+        assert held <= 8 * ds.num_interactions + 24 * ds.num_users + 8
 
     def test_empty_after_filtering(self):
         raw = RawRatings(
@@ -409,7 +420,7 @@ class TestPreprocess:
 
     def test_ids_dense(self, synthetic_dataset):
         ds = synthetic_dataset
-        assert set(np.unique(ds.users)) == set(range(ds.num_users))
+        assert set(np.unique(dataset_rows(ds)[0])) == set(range(ds.num_users))
         assert set(np.unique(ds.items)) == set(range(ds.num_items))
 
     @pytest.mark.parametrize("log", ["make_raw", "sparse_ids", "threshold_counts"])
@@ -433,7 +444,7 @@ class TestPreprocess:
             raw.users, raw.items = user_map[raw.users], item_map[raw.items]
         got = preprocess(raw)
         expected = preprocess_oracle(raw)
-        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+        for name in ("items", "indptr", "user_ids", "item_ids"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
@@ -472,8 +483,8 @@ def preprocess_oracle(raw):
         split[s:s + n_train] = TRAIN
         split[s + n_train:s + n_train + n_val] = VAL
         split[s + n_train + n_val:e] = TEST
-    return InteractionDataset(user_ids.shape[0], item_ids.shape[0], dense_users,
-                              dense_items, stamps, split, user_ids, item_ids)
+    return tagged_dataset(user_ids.shape[0], item_ids.shape[0], dense_users, dense_items,
+                          split, user_ids, item_ids)
 
 
 # original ids and timestamps are offset + code * stride: none, near -2**62 and
@@ -507,7 +518,9 @@ def drawn_log(seed, core, num_users, num_items, num_records, num_stamps, offsets
 
 def preprocess_lexsort_reference(raw):
     """The earlier ``preprocess``: unsorted ``searchsorted`` lookups and one
-    three-key ``np.lexsort``; the memory reference of the current one."""
+    three-key ``np.lexsort``; the memory reference of the current one. Returns
+    the columns that ``InteractionDataset`` held then: dense users, items,
+    timestamps and split tags, and the id maps."""
     positive = raw.ratings >= 4.0
     users = raw.users[positive]
     items = raw.items[positive]
@@ -537,8 +550,7 @@ def preprocess_lexsort_reference(raw):
     n_val = np.floor(0.1 * counts).astype(np.int64)
     split = ((position >= n_train[dense_users]).astype(np.int8)
              + (position >= (n_train + n_val)[dense_users]))
-    return InteractionDataset(user_ids.shape[0], item_ids.shape[0], dense_users,
-                              dense_items, stamps, split, user_ids, item_ids)
+    return dense_users, dense_items, stamps, split, user_ids, item_ids
 
 
 def traced_peak(call):
@@ -575,7 +587,7 @@ class TestPreprocessAgainstOracle:
                 preprocess(raw)
             return
         got = preprocess(raw)
-        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+        for name in ("items", "indptr", "user_ids", "item_ids"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -620,17 +632,7 @@ def dataset_with_counts(counts):
             users.append(u % 7)
             items.append(item)
             u += 1
-    n = len(users)
-    return InteractionDataset(
-        num_users=7,
-        num_items=len(counts),
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        timestamps=np.arange(n, dtype=np.int64),
-        split=np.zeros(n, dtype=np.int8),
-        user_ids=np.arange(7, dtype=np.int64),
-        item_ids=np.arange(len(counts), dtype=np.int64),
-    )
+    return tagged_dataset(7, len(counts), users, items)
 
 
 class TestPopularityMask:
@@ -678,9 +680,7 @@ class TestTrainLists:
         users = np.array([2, 0, 0, 1, 0, 2, 0, 2], dtype=np.int64)
         items = np.array([4, 3, 1, 2, 3, 0, 2, 4], dtype=np.int64)
         split = np.array([VAL, TRAIN, TRAIN, TEST, TRAIN, TRAIN, TRAIN, VAL], dtype=np.int8)
-        return InteractionDataset(4, 5, users, items, np.arange(8, dtype=np.int64),
-                                  split, np.arange(4, dtype=np.int64),
-                                  np.arange(5, dtype=np.int64))
+        return tagged_dataset(4, 5, users, items, split)
 
     @pytest.mark.parametrize("which", ["repeated_pair", "counts", "synthetic"])
     def test_positive_lists_match_set_oracle(self, which, synthetic_dataset):
@@ -699,6 +699,11 @@ class TestTrainLists:
 
     def test_repeated_pair_lists(self):
         dataset = self.repeated_pair_log()
+        # rows by user, each user's split in the order given, splits in order
+        assert [a.tolist() for a in dataset.split_pairs(TRAIN)] == [[0, 0, 0, 0, 2],
+                                                                   [3, 1, 3, 2, 0]]
+        assert [a.tolist() for a in dataset.split_pairs(TRAIN, TEST)] == [
+            [0, 0, 0, 0, 2, 2, 2], [3, 1, 3, 2, 0, 4, 4]]
         assert [[row.tolist() for row in positive_lists(dataset, split)]
                 for split in (TRAIN, VAL, TEST)] == [
             [[1, 2, 3], [], [0], []], [[], [], [4], []], [[], [2], [], []]]
@@ -731,10 +736,8 @@ class TestTrainMembership:
         if full:  # user 0 holds the whole catalog
             rows = rows + [(0, i, TRAIN) for i in range(num_items)]
         users, items, split = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        dataset = InteractionDataset(num_users, num_items, users % num_users,
-                                     items % num_items, np.arange(users.shape[0]),
-                                     split.astype(np.int8), np.arange(num_users),
-                                     np.arange(num_items))
+        dataset = tagged_dataset(num_users, num_items, users % num_users, items % num_items,
+                                 split)
         reference = dense_train_reference(dataset)
 
         packed = dataset.train_membership()
@@ -906,7 +909,7 @@ class TestBundle:
         save_bundle(str(out), synthetic_dataset, synthetic_masks)
         loaded, masks = load_bundle(str(out))
         assert loaded.num_users == synthetic_dataset.num_users
-        for name in ("users", "items", "timestamps", "split", "user_ids", "item_ids"):
+        for name in ("items", "indptr", "user_ids", "item_ids"):
             got, want = getattr(loaded, name), getattr(synthetic_dataset, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
@@ -939,21 +942,24 @@ class TestBundle:
             load_bundle(str(tmp_path))
 
     @pytest.mark.parametrize("key, change", [
-        ("users", None),
-        ("split", None),
-        ("items", lambda a: a[:-1]),
-        ("timestamps", lambda a: a[1:]),
-        ("split", lambda a: np.where(np.arange(a.shape[0]) == 3, 3, a).astype(np.int8)),
-        ("split", lambda a: (a - 1).astype(np.int8)),
-        ("users", lambda a: a + 1),
+        pytest.param("indptr", None, id="indptr-missing"),
+        ("items", lambda a: a[:-1]),  # the offsets end past the items
+        pytest.param("indptr", lambda a: np.append(a, [a[-1]] * 3), id="indptr-extra-user"),
+        pytest.param("indptr", lambda a: a[:-1], id="indptr-short"),
+        pytest.param("indptr", lambda a: np.append(1, a[1:]), id="indptr-not-from-0"),
+        pytest.param("indptr", lambda a: a[[0, 2, 1, *range(3, a.shape[0])]],
+                     id="indptr-decreasing"),
+        pytest.param("indptr", lambda a: np.append(a[:-1], a[-1] - 1), id="indptr-short-of-items"),
         ("items", lambda a: a - 1),
+        pytest.param("items", lambda a: np.where(np.arange(a.shape[0]) == 3, a.max() + 1, a),
+                     id="items-past-catalog"),
         ("mask_gender", lambda a: a[:, :-1]),
         ("mask_genre", lambda a: a[:, 1:]),
         ("mask_popularity", lambda a: a[0]),
         ("mask_popularity", None),  # evaluation reads it
         ("mask_age", lambda a: a - 1),  # entries outside {0, 1}
         ("genre_names", lambda a: a[:-1]),
-        ("users", lambda a: a.astype(np.float64)),
+        pytest.param("indptr", lambda a: a.astype(np.float64), id="indptr-float"),
     ])
     def test_inconsistent_array_names_file_and_key(self, tmp_path, synthetic_dataset,
                                                     synthetic_masks, key, change):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_raw
+from conftest import dataset_rows, make_raw, tagged_dataset
 from moofair import metrics
-from moofair.data import TEST, TRAIN, VAL, InteractionDataset, build_masks, preprocess
+from moofair.data import TEST, TRAIN, VAL, build_masks, preprocess
 from moofair.metrics import (
     RecommendationRun,
     build_recommendations,
@@ -278,9 +278,9 @@ class TestBuildRecommendations:
                            synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(3))
         run = build_recommendations(model, synthetic_dataset, 5)
         from moofair.data import TRAIN, VAL
-        ds = synthetic_dataset
-        seen = (ds.split == TRAIN) | (ds.split == VAL)
-        seen_pairs = set(zip(ds.users[seen].tolist(), ds.items[seen].tolist()))
+        users, items, split = dataset_rows(synthetic_dataset)
+        seen = (split == TRAIN) | (split == VAL)
+        seen_pairs = set(zip(users[seen].tolist(), items[seen].tolist()))
         for row, u in enumerate(run.user_ids):
             assert len(set(run.lists[row].tolist())) == run.k
             for item in run.lists[row]:
@@ -291,8 +291,8 @@ class TestBuildRecommendations:
                            synthetic_dataset.num_items, 4, 0.0, np.random.default_rng(4))
         run = build_recommendations(model, synthetic_dataset, 5)
         from moofair.data import TEST
-        ds = synthetic_dataset
-        with_test = np.unique(ds.users[ds.split == TEST])
+        users, _, split = dataset_rows(synthetic_dataset)
+        with_test = np.unique(users[split == TEST])
         np.testing.assert_array_equal(run.user_ids, with_test)
 
     def test_deterministic(self, synthetic_dataset):
@@ -359,8 +359,9 @@ class TestEvaluate:
 
 def reference_build_recommendations(model, dataset, k):
     scores = model.user_embeddings @ model.item_embeddings.T
-    seen = (dataset.split == TRAIN) | (dataset.split == VAL)
-    scores[dataset.users[seen], dataset.items[seen]] = -np.inf
+    users, items, split = dataset_rows(dataset)
+    seen = (split == TRAIN) | (split == VAL)
+    scores[users[seen], items[seen]] = -np.inf
     test_users, test_items = dataset.split_pairs(TEST)
     relevance_by_user = {}
     for u, i in zip(test_users, test_items):
@@ -377,8 +378,8 @@ def reference_build_recommendations(model, dataset, k):
 
 def reference_validation_recall(model, dataset, k):
     scores = model.user_embeddings @ model.item_embeddings.T
-    train_mask = dataset.split == TRAIN
-    scores[dataset.users[train_mask], dataset.items[train_mask]] = -np.inf
+    users, items, split = dataset_rows(dataset)
+    scores[users[split == TRAIN], items[split == TRAIN]] = -np.inf
     val_users, val_items = dataset.split_pairs(VAL)
     by_user = {}
     for u, i in zip(val_users, val_items):
@@ -537,11 +538,8 @@ class TestRepeatedPairs:
     def world(split):
         # user 0: item 1 twice in ``split``, ranked first; user 1: item 1 once,
         # ranked below item 3 (item 2 is user 1's train positive)
-        dataset = InteractionDataset(
-            num_users=2, num_items=4, users=np.array([0, 0, 0, 1, 1]),
-            items=np.array([0, 1, 1, 2, 1]), timestamps=np.arange(5),
-            split=np.array([TRAIN, split, split, TRAIN, split], dtype=np.int8),
-            user_ids=np.arange(2), item_ids=np.arange(4))
+        dataset = tagged_dataset(2, 4, [0, 0, 0, 1, 1], [0, 1, 1, 2, 1],
+                                 [TRAIN, split, split, TRAIN, split])
         return dataset, score_model(np.array([[0.0, 3.0, 2.0, 1.0], [0.0, 1.0, 2.0, 3.0]]))
 
     def test_evaluation_relevance(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from moofair import objectives
-from moofair.data import TRAIN, GroupMaskSet, InteractionDataset
+from moofair.data import GroupMaskSet
 from moofair.model import FactorModel, ObjectiveGradient, TripletBatch, init_model
 from moofair.numerics import sigmoid
 from moofair.objectives import (
@@ -36,6 +36,7 @@ from conftest import (
     finite_difference_error,
     flat_context,
     positive_lists,
+    tagged_dataset,
     with_train_positives,
 )
 from test_training import TINY
@@ -1104,9 +1105,7 @@ class TestContextBuilders:
         # one user with six non-positives, drawn in 20 000 rows at once
         positives = [0, 2, 5, 7]
         num_items, rows = 10, 20_000
-        dataset = InteractionDataset(1, num_items, np.zeros(4, dtype=np.int64),
-                                     np.array(positives), np.zeros(4, dtype=np.int64),
-                                     np.full(4, TRAIN), np.arange(1), np.arange(num_items))
+        dataset = tagged_dataset(1, num_items, np.zeros(4, dtype=np.int64), positives)
         ctx = build_consumer_context(dataset, np.zeros(rows, dtype=np.int64), k,
                                      np.random.default_rng(11))
         np.testing.assert_array_equal(ctx.widths, 4 + k)

@@ -16,13 +16,12 @@ from moofair.data import (
     TRAIN,
     VAL,
     GroupMaskSet,
-    InteractionDataset,
     build_masks,
     preprocess,
     save_bundle,
     write_csv,
 )
-from conftest import FIELD_BOUNDS, dense_gradient, dominates, make_raw
+from conftest import FIELD_BOUNDS, dense_gradient, dominates, make_raw, tagged_dataset
 from moofair.training import AlphaTrace, TrainConfig, run_pareto_rounds, train_round
 
 TINY = dict(
@@ -774,10 +773,8 @@ class TestStepMemory:
         users = np.repeat(np.arange(num_users), 5)
         items = np.concatenate([gen.choice(num_items, 5, replace=False)
                                 for _ in range(num_users)])
-        dataset = InteractionDataset(num_users, num_items, users, items,
-                                     np.zeros_like(users),
-                                     np.tile([TRAIN] * 4 + [VAL], num_users),
-                                     np.arange(num_users), np.arange(num_items))
+        dataset = tagged_dataset(num_users, num_items, users, items,
+                                 np.tile([TRAIN] * 4 + [VAL], num_users))
         config = TrainConfig(objectives=("bpr",), dim=dim, batch_size=1024,
                              epochs_max=1, eval_every=1)
         attach = training.attach_negatives
