@@ -143,6 +143,7 @@ def cmd_prepare(args) -> int:
 def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
     from .data import atomic_open, write_csv
     from .model import save_checkpoint
+    from .training import VALIDATION_K
 
     paths = []
     for result in results:
@@ -159,7 +160,7 @@ def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
         paths.append(ckpt)
     write_csv(os.path.join(out_dir, "rounds.csv"),
               ["round"] + [f"loss_{o}" for o in config.objectives]
-              + [f"val_recall_at_{config.eval_k}", "fw_calls", "checkpoint"],
+              + [f"val_recall_at_{VALIDATION_K}", "fw_calls", "checkpoint"],
               ([result.record.round_id, *result.record.objective_values,
                 result.val_recall, result.fw_calls, ckpt]
                for result, ckpt in zip(results, paths)))

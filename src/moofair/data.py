@@ -180,16 +180,16 @@ class InteractionDataset:
 class GroupMaskSet:
     """Binary group membership over users (gender, age) and items (popularity, genre).
 
-    User masks may be None when the source data carried no attribute table.
-    Popularity rows are ordered most- to least-popular (labels 5 down to 1).
-    Genre columns may hold multiple ones: an item belongs to each of its genres.
+    Attribute masks may be None when the source data carried no attribute
+    table. Popularity is a function of the train split (``popularity_mask``),
+    its rows ordered most- to least-popular (labels 5 down to 1). Genre
+    columns may hold multiple ones: an item belongs to each of its genres.
     """
 
     gender: np.ndarray | None = None
     age: np.ndarray | None = None
     popularity: np.ndarray | None = None
     genre: np.ndarray | None = None
-    genre_names: tuple = ()
 
     def mask_for(self, name: str) -> np.ndarray | None:
         return getattr(self, name)
@@ -554,7 +554,6 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
             for gi in raw.item_genres.get(int(orig), ()):
                 genre[gi, k] = 1
         masks.genre = genre
-        masks.genre_names = tuple(raw.genre_names)
 
     return masks
 
@@ -580,15 +579,14 @@ def popularity_mask(dataset: InteractionDataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 BUNDLE_FILE = "bundle.npz"
-MASK_NAMES = ("gender", "age", "popularity", "genre")
+MASK_NAMES = ("gender", "age", "genre")  # the attribute masks a bundle stores
 
-# bundle.npz entries: (dtype, dimensions, required); evaluation reads the
-# popularity mask, which save_bundle always writes
+# bundle.npz entries: (dtype, dimensions, required). The attribute masks are
+# optional; the popularity mask is not stored, load_bundle derives it.
 BUNDLE_ARRAYS = {
     "items": ("int64", 1, True), "indptr": ("int64", 1, True),
     "user_ids": ("int64", 1, True), "item_ids": ("int64", 1, True),
-    **{f"mask_{name}": ("int8", 2, name == "popularity") for name in MASK_NAMES},
-    "genre_names": ("U", 1, False),  # unicode of any width
+    **{f"mask_{name}": ("int8", 2, False) for name in MASK_NAMES},
 }
 
 
@@ -624,22 +622,15 @@ def save_npz(path: str, arrays: dict) -> None:
         np.savez(fh, **arrays)
 
 
-def load_npz(path: str, spec: dict, legacy_file: str, command: str) -> dict:
-    """The arrays of a .npz written by ``save_npz``, each checked against its
-    ``spec`` entry (dtype, dimensions, required); absent optional arrays are
-    left out.
+def load_npz(path: str, spec: dict) -> dict:
+    """The arrays of a .npz written by ``save_npz`` that ``spec`` names, each
+    checked against its entry (dtype, dimensions, required); absent optional
+    arrays are left out, and arrays ``spec`` does not name are not read.
 
-    A missing file is FileNotFoundError, or a DataFormatError asking to re-run
-    ``moofair <command>`` when ``legacy_file``, the CSV of an earlier version,
-    is there instead. Unreadable files and arrays off their spec are
-    DataFormatErrors naming the file and the key.
+    A missing file is FileNotFoundError naming ``path``. Unreadable files and
+    arrays off their spec are DataFormatErrors naming the file and the key.
     """
     if not os.path.exists(path):
-        directory = os.path.dirname(path)
-        if os.path.exists(os.path.join(directory, legacy_file)):
-            raise DataFormatError(
-                f"{directory} holds CSV files of an earlier version; re-run "
-                f"`moofair {command}` to write {os.path.basename(path)}")
         raise FileNotFoundError(f"not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as archive:
@@ -661,9 +652,11 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
     """Write the preprocessed dataset and masks to ``directory``.
 
     ``bundle.npz`` holds the dataset's ``items`` and ``indptr``,
-    ``user_ids``/``item_ids``, each available mask as ``mask_<name>`` and
-    ``genre_names``; ``stats.txt`` is a human-readable summary. Each file is
-    written atomically.
+    ``user_ids``/``item_ids`` and each available attribute mask as
+    ``mask_<name>``: what no command can rebuild from the others. The
+    popularity mask is left out, as ``load_bundle`` derives it from the train
+    split. ``stats.txt`` is a human-readable summary. Each file is written
+    atomically.
     """
     os.makedirs(directory, exist_ok=True)
     arrays = {"items": dataset.items, "indptr": dataset.indptr,
@@ -671,8 +664,6 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
     for name in MASK_NAMES:
         if masks.mask_for(name) is not None:
             arrays[f"mask_{name}"] = masks.mask_for(name)
-    if masks.genre_names:
-        arrays["genre_names"] = np.array(masks.genre_names, dtype=str)
     save_npz(os.path.join(directory, BUNDLE_FILE), arrays)
     with atomic_open(os.path.join(directory, "stats.txt")) as fh:
         fh.write(f"users = {dataset.num_users}\n")
@@ -685,9 +676,11 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
     """Read a bundle written by ``save_bundle``, checking that its arrays
     agree: ``indptr`` is 3 * len(user_ids) + 1 offsets rising from 0 to
     len(items), items are inside ``item_ids``, and mask widths match the ids
-    with entries in {0, 1}."""
+    with entries in {0, 1}. The popularity mask is ``popularity_mask`` of the
+    loaded dataset, as ``build_masks`` makes it; a ``mask_popularity`` or
+    ``genre_names`` array that an earlier version stored is not read."""
     path = os.path.join(directory, BUNDLE_FILE)
-    arrays = load_npz(path, BUNDLE_ARRAYS, "interactions.csv", "prepare")
+    arrays = load_npz(path, BUNDLE_ARRAYS)
     num_users, num_items = arrays["user_ids"].shape[0], arrays["item_ids"].shape[0]
     items, indptr = arrays["items"], arrays["indptr"]
     if (indptr.shape[0] != 3 * num_users + 1 or indptr[0] != 0
@@ -701,17 +694,14 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
         mask = arrays.get(f"mask_{name}")
         if mask is None:
             continue
-        width = num_items if name in ("popularity", "genre") else num_users
+        width = num_items if name == "genre" else num_users
         if mask.shape[1] != width:
             raise DataFormatError(f"{path}: array 'mask_{name}' has {mask.shape[1]} "
                                   f"columns, expected {width}")
         if mask.size and (mask.min() < 0 or mask.max() > 1):
             raise DataFormatError(f"{path}: array 'mask_{name}' holds values outside {{0, 1}}")
         setattr(masks, name, mask)
-    masks.genre_names = tuple(arrays.get("genre_names", np.array([])).tolist())
-    if masks.genre is not None and len(masks.genre_names) != masks.genre.shape[0]:
-        raise DataFormatError(f"{path}: array 'genre_names' has {len(masks.genre_names)} "
-                              f"names for {masks.genre.shape[0]} genre rows")
     dataset = InteractionDataset(num_users, num_items, items, indptr,
                                  arrays["user_ids"], arrays["item_ids"])
+    masks.popularity = popularity_mask(dataset)
     return dataset, masks

@@ -50,17 +50,16 @@ class RecommendationRun:
 
     # the metrics of a run share these inputs, so each is built once per run
     @cached_property
-    def hits(self) -> tuple[np.ndarray, np.ndarray]:
+    def hits(self) -> np.ndarray:
         return _hit_matrix(self)
 
     @cached_property
     def ndcg_vectors(self) -> np.ndarray:
         """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions."""
-        hits, counts = self.hits
         positions = np.arange(1, self.k + 1, dtype=np.float64)
         gains = 1.0 / np.log2(positions + 1.0)
-        dcg = np.cumsum(hits * gains[None, :], axis=1)
-        ideal_hits = positions[None, :] <= counts[:, None]
+        dcg = np.cumsum(self.hits * gains[None, :], axis=1)
+        ideal_hits = positions[None, :] <= self.counts[:, None]
         idcg = np.cumsum(ideal_hits * gains[None, :], axis=1)
         return dcg / idcg
 
@@ -144,20 +143,19 @@ def build_recommendations(model: FactorModel, dataset: InteractionDataset,
     return run
 
 
-def _hit_matrix(run: RecommendationRun) -> tuple[np.ndarray, np.ndarray]:
-    """1.0 where a listed item is relevant to its user; relevant items per
-    user. The relevant pairs' codes row * width + item ascend as they are."""
+def _hit_matrix(run: RecommendationRun) -> np.ndarray:
+    """1.0 where a listed item is relevant to its user. The relevant pairs'
+    codes row * width + item ascend as they are."""
     width = int(max(run.lists.max(initial=0), run.relevant.max(initial=0))) + 1
     listed = np.arange(run.lists.shape[0])[:, None] * width + run.lists
     codes = np.repeat(np.arange(run.counts.shape[0]), run.counts) * width + run.relevant
     found = np.minimum(np.searchsorted(codes, listed), codes.shape[0] - 1)
-    return (codes[found] == listed).astype(np.float64), run.counts
+    return (codes[found] == listed).astype(np.float64)
 
 
 def recall_at_k(run: RecommendationRun) -> float:
     """Mean fraction of each user's relevant items in the list, summed in user order."""
-    hits, counts = run.hits
-    return float(np.cumsum(hits.sum(axis=1) / counts)[-1] / counts.shape[0])
+    return float(np.cumsum(run.hits.sum(axis=1) / run.counts)[-1] / run.counts.shape[0])
 
 
 def ndcg_at_k(run: RecommendationRun) -> float:
@@ -201,18 +199,14 @@ def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
     return result[0]
 
 
-def exposure_counts(run: RecommendationRun, num_items: int) -> np.ndarray:
-    """How often each catalog item appears across all top-k lists."""
-    return np.bincount(run.lists.ravel(), minlength=num_items).astype(np.float64)
-
-
 def gini_index(run: RecommendationRun, num_items: int) -> float:
     """Inequality of item exposure across the catalog, in [0, 1).
 
     Exposure is the occurrence count in all lists; items never recommended
     count as zero.
     """
-    return gini_from_exposures(exposure_counts(run, num_items))
+    return gini_from_exposures(
+        np.bincount(run.lists.ravel(), minlength=num_items).astype(np.float64))
 
 
 def gini_from_exposures(exposures: np.ndarray) -> float:

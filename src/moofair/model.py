@@ -234,7 +234,7 @@ def save_checkpoint(model: FactorModel, directory: str, metadata: dict | None = 
 def load_checkpoint(directory: str) -> tuple[FactorModel, dict]:
     """Read a checkpoint written by ``save_checkpoint``."""
     path = os.path.join(directory, CHECKPOINT_FILE)
-    arrays = load_npz(path, CHECKPOINT_ARRAYS, "user_embeddings.csv", "train")
+    arrays = load_npz(path, CHECKPOINT_ARRAYS)
     try:
         model = FactorModel(arrays["user_embeddings"], arrays["item_embeddings"],
                             float(arrays["reg"]))

@@ -60,13 +60,14 @@ logger = logging.getLogger(__name__)
 GRAD_NORM_EPS = 1e-12
 ZERO_GRAD_TOL = 1e-10
 FINAL_EVAL_BATCHES = 10
+VALIDATION_K = 20  # list depth of the validation recall that picks the best epoch
 
 # Allowed range of each numeric TrainConfig field: (fields, bound, test). Each
 # must also be finite, tested by comparison so that ints of any size pass.
 FIELD_RANGES = (
     (("learning_rate", "temperature", "steepness"), "> 0", lambda v: v > 0),
     (("batch_size", "dim", "epochs_max", "eval_every", "early_stop_patience",
-      "ndcg_k", "n_r_cap", "rounds", "eval_k"), ">= 1", lambda v: v >= 1),
+      "ndcg_k", "n_r_cap", "rounds"), ">= 1", lambda v: v >= 1),
     (("reg", "candidate_negatives", "seed"), ">= 0", lambda v: v >= 0),
     (("exposure_patience",), "in (0, 1)", lambda v: 0 < v < 1),
 )
@@ -103,7 +104,6 @@ class TrainConfig:
     seed: int = 0
     fixed_weights: tuple | None = None
     rounds: int = 5
-    eval_k: int = 20
 
     def __post_init__(self):
         objectives = tuple(self.objectives)
@@ -332,7 +332,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                 trace.append(epoch, b, alpha)
                 model.params[rows] -= config.learning_rate * direction
             if epoch % config.eval_every == 0 or epoch == config.epochs_max:
-                recall = _validation_recall(model, dataset, config.eval_k)
+                recall = _validation_recall(model, dataset, VALIDATION_K)
                 if recall > best_recall:
                     best_recall = recall
                     best_params = model.flatten()

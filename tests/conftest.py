@@ -86,7 +86,6 @@ FIELD_BOUNDS = (
     ("ndcg_k", 0, 1),
     ("n_r_cap", 0, 1),
     ("rounds", 0, 1),
-    ("eval_k", 0, 1),
     ("reg", -1e-12, 0.0),
     ("candidate_negatives", -1, 0),
     ("seed", -1, 0),

@@ -10,7 +10,7 @@ import pytest
 from moofair.cli import CliError, main, parse_config_file
 from moofair.data import BUNDLE_FILE, TEST, TRAIN, load_bundle, save_bundle, save_npz
 from moofair.metrics import build_recommendations, disparity_item, disparity_user
-from moofair.model import FactorModel, load_checkpoint, save_checkpoint
+from moofair.model import CHECKPOINT_FILE, FactorModel, load_checkpoint, save_checkpoint
 from moofair.training import TrainConfig, train_round
 from conftest import FIELD_BOUNDS, GENRES, dataset_rows, make_raw, tagged_dataset
 
@@ -72,10 +72,8 @@ class TestPrepare:
         assert sorted(os.listdir(bundle)) == ["bundle.npz", "stats.txt"]
         with np.load(bundle / "bundle.npz", allow_pickle=False) as arrays:
             assert set(arrays.files) == {"items", "indptr", "user_ids", "item_ids",
-                                         "mask_gender", "mask_age", "mask_popularity",
-                                         "mask_genre", "genre_names"}
+                                         "mask_gender", "mask_age", "mask_genre"}
             assert arrays["indptr"].dtype == np.int64
-            assert arrays["genre_names"].dtype.kind == "U"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["prepare", "--format", "ml100k",
@@ -129,6 +127,8 @@ class TestTrain:
         assert not (out / ".moofair.lock").exists()
         # without --weights the rounds train with MGDA weights
         rounds = list(csv.DictReader((out / "rounds.csv").read_text().splitlines()))
+        assert list(rounds[0]) == ["round", "loss_bpr", "loss_popularity",
+                                   "val_recall_at_20", "fw_calls", "checkpoint"]
         assert int(rounds[0]["fw_calls"]) > 0
 
     def test_single_objective_selection(self, bundle, tiny_config, tmp_path):
@@ -195,7 +195,8 @@ class TestTrain:
         code = main(["train", "--bundle", str(old), "--out", str(tmp_path / "run"),
                      "--objectives", "bpr", "--rounds", "1", "--epochs", "1"])
         assert code == 2
-        assert "re-run `moofair prepare`" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: not found: {old / BUNDLE_FILE}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_objective_without_mask_rejected(self, tsv_corpus, tmp_path, capsys):
         # rebuild the corpus without attribute files
@@ -284,17 +285,13 @@ class TestEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
-        (None, "missing array 'mask_popularity'"),
-        (lambda mask: mask * 3, "array 'mask_popularity' holds values outside {0, 1}")],
-        ids=["missing", "tripled"])
-    def test_bad_popularity_mask_exits_2(self, bundle, checkpoint, tmp_path, capsys,
-                                         change, message):
-        with np.load(bundle / BUNDLE_FILE, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        if change is None:
-            del arrays["mask_popularity"]
-        else:
-            arrays["mask_popularity"] = change(arrays["mask_popularity"])
+        (lambda mask: mask * 3, "array 'mask_gender' holds values outside {0, 1}"),
+        (lambda mask: mask[:, 1:], "array 'mask_gender' has")],
+        ids=["tripled", "narrow"])
+    def test_bad_attribute_mask_exits_2(self, bundle, checkpoint, tmp_path, capsys,
+                                        change, message):
+        arrays = bundle_arrays(bundle)
+        arrays["mask_gender"] = change(arrays["mask_gender"])
         broken = tmp_path / "bundle"
         broken.mkdir()
         save_npz(str(broken / BUNDLE_FILE), arrays)
@@ -305,6 +302,21 @@ class TestEval:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stored_popularity_mask_not_read(self, bundle, checkpoint, tmp_path):
+        # a bundle of an earlier version, whose stored popularity mask is stale:
+        # eval derives the mask from the train split and writes the same metrics
+        arrays = bundle_arrays(bundle)
+        dataset, masks = load_bundle(str(bundle))
+        older = tmp_path / "bundle"
+        older.mkdir()
+        save_npz(str(older / BUNDLE_FILE),
+                 dict(arrays, mask_popularity=masks.popularity[::-1],
+                      genre_names=np.array(GENRES, dtype=str)))
+        for directory, name in ((bundle, "now.csv"), (older, "older.csv")):
+            assert main(["eval", "--bundle", str(directory), "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "now.csv").read_bytes() == (tmp_path / "older.csv").read_bytes()
+
     def test_csv_checkpoint_of_earlier_version_exits_2(self, bundle, tmp_path, capsys):
         old = tmp_path / "round_1"
         old.mkdir()
@@ -312,7 +324,8 @@ class TestEval:
         code = main(["eval", "--bundle", str(bundle), "--checkpoint", str(old),
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
-        assert "re-run `moofair train`" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: not found: {old / CHECKPOINT_FILE}\n"
+        assert not (tmp_path / "m.csv").exists()
 
     def test_checkpoint_of_another_bundle_exits_2(self, tsv_corpus, checkpoint,
                                                   tmp_path, capsys):
@@ -431,6 +444,12 @@ class TestGrid:
         assert not (tmp_path / "g").exists()
 
 
+def bundle_arrays(bundle):
+    """Every array of ``bundle``'s bundle.npz, by name."""
+    with np.load(bundle / BUNDLE_FILE, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
 def kept_rows_bundle(dataset, masks, keep, root):
     """A bundle under ``root`` of the interaction rows of ``dataset`` for
     which ``keep(users, split)`` is true, and a zero-embedding checkpoint of
@@ -513,8 +532,8 @@ def test_bundle_of_the_earlier_layout_exits_2(synthetic_dataset, synthetic_masks
     bundle, checkpoint = kept_rows_bundle(synthetic_dataset, synthetic_masks,
                                           lambda users, split: split >= 0, tmp_path)
     path = bundle / BUNDLE_FILE
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files if name != "indptr"}
+    arrays = bundle_arrays(bundle)
+    del arrays["indptr"]
     users, _, split = dataset_rows(synthetic_dataset)
     arrays.update(users=users, timestamps=np.arange(users.shape[0]), split=split.astype(np.int8))
     save_npz(str(path), arrays)
@@ -563,6 +582,13 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("learnin_rate = 0.1\n")
         with pytest.raises(CliError, match="unknown key"):
+            parse_config_file(str(path))
+
+    def test_eval_k_key_rejected(self, tmp_path):
+        # validation recall is always taken at depth 20
+        path = tmp_path / "eval_k.cfg"
+        path.write_text("eval_k = 20\n")
+        with pytest.raises(CliError, match="unknown key 'eval_k'"):
             parse_config_file(str(path))
 
     def test_all_problems_listed(self, tmp_path):

@@ -900,24 +900,58 @@ class TestBuildMasksAgainstOracle:
                 continue
             assert got.dtype == expected[name].dtype, name
             np.testing.assert_array_equal(got, expected[name], err_msg=name)
-        assert masks.genre_names == tuple(raw.genre_names)
+
+
+def assert_loads_as_built(directory, dataset, masks):
+    """``load_bundle(directory)`` gives ``dataset``'s arrays and ``masks``
+    bitwise, dtypes included."""
+    loaded, loaded_masks = load_bundle(str(directory))
+    assert (loaded.num_users, loaded.num_items) == (dataset.num_users, dataset.num_items)
+    for name in ("items", "indptr", "user_ids", "item_ids"):
+        got, want = getattr(loaded, name), getattr(dataset, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    for name in ("gender", "age", "popularity", "genre"):
+        got, want = getattr(loaded_masks, name), getattr(masks, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    return loaded_masks
+
+
+def with_arrays(directory, **extra):
+    """Rewrite ``directory``'s bundle.npz with ``extra`` arrays added."""
+    path = directory / BUNDLE_FILE
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    save_npz(str(path), {**arrays, **extra})
 
 
 class TestBundle:
     def test_round_trip(self, tmp_path, synthetic_dataset, synthetic_masks):
         out = tmp_path / "bundle"
         save_bundle(str(out), synthetic_dataset, synthetic_masks)
-        loaded, masks = load_bundle(str(out))
-        assert loaded.num_users == synthetic_dataset.num_users
-        for name in ("items", "indptr", "user_ids", "item_ids"):
-            got, want = getattr(loaded, name), getattr(synthetic_dataset, name)
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
-        for name in ("gender", "age", "popularity", "genre"):
-            got, want = getattr(masks, name), getattr(synthetic_masks, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert masks.genre_names == synthetic_masks.genre_names
-        assert all(type(name) is str for name in masks.genre_names)
+        with np.load(out / BUNDLE_FILE, allow_pickle=False) as archive:
+            assert set(archive.files) == {"items", "indptr", "user_ids", "item_ids",
+                                          "mask_gender", "mask_age", "mask_genre"}
+        assert_loads_as_built(out, synthetic_dataset, synthetic_masks)
+
+    def test_stale_popularity_mask_not_read(self, tmp_path, synthetic_dataset,
+                                            synthetic_masks):
+        # a stored popularity mask that disagrees with the bundle's train split
+        save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
+        stale = synthetic_masks.popularity[::-1]
+        assert not np.array_equal(stale, popularity_mask(synthetic_dataset))
+        with_arrays(tmp_path, mask_popularity=stale)
+        masks = assert_loads_as_built(tmp_path, synthetic_dataset, synthetic_masks)
+        assert np.array_equal(masks.popularity, popularity_mask(synthetic_dataset))
+
+    def test_bundle_of_the_parent_layout(self, tmp_path, synthetic_raw, synthetic_dataset,
+                                         synthetic_masks):
+        # an earlier version also stored the popularity mask and the genre names
+        save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
+        with_arrays(tmp_path, mask_popularity=synthetic_masks.popularity,
+                    genre_names=np.array(synthetic_raw.genre_names, dtype=str))
+        assert_loads_as_built(tmp_path, synthetic_dataset,
+                              build_masks(synthetic_dataset, synthetic_raw))
 
     def test_bytes_identical_on_rerun(self, tmp_path, synthetic_dataset, synthetic_masks,
                                       monkeypatch):
@@ -937,8 +971,9 @@ class TestBundle:
             load_bundle(str(tmp_path / "nope"))
 
     def test_csv_bundle_of_earlier_version(self, tmp_path):
+        # no reader for the CSV layout: the bundle is simply not there
         (tmp_path / "interactions.csv").write_text("user,item,timestamp,split\n")
-        with pytest.raises(DataFormatError, match="re-run `moofair prepare`"):
+        with pytest.raises(FileNotFoundError, match=f"not found: .*{BUNDLE_FILE}"):
             load_bundle(str(tmp_path))
 
     @pytest.mark.parametrize("key, change", [
@@ -955,10 +990,8 @@ class TestBundle:
                      id="items-past-catalog"),
         ("mask_gender", lambda a: a[:, :-1]),
         ("mask_genre", lambda a: a[:, 1:]),
-        ("mask_popularity", lambda a: a[0]),
-        ("mask_popularity", None),  # evaluation reads it
+        pytest.param("mask_genre", lambda a: a[0], id="mask_genre-1-D"),
         ("mask_age", lambda a: a - 1),  # entries outside {0, 1}
-        ("genre_names", lambda a: a[:-1]),
         pytest.param("indptr", lambda a: a.astype(np.float64), id="indptr-float"),
     ])
     def test_inconsistent_array_names_file_and_key(self, tmp_path, synthetic_dataset,
