@@ -117,16 +117,9 @@ class OutputLock:
         return False
 
 
-def _require_dir(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise CliError(f"{what} not found: {path}")
-    return path
-
-
 def cmd_prepare(args) -> int:
     from .data import build_masks, ingest, preprocess, save_bundle
 
-    _require_dir(args.input, "input path")
     raw = ingest(args.input, args.format)
     dataset = preprocess(raw)
     masks = build_masks(dataset, raw)
@@ -155,7 +148,7 @@ def _emit_round_outputs(out_dir: str, config, results, selected) -> None:
             "round": round_id,
         })
         write_csv(os.path.join(out_dir, f"alpha_trace_round_{round_id}.csv"),
-                  ["epoch", "batch"] + [f"alpha_{o}" for o in result.trace.objectives],
+                  ["epoch", "batch"] + [f"alpha_{o}" for o in config.objectives],
                   ([epoch, batch, *alpha] for epoch, batch, alpha in result.trace.entries))
         paths.append(ckpt)
     write_csv(os.path.join(out_dir, "rounds.csv"),
@@ -176,7 +169,6 @@ def _training_inputs(args, **flags):
     from .data import TRAIN, EmptyDatasetError, load_bundle
     from .training import TrainConfig
 
-    _require_dir(args.bundle, "bundle directory")
     values = parse_config_file(args.config) if args.config else {}
     flags.update(rounds=args.rounds, seed=args.seed, epochs_max=args.epochs,
                  objectives=_coerce("objectives", args.objectives, None)
@@ -222,8 +214,6 @@ def cmd_eval(args) -> int:
         raise CliError(f"--k values must be >= 1, got {args.k!r}")
     if not 0.0 < args.patience < 1.0:
         raise CliError(f"--patience must be in (0, 1), got {args.patience!r}")
-    _require_dir(args.bundle, "bundle directory")
-    _require_dir(args.checkpoint, "checkpoint directory")
     dataset, masks = load_bundle(args.bundle)
     model, _ = load_checkpoint(args.checkpoint)
     if (model.num_users, model.num_items) != (dataset.num_users, dataset.num_items):
@@ -252,7 +242,7 @@ def cmd_grid(args) -> int:
     from .training import run_pareto_rounds, train_round
 
     config, dataset, masks = _training_inputs(args)
-    if config.num_objectives != 2:
+    if len(config.objectives) != 2:
         raise CliError("grid search requires exactly two objectives")
     grid = _coerce("--grid", args.grid, None) if args.grid else DEFAULT_GRID
     try:

@@ -182,21 +182,20 @@ def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
 
 
 def disparity_item(run: RecommendationRun, item_group_mask: np.ndarray,
-                   patience: float = 0.5) -> float:
+                   patience: float = 0.5) -> float | None:
     """Producer-side disparity: the training loss ``exposure_disparity`` on
     hard exposures.
 
     The slot at 0-based position r contributes patience**r to every group of
     its item, as the smooth exposure of training; the normalized distribution
-    is compared to the flat target.
+    is compared to the flat target. None, like an undefined
+    ``disparity_user``, when no listed item belongs to any group.
     """
     if not 0.0 < patience < 1.0:
         raise ValueError(f"patience must be in (0, 1), got {patience}")
     slot_exposure = np.power(patience, np.arange(run.k, dtype=np.float64))
     result = exposure_disparity((item_group_mask[:, run.lists] @ slot_exposure).sum(axis=1))
-    if result is None:
-        raise ValueError("no recommended item belongs to any group")
-    return result[0]
+    return None if result is None else result[0]
 
 
 def gini_index(run: RecommendationRun, num_items: int) -> float:

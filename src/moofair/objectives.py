@@ -76,9 +76,9 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-OBJECTIVE_IDS = ("bpr", "gender", "age", "popularity", "genre")
 CONSUMER_OBJECTIVES = ("gender", "age")
 PRODUCER_OBJECTIVES = ("popularity", "genre")
+OBJECTIVE_IDS = ("bpr",) + CONSUMER_OBJECTIVES + PRODUCER_OBJECTIVES
 
 LN2 = float(np.log(2.0))
 
@@ -582,11 +582,13 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet, *,
                   triplet_batch: TripletBatch, consumer_ctx: CandidateContext | None,
                   producer_ctx: CandidateContext | None, config: TrainConfig,
                   forwards: dict, pool) -> ObjectiveGradient | None:
-    """Loss and gradient of any configured objective on the current batch.
+    """Loss and gradient of one objective of ``config.objectives`` (BPR or
+    one of either family's) on the current batch.
 
     Returns None when the objective is skipped for the batch (degenerate
-    group composition). A family's context is None when none of its
-    objectives is configured; each holds the batch's distinct users in
+    group composition); it then adds nothing to the step
+    (``training._combine_gradients``). A family's context is None when none
+    of its objectives is configured; each holds the batch's distinct users in
     ascending order. ``forwards`` holds the smooth-ranking forward each
     objective family shares within a batch: the family's first objective
     fills it and the others reuse it, so one dict must only be passed to

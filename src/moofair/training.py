@@ -78,7 +78,9 @@ class TrainConfig:
     """Everything one training run depends on, validated at construction
     (``FIELD_RANGES`` for the numeric fields).
 
-    When more than one objective is configured, each active gradient is
+    ``objectives``, ``"bpr"`` first, is the one list of a run's objectives:
+    it orders the per-objective losses, the alpha weights and their output
+    columns. When more than one is configured, each active gradient is
     scaled to unit length before weighting (even when only one is active in
     a batch); a lone objective's gradient is left as it is. ``fixed_weights``,
     one per objective on the simplex, selects fixed-weight training; None
@@ -127,10 +129,6 @@ class TrainConfig:
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
 
-    @property
-    def num_objectives(self) -> int:
-        return len(self.objectives)
-
     def validate_masks(self, masks: GroupMaskSet) -> None:
         missing = [o for o in self.objectives
                    if o != "bpr" and masks.mask_for(o) is None]
@@ -142,13 +140,11 @@ class TrainConfig:
 
 @dataclass
 class AlphaTrace:
-    """Per-batch scaling coefficients, one row per optimizer step."""
+    """Per-batch scaling coefficients: one (epoch, batch, alpha) entry per
+    optimizer step, alpha ordered as the config's objectives. A class, not a
+    plain list, only because perfbench reads ``result.trace.entries``."""
 
-    objectives: tuple
     entries: list = field(default_factory=list)
-
-    def append(self, epoch: int, batch: int, alpha: np.ndarray) -> None:
-        self.entries.append((epoch, batch, np.asarray(alpha, dtype=np.float64)))
 
 
 @dataclass
@@ -197,7 +193,7 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
     joined before return. Without one, everything runs on this thread.
     """
     consumer_ctx = producer_ctx = None
-    if config.num_objectives > 1:  # a fairness family is configured (bpr comes first)
+    if len(config.objectives) > 1:  # a fairness family is configured (bpr comes first)
         batch_users = np.flatnonzero(np.bincount(batch.users))  # np.unique's ids, 5-10x faster
         if any(o in CONSUMER_OBJECTIVES for o in config.objectives):
             consumer_ctx = build_consumer_context(dataset, batch_users,
@@ -205,7 +201,7 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
         if any(o in PRODUCER_OBJECTIVES for o in config.objectives):
             producer_ctx = build_producer_context(dataset, batch_users, config.n_r_cap,
                                                   config.candidate_negatives, ctx_gen)
-    results = [None] * config.num_objectives
+    results = [None] * len(config.objectives)
 
     def run(family, pool=None):  # the worker shares no blocks: it would deadlock
         forwards = {}
@@ -228,30 +224,31 @@ def _objective_results(model, dataset, masks, config, batch, ctx_gen, pool):
 
 
 def _combine_gradients(results, config):
-    """Scaling coefficients over all configured objectives for one batch, and
-    the step direction over the rows the active objectives touch.
+    """Scaling coefficients over all configured objectives for one batch (a
+    fresh float64 array), and the step direction over the rows the active
+    objectives touch.
 
-    Skipped objectives (None results) get weight zero, and so do objectives
-    whose gradient has vanished for the batch: a (near-)zero gradient carries
-    no descent information, but as a min-norm vertex it would absorb all the
-    weight and stall every other objective. The active gradients are
-    scattered once into a (t x |rows| x d) stack G over the union of their
-    rows (a row an objective leaves out is zero there, and zero rows add
-    nothing to G G^T) and, with several objectives configured, scaled to
-    unit length in place; the solver runs on G G^T and the direction is
-    alpha[active] @ G. Returns (alpha over all objectives, rows, direction
-    rows, fw_used).
+    Skipped objectives (None results) and those whose gradient has vanished
+    for the batch add nothing to the step. Under MGDA they get weight zero: a
+    (near-)zero gradient carries no descent information, but as a min-norm
+    vertex it would absorb all the weight and stall every other objective.
+    Fixed weights are kept as configured, even on a batch with no step. The
+    active gradients are scattered once into a (t x |rows| x d) stack G over
+    the union of their rows (a row an objective leaves out is zero there,
+    and zero rows add nothing to G G^T) and, with several objectives
+    configured, scaled to unit length in place; the solver runs on G G^T and
+    the direction is alpha[active] @ G. Returns (alpha over all objectives,
+    rows, direction rows, fw_used).
     """
-    t = config.num_objectives
+    t = len(config.objectives)
     norms = np.array([0.0 if r is None else np.linalg.norm(r.grad) for r in results])
     active = np.flatnonzero(norms > ZERO_GRAD_TOL)
-    alpha = np.zeros(t)
+    alpha = (np.zeros(t) if config.fixed_weights is None
+             else np.asarray(config.fixed_weights, dtype=np.float64))
     if active.size == 0:  # every objective flat or skipped: no step this batch
         return alpha, results[0].rows[:0], results[0].grad[:0], False
     unit = t > 1  # several objectives step along unit-length gradients
-    if config.fixed_weights is not None:
-        alpha = np.asarray(config.fixed_weights, dtype=np.float64)
-    elif active.size == 1:  # one active gradient under MGDA: it is the direction
+    if config.fixed_weights is None and active.size == 1:  # MGDA's lone direction
         alpha[active] = 1.0
         result = results[active[0]]
         grad = result.grad / (norms[active[0]] + GRAD_NORM_EPS) if unit else result.grad
@@ -275,8 +272,8 @@ def _final_objective_values(model, dataset, masks, config, eval_gen,
     train_users, train_items = dataset.split_pairs(TRAIN)
     n = train_users.shape[0]
     batches = min(FINAL_EVAL_BATCHES, math.ceil(n / config.batch_size))
-    sums = np.zeros(config.num_objectives)
-    counts = np.zeros(config.num_objectives)
+    sums = np.zeros(len(config.objectives))
+    counts = np.zeros(len(config.objectives))
     for b in range(batches):
         sl = slice(b * config.batch_size, min((b + 1) * config.batch_size, n))
         batch = attach_negatives(dataset, eval_gen, train_users[sl], train_items[sl])
@@ -311,7 +308,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
         raise EmptyDatasetError("dataset has no train split")
     n_batches = math.ceil(n_pairs / config.batch_size)
 
-    trace = AlphaTrace(config.objectives)
+    trace = AlphaTrace()
     fw_calls = 0
     best_recall = -np.inf
     stale_evals = 0
@@ -329,7 +326,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                                              batch, ctx_gen, pool)
                 alpha, rows, direction, fw_used = _combine_gradients(results, config)
                 fw_calls += int(fw_used)
-                trace.append(epoch, b, alpha)
+                trace.entries.append((epoch, b, alpha))
                 model.params[rows] -= config.learning_rate * direction
             if epoch % config.eval_every == 0 or epoch == config.epochs_max:
                 recall = _validation_recall(model, dataset, VALIDATION_K)

@@ -79,7 +79,9 @@ class TestPrepare:
         code = main(["prepare", "--format", "ml100k",
                      "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: ratings file not found: {tmp_path / 'nope' / 'u.data'}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_identical_bytes(self, tsv_corpus, tmp_path):
         out_a = tmp_path / "a"
@@ -262,6 +264,9 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: not found: {tmp_path / 'nope' / CHECKPOINT_FILE}\n")
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "10,x"),
                                              ("--patience", "1.5")])
@@ -423,6 +428,22 @@ class TestGrid:
             ("0.5", ""), ("mgda", "")]
         assert all(float(row["recall_at_20"]) >= 0.0 for row in rows)
 
+    def test_no_listed_item_in_a_group_is_an_empty_cell(self, bundle, tiny_config,
+                                                        tmp_path):
+        # an all-zero genre mask is valid, and no list holds an item of a genre
+        dataset, masks = load_bundle(str(bundle))
+        masks.genre = np.zeros_like(masks.genre)
+        no_genre = tmp_path / "bundle"
+        save_bundle(str(no_genre), dataset, masks)
+        out = tmp_path / "grid"
+        code = main(["grid", "--bundle", str(no_genre), "--out", str(out),
+                     "--config", str(tiny_config), "--objectives", "bpr,genre",
+                     "--grid", "0.5", "--rounds", "1", "--epochs", "1"])
+        assert code == 0
+        rows = list(csv.DictReader((out / "frontier.csv").read_text().splitlines()))
+        assert [(row["weight"], row["inv_disparity"]) for row in rows] == [
+            ("0.5", ""), ("mgda", "")]
+
     def test_config_fixed_weights_keep_mgda_rounds(self, bundle, tiny_config, tmp_path):
         config = tmp_path / "fixed.cfg"
         config.write_text(tiny_config.read_text() + "fixed_weights = 0.5,0.5\n")
@@ -442,6 +463,17 @@ class TestGrid:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --grid: ")
         assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+def test_missing_bundle_exits_2(tmp_path, capsys, command):
+    # the loader's message names the missing file, not only its directory
+    out = tmp_path / "out"
+    args = ["--checkpoint", str(tmp_path)] if command == "eval" else []
+    code = main([command, "--bundle", str(tmp_path / "nope"), "--out", str(out), *args])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: not found: {tmp_path / 'nope' / BUNDLE_FILE}\n"
+    assert not out.exists()
 
 
 def bundle_arrays(bundle):

@@ -170,6 +170,11 @@ class TestDisparityItem:
         mask = np.array([[1, 0], [0, 1]], dtype=np.int8)
         assert disparity_item(run, mask, 0.5) == pytest.approx(0.0, abs=1e-15)
 
+    def test_no_listed_item_in_a_group_is_none(self):
+        # a valid {0, 1} mask whose groups hold none of the listed items
+        run = run_from([[0, 1]], [[0]])
+        assert disparity_item(run, np.zeros((3, 2), dtype=np.int8), 0.5) is None
+
     def test_patience_near_one_approaches_slot_share(self):
         run = run_from([[0, 1, 2, 3]], [[0]])
         mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8)

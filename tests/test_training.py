@@ -654,6 +654,23 @@ class TestCombineGradients:
         np.testing.assert_allclose(direction, [[0.5 * 0.6 + 0.2, 0.5 * 0.8]], rtol=1e-12)
         assert not fw_used
 
+    @pytest.mark.parametrize("fixed_weights, expected",
+                             [(None, [0.0, 0.0, 0.0]), ((0.5, 0.3, 0.2), [0.5, 0.3, 0.2])])
+    def test_no_active_objective_takes_no_step(self, fixed_weights, expected):
+        # MGDA gives every flat or skipped objective weight zero; fixed
+        # weights stay as configured, so each alpha row sums to 1
+        from moofair.training import _combine_gradients
+
+        results = self.results([0.0, 0.0], [0.0, 0.0], None)
+        config = TrainConfig(objectives=("bpr", "gender", "age"), fixed_weights=fixed_weights)
+        alpha, rows, direction, fw_used = _combine_gradients(results, config)
+        np.testing.assert_array_equal(alpha, expected)
+        assert rows.shape == (0,) and direction.shape == (0, 2)
+        assert not fw_used
+        # the trace keeps each batch's alpha as returned, without a copy
+        again = _combine_gradients(results, config)[0]
+        assert alpha.dtype == np.float64 and not np.shares_memory(alpha, again)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.booleans())
     def test_union_of_rows_matches_dense_stack(self, seed, t, fixed):
@@ -806,9 +823,8 @@ class TestStepMemory:
 
 class TestAlphaTrace:
     def test_csv_round_trip(self, tmp_path):
-        trace = AlphaTrace(("bpr", "gender"))
-        trace.append(1, 0, np.array([0.3, 0.7]))
-        trace.append(1, 1, np.array([0.4, 0.6]))
+        trace = AlphaTrace()
+        trace.entries += [(1, 0, np.array([0.3, 0.7])), (1, 1, np.array([0.4, 0.6]))]
         path = tmp_path / "alpha.csv"
         write_csv(str(path), ["epoch", "batch", "alpha_bpr", "alpha_gender"],
                   ([epoch, batch, *alpha] for epoch, batch, alpha in trace.entries))
