@@ -269,8 +269,7 @@ def cmd_grid(args) -> int:
             if fairness in CONSUMER_OBJECTIVES:
                 disparity = disparity_user(run, masks, fairness)
             else:
-                disparity = disparity_item(run, masks.mask_for(fairness),
-                                           config.exposure_patience)
+                disparity = disparity_item(run, masks[fairness], config.exposure_patience)
             inv = None if disparity is None else 1.0 / disparity if disparity else float("inf")
             frontier.append([weight, recall_at_k(run), inv])
         path = os.path.join(args.out, "frontier.csv")

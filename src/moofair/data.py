@@ -176,25 +176,6 @@ class InteractionDataset:
         return complements
 
 
-@dataclass
-class GroupMaskSet:
-    """Binary group membership over users (gender, age) and items (popularity, genre).
-
-    Attribute masks may be None when the source data carried no attribute
-    table. Popularity is a function of the train split (``popularity_mask``),
-    its rows ordered most- to least-popular (labels 5 down to 1). Genre
-    columns may hold multiple ones: an item belongs to each of its genres.
-    """
-
-    gender: np.ndarray | None = None
-    age: np.ndarray | None = None
-    popularity: np.ndarray | None = None
-    genre: np.ndarray | None = None
-
-    def mask_for(self, name: str) -> np.ndarray | None:
-        return getattr(self, name)
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
@@ -516,15 +497,19 @@ def preprocess(raw: RawRatings) -> InteractionDataset:
 # group masks
 # ---------------------------------------------------------------------------
 
-def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
-    """Build all group membership masks available from the raw attributes.
+def build_masks(dataset: InteractionDataset, raw: RawRatings) -> dict[str, np.ndarray]:
+    """Binary group membership masks keyed by objective id: (groups x users)
+    for ``gender`` and ``age``, (groups x items) for ``popularity`` and
+    ``genre``.
 
-    Popularity quintiles come from train-split occurrence counts sorted
-    descending (ties broken by dense item id ascending); when the catalog size
-    is not divisible by five, the extra items go to the most popular groups.
-    Users with unknown gender or age are excluded from those masks entirely.
+    ``popularity`` is always there: ``popularity_mask`` of the train split,
+    its rows running from the most to the least popular items. The others
+    are there when ``raw`` carries their attribute table; an absent table is
+    an absent key. Users with unknown gender or age are in no row of that
+    mask. A genre column may hold several ones: an item belongs to each of
+    its genres.
     """
-    masks = GroupMaskSet()
+    masks = {}
     users = dataset.user_ids.tolist()
     # row of each user's attribute value, -1 when it is unknown
     for name, table, size, rows_of in (
@@ -543,9 +528,9 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
         if known.shape[0] < len(users):
             logger.warning("%d users have unknown %s and are excluded from the %s mask",
                            len(users) - known.shape[0], name, name)
-        setattr(masks, name, mask)
+        masks[name] = mask
 
-    masks.popularity = popularity_mask(dataset)
+    masks["popularity"] = popularity_mask(dataset)
 
     if raw.item_genres is not None:
         g = len(raw.genre_names)
@@ -553,7 +538,7 @@ def build_masks(dataset: InteractionDataset, raw: RawRatings) -> GroupMaskSet:
         for k, orig in enumerate(dataset.item_ids):
             for gi in raw.item_genres.get(int(orig), ()):
                 genre[gi, k] = 1
-        masks.genre = genre
+        masks["genre"] = genre
 
     return masks
 
@@ -648,12 +633,12 @@ def load_npz(path: str, spec: dict) -> dict:
     return arrays
 
 
-def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet) -> None:
+def save_bundle(directory: str, dataset: InteractionDataset, masks: dict[str, np.ndarray]) -> None:
     """Write the preprocessed dataset and masks to ``directory``.
 
     ``bundle.npz`` holds the dataset's ``items`` and ``indptr``,
-    ``user_ids``/``item_ids`` and each available attribute mask as
-    ``mask_<name>``: what no command can rebuild from the others. The
+    ``user_ids``/``item_ids`` and each of ``MASK_NAMES`` that ``masks``
+    holds as ``mask_<name>``: what no command can rebuild from the others. The
     popularity mask is left out, as ``load_bundle`` derives it from the train
     split. ``stats.txt`` is a human-readable summary. Each file is written
     atomically.
@@ -661,9 +646,7 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
     os.makedirs(directory, exist_ok=True)
     arrays = {"items": dataset.items, "indptr": dataset.indptr,
               "user_ids": dataset.user_ids, "item_ids": dataset.item_ids}
-    for name in MASK_NAMES:
-        if masks.mask_for(name) is not None:
-            arrays[f"mask_{name}"] = masks.mask_for(name)
+    arrays.update({f"mask_{name}": masks[name] for name in MASK_NAMES if name in masks})
     save_npz(os.path.join(directory, BUNDLE_FILE), arrays)
     with atomic_open(os.path.join(directory, "stats.txt")) as fh:
         fh.write(f"users = {dataset.num_users}\n")
@@ -672,12 +655,13 @@ def save_bundle(directory: str, dataset: InteractionDataset, masks: GroupMaskSet
         fh.write(f"density = {dataset.density:.6g}\n")
 
 
-def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
+def load_bundle(directory: str) -> tuple[InteractionDataset, dict[str, np.ndarray]]:
     """Read a bundle written by ``save_bundle``, checking that its arrays
     agree: ``indptr`` is 3 * len(user_ids) + 1 offsets rising from 0 to
     len(items), items are inside ``item_ids``, and mask widths match the ids
-    with entries in {0, 1}. The popularity mask is ``popularity_mask`` of the
-    loaded dataset, as ``build_masks`` makes it; a ``mask_popularity`` or
+    with entries in {0, 1}. The masks are keyed as ``build_masks`` keys them,
+    an attribute mask the bundle lacks an absent key. ``popularity`` is
+    ``popularity_mask`` of the loaded dataset; a ``mask_popularity`` or
     ``genre_names`` array that an earlier version stored is not read."""
     path = os.path.join(directory, BUNDLE_FILE)
     arrays = load_npz(path, BUNDLE_ARRAYS)
@@ -689,7 +673,7 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
                               f"offsets from 0 to len('items') = {items.shape[0]}")
     if items.size and (items.min() < 0 or items.max() >= num_items):
         raise DataFormatError(f"{path}: array 'items' holds values outside [0, {num_items})")
-    masks = GroupMaskSet()
+    masks = {}
     for name in MASK_NAMES:
         mask = arrays.get(f"mask_{name}")
         if mask is None:
@@ -700,8 +684,8 @@ def load_bundle(directory: str) -> tuple[InteractionDataset, GroupMaskSet]:
                                   f"columns, expected {width}")
         if mask.size and (mask.min() < 0 or mask.max() > 1):
             raise DataFormatError(f"{path}: array 'mask_{name}' holds values outside {{0, 1}}")
-        setattr(masks, name, mask)
+        masks[name] = mask
     dataset = InteractionDataset(num_users, num_items, items, indptr,
                                  arrays["user_ids"], arrays["item_ids"])
-    masks.popularity = popularity_mask(dataset)
+    masks["popularity"] = popularity_mask(dataset)
     return dataset, masks

@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TEST, TRAIN, EmptyDatasetError, GroupMaskSet, InteractionDataset
+from .data import TEST, TRAIN, EmptyDatasetError, InteractionDataset
 from .model import FactorModel
-from .objectives import exposure_disparity, group_disparity
+from .objectives import CONSUMER_OBJECTIVES, exposure_disparity, group_disparity, ideal_dcg
 
 METRIC_COLUMNS = ("model", "k", "recall", "ndcg", "disparity_u", "disparity_i",
                   "gini", "popularity_rate", "diversity")
@@ -55,13 +55,10 @@ class RecommendationRun:
 
     @cached_property
     def ndcg_vectors(self) -> np.ndarray:
-        """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions."""
-        positions = np.arange(1, self.k + 1, dtype=np.float64)
-        gains = 1.0 / np.log2(positions + 1.0)
-        dcg = np.cumsum(self.hits * gains[None, :], axis=1)
-        ideal_hits = positions[None, :] <= self.counts[:, None]
-        idcg = np.cumsum(ideal_hits * gains[None, :], axis=1)
-        return dcg / idcg
+        """Per-user NDCG@j for j = 1..k, binary relevance, 1-based positions:
+        the DCG of the list over ``objectives.ideal_dcg`` of the user's count."""
+        gains = 1.0 / np.log2(np.arange(1, self.k + 1, dtype=np.float64) + 1.0)
+        return np.cumsum(self.hits * gains, axis=1) / ideal_dcg(self.counts, self.k)
 
 
 def top_k_items(model: FactorModel, users: np.ndarray, k: int,
@@ -163,18 +160,19 @@ def ndcg_at_k(run: RecommendationRun) -> float:
     return float(np.mean(run.ndcg_vectors[:, -1]))
 
 
-def disparity_user(run: RecommendationRun, masks: GroupMaskSet,
+def disparity_user(run: RecommendationRun, masks: dict[str, np.ndarray],
                    variant: str = "gender") -> float | None:
     """Consumer-side disparity: the training loss ``group_disparity`` on exact
     NDCG vectors.
 
-    Per-user vectors of NDCG@1..k are averaged within each attribute group
-    and the pairwise squared distances of the group means are returned.
-    None when the mask is missing or fewer than two groups are evaluated.
+    Per-user vectors of NDCG@1..k are averaged within each group of
+    ``masks[variant]``, a consumer objective's id, and the pairwise squared
+    distances of the group means are returned. None when ``masks`` has no
+    such key or fewer than two groups are evaluated.
     """
-    if variant not in ("gender", "age"):
-        raise ValueError(f"variant must be 'gender' or 'age', got {variant!r}")
-    mask = masks.mask_for(variant)
+    if variant not in CONSUMER_OBJECTIVES:
+        raise ValueError(f"variant must be one of {CONSUMER_OBJECTIVES}, got {variant!r}")
+    mask = masks.get(variant)
     if mask is None:
         return None
     result = group_disparity(run.ndcg_vectors, mask[:, run.user_ids])
@@ -235,39 +233,40 @@ def popularity_rate(run: RecommendationRun, popularity_mask: np.ndarray) -> floa
     return float(np.mean(hits))
 
 
-def simpson_diversity(run: RecommendationRun, group_mask: np.ndarray) -> float:
-    """One minus the probability that two random slots share an item group."""
+def simpson_diversity(run: RecommendationRun, group_mask: np.ndarray) -> float | None:
+    """One minus the probability that two random slots share an item group;
+    None, like an undefined ``disparity_user``, when fewer than two slots
+    belong to a group."""
     slot_counts = group_mask[:, run.lists.ravel()].astype(np.float64).sum(axis=1)
     total = slot_counts.sum()
     if total < 2:
-        raise ValueError("at least two grouped slots are required")
+        return None
     return float(1.0 - np.sum(slot_counts * (slot_counts - 1.0))
                  / (total * (total - 1.0)))
 
 
-def evaluate(model: FactorModel, dataset: InteractionDataset, masks: GroupMaskSet,
+def evaluate(model: FactorModel, dataset: InteractionDataset, masks: dict[str, np.ndarray],
              k_values=(10, 20), patience: float = 0.5, label: str = "model",
              disparity_user_variant: str = "gender") -> list:
-    """All seven metrics at each requested list depth, one row per (model, k);
-    an undefined disparity_u or diversity is None."""
+    """All seven metrics at each requested list depth, one row per (model, k):
+    ``masks["popularity"]`` groups the items, ``masks[disparity_user_variant]``
+    the users of disparity_u. An undefined disparity_u, disparity_i or
+    diversity is None."""
     rows = []
     # one ranking at the deepest k: a stable order's shallower lists are prefixes
     deepest = build_recommendations(model, dataset, max(k_values)) if k_values else None
+    popularity = masks["popularity"]
     for k in k_values:
         run = replace(deepest, k=k, lists=deepest.lists[:, :k])
-        try:
-            diversity = simpson_diversity(run, masks.popularity)
-        except ValueError:  # fewer than two grouped slots: undefined, like disparity_u
-            diversity = None
         rows.append({
             "model": label,
             "k": int(k),
             "recall": recall_at_k(run),
             "ndcg": ndcg_at_k(run),
             "disparity_u": disparity_user(run, masks, disparity_user_variant),
-            "disparity_i": disparity_item(run, masks.popularity, patience),
+            "disparity_i": disparity_item(run, popularity, patience),
             "gini": gini_index(run, dataset.num_items),
-            "popularity_rate": popularity_rate(run, masks.popularity),
-            "diversity": diversity,
+            "popularity_rate": popularity_rate(run, popularity),
+            "diversity": simpson_diversity(run, popularity),
         })
     return rows

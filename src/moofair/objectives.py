@@ -61,20 +61,17 @@ producer ones within 1e-6 in the ratio form and 5e-4 in the half-tanh form
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import TRAIN, GroupMaskSet, InteractionDataset
+from .data import TRAIN, InteractionDataset
 from .model import FactorModel, ObjectiveGradient, TripletBatch, bpr_grad
 from .numerics import sample_gumbel, sigmoid
 
 if TYPE_CHECKING:
     from .training import TrainConfig
-
-logger = logging.getLogger(__name__)
 
 CONSUMER_OBJECTIVES = ("gender", "age")
 PRODUCER_OBJECTIVES = ("popularity", "genre")
@@ -282,6 +279,16 @@ def _rank_backward(d_ranks: np.ndarray, slope: np.ndarray, slope_sums: np.ndarra
 # consumer side: group-mean NDCG disparity
 # ---------------------------------------------------------------------------
 
+def ideal_dcg(counts: np.ndarray, k: int) -> np.ndarray:
+    """Ideal DCG@1..k (Järvelin & Kekäläinen, TOIS 2002) of rows with
+    ``counts[r] >= 1`` relevant items, binary relevance, as (rows, k):
+    column j sums the gains 1 / log2(i + 1) of the 1-based positions
+    i <= min(j + 1, counts[r]), in order. The NDCG of training
+    (``_consumer_forward``) and of evaluation (``metrics``) divide by it."""
+    cum = np.cumsum(1.0 / np.log2(np.arange(1, k + 1, dtype=np.float64) + 1.0))
+    return cum[np.minimum(np.arange(k), counts[:, None] - 1)]
+
+
 def group_disparity(vectors: np.ndarray, group_rows):
     """Mean squared distance over all pairs of group means of the ``vectors``
     rows (group g holds the rows where ``group_rows[g]`` is 1), and its
@@ -385,13 +392,12 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     largest first on both threads (``_on_both_threads``). A block holds its
     rows, the ``_padded`` entry positions (B, C), the scores (B, C) padded
     with -inf, the ranks (B, P), the discounts (B, P), zero on
-    padding positives, and the ideal DCG rows (B, k).
+    padding positives, and the ``ideal_dcg`` rows (B, k) that normalise its
+    NDCG rows.
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
     order = np.flatnonzero(ctx.counts > 0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    # ideal DCG@k with n relevant items is ideal_cum[min(k, n) - 1]
-    ideal_cum = np.cumsum(1.0 / np.log2(ks + 1.0))
     order = order[np.argsort(ctx.counts[order], kind="stable")]
     n_pos, widths = ctx.counts[order], ctx.widths[order]
     entries = np.append(_entry_scores(model, ctx), -np.inf)
@@ -415,7 +421,7 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
         ranks = 0.5 + _row_sums(_pair_sigmoids(scores, n_max, steepness))
         # padding positives get a zero discount, so they add nothing
         disc = np.where(np.arange(n_max) < counts[:, None], 1.0 / np.log2(ranks + 1.0), 0.0)
-        idcg = ideal_cum[np.minimum(np.arange(k_max)[None, :], counts[:, None] - 1)]
+        idcg = ideal_dcg(counts, k_max)
         g_matrix[rows] = np.einsum("kbp,bp->bk", _cutoffs(ranks, ks, steepness), disc) / idcg
         blocks[i] = (rows, at, scores, ranks, disc, idcg)
 
@@ -436,13 +442,11 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     its ranks only when its rows' dL/dG is nonzero, and its pairs rebuilt
     only when its rank gradient is nonzero; when dL/dG is zero the zero
     gradient returns at once. The blocks run largest first on both threads.
-    None (with a warning) when fewer than two user groups are in the batch.
+    None when fewer than two user groups are in the batch.
     """
     g_matrix, blocks = forward
     result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
     if result is None:
-        logger.warning("%s objective skipped: fewer than two user groups in batch",
-                       objective_id)
         return None
     loss, d_g = result
     if not np.any(d_g):
@@ -547,8 +551,8 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     backpropagates ``exposure_disparity`` of the routed sums through the
     position-bias decay, the temperature smooth ranks, and the perturbed
     sampling probabilities (noise frozen). ``forward`` is the batch's shared
-    ``_producer_forward`` result. None (with a warning) when the batch routes
-    no exposure at all.
+    ``_producer_forward`` result. None when the batch routes no exposure at
+    all.
     """
     raw = np.zeros(item_group_mask.shape[0])
     if forward is not None:
@@ -557,7 +561,6 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
         raw = routing @ expo[relevant]
     result = exposure_disparity(raw)
     if result is None:
-        logger.warning("%s objective skipped: no routed exposure", objective_id)
         return None
     loss, d_raw = result
 
@@ -578,7 +581,7 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
 # dispatch
 # ---------------------------------------------------------------------------
 
-def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet, *,
+def fairness_grad(objective_id: str, model: FactorModel, masks: dict[str, np.ndarray], *,
                   triplet_batch: TripletBatch, consumer_ctx: CandidateContext | None,
                   producer_ctx: CandidateContext | None, config: TrainConfig,
                   forwards: dict, pool) -> ObjectiveGradient | None:
@@ -587,15 +590,16 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet, *,
 
     Returns None when the objective is skipped for the batch (degenerate
     group composition); it then adds nothing to the step
-    (``training._combine_gradients``). A family's context is None when none
-    of its objectives is configured; each holds the batch's distinct users in
-    ascending order. ``forwards`` holds the smooth-ranking forward each
-    objective family shares within a batch: the family's first objective
-    fills it and the others reuse it, so one dict must only be passed to
-    calls on the same model state, contexts and config. A consumer
-    objective shares its blocks with ``pool``'s worker (``_on_both_threads``;
-    serially when None). ``masks`` must hold every configured objective's
-    mask (``TrainConfig.validate_masks``).
+    (``training._combine_gradients``), and ``training.train_round`` counts
+    it. A family's context is None when none of its objectives is
+    configured; each holds the batch's distinct users in ascending order.
+    ``forwards`` holds the smooth-ranking forward each objective family
+    shares within a batch: the family's first objective fills it and the
+    others reuse it, so one dict must only be passed to calls on the same
+    model state, contexts and config. A consumer objective shares its blocks
+    with ``pool``'s worker (``_on_both_threads``; serially when None).
+    ``masks``, keyed by objective id, must hold every configured fairness
+    objective's mask (``TrainConfig.validate_masks``).
     """
     if objective_id == "bpr":
         return bpr_grad(model, triplet_batch)
@@ -604,11 +608,11 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: GroupMaskSet, *,
             forwards["consumer"] = _consumer_forward(model, consumer_ctx, config.ndcg_k,
                                                      config.steepness, pool)
         return consumer_fairness_grad(model, consumer_ctx,
-                                      masks.mask_for(objective_id)[:, consumer_ctx.users],
+                                      masks[objective_id][:, consumer_ctx.users],
                                       config, objective_id, forwards["consumer"], pool)
     if objective_id in PRODUCER_OBJECTIVES:
         if "producer" not in forwards:
             forwards["producer"] = _producer_forward(model, producer_ctx, config)
-        return producer_fairness_grad(model, producer_ctx, masks.mask_for(objective_id),
+        return producer_fairness_grad(model, producer_ctx, masks[objective_id],
                                       config, objective_id, forwards["producer"])
     raise ValueError(f"unknown objective {objective_id!r}")

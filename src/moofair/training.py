@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TRAIN, VAL, EmptyDatasetError, GroupMaskSet, InteractionDataset
+from .data import TRAIN, VAL, EmptyDatasetError, InteractionDataset
 from .metrics import rank_split, recall_at_k
 from .model import FactorModel, attach_negatives, init_model
 from .numerics import one_blas_thread
@@ -129,9 +129,10 @@ class TrainConfig:
             SimplexWeights(np.asarray(weights))  # validates the simplex
             object.__setattr__(self, "fixed_weights", weights)
 
-    def validate_masks(self, masks: GroupMaskSet) -> None:
-        missing = [o for o in self.objectives
-                   if o != "bpr" and masks.mask_for(o) is None]
+    def validate_masks(self, masks: dict[str, np.ndarray]) -> None:
+        """ValueError naming the configured fairness objectives whose id is
+        not a key of ``masks``."""
+        missing = [o for o in self.objectives if o != "bpr" and o not in masks]
         if missing:
             raise ValueError(
                 f"objectives {missing} need masks the dataset does not provide"
@@ -288,14 +289,16 @@ def _final_objective_values(model, dataset, masks, config, eval_gen,
     return sums / np.maximum(counts, 1.0)
 
 
-def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
+def train_round(dataset: InteractionDataset, masks: dict[str, np.ndarray],
                 config: TrainConfig, round_index: int = 0) -> RoundResult:
     """One full training run; returns the best-validation model and its trace.
 
     Every epoch visits all train (user, positive) pairs in a fresh random
     order, one negative sampled per pair. Validation recall is checked every
     ``eval_every`` epochs and after the last one, and training stops after
-    ``early_stop_patience`` evaluations without improvement.
+    ``early_stop_patience`` evaluations without improvement. An objective
+    skipped on some training batches (``fairness_grad`` returned None) is
+    logged once, with its count, when the round ends.
     """
     config.validate_masks(masks)
     init_gen, batch_gen, ctx_gen = _round_streams(config.seed, round_index)
@@ -309,6 +312,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
     n_batches = math.ceil(n_pairs / config.batch_size)
 
     trace = AlphaTrace()
+    skipped = np.zeros(len(config.objectives), dtype=np.int64)
     fw_calls = 0
     best_recall = -np.inf
     stale_evals = 0
@@ -324,6 +328,7 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                     continue
                 results = _objective_results(model, dataset, masks, config,
                                              batch, ctx_gen, pool)
+                skipped += [result is None for result in results]
                 alpha, rows, direction, fw_used = _combine_gradients(results, config)
                 fw_calls += int(fw_used)
                 trace.entries.append((epoch, b, alpha))
@@ -338,19 +343,23 @@ def train_round(dataset: InteractionDataset, masks: GroupMaskSet,
                 else:
                     stale_evals += 1
                 if stale_evals >= config.early_stop_patience:
-                    logger.info("round %d: early stop at epoch %d", round_index, epoch)
+                    logger.info("round %d: early stop at epoch %d", round_index + 1, epoch)
                     break
 
         model.set_flat(best_params)  # the last epoch validates, so it is set
         values = _final_objective_values(model, dataset, masks, config, eval_gen,
                                          pool)
+    for objective, count in zip(config.objectives, skipped):
+        if count:
+            logger.warning("round %d: %s skipped in %d of %d batches", round_index + 1,
+                           objective, count, len(trace.entries))
     record = SolutionRecord(round_id=round_index + 1, objective_values=values)
     return RoundResult(record=record, trace=trace, model=model,
                        best_epoch=best_epoch, val_recall=float(best_recall),
                        fw_calls=fw_calls)
 
 
-def run_pareto_rounds(dataset: InteractionDataset, masks: GroupMaskSet,
+def run_pareto_rounds(dataset: InteractionDataset, masks: dict[str, np.ndarray],
                       config: TrainConfig):
     """Run ``config.rounds`` independent rounds and pick one by least misery.
 

@@ -315,7 +315,7 @@ class TestEval:
         older = tmp_path / "bundle"
         older.mkdir()
         save_npz(str(older / BUNDLE_FILE),
-                 dict(arrays, mask_popularity=masks.popularity[::-1],
+                 dict(arrays, mask_popularity=masks["popularity"][::-1],
                       genre_names=np.array(GENRES, dtype=str)))
         for directory, name in ((bundle, "now.csv"), (older, "older.csv")):
             assert main(["eval", "--bundle", str(directory), "--checkpoint", str(checkpoint),
@@ -408,14 +408,14 @@ class TestGrid:
             if fairness == "age":
                 disparity = disparity_user(run, masks, "age")
             else:
-                disparity = disparity_item(run, masks.genre, config.exposure_patience)
+                disparity = disparity_item(run, masks["genre"], config.exposure_patience)
             assert row["inv_disparity"] == f"{1.0 / disparity:.6g}"
 
     def test_undefined_disparity_is_an_empty_cell(self, bundle, tiny_config, tmp_path):
         # every user in one gender group: the gender disparity is undefined
         dataset, masks = load_bundle(str(bundle))
-        masks.gender = np.zeros_like(masks.gender)
-        masks.gender[0] = 1
+        masks["gender"] = np.zeros_like(masks["gender"])
+        masks["gender"][0] = 1
         one_group = tmp_path / "bundle"
         save_bundle(str(one_group), dataset, masks)
         out = tmp_path / "grid"
@@ -432,7 +432,7 @@ class TestGrid:
                                                         tmp_path):
         # an all-zero genre mask is valid, and no list holds an item of a genre
         dataset, masks = load_bundle(str(bundle))
-        masks.genre = np.zeros_like(masks.genre)
+        masks["genre"] = np.zeros_like(masks["genre"])
         no_genre = tmp_path / "bundle"
         save_bundle(str(no_genre), dataset, masks)
         out = tmp_path / "grid"

@@ -286,7 +286,7 @@ def boundary_age_masks():
     raw.user_age = {u: BOUNDARY_AGES[u % len(BOUNDARY_AGES)] for u in raw.user_age}
     dataset = preprocess(raw)
     ages = np.array([raw.user_age[int(orig)] for orig in dataset.user_ids])
-    return build_masks(dataset, raw).age, ages
+    return build_masks(dataset, raw)["age"], ages
 
 
 class TestAgeGroups:
@@ -783,18 +783,18 @@ class TestTrainMembership:
 
 class TestBuildMasks:
     def test_gender_partition(self, synthetic_masks, synthetic_dataset):
-        gender = synthetic_masks.gender
+        gender = synthetic_masks["gender"]
         np.testing.assert_array_equal(gender.sum(axis=0),
                                       np.ones(synthetic_dataset.num_users))
 
     def test_age_partition(self, synthetic_masks, synthetic_dataset):
-        age = synthetic_masks.age
+        age = synthetic_masks["age"]
         assert age.shape[0] == 7
         np.testing.assert_array_equal(age.sum(axis=0),
                                       np.ones(synthetic_dataset.num_users))
 
     def test_genre_allows_multiple(self, synthetic_masks):
-        assert synthetic_masks.genre.sum(axis=0).max() > 1
+        assert synthetic_masks["genre"].sum(axis=0).max() > 1
 
     def test_unknown_gender_excluded_with_warning(self, caplog):
         raw = make_raw(seed=3, num_users=12)
@@ -804,16 +804,13 @@ class TestBuildMasks:
             masks = build_masks(dataset, raw)
         assert "unknown gender" in caplog.text
         dense = int(np.flatnonzero(dataset.user_ids == 1)[0])
-        assert masks.gender[:, dense].sum() == 0
+        assert masks["gender"][:, dense].sum() == 0
 
     def test_no_attributes_leaves_masks_absent(self, tmp_path):
         raw = make_raw(seed=4, with_attributes=False)
         dataset = preprocess(raw)
         masks = build_masks(dataset, raw)
-        assert masks.gender is None
-        assert masks.age is None
-        assert masks.genre is None
-        assert masks.popularity is not None
+        assert set(masks) == {"popularity"}
 
 
 def build_masks_oracle(dataset, raw):
@@ -894,10 +891,10 @@ class TestBuildMasksAgainstOracle:
         masks = build_masks(dataset, raw)
         expected = build_masks_oracle(dataset, raw)
         for name in ("gender", "age", "genre"):
-            got = masks.mask_for(name)
+            assert (name in masks) == (name in expected), name
             if name not in expected:
-                assert got is None, name
                 continue
+            got = masks[name]
             assert got.dtype == expected[name].dtype, name
             np.testing.assert_array_equal(got, expected[name], err_msg=name)
 
@@ -911,8 +908,9 @@ def assert_loads_as_built(directory, dataset, masks):
         got, want = getattr(loaded, name), getattr(dataset, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
-    for name in ("gender", "age", "popularity", "genre"):
-        got, want = getattr(loaded_masks, name), getattr(masks, name)
+    assert loaded_masks.keys() == masks.keys()
+    for name, want in masks.items():
+        got = loaded_masks[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     return loaded_masks
 
@@ -938,17 +936,17 @@ class TestBundle:
                                             synthetic_masks):
         # a stored popularity mask that disagrees with the bundle's train split
         save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
-        stale = synthetic_masks.popularity[::-1]
+        stale = synthetic_masks["popularity"][::-1]
         assert not np.array_equal(stale, popularity_mask(synthetic_dataset))
         with_arrays(tmp_path, mask_popularity=stale)
         masks = assert_loads_as_built(tmp_path, synthetic_dataset, synthetic_masks)
-        assert np.array_equal(masks.popularity, popularity_mask(synthetic_dataset))
+        assert np.array_equal(masks["popularity"], popularity_mask(synthetic_dataset))
 
     def test_bundle_of_the_parent_layout(self, tmp_path, synthetic_raw, synthetic_dataset,
                                          synthetic_masks):
         # an earlier version also stored the popularity mask and the genre names
         save_bundle(str(tmp_path), synthetic_dataset, synthetic_masks)
-        with_arrays(tmp_path, mask_popularity=synthetic_masks.popularity,
+        with_arrays(tmp_path, mask_popularity=synthetic_masks["popularity"],
                     genre_names=np.array(synthetic_raw.genre_names, dtype=str))
         assert_loads_as_built(tmp_path, synthetic_dataset,
                               build_masks(synthetic_dataset, synthetic_raw))

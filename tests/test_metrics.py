@@ -24,7 +24,7 @@ from moofair.metrics import (
 from moofair.data import write_csv
 from moofair.metrics import METRIC_COLUMNS
 from moofair.model import FactorModel, init_model
-from moofair.objectives import group_disparity
+from moofair.objectives import group_disparity, ideal_dcg
 from moofair.training import _validation_recall
 
 
@@ -92,6 +92,14 @@ class TestNdcg:
             assert np.all(np.diff(recalls) >= -1e-12)
             assert np.all((np.asarray(values) >= 0.0) & (np.asarray(values) <= 1.0))
 
+    @pytest.mark.parametrize("count", [1, 3, 4, 6])  # below, equal to and above k = 4
+    def test_ideal_dcg_brute_force(self, count):
+        got = ideal_dcg(np.array([count]), 4)
+        expected = [sum(1.0 / np.log2(i + 1) for i in range(1, min(j, count) + 1))
+                    for j in range(1, 5)]
+        assert got.shape == (1, 4)
+        np.testing.assert_allclose(got[0], expected, rtol=1e-15)
+
     def test_monotone_in_k_with_single_positive(self):
         # with one relevant item the ideal gain is constant past k=1, so
         # deeper lists can only help
@@ -133,7 +141,7 @@ class TestDisparityUser:
                 v.append(dcg / ideal)
             vectors.append(v)
         vectors = np.asarray(vectors)
-        g = synthetic_masks.gender[:, run.user_ids].astype(bool)
+        g = synthetic_masks["gender"][:, run.user_ids].astype(bool)
         means = [vectors[g[0]].mean(axis=0), vectors[g[1]].mean(axis=0)]
         expected = float(np.sum((means[0] - means[1]) ** 2))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -146,10 +154,8 @@ class TestDisparityUser:
         assert value is not None and value >= 0.0
 
     def test_absent_mask_reported_none(self, synthetic_dataset):
-        from moofair.data import GroupMaskSet
-
         run = run_from([[0, 1]], [[0]])
-        assert disparity_user(run, GroupMaskSet(), "gender") is None
+        assert disparity_user(run, {}, "gender") is None
 
 
 class TestDisparityItem:
@@ -270,9 +276,9 @@ class TestSimpsonDiversity:
 
     def test_too_few_slots(self):
         run = run_from([[0]], [[0]], k=1)
-        mask = np.zeros((2, 1), dtype=np.int8)
-        with pytest.raises(ValueError):
-            simpson_diversity(run, mask)
+        for grouped in (0, 1):
+            mask = np.array([[grouped], [0]], dtype=np.int8)
+            assert simpson_diversity(run, mask) is None
 
 
 class TestBuildRecommendations:
@@ -425,10 +431,10 @@ def reference_evaluate(model, dataset, masks, k_values):
                 "model": "model", "k": k,
                 "recall": recall_at_k(run), "ndcg": ndcg_at_k(run),
                 "disparity_u": disparity_user(run, masks, "gender"),
-                "disparity_i": reference_disparity_item(run, masks.popularity),
+                "disparity_i": reference_disparity_item(run, masks["popularity"]),
                 "gini": gini_index(run, dataset.num_items),
-                "popularity_rate": popularity_rate(run, masks.popularity),
-                "diversity": simpson_diversity(run, masks.popularity),
+                "popularity_rate": popularity_rate(run, masks["popularity"]),
+                "diversity": simpson_diversity(run, masks["popularity"]),
             })
     return rows
 

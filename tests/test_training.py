@@ -1,6 +1,7 @@
 
 import csv
 import hashlib
+import logging
 import threading
 import time
 import tracemalloc
@@ -15,7 +16,6 @@ from moofair.cli import DEFAULT_GRID, main
 from moofair.data import (
     TRAIN,
     VAL,
-    GroupMaskSet,
     build_masks,
     preprocess,
     save_bundle,
@@ -106,9 +106,9 @@ class TestTrainConfig:
         assert TrainConfig(seed=10 ** 400).seed == 10 ** 400
 
     def test_missing_mask_detected(self):
-        config = TrainConfig(objectives=("bpr", "gender"))
-        with pytest.raises(ValueError, match="gender"):
-            config.validate_masks(GroupMaskSet())
+        config = TrainConfig(objectives=("bpr", "gender", "genre"))
+        with pytest.raises(ValueError, match=r"\['gender', 'genre'\]"):
+            config.validate_masks({})
 
     def test_missing_mask_rejected_before_any_batch(self, synthetic_dataset,
                                                     synthetic_masks, monkeypatch):
@@ -116,8 +116,7 @@ class TestTrainConfig:
 
         batches = []
         monkeypatch.setattr(training, "attach_negatives", lambda *args: batches.append(args))
-        masks = GroupMaskSet(**{name: synthetic_masks.mask_for(name)
-                                for name in ("age", "popularity", "genre")})
+        masks = {name: synthetic_masks[name] for name in ("age", "popularity", "genre")}
         config = TrainConfig(objectives=("bpr", "gender", "popularity"), **TINY)
         with pytest.raises(ValueError, match=r"\['gender'\]"):
             train_round(synthetic_dataset, masks, config)
@@ -240,6 +239,20 @@ class TestMultiObjective:
         result = train_round(synthetic_dataset, synthetic_masks, config)
         assert result.record.objective_values.shape == (5,)
         assert np.all(np.isfinite(result.record.objective_values))
+
+    def test_skipped_objective_logged_once_per_round(self, synthetic_dataset,
+                                                     synthetic_masks, caplog):
+        # an all-zero genre mask is valid, and it routes no exposure in any batch
+        masks = {**synthetic_masks, "genre": np.zeros_like(synthetic_masks["genre"])}
+        config = TrainConfig(objectives=("bpr", "genre"),
+                             **{**TINY, "rounds": 2, "epochs_max": 2})
+        with caplog.at_level(logging.WARNING):
+            _, results = run_pareto_rounds(synthetic_dataset, masks, config)
+        lines = [r.getMessage() for r in caplog.records if "genre" in r.getMessage()]
+        steps = [len(result.trace.entries) for result in results]
+        assert min(steps) > 1
+        assert lines == [f"round {r}: genre skipped in {n} of {n} batches"
+                         for r, n in enumerate(steps, start=1)]
 
 
 class TestSharedForwards:
@@ -813,7 +826,7 @@ class TestStepMemory:
         monkeypatch.setattr(training, "_validation_recall", stop_at_validation)
         try:
             with pytest.raises(StepDone):
-                train_round(dataset, GroupMaskSet(), config)
+                train_round(dataset, {}, config)
         finally:
             tracemalloc.stop()
         dense_bytes = (num_users + num_items) * dim * 8
