@@ -592,12 +592,12 @@ def atomic_open(path: str, mode: str = "w", newline: str | None = None):
 
 def write_csv(path: str, header, rows) -> None:
     """Write ``header`` and ``rows`` with the csv module, atomically; float
-    cells with six significant digits, None cells empty."""
+    cells with six significant digits, None and NaN cells empty."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerows([("" if np.isnan(v) else f"{v:.6g}") if isinstance(v, float)
+                          else v for v in row] for row in rows)
 
 
 def save_npz(path: str, arrays: dict) -> None:

@@ -97,9 +97,9 @@ class CandidateContext:
     ``items``: its train positives first (the capped relevant items, on the
     producer side), ``counts[r]`` of them, then the sampled negatives.
     ``noise`` holds one frozen Gumbel draw per entry (producer side only).
-    Users without train positives keep an empty prefix and take part in no
-    group. A training step builds its contexts over the batch's distinct
-    users in ascending order, as ``_embedding_grad`` requires.
+    A training step builds its contexts over the batch's distinct users in
+    ascending order, as ``_embedding_grad`` requires, each with train
+    positives: both kernels take ``counts[r] >= 1`` as given.
     """
 
     users: np.ndarray
@@ -169,8 +169,7 @@ def build_producer_context(dataset: InteractionDataset, users,
                            n_r_cap: int, candidate_negatives: int,
                            rng: np.random.Generator) -> CandidateContext:
     ctx = _candidate_context(dataset, users, rng, candidate_negatives, n_r_cap)
-    if ctx.items.shape[0]:
-        ctx.noise = sample_gumbel(rng, ctx.items.shape[0])
+    ctx.noise = sample_gumbel(rng, ctx.items.shape[0])
     return ctx
 
 
@@ -385,20 +384,19 @@ def _consumer_forward(model: FactorModel, ctx: CandidateContext, k_max: int,
     the other 0.5; its top-k cutoff is sigmoid(steepness * (k + 0.5 - rank)).
     Independent of the user group masks.
 
-    Users with positives are sorted by positive count and cut into blocks of
-    at most ``PAIR_BLOCK`` padded (users x positives x candidates) pairs; no
-    pair matrix outlives its block, and neither do the (B, P, k) cutoffs: the
-    backward recomputes them from the ranks. The blocks are planned, then run
-    largest first on both threads (``_on_both_threads``). A block holds its
-    rows, the ``_padded`` entry positions (B, C), the scores (B, C) padded
-    with -inf, the ranks (B, P), the discounts (B, P), zero on
-    padding positives, and the ``ideal_dcg`` rows (B, k) that normalise its
-    NDCG rows.
+    The users, all with positives, are sorted by positive count and cut into
+    blocks of at most ``PAIR_BLOCK`` padded (users x positives x candidates)
+    pairs; no pair matrix outlives its block, and neither do the (B, P, k)
+    cutoffs: the backward recomputes them from the ranks. The blocks are
+    planned, then run largest first on both threads (``_on_both_threads``).
+    A block holds its rows, the ``_padded`` entry positions (B, C), the
+    scores (B, C) padded with -inf, the ranks (B, P), the discounts (B, P),
+    zero on padding positives, and the ``ideal_dcg`` rows (B, k) that
+    normalise its NDCG rows.
     """
     g_matrix = np.zeros((ctx.users.shape[0], k_max))
-    order = np.flatnonzero(ctx.counts > 0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    order = order[np.argsort(ctx.counts[order], kind="stable")]
+    order = np.argsort(ctx.counts, kind="stable")
     n_pos, widths = ctx.counts[order], ctx.widths[order]
     entries = np.append(_entry_scores(model, ctx), -np.inf)
     spans = []
@@ -435,17 +433,17 @@ def consumer_fairness_grad(model: FactorModel, ctx: CandidateContext,
                            pool=None) -> ObjectiveGradient | None:
     """Analytic gradient of a consumer-side objective over the rows it touches.
 
-    Backpropagates ``group_disparity`` of the smooth NDCG rows (users without
-    positives count in no group) through the soft top-k cutoffs, the smooth
-    pairwise ranks, and the candidate scores. ``forward`` is the batch's
-    shared ``_consumer_forward`` result. A block's cutoffs are recomputed from
-    its ranks only when its rows' dL/dG is nonzero, and its pairs rebuilt
-    only when its rank gradient is nonzero; when dL/dG is zero the zero
-    gradient returns at once. The blocks run largest first on both threads.
+    Backpropagates ``group_disparity`` of the smooth NDCG rows (each user in
+    its groups) through the soft top-k cutoffs, the smooth pairwise ranks,
+    and the candidate scores. ``forward`` is the batch's shared
+    ``_consumer_forward`` result. A block's cutoffs are recomputed from its
+    ranks only when its rows' dL/dG is nonzero, and its pairs rebuilt only
+    when its rank gradient is nonzero; when dL/dG is zero the zero gradient
+    returns at once. The blocks run largest first on both threads.
     None when fewer than two user groups are in the batch.
     """
     g_matrix, blocks = forward
-    result = group_disparity(g_matrix, group_masks * (ctx.counts > 0))
+    result = group_disparity(g_matrix, group_masks)
     if result is None:
         return None
     loss, d_g = result
@@ -500,13 +498,13 @@ def exposure_disparity(raw: np.ndarray):
 def _producer_forward(model: FactorModel, ctx: CandidateContext,
                       config: TrainConfig):
     """The part of the producer chain every producer objective shares, over
-    one ``_padded`` block of the rows with relevant items: the block's entry
-    positions, its relevant-position mask (B, R) and the relevant items in
-    that mask's order, the sampling probabilities (B, C), the
-    relevant-item exposure (B, R), zero on padding, and the ``CHAIN_DTYPE``
-    rank slope pair*(1-pair) with the constant j == i terms zeroed (plus its
-    float64 row sums).
-    Independent of the item group masks; None when no row has relevant items.
+    one ``_padded`` block of every context row (each has at least one
+    relevant item): the block's entry positions, its relevant-position mask
+    (B, R) and the relevant items in that mask's order, the sampling
+    probabilities (B, C), the relevant-item exposure (B, R), zero on
+    padding, and the ``CHAIN_DTYPE`` rank slope pair*(1-pair) with the
+    constant j == i terms zeroed (plus its float64 row sums). Independent of
+    the item group masks.
 
     Probabilities are the softmax of the Gumbel-perturbed candidate scores,
     padding scored -inf. A relevant item's smooth 0-based rank is
@@ -516,22 +514,20 @@ def _producer_forward(model: FactorModel, ctx: CandidateContext,
     ``_pair_sigmoids`` of the probabilities runs on blocks of rows of at most
     ``PAIR_BLOCK`` pairs, each written in place into its rows of the slope.
     """
-    rows = np.flatnonzero(ctx.counts)
-    if rows.shape[0] == 0:
-        return None
-    at, pad = _padded(ctx, rows)
-    relevant = np.arange(ctx.counts[rows].max()) < ctx.counts[rows, None]
+    n_rows = ctx.users.shape[0]
+    at, pad = _padded(ctx, np.arange(n_rows))
+    relevant = np.arange(ctx.counts.max()) < ctx.counts[:, None]
     n_rel = relevant.shape[1]
     shifted = np.append(_entry_scores(model, ctx) + ctx.noise, -np.inf)[at]
     shifted -= shifted.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     values = np.where(pad, -np.inf, probs)  # padding columns are no candidates
-    slope = np.empty((rows.shape[0], n_rel, probs.shape[1]), CHAIN_DTYPE)
-    ranks = np.empty((rows.shape[0], n_rel))
+    slope = np.empty((n_rows, n_rel, probs.shape[1]), CHAIN_DTYPE)
+    ranks = np.empty((n_rows, n_rel))
     slope_sums = np.empty_like(ranks)
     step = max(1, PAIR_BLOCK // slope[0].size)
-    for start in range(0, rows.shape[0], step):
+    for start in range(0, n_rows, step):
         block = slice(start, start + step)
         pair = _pair_sigmoids(values[block], n_rel, 1.0 / config.temperature,
                               out=slope[block])
@@ -551,15 +547,12 @@ def producer_fairness_grad(model: FactorModel, ctx: CandidateContext,
     backpropagates ``exposure_disparity`` of the routed sums through the
     position-bias decay, the temperature smooth ranks, and the perturbed
     sampling probabilities (noise frozen). ``forward`` is the batch's shared
-    ``_producer_forward`` result. None when the batch routes no exposure at
-    all.
+    ``_producer_forward`` result. None when no relevant item of the batch is
+    in any group of the mask, so no exposure is routed.
     """
-    raw = np.zeros(item_group_mask.shape[0])
-    if forward is not None:
-        at, relevant, relevant_items, probs, expo, slope, slope_sums = forward
-        routing = item_group_mask[:, relevant_items].astype(np.float64)
-        raw = routing @ expo[relevant]
-    result = exposure_disparity(raw)
+    at, relevant, relevant_items, probs, expo, slope, slope_sums = forward
+    routing = item_group_mask[:, relevant_items].astype(np.float64)
+    result = exposure_disparity(routing @ expo[relevant])
     if result is None:
         return None
     loss, d_raw = result
@@ -592,7 +585,8 @@ def fairness_grad(objective_id: str, model: FactorModel, masks: dict[str, np.nda
     group composition); it then adds nothing to the step
     (``training._combine_gradients``), and ``training.train_round`` counts
     it. A family's context is None when none of its objectives is
-    configured; each holds the batch's distinct users in ascending order.
+    configured; each holds the batch's distinct users in ascending order,
+    each with train positives, as the kernels require.
     ``forwards`` holds the smooth-ranking forward each objective family
     shares within a batch: the family's first objective fills it and the
     others reuse it, so one dict must only be passed to calls on the same

@@ -37,15 +37,15 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """Final objective values of one training round."""
+    """Final objective values of one training round, NaN where unmeasured."""
 
     round_id: int
     objective_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "objective_values", as_vector(self.objective_values, "objective_values")
-        )
+        values = np.asarray(self.objective_values, dtype=np.float64)
+        as_vector(np.where(np.isnan(values), 0, values), "objective_values")  # ±inf fails
+        object.__setattr__(self, "objective_values", values)
 
 
 def gram_matrix(gradients) -> np.ndarray:
@@ -103,6 +103,7 @@ def least_misery_select(records) -> SolutionRecord:
     Objective values are first divided by their round-one values (raw
     magnitudes differ by orders of magnitude across objectives, so the
     max would otherwise be dominated by whichever objective is largest).
+    NaN (unmeasured) values are left out of the max; BPR is always measured.
     Ties go to the earliest round.
     """
     records = list(records)
@@ -110,5 +111,5 @@ def least_misery_select(records) -> SolutionRecord:
         raise ValueError("at least one record is required")
     baseline = records[0].objective_values
     denom = np.where(np.abs(baseline) > 1e-12, np.abs(baseline), 1.0)
-    return min(records, key=lambda rec: (float(np.max(rec.objective_values / denom)),
+    return min(records, key=lambda rec: (float(np.nanmax(rec.objective_values / denom)),
                                          rec.round_id))

@@ -82,7 +82,7 @@ class TrainConfig:
     it orders the per-objective losses, the alpha weights and their output
     columns. When more than one is configured, each active gradient is
     scaled to unit length before weighting (even when only one is active in
-    a batch); a lone objective's gradient is left as it is. ``fixed_weights``,
+    a batch); BPR alone steps along its raw gradient. ``fixed_weights``,
     one per objective on the simplex, selects fixed-weight training; None
     (the default) trains with MGDA weights. ``ndcg_k``, ``steepness``,
     ``temperature`` and ``exposure_patience`` shape the smooth-ranking chains
@@ -229,16 +229,17 @@ def _combine_gradients(results, config):
     fresh float64 array), and the step direction over the rows the active
     objectives touch.
 
-    Skipped objectives (None results) and those whose gradient has vanished
-    for the batch add nothing to the step. Under MGDA they get weight zero: a
-    (near-)zero gradient carries no descent information, but as a min-norm
-    vertex it would absorb all the weight and stall every other objective.
-    Fixed weights are kept as configured, even on a batch with no step. The
-    active gradients are scattered once into a (t x |rows| x d) stack G over
-    the union of their rows (a row an objective leaves out is zero there,
-    and zero rows add nothing to G G^T) and, with several objectives
-    configured, scaled to unit length in place; the solver runs on G G^T and
-    the direction is alpha[active] @ G. Returns (alpha over all objectives,
+    BPR alone steps along its raw gradient. Otherwise skipped objectives
+    (None results) and those whose gradient has vanished for the batch add
+    nothing to the step. Under MGDA they get weight zero: a (near-)zero
+    gradient carries no descent information, but as a min-norm vertex it
+    would absorb all the weight and stall every other objective. Fixed
+    weights are kept as configured, even on a batch with no step. The active
+    gradients are scattered once into a (t x |rows| x d) stack G over the
+    union of their rows (a row an objective leaves out is zero there, and
+    zero rows add nothing to G G^T) and scaled to unit length in place; the
+    solver runs on G G^T (a lone one's 1 x 1 solve is exactly 1) and the
+    direction is alpha[active] @ G. Returns (alpha over all objectives,
     rows, direction rows, fw_used).
     """
     t = len(config.objectives)
@@ -248,19 +249,14 @@ def _combine_gradients(results, config):
              else np.asarray(config.fixed_weights, dtype=np.float64))
     if active.size == 0:  # every objective flat or skipped: no step this batch
         return alpha, results[0].rows[:0], results[0].grad[:0], False
-    unit = t > 1  # several objectives step along unit-length gradients
-    if config.fixed_weights is None and active.size == 1:  # MGDA's lone direction
-        alpha[active] = 1.0
-        result = results[active[0]]
-        grad = result.grad / (norms[active[0]] + GRAD_NORM_EPS) if unit else result.grad
-        return alpha, result.rows, grad, False
+    if t == 1:  # BPR alone steps along its raw gradient
+        return np.ones(1), results[0].rows, results[0].grad, False
     rows = np.flatnonzero(np.bincount(np.concatenate([results[k].rows for k in active])))
     g = np.zeros((active.size, rows.shape[0], results[0].grad.shape[1]))
     for n, k in enumerate(active):
         g[n, np.searchsorted(rows, results[k].rows)] = results[k].grad
     g = g.reshape(active.size, -1)
-    if unit:
-        g /= norms[active, None] + GRAD_NORM_EPS
+    g /= norms[active, None] + GRAD_NORM_EPS
     if config.fixed_weights is None:
         alpha[active] = frank_wolfe_solve(gram_matrix(g)).values
     direction = (alpha[active] @ g).reshape(rows.shape[0], -1)
@@ -269,7 +265,9 @@ def _combine_gradients(results, config):
 
 def _final_objective_values(model, dataset, masks, config, eval_gen,
                             pool) -> np.ndarray:
-    """Mean per-objective losses over a deterministic handful of batches."""
+    """Mean per-objective losses over the first train-pair batches in
+    storage order (so a fixed prefix of the users); NaN, not the 0 of
+    perfect parity, for an objective skipped in all of them."""
     train_users, train_items = dataset.split_pairs(TRAIN)
     n = train_users.shape[0]
     batches = min(FINAL_EVAL_BATCHES, math.ceil(n / config.batch_size))
@@ -286,7 +284,7 @@ def _final_objective_values(model, dataset, masks, config, eval_gen,
             if result is not None:
                 sums[k] += result.loss
                 counts[k] += 1
-    return sums / np.maximum(counts, 1.0)
+    return np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
 
 
 def train_round(dataset: InteractionDataset, masks: dict[str, np.ndarray],

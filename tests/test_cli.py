@@ -153,6 +153,27 @@ class TestTrain:
         assert "fw_calls" in header
         assert rows[1].split(",")[header.index("fw_calls")] == "0"
 
+    def test_unmeasured_objective_is_an_empty_cell(self, bundle, tiny_config, tmp_path):
+        # an all-zero genre mask routes no exposure in any final-value batch:
+        # genre is unmeasured, NaN and an empty cell, not 0 (perfect parity)
+        dataset, masks = load_bundle(str(bundle))
+        masks["genre"] = np.zeros_like(masks["genre"])
+        no_genre = tmp_path / "bundle"
+        save_bundle(str(no_genre), dataset, masks)
+        config = TrainConfig(**parse_config_file(str(tiny_config)),
+                             objectives=("bpr", "genre"), epochs_max=1)
+        values = train_round(*load_bundle(str(no_genre)), config).record.objective_values
+        assert np.isfinite(values[0]) and np.isnan(values[1])
+        out = tmp_path / "run"
+        code = main(["train", "--bundle", str(no_genre), "--out", str(out),
+                     "--config", str(tiny_config), "--objectives", "bpr,genre",
+                     "--rounds", "2", "--epochs", "1"])
+        assert code == 0
+        rounds = list(csv.DictReader((out / "rounds.csv").read_text().splitlines()))
+        assert [row["loss_genre"] for row in rounds] == ["", ""]
+        assert all(float(row["loss_bpr"]) > 0.0 for row in rounds)
+        assert "selected_round = " in (out / "selection.txt").read_text()
+
     def test_mode_flag_and_key_exit_2(self, bundle, tmp_path, capsys):
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exit_:

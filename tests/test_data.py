@@ -1042,6 +1042,12 @@ class TestWriteCsv:
         write_csv(str(path), ["a", "b", "c"], [[1, np.float64(1 / 3), None], ["x", 2.5e-7, 3]])
         assert path.read_bytes() == b"a,b,c\r\n1,0.333333,\r\nx,2.5e-07,3\r\n"
 
+    def test_nan_cell_empty(self, tmp_path):
+        # an unmeasured objective's NaN loss reads as absent, like None
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ["a", "b"], [[np.float64(np.nan), float("nan")]])
+        assert path.read_bytes() == b"a,b\r\n,\r\n"
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "rounds.csv"
 

@@ -151,13 +151,12 @@ class TestBuildNdcgMatrix:
         np.testing.assert_array_equal(ndcg_rows(model, ctx, 2)[1], 0.0)
 
 
-def consumer_loss(g, masks, valid=None):
-    """Training disparity loss of hand-built NDCG rows (rows not ``valid``
-    are users without positives), or None when skipped."""
+def consumer_loss(g, masks):
+    """Training disparity loss of hand-built NDCG rows, one positive per
+    user, or None when skipped."""
     n = g.shape[0]
-    valid = np.ones(n, dtype=bool) if valid is None else valid
     ctx = CandidateContext(np.arange(n), np.zeros(n, dtype=np.int64),
-                           np.ones(n, dtype=np.int64), valid.astype(np.int64))
+                           np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64))
     model = FactorModel(np.zeros((n, 1)), np.zeros((1, 1)))
     result = consumer_fairness_grad(model, ctx, masks, TrainConfig(), "gender", (g, []))
     return None if result is None else result.loss
@@ -178,12 +177,6 @@ class TestGenderLoss:
         g = np.array([[0.4, 0.6], [0.2, 0.2]])
         masks = np.array([[1, 1], [0, 0]])
         assert consumer_loss(g, masks) is None
-
-    def test_invalid_rows_excluded_from_counts(self):
-        g = np.array([[0.5, 0.5], [0.0, 0.0], [0.3, 0.7]])
-        masks = np.array([[1, 1, 0], [0, 0, 1]])
-        valid = np.array([True, False, True])
-        assert consumer_loss(g, masks, valid) == pytest.approx(0.08)
 
 
 class TestAgeLoss:
@@ -282,10 +275,11 @@ class TestProducerLoss:
         np.testing.assert_allclose(scaled_grad * scale, grad, rtol=1e-9,
                                    atol=1e-12 / raw.sum())
 
-    def test_empty_batch_skipped(self):
+    def test_unrouted_exposure_skipped(self):
+        # the relevant item 0 is in no group, so no exposure is routed
         model = FactorModel(np.array([[1.0]]), np.array([[2.0], [1.0]]))
-        ctx = producer_context_for([[0, 1]], [0])
-        mask = np.eye(2, dtype=np.int8)
+        ctx = producer_context_for([[0, 1]], [1])
+        mask = np.array([[0, 1], [0, 0]], dtype=np.int8)
         assert producer_loss(model, ctx, mask, TrainConfig()) is None
 
     def test_normalized_exposure_is_probability_vector(self, synthetic_dataset,
@@ -418,19 +412,18 @@ def reference_consumer(model, ctx, k_max, steepness, group_masks=None):
 
 
 def ragged_world(seed, num_users=14, num_items=120, dim=3):
-    """A model and a consumer context with 0 to 60 positives and a varying
+    """A model and a consumer context with 1 to 60 positives and a varying
     number of negatives per user, plus two random user groups."""
     gen = np.random.default_rng(seed)
     model = init_model(num_users, num_items, dim, 0.0, gen, init_std=0.7)
     candidates, counts = [], []
     for _ in range(num_users):
-        n_pos = int(gen.choice([0, 1, 2, int(gen.integers(3, 61))]))
+        n_pos = int(gen.choice([1, 2, int(gen.integers(3, 61))]))
         n_neg = int(gen.integers(0, 40))
         candidates.append(gen.permutation(num_items)[:n_pos + n_neg])
         counts.append(n_pos)
     counts[0] = 60  # the widest row, and a row with positives for every group
     candidates[0] = gen.permutation(num_items)[:100]
-    counts[1] = max(counts[1], 1)
     masks = np.zeros((2, num_users), dtype=np.int8)
     masks[gen.integers(0, 2, size=num_users), np.arange(num_users)] = 1
     masks[:, :2] = [[1, 0], [0, 1]]
@@ -542,7 +535,7 @@ class TestBlockedConsumerKernel:
         num_users, width = 40, 60
         model = init_model(num_users, 200, 4, 0.0, gen, init_std=0.3)
         ctx = context_for([gen.permutation(200)[:width] for _ in range(num_users)],
-                          gen.integers(0, 30, num_users))
+                          gen.integers(1, 30, num_users))
 
         def retained_bytes(k_max):
             _, blocks = _consumer_forward(model, ctx, k_max, 1.0)
@@ -555,16 +548,16 @@ class TestBlockedConsumerKernel:
 
 def ragged_producer_world(seed, num_users=6, num_items=30):
     """A model and a producer context whose rows differ in width and in
-    relevant count (some none), plus two item groups."""
+    relevant count (at least one each), plus two item groups."""
     gen = np.random.default_rng(seed)
     model = init_model(num_users, num_items, 3, 0.0, gen, init_std=0.6)
     candidates, counts, noise = [], [], []
     for u in range(num_users):
         width = int(gen.integers(2, 12))
         candidates.append(gen.permutation(num_items)[:width])
-        counts.append(int(gen.integers(0, min(width, 4) + 1)))
+        counts.append(int(gen.integers(1, min(width, 4) + 1)))
         noise.append(gen.gumbel(size=width))
-    counts[0], counts[1] = 0, 2
+    counts[1] = 2
     item_mask = np.zeros((2, num_items), dtype=np.int8)
     item_mask[np.arange(num_items) % 2, np.arange(num_items)] = 1
     return model, flat_context(candidates, counts, noise=noise), item_mask
@@ -889,8 +882,8 @@ def dense_embedding_grad(model, ctx, d_entries):
 @st.composite
 def sparse_worlds(draw):
     """A small random model, triplet batch, consumer and producer contexts
-    (distinct users in ascending order, as a training step builds them; users
-    without positives; items no context touches) and group masks under which
+    (distinct users in ascending order, each with positives, as a training
+    step builds them; items no context touches) and group masks under which
     no objective is skipped."""
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     num_users, num_items = draw(st.integers(2, 6)), draw(st.integers(4, 14))
@@ -905,7 +898,7 @@ def sparse_worlds(draw):
     for row in range(users.shape[0]):
         width = int(gen.integers(1, num_items // 2 + 1))
         candidates.append(gen.permutation(num_items)[:width])
-        counts.append(max(int(gen.integers(0, width + 1)), int(row < 2)))
+        counts.append(int(gen.integers(1, width + 1)))
         noise.append(gen.gumbel(size=width))
     masks = {
         "gender": np.eye(2, dtype=np.int8)[np.arange(num_users) % 2].T,

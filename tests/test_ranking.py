@@ -161,12 +161,6 @@ class TestSmoothDcg:
         g, _ = consumer_forward([2.0, 1.0], 1e6, positives=1, k_max=2)
         np.testing.assert_array_equal(g, [[1.0, 1.0]])
 
-    def test_no_relevance(self):
-        ctx = one_row(2, 0)
-        g, blocks = _consumer_forward(one_user_model([2.0, 1.0]), ctx, 2, 1e6)
-        np.testing.assert_array_equal(g, [[0.0, 0.0]])
-        assert blocks == []
-
     def test_two_relevant(self):
         # positives ranked 1 and 3: DCG@3 = 1 + 1/log2(4) = 1.5
         model = one_user_model([3.0, 1.0, 2.0])

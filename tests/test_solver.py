@@ -278,6 +278,24 @@ class TestLeastMisery:
         with pytest.raises(ValueError):
             least_misery_select([])
 
+    def test_unmeasured_value_takes_no_part(self):
+        # a NaN (unmeasured) objective is not read as perfect parity: each
+        # round's worst is over its measured values only
+        records = [
+            SolutionRecord(1, np.array([1.0, np.nan, 1.0])),
+            SolutionRecord(2, np.array([0.9, np.nan, 1.2])),
+            SolutionRecord(3, np.array([1.1, np.nan, 0.95])),
+        ]
+        assert least_misery_select(records).round_id == 1
+
+    def test_nan_accepted_and_infinite_rejected(self):
+        assert np.isnan(SolutionRecord(1, [0.5, np.nan]).objective_values[1])
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                SolutionRecord(1, [0.5, bad])
+        with pytest.raises(ValueError, match="1-D"):
+            SolutionRecord(1, [[0.5]])
+
     def test_tie_broken_by_earliest_round(self):
         records = [
             SolutionRecord(1, np.array([1.0, 1.0])),

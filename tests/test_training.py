@@ -255,6 +255,29 @@ class TestMultiObjective:
                          for r, n in enumerate(steps, start=1)]
 
 
+    def test_contexts_hold_only_users_with_positives(self, synthetic_dataset,
+                                                     synthetic_masks, monkeypatch):
+        # the fairness kernels take every context row to have train
+        # positives: so does every context a round builds, for its training
+        # and its final-value batches
+        from moofair import training
+
+        counts = {}
+        for name in ("build_consumer_context", "build_producer_context"):
+            def recorded(*args, build=getattr(training, name), name=name):
+                ctx = build(*args)
+                counts.setdefault(name, []).append(int(ctx.counts.min()))
+                return ctx
+
+            monkeypatch.setattr(training, name, recorded)
+        config = TrainConfig(objectives=("bpr", "gender", "age", "popularity", "genre"),
+                             **{**TINY, "epochs_max": 2})
+        result = train_round(synthetic_dataset, synthetic_masks, config)
+        for name in ("build_consumer_context", "build_producer_context"):
+            assert len(counts[name]) > len(result.trace.entries)
+            assert min(counts[name]) >= 1
+
+
 class TestSharedForwards:
     OBJECTIVES = ("bpr", "gender", "age", "popularity", "genre")
 
@@ -643,16 +666,18 @@ class TestCombineGradients:
                 for g in grads]
 
     def test_single_active_gradient_is_the_direction(self):
-        # scaled to unit length, as three objectives are configured
-        from moofair.training import _combine_gradients
+        # scaled to unit length, as three objectives are configured; the
+        # solver runs on the one active gradient and weights it exactly 1
+        from moofair.training import GRAD_NORM_EPS, _combine_gradients
 
         results = self.results([3.0, 4.0], [0.0, 0.0], None)
         config = TrainConfig(objectives=("bpr", "gender", "age"))
         alpha, rows, direction, fw_used = _combine_gradients(results, config)
         np.testing.assert_allclose(direction, [[0.6, 0.8]], rtol=1e-12)
-        assert rows is results[0].rows
+        np.testing.assert_array_equal(direction, results[0].grad / (5.0 + GRAD_NORM_EPS))
+        np.testing.assert_array_equal(rows, [0])
         np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
-        assert not fw_used
+        assert fw_used
 
     def test_fixed_weights_keep_every_weight(self):
         from moofair.training import _combine_gradients
